@@ -25,7 +25,7 @@ from .algebras import (
     unital_hull,
 )
 from .corpus import load_algebra, load_certificate, load_closed_set, run_certificate
-from .exact import PolyQ, Rational, RatFunT, SeriesQ, compose_series, limit_at_zero, nullspace
+from .exact import PolyQ, Rational, RatFunT, SeriesQ, compose_series, nullspace
 from .freealg import CircleWord, NormalForm, cas_normal_form, free_basis, normal_form, sas_normal_form
 from .moduli import (
     ClosedSetSpec,
@@ -44,7 +44,6 @@ from .operads import (
     ConsequenceSpace,
     MultilinearSpace,
     OperadPresentation,
-    VarietyProfile,
     consequences,
     hilbert,
     implies,
@@ -53,7 +52,6 @@ from .operads import (
     multilinear_dim,
     nice_index,
     prove_zero,
-    variety_profile,
 )
 from .structure import (
     CocycleSpec,

@@ -141,9 +141,6 @@ class AlgebraStructure:
         ext = self.with_parameters(names)
         return ext, ext.element([PolyQ.var(nm) for nm in names])
 
-    def rational_coords(self, x: Element):
-        return [c.constant_value() for c in x.coords]
-
     # -- display -------------------------------------------------------------
 
     def products_str(self):
@@ -448,15 +445,23 @@ def sum_algebra(A: AlgebraStructure, B: AlgebraStructure) -> AlgebraStructure:
 def compatible_check(A: AlgebraStructure, B: AlgebraStructure, sys: IdentitySystem) -> CheckResult:
     """Compatibility of two products on one space.
 
-    The pair is compatible for the variety exactly when both products and
-    their sum satisfy the identities; for a degree-3 identity the sum
-    condition minus the pure parts is the displayed mixed identity, so the
-    three checks together are equivalent to the definition.
+    The pair is compatible for the variety when every combination aA + bB
+    of the two products satisfies the identities.  The check runs once, on
+    A + u*B with u a fresh parameter kept symbolic.  A multilinear identity
+    of degree d evaluates on A + u*B to a polynomial in u of degree d - 1
+    whose coefficients are the pure A part, the pure B part and every mixed
+    part, so it vanishes exactly when all of them do, at every degree.
     """
     if A.dim != B.dim or A.parameters != B.parameters:
         raise ValueError("compatible products must share dimension and parameters")
-    for candidate in (A, B, sum_algebra(A, B)):
-        result = check_identity(candidate, sys)
-        if not result.holds:
-            return result
-    return CheckResult(True)
+    u = "u"
+    while u in A.parameters:
+        u += "_"
+    uvar = PolyQ.var(u)
+    n = A.dim
+    constants = [
+        [[A.constants[i][j][k] + uvar * B.constants[i][j][k] for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+    combined = AlgebraStructure(f"({A.name})+{u}({B.name})", n, constants, A.parameters + (u,), A.basis)
+    return check_identity(combined, sys)

@@ -7,26 +7,23 @@ gcd-reduced with positive denominator, never rounding.
 
 from fractions import Fraction as Rational
 
-from .linalg import SparseRREF, bareiss_rank, det, inverse, matmul, matvec, nullspace, rank, rref, solve_right
+from .linalg import SparseRREF, bareiss_rank, det, express, inverse, nullspace, rref, solve_right
 from .poly import PolyQ
-from .ratfun import RatFunT, limit_at_zero
+from .ratfun import RatFunT
 from .series import SeriesQ, compose_series
 
 __all__ = [
     "Rational",
     "PolyQ",
     "RatFunT",
-    "limit_at_zero",
     "SeriesQ",
     "compose_series",
     "SparseRREF",
     "nullspace",
-    "rank",
     "bareiss_rank",
     "rref",
+    "express",
     "det",
     "inverse",
     "solve_right",
-    "matmul",
-    "matvec",
 ]

@@ -1,10 +1,14 @@
 """Exact dense and sparse linear algebra.
 
-Dense routines work over any field whose elements support +, -, *, / and
-compare equal to 0; callers pass explicit zero/one elements for fields other
-than the rationals.  Pivoting is always "first nonzero in column order" so
-results are deterministic.  Integer rank is also available through
-fraction-free Bareiss elimination.
+`rref` is the one dense elimination: every dense rank, span, kernel, solve
+and inverse in the package goes through it.  It works over any field whose
+elements support +, -, *, / and compare equal to 0; callers pass explicit
+zero/one elements for fields other than the rationals.  Pivoting is always
+"first nonzero in column order" so results are deterministic.  A span is
+stored as its RREF row list, `rref(vectors)[1]`, and `express` writes a
+vector in terms of given vectors.  `det` eliminates separately because it
+tracks the row swaps.  `bareiss_rank` is a fraction-free integer rank that
+shares no code with `rref`; tests use it as an independent oracle.
 
 The SparseRREF accumulator maintains a reduced row-echelon basis of a
 growing subspace of Q^n with sparse rows; it is the workhorse behind the
@@ -55,14 +59,6 @@ def rref(matrix, zero=Q0, one=Q1):
         pivots.append(j)
         r += 1
     return pivots, rows[: len(pivots)]
-
-
-def rank(matrix, zero=Q0, one=Q1):
-    if not matrix:
-        return 0
-    if all(isinstance(x, (int, Fraction)) for x in matrix[0]):
-        return bareiss_rank(matrix)
-    return len(rref(matrix, zero, one)[0])
 
 
 def bareiss_rank(matrix) -> int:
@@ -143,6 +139,21 @@ def solve_right(matrix, rhs_columns, zero=Q0, one=Q1):
     return cols
 
 
+def express(vectors, target, zero=Q0, one=Q1):
+    """Coefficients c with sum c[k] * vectors[k] == target, or None when the
+    target lies outside the span.  Coefficients of vectors that depend on
+    earlier ones are zero."""
+    k = len(vectors)
+    aug = [[v[i] for v in vectors] + [x] for i, x in enumerate(target)]
+    pivots, rows = rref(aug, zero, one)
+    if pivots and pivots[-1] == k:
+        return None
+    coeffs = [zero] * k
+    for r, p in enumerate(pivots):
+        coeffs[p] = rows[r][k]
+    return coeffs
+
+
 def inverse(matrix, zero=Q0, one=Q1):
     n = len(matrix)
     eye = [[one if i == j else zero for i in range(n)] for j in range(n)]
@@ -174,31 +185,6 @@ def det(matrix, zero=Q0, one=Q1):
                 c = rows[i][j] * inv
                 rows[i] = [a - c * b for a, b in zip(rows[i], rows[j])]
     return result if sign == 1 else zero - result
-
-
-def matmul(a, b, zero=Q0):
-    n, m, k = len(a), len(b[0]), len(b)
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            x = a[i][l]
-            if x != zero:
-                row_b = b[l]
-                row_o = out[i]
-                for j in range(m):
-                    row_o[j] = row_o[j] + x * row_b[j]
-    return out
-
-
-def matvec(a, v, zero=Q0):
-    out = []
-    for row in a:
-        s = zero
-        for x, y in zip(row, v):
-            if x != zero and y != zero:
-                s = s + x * y
-        out.append(s)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,9 @@ class PolyQ:
 
     def __hash__(self):
         used = self.used_vars()
+        if not used:
+            # a constant equals its Fraction, so it must hash like one
+            return hash(self.constant_value())
         p = self.on_vars(used) if used != self.vars else self
         return hash((used, frozenset(p.terms.items())))
 

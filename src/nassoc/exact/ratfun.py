@@ -215,6 +215,9 @@ class RatFunT:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.is_constant():
+            # a constant equals its Fraction, so it must hash like one
+            return hash(self.constant_value())
         return hash((tuple(self.num), tuple(self.den)))
 
     def __bool__(self):
@@ -248,8 +251,3 @@ class RatFunT:
 
     def __repr__(self):
         return f"RatFunT({self})"
-
-
-def limit_at_zero(f: RatFunT) -> Fraction:
-    """f(0) for a reduced rational function; PoleAtZero if the denominator vanishes."""
-    return f.value_at_zero()

@@ -26,7 +26,7 @@ from .errors import ParametricNotSupported, PoleAtZero, ShapeMismatch, SingularF
 from .exact.linalg import det, rref, solve_right
 from .exact.poly import PolyQ
 from .exact.ratfun import RatFunT
-from .structure import derivation_algebra, power_subspaces
+from .structure import derivation_algebra, derivation_equations, power_subspaces
 
 RF0 = RatFunT.const(0)
 RF1 = RatFunT.const(1)
@@ -194,28 +194,10 @@ def generic_derivation_dim(A: AlgebraStructure) -> int:
         return derivation_algebra(A).dim
     if len(A.parameters) > 1:
         raise ParametricNotSupported("generic derivations support one parameter")
-    param = A.parameters[0]
-    env = {param: RatFunT.t()}
+    env = {A.parameters[0]: RatFunT.t()}
     n = A.dim
     c = [[[eval_poly(A.constants[i][j][k], env) for k in range(n)] for j in range(n)] for i in range(n)]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                row = [RF0] * (n * n)
-                for l in range(n):
-                    if c[i][j][l] != RF0:
-                        row[m * n + l] = row[m * n + l] + c[i][j][l]
-                for k in range(n):
-                    if c[k][j][m] != RF0:
-                        row[k * n + i] = row[k * n + i] - c[k][j][m]
-                    if c[i][k][m] != RF0:
-                        row[k * n + j] = row[k * n + j] - c[i][k][m]
-                if any(x != RF0 for x in row):
-                    rows.append(row)
-    if not rows:
-        return n * n
-    pivots, _ = rref(rows, zero=RF0, one=RF1)
+    pivots, _ = rref(derivation_equations(c, RF0), zero=RF0, one=RF1)
     return n * n - len(pivots)
 
 
@@ -253,8 +235,8 @@ def degeneration_necessary(A: AlgebraStructure, B: AlgebraStructure) -> Necessar
     derB = derivation_algebra(B).dim
     chainA = power_subspaces(A, limit=3)
     chainB = power_subspaces(B, limit=3)
-    a2A = chainA[1].dim if len(chainA) > 1 else 0
-    a2B = chainB[1].dim if len(chainB) > 1 else 0
+    a2A = len(chainA[1]) if len(chainA) > 1 else 0
+    a2B = len(chainB[1]) if len(chainB) > 1 else 0
     from .structure import powers_and_nilpotency
 
     nilpA = powers_and_nilpotency(A).is_nilpotent
@@ -346,13 +328,13 @@ def pencil_invariant(A: AlgebraStructure) -> Fraction:
         raise ParametricNotSupported("specialize parameters first")
     chain = power_subspaces(A, limit=3)
     square = chain[1]
-    if square.dim != 1:
+    if len(square) != 1:
         raise ShapeMismatch("the square must be one-dimensional")
     cube = chain[2] if len(chain) > 2 else square
-    if cube.dim != 0:
+    if cube:
         raise ShapeMismatch("the algebra must be 2-step nilpotent")
-    z = square.basis()[0]
-    pivot = square.pivots[0]
+    z = square[0]
+    pivot = next(i for i, x in enumerate(z) if x)
     comp = [i for i in range(3) if i != pivot]
     u = A.basis_element(comp[0] + 1)
     v = A.basis_element(comp[1] + 1)
@@ -384,15 +366,6 @@ def random_invertible_matrix(n: int, rng: random.Random):
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         if det(m) != 0:
             return m
-
-
-def random_upper_triangular(n: int, rng: random.Random):
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = Fraction(rng.choice([1, -1, 2, 3]))
-        for j in range(i + 1, n):
-            m[i][j] = Fraction(rng.randint(-2, 2))
-    return m
 
 
 def random_lower_triangular(n: int, rng: random.Random):

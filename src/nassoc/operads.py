@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -151,9 +150,6 @@ class ConsequenceSpace:
     def reduce_vec(self, vec):
         return self.rref.reduce(vec)
 
-    def basis_exprs(self):
-        return [self.space.vec_to_expr(row) for row in self.rref.basis()]
-
     def __repr__(self):
         return f"ConsequenceSpace({self.system_name!r}, degree={self.degree}, dim={self.dim})"
 
@@ -231,15 +227,6 @@ def multilinear_dim(sys: IdentitySystem, n: int, cap: int | None = None) -> int:
     return cons.space.dim - cons.dim
 
 
-@dataclass
-class VarietyProfile:
-    """Multilinear dimensions of a variety with the derived signed series."""
-
-    system_name: str
-    dims: tuple[int, ...]
-    series: SeriesQ
-
-
 def hilbert(sys: IdentitySystem, order: int, cap: int | None = None) -> SeriesQ:
     """Signed exponential series: coefficient of t^n is (-1)^n dim(n)/n!."""
     coeffs = []
@@ -247,12 +234,6 @@ def hilbert(sys: IdentitySystem, order: int, cap: int | None = None) -> SeriesQ:
         d = multilinear_dim(sys, n, cap)
         coeffs.append(Fraction((-1) ** n * d, math.factorial(n)))
     return SeriesQ(order, coeffs)
-
-
-def variety_profile(sys: IdentitySystem, order: int, cap: int | None = None) -> VarietyProfile:
-    dims = tuple(multilinear_dim(sys, n, cap) for n in range(1, order + 1))
-    series = SeriesQ(order, [Fraction((-1) ** n * d, math.factorial(n)) for n, d in enumerate(dims, 1)])
-    return VarietyProfile(sys.name, dims, series)
 
 
 def _check_quadratic(sys: IdentitySystem):

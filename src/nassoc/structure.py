@@ -2,7 +2,10 @@
 
 Covers derivation algebras, power/solvability chains, subalgebra
 restriction, the Peirce split at an idempotent, and the semisimple-plus-
-radical decomposition.  The radical candidate is the kernel of the trace
+radical decomposition.  The linear algebra is exact over Q and runs on
+`exact.linalg`: a subspace of Q^n is its RREF row list, `rref(vectors)[1]`,
+so its dimension is the length of that list, and coordinates in a span come
+from `express`.  The radical candidate is the kernel of the trace
 form tau(x,y) = trace(L_{x o y}) on the anticommutator algebra; the
 semisimple part is rebuilt by lifting orthogonal primitive idempotents from
 the quotient with the cubic iteration e <- 3e^2 - 2e^3.  Because the trace
@@ -23,83 +26,18 @@ from .errors import (
     ParametricNotSupported,
     VerificationFailed,
 )
-from .exact.linalg import nullspace, rref
+from .exact.linalg import express, nullspace, rref
 from .exact.poly import PolyQ
 from .systems import builtin_system
 from .terms import shapes
 
 
 # ---------------------------------------------------------------------------
-# rational subspaces
+# rational subspaces, each kept as its RREF row list
 
 
-class Subspace:
-    """Subspace of Q^n kept in reduced row echelon form."""
-
-    def __init__(self, n: int, vectors=()):
-        self.n = n
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-        for v in vectors:
-            self.add(v)
-
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        s = cls(n)
-        for i in range(n):
-            v = [Fraction(0)] * n
-            v[i] = Fraction(1)
-            s.add(v)
-        return s
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                c = v[p]
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
-    def add(self, vec) -> bool:
-        v = self.reduce(vec)
-        for p in range(self.n):
-            if v[p] != 0:
-                inv = Fraction(1) / v[p]
-                v = [x * inv for x in v]
-                for i in range(len(self.rows)):
-                    if self.rows[i][p] != 0:
-                        c = self.rows[i][p]
-                        self.rows[i] = [a - c * b for a, b in zip(self.rows[i], v)]
-                idx = 0
-                while idx < len(self.pivots) and self.pivots[idx] < p:
-                    idx += 1
-                self.rows.insert(idx, v)
-                self.pivots.insert(idx, p)
-                return True
-        return False
-
-    def basis(self):
-        return [list(r) for r in self.rows]
-
-    def express(self, vec):
-        """Coefficients over the RREF basis, or None when vec is outside."""
-        coeffs = [Fraction(vec[p]) for p in self.pivots]
-        recon = [Fraction(0)] * self.n
-        for c, row in zip(coeffs, self.rows):
-            recon = [a + c * b for a, b in zip(recon, row)]
-        if any(Fraction(x) != y for x, y in zip(vec, recon)):
-            return None
-        return coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, Subspace) and self.n == other.n and self.rows == other.rows
+def _identity_rows(n: int):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def monomial_coefficient_vectors(A: AlgebraStructure, x: Element):
@@ -116,10 +54,10 @@ def monomial_coefficient_vectors(A: AlgebraStructure, x: Element):
     return out
 
 
-def product_span_vectors(A: AlgebraStructure, S1: Subspace, S2: Subspace):
+def product_span_vectors(A: AlgebraStructure, S1, S2):
     vecs = []
-    for u in S1.basis():
-        for v in S2.basis():
+    for u in S1:
+        for v in S2:
             z = A.mul(A.element(u), A.element(v))
             vecs.extend(monomial_coefficient_vectors(A, z))
     return vecs
@@ -145,59 +83,55 @@ class PowersReport:
         )
 
 
-def power_subspaces(A: AlgebraStructure, limit: int | None = None) -> list[Subspace]:
-    """[A^1, A^2, ...] until the chain stabilizes (or hits zero)."""
-    n = A.dim
-    chain = [Subspace.full(n)]
-    limit = limit if limit is not None else 2 * n + 2
+def power_subspaces(A: AlgebraStructure, limit: int | None = None) -> list[list]:
+    """[A^1, A^2, ...] as RREF row lists until the chain stabilizes (or hits zero)."""
+    chain = [_identity_rows(A.dim)]
+    limit = limit if limit is not None else 2 * A.dim + 2
     while len(chain) < limit:
         k = len(chain) + 1
-        nxt = Subspace(n)
+        vecs = []
         for i in range(1, k):
-            j = k - i
-            for v in product_span_vectors(A, chain[i - 1], chain[j - 1]):
-                nxt.add(v)
+            vecs.extend(product_span_vectors(A, chain[i - 1], chain[k - i - 1]))
+        nxt = rref(vecs)[1]
         chain.append(nxt)
-        if nxt.dim == 0 or nxt.dim == chain[-2].dim:
+        if not nxt or len(nxt) == len(chain[-2]):
             break
     return chain
 
 
 def powers_and_nilpotency(A: AlgebraStructure) -> PowersReport:
     chain = power_subspaces(A)
-    power_dims = [s.dim for s in chain]
+    power_dims = [len(s) for s in chain]
     nilpotent = power_dims[-1] == 0
     ncls = None
     if nilpotent:
-        ncls = max(k for k, s in enumerate(chain, start=1) if s.dim > 0) if power_dims[0] > 0 else 0
-    derived = [Subspace.full(A.dim)]
+        ncls = max(k for k, s in enumerate(chain, start=1) if s) if power_dims[0] > 0 else 0
+    derived = [_identity_rows(A.dim)]
     for _ in range(2 * A.dim + 2):
-        nxt = Subspace(A.dim)
-        for v in product_span_vectors(A, derived[-1], derived[-1]):
-            nxt.add(v)
+        nxt = rref(product_span_vectors(A, derived[-1], derived[-1]))[1]
         derived.append(nxt)
-        if nxt.dim == 0 or nxt.dim == derived[-2].dim:
+        if not nxt or len(nxt) == len(derived[-2]):
             break
-    solvable = derived[-1].dim == 0
-    return PowersReport([s.dim for s in chain], [s.dim for s in derived], nilpotent, solvable, ncls)
+    solvable = not derived[-1]
+    return PowersReport(power_dims, [len(s) for s in derived], nilpotent, solvable, ncls)
 
 
-def restrict_to_subspace(A: AlgebraStructure, sub: Subspace, name: str) -> AlgebraStructure:
-    """Algebra structure induced on a multiplicatively closed subspace."""
-    bas = sub.basis()
-    r = sub.dim
+def restrict_to_subspace(A: AlgebraStructure, sub, name: str) -> AlgebraStructure:
+    """Algebra structure induced on a multiplicatively closed subspace,
+    given by independent rows that become the new basis."""
+    r = len(sub)
     if r == 0:
         raise ValueError("cannot restrict to the zero subspace")
     constants = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(r):
-            z = A.mul(A.element(bas[i]), A.element(bas[j]))
+            z = A.mul(A.element(sub[i]), A.element(sub[j]))
             coords = [c.on_vars(A.parameters) for c in z.coords]
             monos = sorted({e for c in coords for e in c.terms})
             acc = [PolyQ.zero() for _ in range(r)]
             for mono in monos:
                 vec = [c.terms.get(mono, Fraction(0)) for c in coords]
-                coeffs = sub.express(vec)
+                coeffs = express(sub, vec)
                 if coeffs is None:
                     raise VerificationFailed(
                         f"subspace of {A.name} is not closed under multiplication"
@@ -211,10 +145,10 @@ def restrict_to_subspace(A: AlgebraStructure, sub: Subspace, name: str) -> Algeb
     return AlgebraStructure(name, r, constants, A.parameters, labels)
 
 
-def power_subalgebra(A: AlgebraStructure, k: int) -> tuple[AlgebraStructure, Subspace]:
+def power_subalgebra(A: AlgebraStructure, k: int) -> tuple[AlgebraStructure, list]:
     chain = power_subspaces(A, limit=max(k, 2))
     sub = chain[k - 1] if k <= len(chain) else chain[-1]
-    if sub.dim == 0:
+    if not sub:
         raise ValueError(f"power {k} of {A.name} is the zero subspace")
     return restrict_to_subspace(A, sub, f"{A.name}^{k}"), sub
 
@@ -234,6 +168,31 @@ class DerivationAlgebra:
     matrices: list  # list of n x n Fraction matrices, D(e_i) = sum_k D[k][i] e_k
 
 
+def derivation_equations(c, zero=Fraction(0)):
+    """Nonzero rows of D(e_i e_j) = D(e_i) e_j + e_i D(e_j) over any field.
+
+    c[i][j][k] is the e_k coordinate of e_i e_j and zero is the field's zero.
+    The unknown D[k][i], the e_k coordinate of D(e_i), is column k * n + i.
+    """
+    n = len(c)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                row = [zero] * (n * n)
+                for l in range(n):
+                    if c[i][j][l] != zero:
+                        row[m * n + l] = row[m * n + l] + c[i][j][l]
+                for k in range(n):
+                    if c[k][j][m] != zero:
+                        row[k * n + i] = row[k * n + i] - c[k][j][m]
+                    if c[i][k][m] != zero:
+                        row[k * n + j] = row[k * n + j] - c[i][k][m]
+                if any(x != zero for x in row):
+                    rows.append(row)
+    return rows
+
+
 def derivation_algebra(A: AlgebraStructure) -> DerivationAlgebra:
     """Exact solution space of D(xy) = D(x)y + x D(y) on basis pairs."""
     if A.is_parametric():
@@ -242,24 +201,7 @@ def derivation_algebra(A: AlgebraStructure) -> DerivationAlgebra:
         )
     n = A.dim
     c = [[[p.constant_value() for p in A.constants[i][j]] for j in range(n)] for i in range(n)]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                row = [Fraction(0)] * (n * n)
-                for l in range(n):
-                    if c[i][j][l]:
-                        row[m * n + l] += c[i][j][l]
-                for k in range(n):
-                    if c[k][j][m]:
-                        row[k * n + i] -= c[k][j][m]
-                    if c[i][k][m]:
-                        row[k * n + j] -= c[i][k][m]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    if not rows:
-        rows = [[Fraction(0)] * (n * n)]
-    kernel = nullspace(rows, ncols=n * n)
+    kernel = nullspace(derivation_equations(c), ncols=n * n)
     mats = []
     for v in kernel:
         mats.append([[v[k * n + i] for i in range(n)] for k in range(n)])
@@ -344,6 +286,31 @@ def _require_rational(A: AlgebraStructure, x: Element):
         raise ParametricNotSupported("element must have rational coordinates") from None
 
 
+def _lplus_matrix(A: AlgebraStructure, z: Element):
+    """Matrix of x -> (zx + xz)/2; column m is the image of e_{m+1}."""
+    n = A.dim
+    half = Fraction(1, 2)
+    cols = []
+    for m in range(1, n + 1):
+        b = A.basis_element(m)
+        v = A.add(A.mul(z, b), A.mul(b, z))
+        cols.append([c.constant_value() * half for c in v.coords])
+    return [[cols[m][k] for m in range(n)] for k in range(n)]
+
+
+def _is_ideal(A: AlgebraStructure, vectors) -> bool:
+    """Whether the span of independent rational vectors absorbs products
+    with every basis element on either side."""
+    prods = []
+    for u in vectors:
+        x = A.element(u)
+        for i in range(1, A.dim + 1):
+            b = A.basis_element(i)
+            for prod in (A.mul(x, b), A.mul(b, x)):
+                prods.append([c.constant_value() for c in prod.coords])
+    return len(rref(list(vectors) + prods)[1]) == len(vectors)
+
+
 def peirce(A: AlgebraStructure, e: Element) -> PeirceSplit:
     """Eigenspace split of x -> (xe + ex)/2 at an exact idempotent e."""
     if A.is_parametric():
@@ -352,13 +319,7 @@ def peirce(A: AlgebraStructure, e: Element) -> PeirceSplit:
     if not A.equal_elements(A.mul(e, e), e):
         raise NotIdempotent("e*e differs from e")
     n = A.dim
-    half = Fraction(1, 2)
-    cols = []
-    for i in range(1, n + 1):
-        b = A.basis_element(i)
-        v = A.add(A.mul(b, e), A.mul(e, b))
-        cols.append([c.constant_value() * half for c in v.coords])
-    L = [[cols[i][k] for i in range(n)] for k in range(n)]
+    L = _lplus_matrix(A, e)
     spaces = {}
     for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
         m = [[L[k][i] - (lam if k == i else 0) for i in range(n)] for k in range(n)]
@@ -369,16 +330,6 @@ def peirce(A: AlgebraStructure, e: Element) -> PeirceSplit:
             f"Peirce operator spectrum escapes {{0, 1/2, 1}} (caught {total} of {n} dimensions)"
         )
     a0, a_half, a1 = spaces[Fraction(0)], spaces[Fraction(1, 2)], spaces[Fraction(1)]
-
-    def ideal_flag(part):
-        span = Subspace(n, part)
-        for u in part:
-            for i in range(1, n + 1):
-                b = A.basis_element(i)
-                for prod in (A.mul(A.element(u), b), A.mul(b, A.element(u))):
-                    if not span.contains([c.constant_value() for c in prod.coords]):
-                        return False
-        return True
 
     cross_zero = True
     for u in a0:
@@ -392,8 +343,8 @@ def peirce(A: AlgebraStructure, e: Element) -> PeirceSplit:
         a1=a1,
         spans=True,
         a_half_zero=not a_half,
-        a0_ideal=ideal_flag(a0) if a0 else True,
-        a1_ideal=ideal_flag(a1) if a1 else True,
+        a0_ideal=_is_ideal(A, a0),
+        a1_ideal=_is_ideal(A, a1),
         cross_products_zero=cross_zero,
     )
 
@@ -416,17 +367,6 @@ class WedderburnSplit:
         return (len(self.s_basis), len(self.r_basis))
 
 
-def _lplus_matrix(A: AlgebraStructure, z: Element):
-    n = A.dim
-    half = Fraction(1, 2)
-    cols = []
-    for m in range(1, n + 1):
-        b = A.basis_element(m)
-        v = A.add(A.mul(z, b), A.mul(b, z))
-        cols.append([c.constant_value() * half for c in v.coords])
-    return [[cols[m][k] for m in range(n)] for k in range(n)]
-
-
 def trace_form_gram(A: AlgebraStructure):
     n = A.dim
     half = Fraction(1, 2)
@@ -444,33 +384,16 @@ def trace_form_gram(A: AlgebraStructure):
     return gram
 
 
-def _min_poly(mulfn, unit, u, sub: Subspace):
+def _min_poly(mulfn, unit, u):
     """Monic minimal polynomial coefficients (ascending) of u relative to unit."""
-    n = sub.n
     powers = [unit]
-    space = Subspace(n, [unit])
     while True:
         nxt = mulfn(powers[-1], u)
-        if space.contains(nxt):
-            coeffs = _express_in_powers(powers, nxt)
-            return coeffs
+        coeffs = express(powers, nxt)
+        if coeffs is not None:
+            # x^d - sum c_k x^k = 0
+            return [-c for c in coeffs] + [Fraction(1)]
         powers.append(nxt)
-        space.add(nxt)
-
-
-def _express_in_powers(powers, target):
-    """Solve sum c_k powers[k] = target; returns the monic min poly coefficients."""
-    n = len(powers[0])
-    rows = [[powers[k][i] for k in range(len(powers))] + [Fraction(target[i])] for i in range(n)]
-    pivots, red = rref(rows)
-    ncols = len(powers)
-    sol = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            raise VerificationFailed("power expression is inconsistent")
-        sol[p] = red[r][ncols]
-    # x^d - sum c_k x^k = 0
-    return [-c for c in sol] + [Fraction(1)]
 
 
 def _rational_roots(coeffs):
@@ -524,31 +447,20 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
     if A.is_parametric():
         raise ParametricNotSupported(f"specialize {A.name} before the Wedderburn split")
     n = A.dim
-    gram = trace_form_gram(A)
-    r_vectors = nullspace(gram, ncols=n)
-    radical = Subspace(n, r_vectors)
+    r_pivots, radical = rref(nullspace(trace_form_gram(A), ncols=n))
     flags: dict[str, bool] = {}
 
     # radical must be an ideal for the quotient to make sense
-    def is_ideal(span: Subspace) -> bool:
-        for u in span.basis():
-            for i in range(1, n + 1):
-                b = A.basis_element(i)
-                for prod in (A.mul(A.element(u), b), A.mul(b, A.element(u))):
-                    if not span.contains([c.constant_value() for c in prod.coords]):
-                        return False
-        return True
-
-    flags["radical_is_ideal"] = is_ideal(radical)
-    if radical.dim > 0:
+    flags["radical_is_ideal"] = _is_ideal(A, radical)
+    if radical:
         restricted = restrict_to_subspace(A, radical, f"rad({A.name})")
         flags["radical_nilpotent"] = powers_and_nilpotency(restricted).is_nilpotent
     else:
         flags["radical_nilpotent"] = True
 
-    s_dim = n - radical.dim
+    s_dim = n - len(radical)
     if s_dim == 0:
-        split = WedderburnSplit([], radical.basis(), flags)
+        split = WedderburnSplit([], radical, flags)
         flags["sum_is_direct"] = True
         flags["idempotents_orthonormal"] = True
         flags["s_commutative_associative"] = True
@@ -556,24 +468,19 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
     if not flags["radical_is_ideal"]:
         raise VerificationFailed(f"trace-form kernel of {A.name} is not an ideal")
 
-    # quotient algebra on the non-pivot coordinates
-    free_coords = [i for i in range(n) if i not in radical.pivots]
+    # quotient algebra on the non-pivot coordinates: the radical rows and the
+    # free unit vectors form a basis of Q^n, and a vector's quotient
+    # coordinates are its coefficients on the free unit vectors
+    eye = _identity_rows(n)
+    free_units = [eye[i] for i in range(n) if i not in r_pivots]
 
     def project(vec):
-        red = radical.reduce(vec)
-        return [red[i] for i in free_coords]
-
-    def lift_coset(qv):
-        out = [Fraction(0)] * n
-        for c, i in zip(qv, free_coords):
-            out[i] = c
-        return out
+        return express(radical + free_units, vec)[len(radical):]
 
     qconsts = [[None] * s_dim for _ in range(s_dim)]
     for a in range(s_dim):
         for b in range(s_dim):
-            prod = A.mul(A.element(lift_coset([Fraction(i == a) for i in range(s_dim)])),
-                         A.element(lift_coset([Fraction(i == b) for i in range(s_dim)])))
+            prod = A.mul(A.element(free_units[a]), A.element(free_units[b]))
             qconsts[a][b] = project([c.constant_value() for c in prod.coords])
     Q = AlgebraStructure(f"{A.name}/rad", s_dim, qconsts)
     if not check_identity(Q, builtin_system("com-as")).holds:
@@ -583,39 +490,29 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
         x = Q.mul(Q.element(u), Q.element(v))
         return [c.constant_value() for c in x.coords]
 
-    # unit of the quotient
-    rows = []
-    for i in range(s_dim):
-        base = [Fraction(k == i) for k in range(s_dim)]
-        for m in range(s_dim):
-            row = []
-            for j in range(s_dim):
-                ej = [Fraction(k == j) for k in range(s_dim)]
-                row.append(qmul(ej, base)[m])
-            rows.append(row + [base[m]])
-    pivots, red = rref(rows)
-    if any(p == s_dim for p in pivots):
+    # unit of the quotient: sum_j unit_j e_j e_i = e_i for every i
+    q_eye = _identity_rows(s_dim)
+    unit = express(
+        [[x for ei in q_eye for x in qmul(ej, ei)] for ej in q_eye],
+        [x for ei in q_eye for x in ei],
+    )
+    if unit is None:
         raise VerificationFailed(f"quotient of {A.name} has no unit; trace kernel is not the radical")
-    unit = [Fraction(0)] * s_dim
-    for r, p in enumerate(pivots):
-        unit[p] = red[r][s_dim]
 
     # primitive orthogonal idempotents of the split semisimple quotient
-    def primitive_idempotents(sub: Subspace, unit_elem):
-        if sub.dim == 1:
-            base = sub.basis()[0]
-            sq = qmul(base, base)
-            coeffs = sub.express(sq)
-            c = coeffs[0]
+    def primitive_idempotents(sub, unit_elem):
+        if len(sub) == 1:
+            base = sub[0]
+            c = express(sub, qmul(base, base))[0]
             if c == 0:
                 raise VerificationFailed("one-dimensional quotient piece is nilpotent")
             return [[x / c for x in base]]
-        candidates = [list(b) for b in sub.basis()]
+        candidates = [list(b) for b in sub]
         for i in range(len(candidates)):
             for j in range(i + 1, len(candidates)):
                 candidates.append([a + b for a, b in zip(candidates[i], candidates[j])])
         for u in candidates:
-            coeffs = _min_poly(qmul, unit_elem, u, sub)
+            coeffs = _min_poly(qmul, unit_elem, u)
             roots = _rational_roots(coeffs)
             if len(roots) != len(coeffs) - 1:
                 continue
@@ -629,33 +526,23 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
                         continue
                     shifted = [a - mu * b for a, b in zip(u, unit_elem)]
                     proj = [x / (lam - mu) for x in qmul(proj, shifted)]
-                piece_vectors = [qmul(proj, b) for b in sub.basis()]
-                piece = Subspace(s_dim, piece_vectors)
+                piece = rref([qmul(proj, b) for b in sub])[1]
                 out.extend(primitive_idempotents(piece, proj))
             return out
         raise VerificationFailed(
             f"semisimple quotient of {A.name} does not split over Q (irrational idempotent data)"
         )
 
-    prim = primitive_idempotents(Subspace(s_dim, [[Fraction(k == i) for k in range(s_dim)] for i in range(s_dim)]), unit)
+    prim = primitive_idempotents(q_eye, unit)
 
     # lift the idempotents into shrinking Peirce-zero ideals
     lifted = []
-    ideal = Subspace.full(n)
+    ideal = eye
     for qbar in prim:
-        target = qbar
-        vbasis = ideal.basis()
-        rows = []
-        for m in range(s_dim):
-            row = [project(v)[m] for v in vbasis] + [target[m]]
-            rows.append(row)
-        pivots, red = rref(rows)
-        if any(p == len(vbasis) for p in pivots):
+        sol = express([project(v) for v in ideal], qbar)
+        if sol is None:
             raise VerificationFailed("idempotent has no preimage in the Peirce ideal")
-        sol = [Fraction(0)] * len(vbasis)
-        for r, p in enumerate(pivots):
-            sol[p] = red[r][len(vbasis)]
-        x = [sum(sol[t] * vbasis[t][i] for t in range(len(vbasis))) for i in range(n)]
+        x = [sum(sol[t] * ideal[t][i] for t in range(len(ideal))) for i in range(n)]
         for _ in range(2 * n + 4):
             xe = A.element(x)
             sq = A.mul(xe, xe)
@@ -672,19 +559,15 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
         lifted.append(x)
         # shrink to the joint Peirce-zero ideal
         e_elem = A.element(x)
-        new_basis = []
-        vb = ideal.basis()
         rows = []
-        for v in vb:
+        for v in ideal:
             w = A.add(A.mul(A.element(v), e_elem), A.mul(e_elem, A.element(v)))
             rows.append([c.constant_value() for c in w.coords])
-        columns = [[rows[t][i] for t in range(len(vb))] for i in range(n)]
-        kern = nullspace(columns, ncols=len(vb)) if vb else []
-        shrunk = Subspace(n)
-        for coeffs in kern:
-            vec = [sum(coeffs[t] * vb[t][i] for t in range(len(vb))) for i in range(n)]
-            shrunk.add(vec)
-        ideal = shrunk
+        columns = [[rows[t][i] for t in range(len(ideal))] for i in range(n)]
+        kern = nullspace(columns, ncols=len(ideal)) if ideal else []
+        ideal = rref(
+            [[sum(coeffs[t] * ideal[t][i] for t in range(len(ideal))) for i in range(n)] for coeffs in kern]
+        )[1]
 
     # post-verification
     ortho = True
@@ -695,16 +578,13 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
             if not A.equal_elements(prod, expected):
                 ortho = False
     flags["idempotents_orthonormal"] = ortho
-    everything = Subspace(n, radical.basis())
-    direct = all(everything.add(u) for u in lifted) and everything.dim == n
-    flags["sum_is_direct"] = direct
+    flags["sum_is_direct"] = len(radical) + len(lifted) == n == len(rref(radical + lifted)[1])
     if lifted:
-        s_span = Subspace(n, lifted)
-        s_alg = restrict_to_subspace(A, s_span, f"ss({A.name})")
+        s_alg = restrict_to_subspace(A, rref(lifted)[1], f"ss({A.name})")
         flags["s_commutative_associative"] = check_identity(s_alg, builtin_system("com-as")).holds
     else:
         flags["s_commutative_associative"] = True
-    return WedderburnSplit(lifted, radical.basis(), flags)
+    return WedderburnSplit(lifted, radical, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +686,8 @@ def fingerprint(A: AlgebraStructure) -> Fingerprint:
     if A.is_parametric():
         raise ParametricNotSupported("specialize parameters before fingerprinting")
     chain = power_subspaces(A, limit=4)
-    dim_a2 = chain[1].dim if len(chain) > 1 else 0
-    dim_a3 = chain[2].dim if len(chain) > 2 else dim_a2
+    dim_a2 = len(chain[1]) if len(chain) > 1 else 0
+    dim_a3 = len(chain[2]) if len(chain) > 2 else dim_a2
     powers = powers_and_nilpotency(A)
     commutative = all(
         A.constants[i][j][k] == A.constants[j][i][k]

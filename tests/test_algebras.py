@@ -21,6 +21,7 @@ from nassoc.corpus import load_algebra
 from nassoc.errors import ParameterClash
 from nassoc.exact.poly import PolyQ
 from nassoc.systems import builtin_system
+from nassoc.terms import parse_system
 
 Q = Fraction
 
@@ -234,6 +235,19 @@ def test_incompatible_pair_detected():
     A = load_algebra("A04")
     C = AlgebraStructure("notsas", 2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])  # e1e2 = e2
     assert not compatible_check(A, C, builtin_system("sas")).holds
+
+
+def test_incompatible_pair_hidden_from_the_plain_sum():
+    # A, B and A + B all satisfy this degree-4 identity, but A + 2B does not:
+    # with three products the mixed parts are not fixed by the sum alone
+    sys4 = parse_system("x4", "(((x1 x2) x3) x4) = (x1 (x2 (x3 x4)))")
+    A = AlgebraStructure("A", 2, [[[-1, -1], [-1, -1]], [[-1, -1], [-1, -1]]])
+    B = AlgebraStructure("B", 2, [[[0, 1], [0, 1]], [[1, 0], [1, 0]]])  # e1e1 = e1e2 = e2, e2e1 = e2e2 = e1
+    for product in (A, B, sum_algebra(A, B)):
+        assert check_identity(product, sys4).holds
+    B2 = AlgebraStructure("2B", 2, [[[0, 2], [0, 2]], [[2, 0], [2, 0]]])
+    assert not check_identity(sum_algebra(A, B2), sys4).holds
+    assert not compatible_check(A, B, sys4).holds
 
 
 # ---------------------------------------------------------------------------

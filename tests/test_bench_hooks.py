@@ -1,0 +1,35 @@
+"""The benchmark's tracer (bench/tracing.py) wraps nassoc functions and
+methods that it names as strings.  Resolving every name here makes a
+refactor that drops or renames one fail in this suite, not in a traced
+benchmark run.  The tracer's tables are read as literals, so no benchmark
+code runs."""
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _tables():
+    tree = ast.parse(TRACING.read_text())
+    tables = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            name = node.targets[0].id
+            if name in ("FUNCTIONS", "METHODS", "COUNTED", "SECTIONS"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_traced_names_resolve():
+    tables = _tables()
+    assert set(tables) == {"FUNCTIONS", "METHODS", "COUNTED", "SECTIONS"}
+    for modname, attr in tables["FUNCTIONS"].values():
+        assert callable(getattr(importlib.import_module(modname), attr)), attr
+    for modname, clsname, attr in {**tables["METHODS"], **tables["COUNTED"]}.values():
+        cls = getattr(importlib.import_module(modname), clsname)
+        # the tracer replaces the method on the class that defines it
+        assert callable(cls.__dict__[attr]), f"{clsname}.{attr}"
+    sections = importlib.import_module("nassoc.reproduce").SECTIONS
+    assert set(tables["SECTIONS"]) <= set(sections)

@@ -13,9 +13,8 @@ from nassoc.exact import (
     SeriesQ,
     bareiss_rank,
     compose_series,
-    limit_at_zero,
+    express,
     nullspace,
-    rank,
 )
 from nassoc.operads import MultilinearSpace, _perms_lex
 from nassoc.systems import builtin_system
@@ -73,7 +72,7 @@ def test_rank_nullity(nrows, ncols, data):
         for _ in range(nrows)
     ]
     kernel = nullspace(matrix)
-    assert rank(matrix) + len(kernel) == ncols
+    assert bareiss_rank(matrix) + len(kernel) == ncols
     for v in kernel:
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in matrix)
 
@@ -83,23 +82,36 @@ def test_nullspace_deterministic():
     assert nullspace(m) == nullspace(m)
 
 
+def test_express_round_trip_and_outside():
+    vectors = [[Q(1), Q(2), Q(0), Q(1)], [Q(0), Q(1), Q(-1), Q(3)], [Q(1), Q(3), Q(-1), Q(4)]]
+    coeffs = [Q(2, 3), Q(-5)]
+    target = [coeffs[0] * a + coeffs[1] * b for a, b in zip(vectors[0], vectors[1])]
+    got = express(vectors, target)
+    # the third vector is the sum of the first two, so its coefficient is 0
+    assert got == coeffs + [Q(0)]
+    assert [sum(c * v[i] for c, v in zip(got, vectors)) for i in range(4)] == target
+    assert express(vectors, [Q(0), Q(0), Q(0), Q(1)]) is None
+    assert express([], [Q(0), Q(0)]) == []
+    assert express([], [Q(0), Q(1)]) is None
+
+
 # ---------------------------------------------------------------------------
 # rational functions of t
 
 
 def test_limit_cancels_pole():
     f = RatFunT([0, 1, 1], [0, 1])  # (t + t^2)/t
-    assert limit_at_zero(f) == 1
+    assert f.value_at_zero() == 1
 
 
 def test_limit_zero_numerator():
     f = RatFunT([0, 0, 0, 1], [1, 1])  # t^3/(1+t)
-    assert limit_at_zero(f) == 0
+    assert f.value_at_zero() == 0
 
 
 def test_limit_pole():
     with pytest.raises(PoleAtZero):
-        limit_at_zero(RatFunT([1], [0, 1]))  # 1/t
+        RatFunT([1], [0, 1]).value_at_zero()  # 1/t
 
 
 def test_ratfun_field():
@@ -119,6 +131,13 @@ def test_ratfun_monic_denominator():
 def test_ratfun_eval():
     f = RatFunT([0, 1], [1, 1])  # t/(1+t)
     assert f.eval_at(1) == Q(1, 2)
+
+
+def test_ratfun_constant_hashes_like_its_fraction():
+    assert RatFunT.const(1) == 1
+    assert len({RatFunT.const(1), 1}) == 1
+    assert len({RatFunT.const(Q(-2, 3)), Q(-2, 3)}) == 1
+    assert len({RatFunT(0), 0}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +198,14 @@ def test_poly_subs_and_eval():
     p = a ** 2 - 1
     assert p.subs({"alpha": Q(3)}) == PolyQ.const(8)
     assert p.eval({"alpha": Q(3)}) == 8
+
+
+def test_poly_constant_hashes_like_its_fraction():
+    assert PolyQ.const(1) == 1
+    assert len({PolyQ.const(1), 1}) == 1
+    # the declared variables do not matter once none of them occurs
+    assert len({PolyQ.const(Q(1, 2), ("alpha",)), Q(1, 2)}) == 1
+    assert len({PolyQ.zero(("alpha", "beta")), 0}) == 1
 
 
 def test_poly_graded_lex_printing():

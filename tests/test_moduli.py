@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nassoc.corpus import load_algebra, load_certificate, load_closed_set, run_certificate
+from nassoc.corpus import corpus_names, load_algebra, load_certificate, load_closed_set, run_certificate
 from nassoc.errors import ParametricNotSupported, ShapeMismatch, SingularForAllT
 from nassoc.exact.ratfun import RatFunT
 from nassoc.moduli import (
@@ -16,6 +16,7 @@ from nassoc.moduli import (
     degeneration_check,
     degeneration_necessary,
     family_degeneration_check,
+    generic_derivation_dim,
     monomial_certificate_search,
     orbit_dim,
     pencil_invariant,
@@ -291,3 +292,20 @@ def test_orbit_dim_derivation_identity():
         if env:
             A = A.specialize(env)
         assert orbit_dim(A) + derivation_algebra(A).dim == A.dim * A.dim
+
+
+def test_generic_derivation_dim_against_specializations():
+    """The derivation equations built over Q(alpha) and over Q must agree:
+    the generic dimension is at most every specialized one and equals it
+    away from finitely many alpha."""
+    families = [load_algebra(name) for name in corpus_names()]
+    families = [A for A in families if len(A.parameters) == 1]
+    assert len(families) >= 2
+    for A in families:
+        generic = generic_derivation_dim(A)
+        special = [
+            derivation_algebra(A.specialize({A.parameters[0]: v})).dim
+            for v in (Q(-1), Q(0), Q(2), Q(7, 3))
+        ]
+        assert all(generic <= d for d in special), A.name
+        assert generic in special, A.name

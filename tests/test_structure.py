@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 
 from nassoc.algebras import AlgebraStructure, check_identity
-from nassoc.corpus import load_algebra
+from nassoc.corpus import corpus_names, load_algebra
 from nassoc.errors import NonSplitOperator, NotIdempotent, ParametricNotSupported, VerificationFailed
-from nassoc.exact.linalg import bareiss_rank
+from nassoc.exact.linalg import bareiss_rank, express
 from nassoc.exact.poly import PolyQ
 from nassoc.structure import (
     CocycleSpec,
-    Subspace,
     algebra_from_cocycle,
     annihilator_dim,
     change_basis,
@@ -21,7 +20,9 @@ from nassoc.structure import (
     is_derivation,
     is_leibniz_derivation,
     peirce,
+    power_subspaces,
     powers_and_nilpotency,
+    product_span_vectors,
     subalgebra_identity_check,
     wedderburn,
 )
@@ -134,6 +135,18 @@ def test_powers_zero_algebra():
     assert rep.is_nilpotent and rep.nilpotency_class == 1
 
 
+def test_power_chain_dims_match_bareiss_rank():
+    # A^k is spanned by the products of A^i and A^(k-i); the fraction-free
+    # rank of those raw vectors checks the RREF spans independently
+    for name in corpus_names():
+        A = load_algebra(name)
+        chain = power_subspaces(A)
+        assert len(chain[0]) == A.dim
+        for k in range(2, len(chain) + 1):
+            raw = [v for i in range(1, k) for v in product_span_vectors(A, chain[i - 1], chain[k - i - 1])]
+            assert len(chain[k - 1]) == bareiss_rank(raw), (name, k)
+
+
 def test_subalgebra_identity_checks():
     dim5 = load_algebra("dim5_nonassoc")
     assert subalgebra_identity_check(dim5, 2, builtin_system("as")).holds
@@ -200,11 +213,10 @@ def test_wedderburn_a12():
     assert split.dims() == (1, 3)
     assert split.all_ok
     assert split.s_basis == [[Q(0), Q(0), Q(0), Q(1)]]
-    r = Subspace(4, split.r_basis)
     for i in range(3):
         v = [Q(0)] * 4
         v[i] = Q(1)
-        assert r.contains(v)
+        assert express(split.r_basis, v) is not None
 
 
 def test_wedderburn_nonsplit_over_q():
