@@ -198,7 +198,8 @@ def _steered_rref(variety: str, n: int, cap):
         if isinstance(label, CircleWord):
             continue  # handled through the one-dimensional reduction path
         basis_cols.append(space.index_of_word(label))
-    others = [i for i in range(space.dim) if i not in set(basis_cols)]
+    taken = set(basis_cols)
+    others = [i for i in range(space.dim) if i not in taken]
     order = others + basis_cols
     steered = SparseRREF(space.dim, order=order)
     for row in cons.rref.basis():

@@ -1,16 +1,22 @@
 """Tests for consequence spaces, dimensions, duals, and membership proofs."""
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
+from nassoc import operads
 from nassoc.errors import DegreeTooLarge, NotQuadratic
 from nassoc.exact import SeriesQ
+from nassoc.exact.linalg import SparseRREF
 from nassoc.operads import (
     MultilinearSpace,
     OperadPresentation,
+    _perms_lex,
+    _step_maps,
     catalan,
+    consequence_memory_estimate,
     consequences,
     hilbert,
     implies,
@@ -21,8 +27,8 @@ from nassoc.operads import (
     prove_zero,
     resolve_degree_cap,
 )
-from nassoc.systems import anti_system, builtin_system
-from nassoc.terms import Permutation, apply_permutation, parse_expr
+from nassoc.systems import BUILTIN_SYSTEM_NAMES, anti_system, builtin_system
+from nassoc.terms import Expr, Permutation, apply_permutation, parse_expr, parse_system, relabel_word
 
 Q = Fraction
 
@@ -121,6 +127,102 @@ def test_consequences_s3_stability():
         for images in ((2, 1, 3, 4), (4, 3, 2, 1), (2, 3, 4, 1)):
             relabeled = apply_permutation(expr, Permutation(images))
             assert cons.contains_expr(relabeled)
+
+
+# ---------------------------------------------------------------------------
+# the Expr-level reference build of consequence spaces
+
+
+def _degree_images(expr: Expr, m: int) -> list[Expr]:
+    """The degree-(m+1) generators obtained from a degree-m relation."""
+    xm1 = Expr.var(m + 1)
+    images = [expr * xm1, xm1 * expr]
+    for i in range(1, m + 1):
+        images.append(expr.subs_vars({i: Expr.var(i) * xm1}))
+    return images
+
+
+def _expr_consequences(sys, n: int) -> dict[int, SparseRREF]:
+    """Degree 1..n consequence RREFs built through Expr trees, uncached,
+    inserting relations in the same (row, generator, transposition) order."""
+    out: dict[int, SparseRREF] = {}
+    for m in range(1, n + 1):
+        space = MultilinearSpace(m)
+        acc = SparseRREF(space.dim)
+        for row in out[m - 1].basis() if m > 1 else ():
+            expr = MultilinearSpace(m - 1).vec_to_expr(row)
+            for image in _degree_images(expr, m - 1):
+                for j in range(1, m + 1):
+                    tau = {i: i for i in range(1, m + 1)}
+                    tau[j], tau[m] = m, j
+                    acc.insert(space.expr_to_vec(image.relabel(tau)))
+        for ident in (i for i in sys.identities if i.degree == m):
+            for perm in _perms_lex(m):
+                acc.insert(space.expr_to_vec(ident.expr.relabel({i + 1: perm[i] for i in range(m)})))
+        out[m] = acc
+    return out
+
+
+# a cas presentation relabeled, recombined and rescaled as the benchmark draws them
+_SEEDED_CAS = parse_system(
+    "cas-seeded",
+    "5/6*((x3 x1) x2) + 5/2*(x1 (x2 x3)) - 10/3*(x3 (x1 x2)) = 0\n"
+    "2/3*((x3 x1) x2) - 2/3*(x3 (x1 x2)) = 0",
+)
+
+
+@pytest.mark.parametrize(
+    "sys, n",
+    [(builtin_system(name), 6 if name in ("sas", "cas") else 5) for name in BUILTIN_SYSTEM_NAMES]
+    + [(_SEEDED_CAS, 5)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_index_build_matches_expr_oracle(sys, n):
+    oracle = _expr_consequences(sys, n)
+    for m in range(1, n + 1):
+        assert consequences(sys, m).rref.rows == oracle[m].rows, m
+
+
+def _word_generators(m: int):
+    """Word-level generators in the order of the index maps."""
+    new = m + 1
+    gens = [lambda w: (w, new), lambda w: (new, w)]
+    for i in range(1, m + 1):
+        sub = {x: x for x in range(1, m + 1)}
+        sub[i] = (i, new)
+        gens.append(lambda w, sub=sub: relabel_word(w, sub))
+    return gens
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_step_maps_are_the_word_generators(m):
+    src, dst = MultilinearSpace(m), MultilinearSpace(m + 1)
+    maps = _step_maps(m)
+    assert len(maps) == m + 2 and all(len(per_tau) == m + 1 for per_tau in maps)
+    for per_tau in maps:
+        for mp in per_tau:
+            assert len(mp) == src.dim
+            assert len(set(mp)) == src.dim
+            assert 0 <= min(mp) and max(mp) < dst.dim
+    sample = random.Random(m).sample(range(src.dim), min(src.dim, 60))
+    for g, per_tau in zip(_word_generators(m), maps):
+        for j, mp in enumerate(per_tau, start=1):
+            tau = {x: x for x in range(1, m + 2)}
+            tau[j], tau[m + 1] = m + 1, j
+            for k in sample:
+                assert mp[k] == dst.index_of_word(relabel_word(g(src.word_at(k)), tau))
+
+
+def test_memory_estimate():
+    assert consequence_memory_estimate(8) > 8 * 2**30
+    assert 0.37e9 / 2 < consequence_memory_estimate(7) < 0.37e9 * 2
+
+
+def test_build_beyond_memory_is_refused(monkeypatch):
+    monkeypatch.setattr(operads, "BYTES_PER_COLUMN", 2**40)
+    monkeypatch.setattr(operads, "_consequence_cache", {})
+    with pytest.raises(DegreeTooLarge, match="GiB"):
+        consequences(builtin_system("sas"), 3)
 
 
 def test_degree_cap():
