@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import corpus
@@ -93,18 +94,6 @@ def _parse_element(A: AlgebraStructure, text: str):
     return A.element([Fraction(p) for p in parts])
 
 
-def _algebra_data(A: AlgebraStructure) -> dict:
-    return A.to_json_dict()
-
-
-def _print_algebra(report: Report, A: AlgebraStructure):
-    report.line(f"{A.name} (dim {A.dim}"
-                + (f", parameters {', '.join(A.parameters)})" if A.parameters else ")"))
-    for line in A.products_str():
-        report.line("  " + line)
-    report.data["algebra"] = _algebra_data(A)
-
-
 def _check_and_report(report: Report, result) -> int:
     report.verdict = result.holds
     if result.holds:
@@ -122,9 +111,43 @@ def _check_and_report(report: Report, result) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns an exit code)
+# subcommand registry
+
+COMMANDS = []  # (name, help, handler, own flags, algebra flag or None), in registration order
 
 
+def flag(*names, **kwargs):
+    """One add_argument call, kept for build_parser."""
+    return names, kwargs
+
+
+def command(name: str, help: str, *flags, algebra: str | None = None):
+    """Register the decorated handler as subcommand `name` with its own flags.
+
+    Every subcommand also gets --json and --cap.  `algebra` names the flag
+    ("--algebra" or "--lie") of a command that reads an algebra: that flag is
+    required, --set is added, and the handler is called as
+    handler(args, report, A) with the loaded, specialized algebra.  Other
+    handlers are called as handler(args, report).  Handlers return the exit code.
+    """
+
+    def register(fn):
+        COMMANDS.append((name, help, fn, flags, algebra))
+        return fn
+
+    return register
+
+
+SYSTEM = flag("--system", required=True)
+CHECK_SYSTEM = flag("--check-system")
+VARIETY = flag("--variety", choices=("sas", "cas"), default="sas")
+
+
+# ---------------------------------------------------------------------------
+# subcommand handlers
+
+
+@command("dims", "multilinear dimensions of a variety", SYSTEM, flag("--max-degree", type=int, default=5))
 def cmd_dims(args, report):
     sys_ = _load_system(args.system)
     dims = [multilinear_dim(sys_, n, args.cap) for n in range(1, args.max_degree + 1)]
@@ -133,6 +156,7 @@ def cmd_dims(args, report):
     return 0
 
 
+@command("hilbert", "signed exponential series", SYSTEM, flag("--order", type=int, default=5))
 def cmd_hilbert(args, report):
     series = hilbert(_load_system(args.system), args.order, args.cap)
     report.data["series"] = str(series)
@@ -141,6 +165,9 @@ def cmd_hilbert(args, report):
     return 0
 
 
+@command("koszulity", "composition residual H_P(H_Q(t)) - t", SYSTEM,
+         flag("--dual", help="second system; defaults to the computed dual"),
+         flag("--order", type=int, default=5))
 def cmd_koszulity(args, report):
     sys_p = _load_system(args.system)
     sys_q = _load_system(args.dual) if args.dual else koszul_dual(
@@ -154,6 +181,7 @@ def cmd_koszulity(args, report):
     return 0
 
 
+@command("dual", "Koszul dual presentation", SYSTEM)
 def cmd_dual(args, report):
     pres = OperadPresentation.of_system(_load_system(args.system))
     dual = koszul_dual(pres)
@@ -167,6 +195,10 @@ def cmd_dual(args, report):
     return 0
 
 
+@command("implies", "variety containment at a degree",
+         flag("--sub", required=True, help="smaller variety's system"),
+         flag("--sup", required=True, help="larger variety's system"),
+         flag("--degree", type=int, required=True))
 def cmd_implies(args, report):
     ok = implies(_load_system(args.sub), _load_system(args.sup), args.degree, args.cap)
     report.verdict = ok
@@ -174,6 +206,7 @@ def cmd_implies(args, report):
     return 0 if ok else 1
 
 
+@command("prove-zero", "membership in the consequence ideal", flag("--expr", required=True), SYSTEM)
 def cmd_prove_zero(args, report):
     ok = prove_zero(parse_expr(args.expr), _load_system(args.system), args.cap)
     report.verdict = ok
@@ -181,6 +214,8 @@ def cmd_prove_zero(args, report):
     return 0 if ok else 1
 
 
+@command("nice-index", "minimal k with an order/association free product", SYSTEM,
+         flag("--kmax", type=int, default=6))
 def cmd_nice_index(args, report):
     k = nice_index(_load_system(args.system), args.kmax, args.cap)
     report.data["nice_index"] = k
@@ -188,6 +223,7 @@ def cmd_nice_index(args, report):
     return 0
 
 
+@command("normal-form", "free-algebra normal form", flag("--expr", required=True), VARIETY)
 def cmd_normal_form(args, report):
     nf = normal_form(parse_expr(args.expr), args.variety, args.cap)
     report.data["terms"] = [[str(c), label_str(lab)] for c, lab in nf.terms]
@@ -195,6 +231,10 @@ def cmd_normal_form(args, report):
     return 0
 
 
+@command("free-basis", "free-algebra basis enumeration", VARIETY,
+         flag("--degree", type=int, required=True),
+         flag("--generators", type=int, required=True),
+         flag("--multilinear", action="store_true"))
 def cmd_free_basis(args, report):
     labels = free_basis(args.variety, args.degree, args.generators, args.multilinear)
     report.data["count"] = len(labels)
@@ -205,12 +245,14 @@ def cmd_free_basis(args, report):
     return 0
 
 
-def cmd_check_identity(args, report):
-    A = _load_algebra(args.algebra, args.set)
-    result = check_identity(A, _load_system(args.system), args.mode)
-    return _check_and_report(report, result)
+@command("check-identity", "identity check on an algebra", SYSTEM,
+         flag("--mode", choices=("multilinear", "symbolic"), default="multilinear"),
+         algebra="--algebra")
+def cmd_check_identity(args, report, A):
+    return _check_and_report(report, check_identity(A, _load_system(args.system), args.mode))
 
 
+@command("polarize", "multilinearize an identity", flag("--identity", required=True))
 def cmd_polarize(args, report):
     ident = parse_identity(args.identity)
     out = multilinearize(ident)
@@ -220,61 +262,64 @@ def cmd_polarize(args, report):
     return 0
 
 
-def _construction(args, report, build):
-    A = _load_algebra(args.algebra, args.set)
-    result = build(A)
-    _print_algebra(report, result)
+def _construction(args, report, result: AlgebraStructure):
+    """Print a constructed algebra and check it against --check-system if given."""
+    report.line(f"{result.name} (dim {result.dim}"
+                + (f", parameters {', '.join(result.parameters)})" if result.parameters else ")"))
+    for line in result.products_str():
+        report.line("  " + line)
+    report.data["algebra"] = result.to_json_dict()
     if args.check_system:
-        res = check_identity(result, _load_system(args.check_system))
-        return _check_and_report(report, res)
+        return _check_and_report(report, check_identity(result, _load_system(args.check_system)))
     return 0
 
 
-def cmd_mutate(args, report):
-    def build(A):
-        if args.generic:
-            ext, p = A.generic_element("p")
-            ext, q = ext.generic_element("q")
-            return mutation(ext, ext.element(p.coords), q)
-        p = _parse_element(A, args.p)
-        q = _parse_element(A, args.q)
-        return mutation(A, p, q)
-
-    return _construction(args, report, build)
-
-
-def cmd_kantor(args, report):
-    def build(A):
-        if args.generic:
-            ext, p = A.generic_element("p")
-            return kantor_square(ext, p)
-        return kantor_square(A, _parse_element(A, args.p))
-
-    return _construction(args, report, build)
+@command("mutate", "(p,q)-mutation", flag("--p"), flag("--q"),
+         flag("--generic", action="store_true", help="use generic p, q coordinates"),
+         CHECK_SYSTEM, algebra="--algebra")
+def cmd_mutate(args, report, A):
+    if args.generic:
+        ext, p = A.generic_element("p")
+        ext, q = ext.generic_element("q")
+        return _construction(args, report, mutation(ext, ext.element(p.coords), q))
+    if args.p is None or args.q is None:
+        raise ParseError("mutate needs --p and --q, or --generic")
+    return _construction(args, report, mutation(A, _parse_element(A, args.p), _parse_element(A, args.q)))
 
 
-def cmd_hull(args, report):
-    return _construction(args, report, unital_hull)
+@command("kantor", "Kantor square", flag("--p"), flag("--generic", action="store_true"), CHECK_SYSTEM,
+         algebra="--algebra")
+def cmd_kantor(args, report, A):
+    if args.generic:
+        ext, p = A.generic_element("p")
+        return _construction(args, report, kantor_square(ext, p))
+    if args.p is None:
+        raise ParseError("kantor needs --p, or --generic")
+    return _construction(args, report, kantor_square(A, _parse_element(A, args.p)))
 
 
-def cmd_scalar_mutate(args, report):
-    def build(A):
-        alpha = PolyQ.var(args.alpha) if args.alpha.isalpha() else PolyQ.const(Fraction(args.alpha))
-        beta = PolyQ.var(args.beta) if args.beta.isalpha() else PolyQ.const(Fraction(args.beta))
-        return scalar_mutation(A, alpha, beta)
-
-    return _construction(args, report, build)
+@command("hull", "unital hull", CHECK_SYSTEM, algebra="--algebra")
+def cmd_hull(args, report, A):
+    return _construction(args, report, unital_hull(A))
 
 
-def cmd_compatible(args, report):
-    A = _load_algebra(args.algebra, args.set)
+@command("scalar-mutate", "scalar mutation alpha*xy + beta*yx",
+         flag("--alpha", default="u"), flag("--beta", default="v"), CHECK_SYSTEM, algebra="--algebra")
+def cmd_scalar_mutate(args, report, A):
+    alpha = PolyQ.var(args.alpha) if args.alpha.isalpha() else PolyQ.const(Fraction(args.alpha))
+    beta = PolyQ.var(args.beta) if args.beta.isalpha() else PolyQ.const(Fraction(args.beta))
+    return _construction(args, report, scalar_mutation(A, alpha, beta))
+
+
+@command("compatible", "compatible pair of products",
+         flag("--algebra-b", required=True), flag("--system", default="sas"), algebra="--algebra")
+def cmd_compatible(args, report, A):
     B = _load_algebra(args.algebra_b, args.set)
-    result = compatible_check(A, B, _load_system(args.system))
-    return _check_and_report(report, result)
+    return _check_and_report(report, compatible_check(A, B, _load_system(args.system)))
 
 
-def cmd_derivations(args, report):
-    A = _load_algebra(args.algebra, args.set)
+@command("derivations", "derivation algebra", algebra="--algebra")
+def cmd_derivations(args, report, A):
     der = derivation_algebra(A)
     report.data["dim"] = der.dim
     report.data["matrices"] = [[[str(x) for x in row] for row in m] for m in der.matrices]
@@ -286,38 +331,41 @@ def cmd_derivations(args, report):
     return 0
 
 
-def cmd_leibniz(args, report):
-    A = _load_algebra(args.algebra, args.set)
+@command("leibniz", "Leibniz-derivation check",
+         flag("--matrix", required=True, help="JSON file with matrix rows"),
+         flag("--order", type=int, required=True),
+         flag("--bracketing", default="all"), algebra="--algebra")
+def cmd_leibniz(args, report, A):
     with open(args.matrix) as fh:
         rows = json.load(fh)
+    if not (isinstance(rows, list) and len(rows) == A.dim
+            and all(isinstance(row, list) and len(row) == A.dim for row in rows)):
+        raise ParseError(f"--matrix must be {A.dim}x{A.dim} for {A.name}")
     M = [[Fraction(x) for x in row] for row in rows]
-    bracketing = "all" if args.bracketing == "all" else shapes(args.order)[int(args.bracketing)]
+    bracketing = "all"
+    if args.bracketing != "all":
+        shape_list, k = shapes(args.order), int(args.bracketing)
+        if not 0 <= k < len(shape_list):
+            raise ParseError(f"--bracketing must be 'all' or 0..{len(shape_list) - 1} at order {args.order}")
+        bracketing = shape_list[k]
     ok = is_leibniz_derivation(A, M, args.order, bracketing)
     report.verdict = ok
     report.line("Leibniz derivation" if ok else "not a Leibniz derivation")
     return 0 if ok else 1
 
 
-def cmd_powers(args, report):
-    A = _load_algebra(args.algebra, args.set)
+@command("powers", "power and derived chains", algebra="--algebra")
+def cmd_powers(args, report, A):
     rep = powers_and_nilpotency(A)
-    report.data.update(
-        {
-            "power_dims": rep.power_dims,
-            "derived_dims": rep.derived_dims,
-            "is_nilpotent": rep.is_nilpotent,
-            "is_solvable": rep.is_solvable,
-            "nilpotency_class": rep.nilpotency_class,
-        }
-    )
+    report.data.update(asdict(rep))
     report.line(str(rep))
     return 0
 
 
-def cmd_peirce(args, report):
-    A = _load_algebra(args.algebra, args.set)
-    e = _parse_element(A, args.idempotent)
-    split = peirce(A, e)
+@command("peirce", "Peirce split at an idempotent",
+         flag("--idempotent", required=True, help="comma-separated coordinates"), algebra="--algebra")
+def cmd_peirce(args, report, A):
+    split = peirce(A, _parse_element(A, args.idempotent))
     report.data.update(
         {
             "dims": list(split.dims()),
@@ -335,8 +383,8 @@ def cmd_peirce(args, report):
     return 0
 
 
-def cmd_wedderburn(args, report):
-    A = _load_algebra(args.algebra, args.set)
+@command("wedderburn", "semisimple + radical split with verification", algebra="--algebra")
+def cmd_wedderburn(args, report, A):
     split = wedderburn(A)
     report.verdict = split.all_ok
     report.data.update(
@@ -353,57 +401,47 @@ def cmd_wedderburn(args, report):
     return 0 if split.all_ok else 1
 
 
-def cmd_cocycle(args, report):
-    L = _load_algebra(args.lie, args.set)
-    with open(args.theta) as fh:
-        data = json.load(fh)
-    entries = {}
-    env = {p: PolyQ.var(p) for p in data.get("parameters", ())}
+@command("cocycle", "product theta(x,y) + [x,y] on a Lie algebra",
+         flag("--theta", required=True, help="JSON file of symmetric entries"),
+         flag("--name"), CHECK_SYSTEM, algebra="--lie")
+def cmd_cocycle(args, report, L):
     from . import exprparse
 
+    with open(args.theta) as fh:
+        data = json.load(fh)
+    env = {p: PolyQ.var(p) for p in data.get("parameters", ())}
+    entries = {}
     for key, vec in data["entries"].items():
         i, j = (int(x) for x in key.split(","))
         entries[(i, j)] = tuple(
             exprparse.evaluate(s, env, PolyQ.const) if isinstance(s, str) else PolyQ.const(s)
             for s in vec
         )
-    theta = CocycleSpec(L.dim, entries)
-    result = algebra_from_cocycle(L, theta, args.name)
-    _print_algebra(report, result)
-    if args.check_system:
-        return _check_and_report(report, check_identity(result, _load_system(args.check_system)))
-    return 0
+    return _construction(args, report, algebra_from_cocycle(L, CocycleSpec(L.dim, entries), args.name))
 
 
-def cmd_fingerprint(args, report):
-    A = _load_algebra(args.algebra, args.set)
+@command("fingerprint", "basis-change invariants", algebra="--algebra")
+def cmd_fingerprint(args, report, A):
     fp = fingerprint(A)
-    report.data["fingerprint"] = {
-        "dim": fp.dim,
-        "dim_a2": fp.dim_a2,
-        "dim_a3": fp.dim_a3,
-        "dim_annihilator": fp.dim_annihilator,
-        "dim_der": fp.dim_der,
-        "dim_der_plus": fp.dim_der_plus,
-        "nilpotency_class": fp.nilpotency_class,
-        "commutative": fp.commutative,
-        "associative": fp.associative,
-        "shift_associative": fp.shift_associative,
-        "cyclic_associative": fp.cyclic_associative,
-    }
+    report.data["fingerprint"] = asdict(fp)
     report.line(str(fp.as_tuple()))
     return 0
 
 
-def cmd_transform(args, report):
+@command("transform", "structure constants in a parametrized basis",
+         flag("--cert", help="take basis/subst from a certificate file"),
+         flag("--basis", help="JSON list of columns of rational-function strings"),
+         flag("--subst", help="JSON object of parameter substitutions"), algebra="--algebra")
+def cmd_transform(args, report, A):
     from .moduli import ParamBasis, transform
 
-    A = _load_algebra(args.algebra, args.set)
     if args.cert:
         cert = corpus.load_certificate(args.cert)
         basis = ParamBasis.from_strings(cert["basis"], cert.get("subst"))
-    else:
+    elif args.basis:
         basis = ParamBasis.from_strings(json.loads(args.basis), json.loads(args.subst) if args.subst else None)
+    else:
+        raise ParseError("transform needs --cert or --basis")
     out = transform(A, basis)
     entries = []
     for i in range(A.dim):
@@ -416,6 +454,8 @@ def cmd_transform(args, report):
     return 0
 
 
+@command("degenerate", "check a degeneration certificate", flag("--cert", required=True),
+         flag("--sample", help="family parameter sample (rational)"))
 def cmd_degenerate(args, report):
     cert = corpus.load_certificate(args.cert)
     result = corpus.run_certificate(cert, sample=args.sample)
@@ -437,37 +477,39 @@ def cmd_degenerate(args, report):
     return 0 if ok else 1
 
 
-def cmd_orbit_dim(args, report):
+@command("orbit-dim", "n^2 - dim Der (plus family parameters)", algebra="--algebra")
+def cmd_orbit_dim(args, report, A):
     from .moduli import orbit_dim
 
-    A = _load_algebra(args.algebra, args.set)
     d = orbit_dim(A)
     report.data["orbit_dim"] = d
     report.line(str(d))
     return 0
 
 
-def cmd_closed_set(args, report):
+@command("closed-set", "membership in a closed-set specification", flag("--spec", required=True),
+         algebra="--algebra")
+def cmd_closed_set(args, report, A):
     from .moduli import closed_set_membership
 
-    spec = corpus.load_closed_set(args.spec)
-    A = _load_algebra(args.algebra, args.set)
-    member = closed_set_membership(spec, A)
+    member = closed_set_membership(corpus.load_closed_set(args.spec), A)
     report.verdict = member
     report.line("member" if member else "not a member")
     return 0 if member else 1
 
 
-def cmd_pencil_invariant(args, report):
+@command("pencil-invariant", "pencil invariant of a 3-dimensional algebra", algebra="--algebra")
+def cmd_pencil_invariant(args, report, A):
     from .moduli import pencil_invariant
 
-    A = _load_algebra(args.algebra, args.set)
     value = pencil_invariant(A)
     report.data["invariant"] = str(value)
     report.line(str(value))
     return 0
 
 
+@command("reproduce-paper", "run the full verification matrix", flag("--only", help="restrict to one section"),
+         flag("--seed", type=int, default=0))
 def cmd_reproduce(args, report):
     from .reproduce import run_reproduction
 
@@ -490,207 +532,24 @@ def cmd_reproduce(args, report):
 # parser assembly
 
 
-def _add_common(sp, cap=True, sets=False):
-    sp.add_argument("--json", action="store_true", help="machine-readable report")
-    if cap:
-        sp.add_argument("--cap", type=int, default=None, help="degree cap override (default 6, max 8)")
-    if sets:
-        sp.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
-                        help="specialize an algebra parameter (repeatable)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nassoc",
         description="Exact verification tools for nonassociative algebra varieties",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("dims", help="multilinear dimensions of a variety")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--max-degree", type=int, default=5)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_dims)
-
-    sp = sub.add_parser("hilbert", help="signed exponential series")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--order", type=int, default=5)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_hilbert)
-
-    sp = sub.add_parser("koszulity", help="composition residual H_P(H_Q(t)) - t")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--dual", help="second system; defaults to the computed dual")
-    sp.add_argument("--order", type=int, default=5)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_koszulity)
-
-    sp = sub.add_parser("dual", help="Koszul dual presentation")
-    sp.add_argument("--system", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_dual)
-
-    sp = sub.add_parser("implies", help="variety containment at a degree")
-    sp.add_argument("--sub", required=True, help="smaller variety's system")
-    sp.add_argument("--sup", required=True, help="larger variety's system")
-    sp.add_argument("--degree", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_implies)
-
-    sp = sub.add_parser("prove-zero", help="membership in the consequence ideal")
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--system", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_prove_zero)
-
-    sp = sub.add_parser("nice-index", help="minimal k with an order/association free product")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--kmax", type=int, default=6)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_nice_index)
-
-    sp = sub.add_parser("normal-form", help="free-algebra normal form")
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--variety", choices=("sas", "cas"), default="sas")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_normal_form)
-
-    sp = sub.add_parser("free-basis", help="free-algebra basis enumeration")
-    sp.add_argument("--variety", choices=("sas", "cas"), default="sas")
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--generators", type=int, required=True)
-    sp.add_argument("--multilinear", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_free_basis)
-
-    sp = sub.add_parser("check-identity", help="identity check on an algebra")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--mode", choices=("multilinear", "symbolic"), default="multilinear")
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_check_identity)
-
-    sp = sub.add_parser("polarize", help="multilinearize an identity")
-    sp.add_argument("--identity", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_polarize)
-
-    sp = sub.add_parser("mutate", help="(p,q)-mutation")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--p")
-    sp.add_argument("--q")
-    sp.add_argument("--generic", action="store_true", help="use generic p, q coordinates")
-    sp.add_argument("--check-system")
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_mutate)
-
-    sp = sub.add_parser("kantor", help="Kantor square")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--p")
-    sp.add_argument("--generic", action="store_true")
-    sp.add_argument("--check-system")
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_kantor)
-
-    sp = sub.add_parser("hull", help="unital hull")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--check-system")
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_hull)
-
-    sp = sub.add_parser("scalar-mutate", help="scalar mutation alpha*xy + beta*yx")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--alpha", default="u")
-    sp.add_argument("--beta", default="v")
-    sp.add_argument("--check-system")
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_scalar_mutate)
-
-    sp = sub.add_parser("compatible", help="compatible pair of products")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--algebra-b", required=True)
-    sp.add_argument("--system", default="sas")
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_compatible)
-
-    sp = sub.add_parser("derivations", help="derivation algebra")
-    sp.add_argument("--algebra", required=True)
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_derivations)
-
-    sp = sub.add_parser("leibniz", help="Leibniz-derivation check")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--matrix", required=True, help="JSON file with matrix rows")
-    sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--bracketing", default="all")
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_leibniz)
-
-    sp = sub.add_parser("powers", help="power and derived chains")
-    sp.add_argument("--algebra", required=True)
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_powers)
-
-    sp = sub.add_parser("peirce", help="Peirce split at an idempotent")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--idempotent", required=True, help="comma-separated coordinates")
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_peirce)
-
-    sp = sub.add_parser("wedderburn", help="semisimple + radical split with verification")
-    sp.add_argument("--algebra", required=True)
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_wedderburn)
-
-    sp = sub.add_parser("cocycle", help="product theta(x,y) + [x,y] on a Lie algebra")
-    sp.add_argument("--lie", required=True)
-    sp.add_argument("--theta", required=True, help="JSON file of symmetric entries")
-    sp.add_argument("--name")
-    sp.add_argument("--check-system")
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_cocycle)
-
-    sp = sub.add_parser("fingerprint", help="basis-change invariants")
-    sp.add_argument("--algebra", required=True)
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_fingerprint)
-
-    sp = sub.add_parser("transform", help="structure constants in a parametrized basis")
-    sp.add_argument("--algebra", required=True)
-    sp.add_argument("--cert", help="take basis/subst from a certificate file")
-    sp.add_argument("--basis", help="JSON list of columns of rational-function strings")
-    sp.add_argument("--subst", help="JSON object of parameter substitutions")
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_transform)
-
-    sp = sub.add_parser("degenerate", help="check a degeneration certificate")
-    sp.add_argument("--cert", required=True)
-    sp.add_argument("--sample", help="family parameter sample (rational)")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_degenerate)
-
-    sp = sub.add_parser("orbit-dim", help="n^2 - dim Der (plus family parameters)")
-    sp.add_argument("--algebra", required=True)
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_orbit_dim)
-
-    sp = sub.add_parser("closed-set", help="membership in a closed-set specification")
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--algebra", required=True)
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_closed_set)
-
-    sp = sub.add_parser("pencil-invariant", help="pencil invariant of a 3-dimensional algebra")
-    sp.add_argument("--algebra", required=True)
-    _add_common(sp, sets=True)
-    sp.set_defaults(fn=cmd_pencil_invariant)
-
-    sp = sub.add_parser("reproduce-paper", help="run the full verification matrix")
-    sp.add_argument("--only", help="restrict to one section")
-    sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_reproduce)
-
+    for name, help, fn, flags, algebra in COMMANDS:
+        sp = sub.add_parser(name, help=help)
+        if algebra:
+            sp.add_argument(algebra, required=True)
+        for names, kwargs in flags:
+            sp.add_argument(*names, **kwargs)
+        sp.add_argument("--json", action="store_true", help="machine-readable report")
+        sp.add_argument("--cap", type=int, default=None, help="degree cap override (default 6, max 8)")
+        if algebra:
+            sp.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
+                            help="specialize an algebra parameter (repeatable)")
+        sp.set_defaults(fn=fn, algebra_dest=algebra[2:] if algebra else None)
     return parser
 
 
@@ -699,7 +558,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = Report(args.command)
     try:
-        code = args.fn(args, report)
+        if args.algebra_dest:
+            code = args.fn(args, report, _load_algebra(getattr(args, args.algebra_dest), args.set))
+        else:
+            code = args.fn(args, report)
     except (NassocError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,16 +45,19 @@ def corpus_names():
     return ALL_ALGEBRAS
 
 
+def _read(name: str, shipped, folder) -> str:
+    """Text of `folder`/`name`.json if `name` is shipped, else of the file at path `name`."""
+    if name in shipped:
+        return (folder / f"{name}.json").read_text()
+    with open(name) as fh:
+        return fh.read()
+
+
 def load_algebra(name: str) -> AlgebraStructure:
     """Load a corpus algebra by name, or any algebra file by path."""
     if name in _cache:
         return _cache[name]
-    if name in ALL_ALGEBRAS:
-        text = (_data_root() / f"{name}.json").read_text()
-    else:
-        with open(name) as fh:
-            text = fh.read()
-    alg = AlgebraStructure.from_json(text)
+    alg = AlgebraStructure.from_json(_read(name, ALL_ALGEBRAS, _data_root()))
     if name in ALL_ALGEBRAS:
         _cache[name] = alg
     return alg
@@ -62,21 +65,11 @@ def load_algebra(name: str) -> AlgebraStructure:
 
 def load_certificate(name: str) -> dict:
     """Certificate JSON by corpus name or path."""
-    if name in CERTIFICATES:
-        text = (_data_root() / "certs" / f"{name}.json").read_text()
-    else:
-        with open(name) as fh:
-            text = fh.read()
-    return json.loads(text)
+    return json.loads(_read(name, CERTIFICATES, _data_root() / "certs"))
 
 
 def load_closed_set(name: str) -> ClosedSetSpec:
-    if name in CLOSED_SETS:
-        text = (_data_root() / "closed_sets" / f"{name}.json").read_text()
-    else:
-        with open(name) as fh:
-            text = fh.read()
-    return ClosedSetSpec.from_dict(json.loads(text))
+    return ClosedSetSpec.from_dict(json.loads(_read(name, CLOSED_SETS, _data_root() / "closed_sets")))
 
 
 def run_certificate(cert: dict, sample=None):

@@ -15,6 +15,14 @@ from typing import Mapping, Union
 Scalar = Union[int, Fraction]
 
 
+def signed_sum(parts: list) -> str:
+    """Print (sign, body) pairs, sign "+" or "-", as "-a + b - c"; no parts print "0"."""
+    if not parts:
+        return "0"
+    (sign, body), rest = parts[0], parts[1:]
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -249,8 +257,6 @@ class PolyQ:
         return bool(self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for exps, c in self._sorted_terms():
             factors = []
@@ -268,11 +274,7 @@ class PolyQ:
                 body = f"{abs(c)}*{mono}"
             sign = "-" if c < 0 else "+"
             parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"PolyQ({self})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import PoleAtZero
-from .poly import PolyQ
+from .poly import PolyQ, signed_sum
 
 UPoly = list  # list[Fraction], coefficient of t^i at index i
 
@@ -76,8 +76,6 @@ def _gcd(a: UPoly, b: UPoly) -> UPoly:
 
 
 def _upoly_str(p: UPoly) -> str:
-    if not p:
-        return "0"
     parts = []
     for i in range(len(p) - 1, -1, -1):
         c = p[i]
@@ -89,10 +87,7 @@ def _upoly_str(p: UPoly) -> str:
             power = "t" if i == 1 else f"t^{i}"
             body = power if abs(c) == 1 else f"{abs(c)}*{power}"
         parts.append(("-" if c < 0 else "+", body))
-    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return signed_sum(parts)
 
 
 class RatFunT:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import TruncationMismatch
+from .poly import signed_sum
 
 
 class SeriesQ:
@@ -20,17 +21,9 @@ class SeriesQ:
         self.coeffs = coeffs
 
     @staticmethod
-    def zero(order: int) -> "SeriesQ":
-        return SeriesQ(order, (Fraction(0),) * order)
-
-    @staticmethod
     def identity(order: int) -> "SeriesQ":
         """The series t."""
         return SeriesQ(order, (Fraction(1),) + (Fraction(0),) * (order - 1))
-
-    def coeff(self, n: int) -> Fraction:
-        """Coefficient of t^n, 1 <= n <= order."""
-        return self.coeffs[n - 1]
 
     def _check_order(self, other: "SeriesQ"):
         if self.order != other.order:
@@ -66,12 +59,7 @@ class SeriesQ:
             power = "t" if i == 1 else f"t^{i}"
             body = power if abs(c) == 1 else f"{abs(c)}*{power}"
             parts.append(("-" if c < 0 else "+", body))
-        if not parts:
-            return "0"
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"SeriesQ({self.order}, {self})"

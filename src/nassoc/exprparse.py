@@ -152,23 +152,6 @@ def parse(text: str):
     return node
 
 
-def ast_variables(node, out=None):
-    if out is None:
-        out = []
-    tag = node[0]
-    if tag == "var":
-        if node[1] not in out:
-            out.append(node[1])
-    elif tag in ("neg",):
-        ast_variables(node[1], out)
-    elif tag in ("add", "sub", "mul", "div"):
-        ast_variables(node[1], out)
-        ast_variables(node[2], out)
-    elif tag == "pow":
-        ast_variables(node[1], out)
-    return out
-
-
 def eval_ast(node, env, const):
     """Evaluate an AST.  env maps names to domain values; const lifts a Fraction."""
     tag = node[0]

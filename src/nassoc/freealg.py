@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .errors import DegreeTooLarge
 from .exact.linalg import SparseRREF
+from .exact.poly import signed_sum
 from .operads import MultilinearSpace, consequences, resolve_degree_cap
 from .systems import builtin_system
 from .terms import (
@@ -165,16 +166,11 @@ class NormalForm:
         return out
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for c, label in self.terms:
             body = label_str(label) if abs(c) == 1 else f"{abs(c)} * {label_str(label)}"
             parts.append(("-" if c < 0 else "+", body))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_sum(parts)
 
 
 def _multilinear_basis_labels(variety: str, n: int):
@@ -234,10 +230,7 @@ def _component_normal_form(variety: str, comp: Expr, cap) -> list:
     n = next(iter(comp.degrees()))
     if n <= 2:
         return [(c, w) for w, c in comp.sorted_terms()]
-    counts: dict[int, int] = {}
-    for leaf in leaves(next(iter(comp.terms))):
-        counts[leaf] = counts.get(leaf, 0) + 1
-    lin, spec, factor = polarize(comp, counts)
+    lin, spec, factor = polarize(comp)
     space = MultilinearSpace(n)
     vec = space.expr_to_vec(lin)
     if n >= _circle_degree_start(variety):

@@ -138,9 +138,6 @@ class MultilinearSpace:
             out[srank * nperms + rank[tuple([perm[x - 1] for x in perms[prank]])]] = c
         return out
 
-    def monomials(self):
-        return [self.word_at(i) for i in range(self.dim)]
-
 
 # ---------------------------------------------------------------------------
 # consequence spaces
@@ -423,25 +420,13 @@ def prove_zero(expr: Expr, sys: IdentitySystem, cap: int | None = None) -> bool:
     """
     if expr.is_zero():
         return True
-    pieces: list[Expr] = []
     if expr.is_multilinear():
-        pieces.append(expr)
+        pieces = [expr]
     else:
-        for comp in multihomogeneous_components(expr):
-            first = next(iter(comp.terms))
-            counts: dict[int, int] = {}
-            for leaf in leaves(first):
-                counts[leaf] = counts.get(leaf, 0) + 1
-            lin, _, _ = polarize(comp, counts)
-            vs = lin.variables()
-            lin = lin.relabel({v: i for i, v in enumerate(vs, start=1)})
-            pieces.append(lin)
+        pieces = [polarize(comp)[0] for comp in multihomogeneous_components(expr)]
     for piece in pieces:
-        vs = piece.variables()
-        piece = piece.relabel({v: i for i, v in enumerate(vs, start=1)})
         n = max(piece.degrees())
-        cons = consequences(sys, n, cap)
-        if not cons.contains_expr(piece):
+        if not consequences(sys, n, cap).contains_expr(piece):
             return False
     return True
 

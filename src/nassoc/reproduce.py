@@ -99,6 +99,13 @@ def sas_family_entries():
     return corpus.SHIFT_ASSOCIATIVE_3D + corpus.SHIFT_ASSOCIATIVE_4D + ("dim5_nonassoc",)
 
 
+def _algebra(name, overrides):
+    """Corpus algebra `name`, unless `overrides` (name -> algebra) replaces it."""
+    if overrides and name in overrides:
+        return overrides[name]
+    return corpus.load_algebra(name)
+
+
 def find_table_idempotent(A):
     for i in range(1, A.dim + 1):
         e = A.basis_element(i)
@@ -263,25 +270,20 @@ def rows_identities(cap=None):
 
 def rows_classification(overrides=None):
     rows = []
-    overrides = overrides or {}
-
-    def get(name):
-        return overrides.get(name, corpus.load_algebra(name))
-
     for name in corpus.COMMUTATIVE_ASSOCIATIVE:
-        A = get(name)
+        A = _algebra(name, overrides)
         ok = check_identity(A, builtin_system("com-as")).holds
         rows.append(Row("classification", f"{name} is commutative associative", ok))
     for name in corpus.SHIFT_ASSOCIATIVE_3D + corpus.SHIFT_ASSOCIATIVE_4D:
-        A = get(name)
+        A = _algebra(name, overrides)
         ok = check_identity(A, builtin_system("sas")).holds
         detail = "symbolic in alpha" if A.is_parametric() else ""
         rows.append(Row("classification", f"{name} is shift associative", ok, detail))
     for name in corpus.SHIFT_ASSOCIATIVE_4D:
-        A = get(name)
+        A = _algebra(name, overrides)
         ok = check_identity(A, builtin_system("cas")).holds
         rows.append(Row("classification", f"{name} is cyclic associative", ok))
-    dim5 = get("dim5_nonassoc")
+    dim5 = _algebra("dim5_nonassoc", overrides)
     ok = check_identity(dim5, builtin_system("sas")).holds
     rows.append(Row("classification", "minimal example is shift associative", ok))
     res = check_identity(dim5, builtin_system("as"))
@@ -299,18 +301,13 @@ def rows_classification(overrides=None):
 
 def rows_structure(overrides=None):
     rows = []
-    overrides = overrides or {}
-
-    def get(name):
-        return overrides.get(name, corpus.load_algebra(name))
-
     swap_sys = parse_system("swap", SWAP_SYSTEM)
     apj_sys = parse_system("anti-poisson-jordan", JORDAN_ADMISSIBLE_SYSTEM)
     two_step = parse_system("two-step", TWO_STEP_SYSTEM)
     nested5 = parse_system("right-nested-5", RIGHT_NESTED_FIVE)
 
     for name in sas_family_entries():
-        A = get(name)
+        A = _algebra(name, overrides)
         ok = check_identity(A, swap_sys).holds and check_identity(A, apj_sys).holds
         rows.append(Row("structure", f"{name}: polarized pair is anti-Poisson-Jordan", ok))
         rows.append(Row("structure", f"{name}: two-step associativity", check_identity(A, two_step).holds))
@@ -325,7 +322,7 @@ def rows_structure(overrides=None):
     for name in corpus.corpus_names():
         if name in ("L1", "L2"):
             continue
-        A = get(name)
+        A = _algebra(name, overrides)
         idx = find_table_idempotent(A)
         if idx is None:
             continue
@@ -343,7 +340,7 @@ def rows_structure(overrides=None):
     for name in corpus.corpus_names():
         if name in ("L1", "L2"):
             continue
-        A = get(name)
+        A = _algebra(name, overrides)
         for S in specializations(A):
             split = wedderburn(S)
             rows.append(
@@ -359,15 +356,10 @@ def rows_structure(overrides=None):
 
 def rows_constructions(overrides=None):
     rows = []
-    overrides = overrides or {}
-
-    def get(name):
-        return overrides.get(name, corpus.load_algebra(name))
-
     cas = builtin_system("cas")
     sas = builtin_system("sas")
     for name in sas_family_entries():
-        A = get(name)
+        A = _algebra(name, overrides)
         ext, p = A.generic_element("p")
         ext, q = ext.generic_element("q")
         p = ext.element(p.coords)
@@ -391,7 +383,7 @@ def rows_constructions(overrides=None):
 
     a132 = builtin_system("a132")
     for name in ("a2", "A17"):
-        A = get(name)
+        A = _algebra(name, overrides)
         from .exact.poly import PolyQ
 
         mutated = scalar_mutation(A, PolyQ.var("u"), PolyQ.var("v"))
@@ -409,15 +401,11 @@ def rows_moduli(overrides=None):
     from .moduli import closed_set_membership, degeneration_necessary, orbit_dim
 
     rows = []
-    overrides = overrides or {}
-
-    def get(name):
-        return overrides.get(name, corpus.load_algebra(name))
-
-    rows.append(Row("moduli", "orbit dimension of the split semisimple table is 16", orbit_dim(get("A17")) == 16))
-    fam = orbit_dim(get("a12"))
+    A17, a12 = _algebra("A17", overrides), _algebra("a12", overrides)
+    rows.append(Row("moduli", "orbit dimension of the split semisimple table is 16", orbit_dim(A17) == 16))
+    fam = orbit_dim(a12)
     rows.append(Row("moduli", "orbit dimension of the a12 family is 13", fam == 13, f"family orbit {fam}"))
-    per_sample = all(orbit_dim(get("a12").specialize({"alpha": s})) == 12 for s in PARAM_SAMPLES)
+    per_sample = all(orbit_dim(a12.specialize({"alpha": s})) == 12 for s in PARAM_SAMPLES)
     rows.append(Row("moduli", "each a12 specialization has orbit dimension 12", per_sample))
 
     for certname in corpus.CERTIFICATES:
@@ -431,12 +419,12 @@ def rows_moduli(overrides=None):
         rows.append(Row("moduli", f"degeneration certificate {certname}", ok, detail))
 
     spec = corpus.load_closed_set("a12_not_a10")
-    in12 = closed_set_membership(spec, get("a12").specialize({"alpha": 1}))
-    in10 = closed_set_membership(spec, get("a10").specialize({"alpha": 1}))
+    in12 = closed_set_membership(spec, a12.specialize({"alpha": 1}))
+    in10 = closed_set_membership(spec, _algebra("a10", overrides).specialize({"alpha": 1}))
     rows.append(Row("moduli", "closed set contains the a12 representative", in12))
     rows.append(Row("moduli", "closed set excludes the a10 representative", not in10))
 
-    rep = degeneration_necessary(get("A17"), get("a12").specialize({"alpha": 1}))
+    rep = degeneration_necessary(A17, a12.specialize({"alpha": 1}))
     rows.append(Row("moduli", "necessary conditions for A17 -> a12@1", rep.possible, str(rep.details)))
     return rows
 
@@ -445,8 +433,7 @@ def rows_pencil(seed=0, overrides=None):
     from .moduli import pencil_invariant, random_invertible_matrix
 
     rows = []
-    overrides = overrides or {}
-    a2 = overrides.get("a2", corpus.load_algebra("a2"))
+    a2 = _algebra("a2", overrides)
     values_ok = all(
         pencil_invariant(a2.specialize({"alpha": s})) == s for s in (Fraction(0), Fraction(1), Fraction(2), Fraction(-1))
     )

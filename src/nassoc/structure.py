@@ -245,6 +245,8 @@ def is_leibniz_derivation(A: AlgebraStructure, M, n: int, bracketing="all") -> b
 
     bracketing: a tree shape with n leaves, or "all" for every arrangement.
     """
+    if n < 1:
+        raise ValueError(f"Leibniz order must be at least 1, got {n}")
     shape_list = shapes(n) if bracketing == "all" else (bracketing,)
     for shape in shape_list:
         for combo in itertools.product(range(1, A.dim + 1), repeat=n):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IndexOutOfRange, NotHomogeneous, ParseError, UnbalancedParens
-from .exact.poly import PolyQ
+from .exact.poly import PolyQ, signed_sum
 
 Word = object  # int leaf or (Word, Word) pair
 
@@ -206,13 +206,6 @@ class Expr:
     def degrees(self) -> set[int]:
         return {degree(w) for w in self.terms}
 
-    def multidegree(self, word) -> tuple:
-        """Occurrence counts of each present variable, as a sorted item tuple."""
-        counts = {}
-        for leaf in leaves(word):
-            counts[leaf] = counts.get(leaf, 0) + 1
-        return tuple(sorted(counts.items()))
-
     def is_multilinear(self) -> bool:
         """Every word uses the variables x1..xn exactly once each."""
         vs = self.variables()
@@ -252,8 +245,6 @@ class Expr:
         return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for w, c in self.sorted_terms():
             if isinstance(c, PolyQ):
@@ -262,10 +253,7 @@ class Expr:
                 continue
             body = word_str(w) if abs(c) == 1 else f"{abs(c)} * {word_str(w)}"
             parts.append(("-" if c < 0 else "+", body))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"Expr({self})"
@@ -638,13 +626,17 @@ def _polarize_words(expr: Expr, slot_map: dict[int, list[int]]) -> Expr:
     return Expr(out)
 
 
-def polarize(expr: Expr, multidegree: dict[int, int]):
-    """Full polarization of a multihomogeneous expression.
+def polarize(expr: Expr):
+    """Full polarization of a nonzero multihomogeneous expression.
 
-    Returns (multilinear Expr on slots 1..n, specialization map slot -> var,
-    multiplicity factor).  Substituting each slot by its variable recovers
-    the input times the factor (the product of the multiplicities' factorials).
+    The multidegree is read from the first word.  Returns (multilinear Expr
+    on slots 1..n, specialization map slot -> var, multiplicity factor).
+    Substituting each slot by its variable recovers the input times the
+    factor (the product of the multiplicities' factorials).
     """
+    multidegree: dict[int, int] = {}
+    for leaf in leaves(next(iter(expr.terms))):
+        multidegree[leaf] = multidegree.get(leaf, 0) + 1
     slot_map: dict[int, list[int]] = {}
     spec: dict[int, int] = {}
     nxt = 1
@@ -684,12 +676,4 @@ def multilinearize(ident: Identity) -> list[Identity]:
         raise NotHomogeneous(f"identity {ident} is not homogeneous in total degree")
     if ident.is_multilinear():
         return [ident]
-    out = []
-    for comp in multihomogeneous_components(ident.expr):
-        first = next(iter(comp.terms))
-        counts: dict[int, int] = {}
-        for leaf in leaves(first):
-            counts[leaf] = counts.get(leaf, 0) + 1
-        lin, _, _ = polarize(comp, counts)
-        out.append(Identity(lin))
-    return out
+    return [Identity(polarize(comp)[0]) for comp in multihomogeneous_components(ident.expr)]

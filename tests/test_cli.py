@@ -1,8 +1,19 @@
 """Tests for the command-line interface: exit codes and report renderings."""
 
+import argparse
+import contextlib
+import io
 import json
+import os
+import pathlib
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
 
-from nassoc.cli import main
+import nassoc
+from nassoc.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +48,48 @@ def test_usage_error_exit_2(capsys):
     assert "error" in err
     code, _, err = run_cli(capsys, "prove-zero", "--expr", "((x1 x2 x3)", "--system", "sas")
     assert code == 2
+
+
+def test_transform_without_basis_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "transform", "--algebra", "a12")
+    assert code == 2 and not out
+    assert "--cert or --basis" in err
+
+
+def test_mutate_and_kantor_without_elements_are_usage_errors(capsys):
+    for argv in (["mutate", "--algebra", "a1"], ["mutate", "--algebra", "a1", "--p", "1,0,0"],
+                 ["kantor", "--algebra", "a1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert "--generic" in err
+
+
+def _leibniz(capsys, tmp_path, matrix, *extra):
+    path = tmp_path / "D.json"
+    path.write_text(matrix)
+    return run_cli(capsys, "leibniz", "--algebra", "a1", "--matrix", str(path), *extra)
+
+
+def test_leibniz_bracketing_out_of_range(capsys, tmp_path):
+    # order 2 has a single bracketing, index 0
+    assert _leibniz(capsys, tmp_path, LEIBNIZ_MATRIX, "--order", "2", "--bracketing", "0")[0] == 1
+    for index in ("5", "-1"):
+        code, out, err = _leibniz(capsys, tmp_path, LEIBNIZ_MATRIX, "--order", "2", "--bracketing", index)
+        assert code == 2 and not out
+        assert "--bracketing" in err
+
+
+def test_leibniz_matrix_of_the_wrong_size(capsys, tmp_path):
+    for matrix in ('[["1","0"],["0","1"]]', "5"):
+        code, out, err = _leibniz(capsys, tmp_path, matrix, "--order", "2")
+        assert code == 2 and not out
+        assert "3x3" in err
+
+
+def test_leibniz_order_zero_is_a_usage_error(capsys, tmp_path):
+    # the matrix fails at order 2; order 0 used to report "Leibniz derivation"
+    code, out, _ = _leibniz(capsys, tmp_path, LEIBNIZ_MATRIX, "--order", "0")
+    assert code == 2 and not out
 
 
 def test_json_and_text_verdicts_agree(capsys):
@@ -178,11 +231,147 @@ def test_reproduce_json_deterministic(capsys):
 
 
 def test_demo_scripts_run():
-    import pathlib
-    import subprocess
-    import sys
-
     for script in sorted(pathlib.Path("demos").glob("*.py")):
         proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
+
+
+# ---------------------------------------------------------------------------
+# CLI contract: option snapshot and golden outputs, recorded once with
+# `python tests/test_cli.py --record` and compared on every run.
+
+DATA = pathlib.Path(__file__).parent / "data"
+OPTIONS_FILE = DATA / "cli_options.json"
+GOLDEN_FILE = DATA / "cli_golden.json"
+
+LEIBNIZ_MATRIX = '[["0","0","0"],["0","0","0"],["0","0","1"]]'
+COCYCLE_THETA = '{"parameters": ["alpha"], "entries": {"1,1": ["0","0","1"], "2,2": ["0","0","alpha"]}}'
+
+# one invocation per subcommand; {tmp} stands for a scratch directory holding
+# D.json (LEIBNIZ_MATRIX) and theta.json (COCYCLE_THETA)
+GOLDEN_INVOCATIONS = [
+    "dims --system sas --max-degree 4",
+    "hilbert --system sas --order 5",
+    "koszulity --system a23 --order 5",
+    "dual --system a23",
+    "implies --sub sas --sup cas --degree 3",
+    "prove-zero --expr [[x1,x2],x3] --system sas",
+    "nice-index --system cas",
+    'normal-form --expr "(((x1 x2) (x3 x4)) x5)"',
+    "free-basis --variety cas --degree 3 --generators 2",
+    "check-identity --algebra dim5_nonassoc --system as",
+    'polarize --identity "(x1,x1,x1) = 0"',
+    "mutate --algebra a1 --p 1,0,0 --q 0,1,0 --check-system sas",
+    "kantor --algebra a1 --p 1,0,0 --check-system sas",
+    "hull --algebra a1 --check-system sas",
+    "scalar-mutate --algebra a2 --check-system a132",
+    "compatible --algebra A17 --algebra-b A18",
+    "derivations --algebra a2 --set alpha=2",
+    "leibniz --algebra a1 --matrix {tmp}/D.json --order 2",
+    "powers --algebra a2",
+    "peirce --algebra a12 --set alpha=1 --idempotent 0,0,0,1",
+    "wedderburn --algebra a12 --set alpha=1",
+    "cocycle --lie L1 --theta {tmp}/theta.json --check-system sas",
+    "fingerprint --algebra a13",
+    "transform --algebra a12 --cert a12_0_to_a11",
+    "degenerate --cert a12_family_to_a06 --sample 2",
+    "orbit-dim --algebra a12",
+    "closed-set --spec a12_not_a10 --algebra a10 --set alpha=1",
+    "pencil-invariant --algebra a2 --set alpha=2",
+    "reproduce-paper --only pencil --seed 1",
+]
+
+
+def _argv(invocation, tmp):
+    return [part.replace("{tmp}", str(tmp)) for part in shlex.split(invocation)]
+
+
+def _strip_elapsed(text):
+    text = re.sub(r'"elapsed_seconds": [0-9.]+', '"elapsed_seconds": null', text)
+    return re.sub(r"rows passed in [0-9.]+s", "rows passed in ?s", text)
+
+
+def _option_snapshot():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = [[choice.dest, choice.help] for choice in sub._choices_actions]
+    options = {}
+    for name, sp in sub.choices.items():
+        entries = []
+        for a in sp._actions:
+            entries.append({
+                "flags": a.option_strings,
+                "dest": a.dest,
+                "type": getattr(a.type, "__name__", a.type),
+                "default": a.default,
+                "required": a.required,
+                "choices": list(a.choices) if a.choices is not None else None,
+                "help": a.help,
+                "action": type(a).__name__,
+                "metavar": a.metavar,
+            })
+        options[name] = sorted(entries, key=lambda e: json.dumps(e, sort_keys=True))
+    return {"commands": commands, "options": options}
+
+
+def _golden_outputs(tmp, run):
+    (tmp / "D.json").write_text(LEIBNIZ_MATRIX)
+    (tmp / "theta.json").write_text(COCYCLE_THETA)
+    outputs = {}
+    for invocation in GOLDEN_INVOCATIONS:
+        for suffix in ("", " --json"):
+            code, out = run(_argv(invocation + suffix, tmp))
+            outputs[invocation + suffix] = {"exit": code, "stdout": _strip_elapsed(out)}
+    return outputs
+
+
+def test_option_snapshot():
+    assert _option_snapshot() == json.loads(OPTIONS_FILE.read_text())
+
+
+def test_golden_outputs(capsys, tmp_path):
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    expected = json.loads(GOLDEN_FILE.read_text())
+    actual = _golden_outputs(tmp_path, run)
+    assert actual.keys() == expected.keys()
+    for key in expected:
+        assert actual[key] == expected[key], key
+
+
+def test_module_entry_point_subprocess():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nassoc.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "nassoc.cli", "dims", "--system", "sas"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 2 6 12 1\n"
+
+
+def _record():
+    def run(argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        return code, buf.getvalue()
+
+    DATA.mkdir(exist_ok=True)
+    snapshot = _option_snapshot()
+    # one line per subcommand and per option, so that a changed flag is a one-line diff
+    commands = ",\n".join("  " + json.dumps(c) for c in snapshot["commands"])
+    options = ",\n".join(
+        f"  {json.dumps(name)}: [\n" + ",\n".join("   " + json.dumps(e) for e in entries) + "\n  ]"
+        for name, entries in snapshot["options"].items()
+    )
+    OPTIONS_FILE.write_text('{\n "commands": [\n' + commands + '\n ],\n "options": {\n' + options + "\n }\n}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = _golden_outputs(pathlib.Path(tmp), run)
+    GOLDEN_FILE.write_text(json.dumps(golden, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_cli.py --record")
+    _record()

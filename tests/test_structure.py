@@ -105,6 +105,15 @@ def test_non_derivation_detected():
     assert not is_leibniz_derivation(A, D, 2)
 
 
+def test_leibniz_order_below_one_is_rejected():
+    # shapes(0) is empty, so an order-0 check would hold for any matrix
+    A = load_algebra("A04")
+    D = [[Q(1), Q(0)], [Q(0), Q(0)]]
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            is_leibniz_derivation(A, D, n)
+
+
 def test_single_bracketing_option():
     from nassoc.terms import shapes
 
