@@ -1,9 +1,12 @@
 """Finite-dimensional algebras given by structure constants.
 
-Structure constants are multivariate polynomials over Q in declared
-parameter names, so a whole family like e2*e2 = alpha*e3 is a single
-algebra value and identity checks verify the family at once.  Elements are
-coordinate vectors of polynomials.
+The scalars are chosen once, when the algebra is built: a table without
+parameters holds Fraction constants, and a table that declares parameters
+holds multivariate polynomials over Q (PolyQ) in those names, so a whole
+family like e2*e2 = alpha*e3 is a single algebra value and identity checks
+verify the family at once.  Elements are coordinate vectors in the same
+scalars, and the arithmetic below uses only +, *, == and truthiness, so one
+code path serves both.
 
 Identity checking has two modes: "multilinear" evaluates every identity
 (multilinearized first when needed) on all basis tuples, which is complete
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from . import exprparse
 from .errors import ParameterClash
-from .exact.poly import PolyQ
+from .exact.poly import PolyQ, as_fraction
 from .terms import Expr, Identity, IdentitySystem, leaves, multilinearize
 
 
@@ -35,11 +38,24 @@ class Element:
         return len(self.coords)
 
 
+def _rational(c) -> Fraction:
+    """Lift a scalar into a parameter-free algebra: a Fraction."""
+    if isinstance(c, PolyQ):
+        if c.used_vars():
+            raise ValueError(f"undeclared parameter {c.used_vars()[0]!r} in constants")
+        return c.constant_value()
+    return as_fraction(c)
+
+
 class AlgebraStructure:
-    """Algebra on an ordered basis with polynomial structure constants."""
+    """Algebra on an ordered basis with structure constants in Q or Q[parameters]."""
 
     def __init__(self, name: str, dim: int, constants, parameters=(), basis=None):
-        """constants[i][j] is the coordinate list of e_{i+1} e_{j+1}."""
+        """constants[i][j] is the coordinate list of e_{i+1} e_{j+1}.
+
+        Scalars are Fractions when there are no parameters and PolyQ
+        otherwise; self.lift turns a rational or polynomial input into one.
+        """
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.name = name
@@ -48,14 +64,17 @@ class AlgebraStructure:
         self.basis = tuple(basis) if basis else tuple(f"e{i+1}" for i in range(dim))
         if len(self.basis) != dim:
             raise ValueError("basis label count does not match the dimension")
+        self.lift = PolyQ.lift if self.parameters else _rational
         self.constants = tuple(
-            tuple(tuple(PolyQ.lift(c) for c in constants[i][j]) for j in range(dim))
+            tuple(tuple(self.lift(c) for c in constants[i][j]) for j in range(dim))
             for i in range(dim)
         )
         for i in range(dim):
             for j in range(dim):
                 if len(self.constants[i][j]) != dim:
                     raise ValueError("structure constant vectors must have length dim")
+                if not self.parameters:
+                    continue
                 for p in self.constants[i][j]:
                     for v in p.used_vars():
                         if v not in self.parameters:
@@ -64,16 +83,16 @@ class AlgebraStructure:
     # -- elements ---------------------------------------------------------
 
     def zero_element(self) -> Element:
-        return Element((PolyQ.zero(),) * self.dim)
+        return Element((self.lift(0),) * self.dim)
 
     def basis_element(self, i: int) -> Element:
         """1-indexed basis vector."""
-        coords = [PolyQ.zero()] * self.dim
-        coords[i - 1] = PolyQ.const(1)
+        coords = [self.lift(0)] * self.dim
+        coords[i - 1] = self.lift(1)
         return Element(tuple(coords))
 
     def element(self, coords) -> Element:
-        coords = tuple(PolyQ.lift(c) for c in coords)
+        coords = tuple(self.lift(c) for c in coords)
         if len(coords) != self.dim:
             raise ValueError("coordinate vector has the wrong length")
         return Element(coords)
@@ -82,27 +101,26 @@ class AlgebraStructure:
         return Element(tuple(a + b for a, b in zip(x.coords, y.coords)))
 
     def scale(self, c, x: Element) -> Element:
-        c = PolyQ.lift(c)
         return Element(tuple(c * a for a in x.coords))
 
     def mul(self, x: Element, y: Element) -> Element:
         n = self.dim
-        out = [PolyQ.zero()] * n
+        out = [self.lift(0)] * n
         for i, xi in enumerate(x.coords):
-            if xi.is_zero():
+            if not xi:
                 continue
             for j, yj in enumerate(y.coords):
-                if yj.is_zero():
+                if not yj:
                     continue
                 cij = self.constants[i][j]
                 coef = xi * yj
                 for k in range(n):
-                    if not cij[k].is_zero():
+                    if cij[k]:
                         out[k] = out[k] + coef * cij[k]
         return Element(tuple(out))
 
     def is_zero_element(self, x: Element) -> bool:
-        return all(c.is_zero() for c in x.coords)
+        return not any(x.coords)
 
     def equal_elements(self, x: Element, y: Element) -> bool:
         return all(a == b for a, b in zip(x.coords, y.coords))
@@ -110,13 +128,18 @@ class AlgebraStructure:
     # -- parameters ---------------------------------------------------------
 
     def specialize(self, values: dict) -> "AlgebraStructure":
-        """Substitute rational values for (some) parameters."""
+        """Substitute rational values for (some) parameters.
+
+        Raises ValueError when a name is not a parameter of the algebra.
+        """
+        unknown = sorted(set(values) - set(self.parameters))
+        if unknown:
+            raise ValueError(f"{self.name} has no parameter {', '.join(map(repr, unknown))}")
         env = {k: Fraction(v) if not isinstance(v, PolyQ) else v for k, v in values.items()}
         remaining = tuple(p for p in self.parameters if p not in env)
         constants = [
-            [[self.constants[i][j][k].subs(env) for k in range(self.dim)] for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+            [[c.subs(env) for c in vec] for vec in row] for row in self.constants
+        ] if env else self.constants
         suffix = ",".join(f"{k}={env[k]}" for k in sorted(env))
         name = f"{self.name}[{suffix}]" if suffix else self.name
         return AlgebraStructure(name, self.dim, constants, remaining, self.basis)
@@ -148,14 +171,14 @@ class AlgebraStructure:
         for i in range(self.dim):
             for j in range(self.dim):
                 vec = self.constants[i][j]
-                if all(p.is_zero() for p in vec):
+                if not any(vec):
                     continue
                 parts = []
                 for k in range(self.dim):
                     p = vec[k]
-                    if p.is_zero():
+                    if not p:
                         continue
-                    if p == PolyQ.const(1):
+                    if p == 1:
                         parts.append(self.basis[k])
                     else:
                         parts.append(f"({p})*{self.basis[k]}")
@@ -172,7 +195,7 @@ class AlgebraStructure:
         for i in range(self.dim):
             for j in range(self.dim):
                 vec = self.constants[i][j]
-                value = [[str(vec[k]), self.basis[k]] for k in range(self.dim) if not vec[k].is_zero()]
+                value = [[str(vec[k]), self.basis[k]] for k in range(self.dim) if vec[k]]
                 if value:
                     products.append({"left": self.basis[i], "right": self.basis[j], "value": value})
         return {
@@ -193,17 +216,11 @@ class AlgebraStructure:
         params = tuple(data.get("parameters", ()))
         index = {label: i for i, label in enumerate(basis)}
         env = {p: PolyQ.var(p) for p in params}
-        constants = [[[PolyQ.zero() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        constants = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         for prod in data.get("products", ()):
-            i = index[prod["left"]]
-            j = index[prod["right"]]
-            vec = [PolyQ.zero()] * dim
+            vec = constants[index[prod["left"]]][index[prod["right"]]] = [0] * dim
             for coeff_str, label in prod["value"]:
-                value = exprparse.evaluate(coeff_str, env, PolyQ.const)
-                if not isinstance(value, PolyQ):
-                    value = PolyQ.const(value)
-                vec[index[label]] = vec[index[label]] + value
-            constants[i][j] = vec
+                vec[index[label]] += exprparse.evaluate(coeff_str, env, PolyQ.const)
         return AlgebraStructure(data.get("name", "algebra"), dim, constants, params, basis)
 
     @staticmethod
@@ -274,14 +291,14 @@ def _check_multilinear_identity(A: AlgebraStructure, ident: Identity, cache) -> 
     words = ident.expr.sorted_terms()
     for combo in itertools.product(range(1, n + 1), repeat=d):
         assignment = {v + 1: combo[v] for v in range(d)}
-        acc = [PolyQ.zero()] * n
+        acc = [A.lift(0)] * n
         for w, c in words:
             val = _eval_word_on_tuple(A, w, assignment, cache)
             for k in range(n):
-                if not val.coords[k].is_zero():
+                if val.coords[k]:
                     acc[k] = acc[k] + c * val.coords[k]
         for k in range(n):
-            if not acc[k].is_zero():
+            if acc[k]:
                 return Counterexample(
                     identity=str(ident),
                     tuple_labels=tuple(A.basis[i - 1] for i in combo),
@@ -302,7 +319,7 @@ def _check_symbolic_identity(A: AlgebraStructure, ident: Identity) -> Counterexa
     values = {v: ext.element(e.coords) for v, e in values.items()}
     result = evaluate_expr(ext, ident.expr, values)
     for k in range(ext.dim):
-        if not result.coords[k].is_zero():
+        if result.coords[k]:
             return Counterexample(
                 identity=str(ident),
                 tuple_labels=tuple(f"g{v}" for v in range(1, ident.nvars + 1)),
@@ -336,30 +353,14 @@ def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multil
 # constructions
 
 
-def _swap_constants(A: AlgebraStructure):
-    return [[A.constants[j][i] for j in range(A.dim)] for i in range(A.dim)]
-
-
 def plus_algebra(A: AlgebraStructure) -> AlgebraStructure:
     """Anticommutator algebra: constants (c + c^T)/2 in the first two indices."""
-    half = Fraction(1, 2)
-    sw = _swap_constants(A)
-    constants = [
-        [[(A.constants[i][j][k] + sw[i][j][k]) * half for k in range(A.dim)] for j in range(A.dim)]
-        for i in range(A.dim)
-    ]
-    return AlgebraStructure(f"{A.name}^+", A.dim, constants, A.parameters, A.basis)
+    return scalar_mutation(A, Fraction(1, 2), Fraction(1, 2), f"{A.name}^+")
 
 
 def minus_algebra(A: AlgebraStructure) -> AlgebraStructure:
     """Commutator algebra: constants (c - c^T)/2."""
-    half = Fraction(1, 2)
-    sw = _swap_constants(A)
-    constants = [
-        [[(A.constants[i][j][k] - sw[i][j][k]) * half for k in range(A.dim)] for j in range(A.dim)]
-        for i in range(A.dim)
-    ]
-    return AlgebraStructure(f"{A.name}^-", A.dim, constants, A.parameters, A.basis)
+    return scalar_mutation(A, Fraction(1, 2), Fraction(-1, 2), f"{A.name}^-")
 
 
 def _table_from_product(A: AlgebraStructure, product, name: str) -> AlgebraStructure:
@@ -391,39 +392,28 @@ def kantor_square(A: AlgebraStructure, p: Element) -> AlgebraStructure:
     return _table_from_product(A, star, f"kantor({A.name})")
 
 
-def scalar_mutation(A: AlgebraStructure, alpha, beta) -> AlgebraStructure:
+def scalar_mutation(A: AlgebraStructure, alpha, beta, name: str | None = None) -> AlgebraStructure:
     """x*y = alpha*xy + beta*yx, with alpha and beta rational or polynomial."""
-    alpha = PolyQ.lift(alpha)
-    beta = PolyQ.lift(beta)
     params = list(A.parameters)
-    for p in (*alpha.used_vars(), *beta.used_vars()):
-        if p not in params:
-            params.append(p)
-    sw = _swap_constants(A)
+    for scalar in (alpha, beta):
+        if isinstance(scalar, PolyQ):
+            params += [p for p in scalar.used_vars() if p not in params]
+    c, n = A.constants, A.dim
     constants = [
-        [
-            [alpha * A.constants[i][j][k] + beta * sw[i][j][k] for k in range(A.dim)]
-            for j in range(A.dim)
-        ]
-        for i in range(A.dim)
+        [[alpha * c[i][j][k] + beta * c[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)
     ]
-    return AlgebraStructure(f"smut({A.name})", A.dim, constants, params, A.basis)
+    return AlgebraStructure(name or f"smut({A.name})", A.dim, constants, params, A.basis)
 
 
 def unital_hull(A: AlgebraStructure) -> AlgebraStructure:
     """Adjoin a unit: dimension n+1 with basis (1, e1, ..., en)."""
     n = A.dim
-    constants = [[[PolyQ.zero()] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
-    one = PolyQ.const(1)
-    constants[0][0] = [one] + [PolyQ.zero()] * n
-    for i in range(n):
-        vec = [PolyQ.zero()] * (n + 1)
-        vec[i + 1] = one
-        constants[0][i + 1] = list(vec)
-        constants[i + 1][0] = list(vec)
-    for i in range(n):
-        for j in range(n):
-            constants[i + 1][j + 1] = [PolyQ.zero()] + list(A.constants[i][j])
+    constants = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    constants[0][0][0] = 1
+    for i in range(1, n + 1):
+        constants[0][i][i] = constants[i][0][i] = 1
+        for j in range(1, n + 1):
+            constants[i][j] = [0, *A.constants[i - 1][j - 1]]
     basis = ("1",) + A.basis
     return AlgebraStructure(f"hull({A.name})", n + 1, constants, A.parameters, basis)
 

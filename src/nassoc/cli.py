@@ -149,6 +149,8 @@ VARIETY = flag("--variety", choices=("sas", "cas"), default="sas")
 
 @command("dims", "multilinear dimensions of a variety", SYSTEM, flag("--max-degree", type=int, default=5))
 def cmd_dims(args, report):
+    if args.max_degree < 1:
+        raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
     sys_ = _load_system(args.system)
     dims = [multilinear_dim(sys_, n, args.cap) for n in range(1, args.max_degree + 1)]
     report.data["dims"] = dims
@@ -306,8 +308,8 @@ def cmd_hull(args, report, A):
 @command("scalar-mutate", "scalar mutation alpha*xy + beta*yx",
          flag("--alpha", default="u"), flag("--beta", default="v"), CHECK_SYSTEM, algebra="--algebra")
 def cmd_scalar_mutate(args, report, A):
-    alpha = PolyQ.var(args.alpha) if args.alpha.isalpha() else PolyQ.const(Fraction(args.alpha))
-    beta = PolyQ.var(args.beta) if args.beta.isalpha() else PolyQ.const(Fraction(args.beta))
+    alpha = PolyQ.var(args.alpha) if args.alpha.isalpha() else Fraction(args.alpha)
+    beta = PolyQ.var(args.beta) if args.beta.isalpha() else Fraction(args.beta)
     return _construction(args, report, scalar_mutation(A, alpha, beta))
 
 

@@ -23,7 +23,7 @@ def signed_sum(parts: list) -> str:
     return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
 
 
-def _as_fraction(c) -> Fraction:
+def as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
@@ -42,7 +42,7 @@ class PolyQ:
         if terms:
             nv = len(self.vars)
             for exps, c in terms.items():
-                c = _as_fraction(c)
+                c = as_fraction(c)
                 if c == 0:
                     continue
                 exps = tuple(exps)
@@ -57,7 +57,7 @@ class PolyQ:
 
     @staticmethod
     def const(c: Scalar, vars: tuple[str, ...] = ()) -> "PolyQ":
-        c = _as_fraction(c)
+        c = as_fraction(c)
         if c == 0:
             return PolyQ(vars)
         return PolyQ(vars, {(0,) * len(vars): c})
@@ -166,7 +166,7 @@ class PolyQ:
 
     def __mul__(self, other) -> "PolyQ":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = as_fraction(other)
             if c == 0:
                 return PolyQ(self.vars)
             return PolyQ(self.vars, {e: cc * c for e, cc in self.terms.items()})
@@ -188,7 +188,7 @@ class PolyQ:
         # exact division by a rational constant only
         if isinstance(other, PolyQ):
             other = other.constant_value()
-        c = _as_fraction(other)
+        c = as_fraction(other)
         if c == 0:
             raise ZeroDivisionError("division of polynomial by zero")
         return PolyQ(self.vars, {e: cc / c for e, cc in self.terms.items()})
@@ -205,30 +205,18 @@ class PolyQ:
 
     def subs(self, env: Mapping[str, "PolyQ | Scalar"]) -> "PolyQ":
         """Substitute values (polynomials or rationals) for variables by name."""
-        out = PolyQ.zero()
-        for exps, c in sorted(self.terms.items()):
-            term = PolyQ.const(c)
-            for v, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                val = env.get(v)
-                if val is None:
-                    val = PolyQ.var(v)
-                else:
-                    val = PolyQ.lift(val)
-                term = term * val ** e
-            out = out + term
-        return out
+        return PolyQ.lift(self.eval({v: env.get(v, PolyQ.var(v)) for v in self.vars}))
 
-    def eval(self, env: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate at a full rational assignment of the used variables."""
+    def eval(self, env: Mapping):
+        """Value at an assignment of the used variables, in the values' own
+        domain: Fraction, PolyQ or RatFunT."""
         total = Fraction(0)
-        for exps, c in self.terms.items():
-            val = c
+        for exps, c in sorted(self.terms.items()):
+            term = c
             for v, e in zip(self.vars, exps):
                 if e:
-                    val *= _as_fraction(env[v]) ** e
-            total += val
+                    term = term * env[v] ** e
+            total = total + term
         return total
 
     # -- ordering and display ------------------------------------------------

@@ -24,24 +24,11 @@ from . import exprparse
 from .algebras import AlgebraStructure
 from .errors import ParametricNotSupported, PoleAtZero, ShapeMismatch, SingularForAllT
 from .exact.linalg import det, rref, solve_right
-from .exact.poly import PolyQ
 from .exact.ratfun import RatFunT
 from .structure import derivation_algebra, derivation_equations, power_subspaces
 
 RF0 = RatFunT.const(0)
 RF1 = RatFunT.const(1)
-
-
-def eval_poly(p: PolyQ, env: dict[str, RatFunT]) -> RatFunT:
-    """Evaluate a polynomial with RatFunT values for its variables."""
-    total = RF0
-    for exps, c in sorted(p.terms.items()):
-        term = RatFunT.const(c)
-        for v, e in zip(p.vars, exps):
-            if e:
-                term = term * env[v] ** e
-        total = total + term
-    return total
 
 
 @dataclass
@@ -89,11 +76,9 @@ def transform(A: AlgebraStructure, basis: ParamBasis):
     m = basis.matrix()
     if det(m, zero=RF0, one=RF1) == RF0:
         raise SingularForAllT("parametrized basis matrix is singular for every t")
-    env = dict(basis.subst)
-    consts = [
-        [[eval_poly(A.constants[i][j][k], env) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
+    consts = A.constants
+    if A.parameters:
+        consts = [[[c.eval(basis.subst) for c in vec] for vec in row] for row in consts]
     new = [[None] * n for _ in range(n)]
     rhs_columns = []
     order = []
@@ -110,7 +95,7 @@ def transform(A: AlgebraStructure, basis: ParamBasis):
                         continue
                     coef = ca * cb
                     for k in range(n):
-                        if consts[a][b][k] != RF0:
+                        if consts[a][b][k]:
                             vec[k] = vec[k] + coef * consts[a][b][k]
             rhs_columns.append(vec)
             order.append((i, j))
@@ -156,7 +141,7 @@ def degeneration_check(A: AlgebraStructure, basis: ParamBasis, B: AlgebraStructu
         for j in range(n):
             for k in range(n):
                 c = transformed[i][j][k]
-                expected = B.constants[i][j][k].constant_value()
+                expected = B.constants[i][j][k]
                 try:
                     lim = c.value_at_zero()
                     ok = lim == expected
@@ -196,7 +181,7 @@ def generic_derivation_dim(A: AlgebraStructure) -> int:
         raise ParametricNotSupported("generic derivations support one parameter")
     env = {A.parameters[0]: RatFunT.t()}
     n = A.dim
-    c = [[[eval_poly(A.constants[i][j][k], env) for k in range(n)] for j in range(n)] for i in range(n)]
+    c = [[[p.eval(env) for p in vec] for vec in row] for row in A.constants]
     pivots, _ = rref(derivation_equations(c, RF0), zero=RF0, one=RF1)
     return n * n - len(pivots)
 
@@ -281,8 +266,7 @@ def closed_set_membership(spec: ClosedSetSpec, A: AlgebraStructure) -> bool:
     """Evaluate containment shorthands and polynomial equations at A's constants."""
     if A.is_parametric():
         raise ParametricNotSupported("specialize parameters before membership tests")
-    n = A.dim
-    c = [[[A.constants[i][j][k].constant_value() for k in range(n)] for j in range(n)] for i in range(n)]
+    n, c = A.dim, A.constants
     for text in spec.containments:
         p, q, r = _parse_containment(text)
         for i in range(p, n + 1):
@@ -340,7 +324,7 @@ def pencil_invariant(A: AlgebraStructure) -> Fraction:
     v = A.basis_element(comp[1] + 1)
 
     def coeff(x, y):
-        prod = [p.constant_value() for p in A.mul(x, y).coords]
+        prod = A.mul(x, y).coords
         lam = prod[pivot] / z[pivot]
         if any(prod[i] != lam * z[i] for i in range(3)):
             raise ShapeMismatch("products leave the one-dimensional square")
@@ -394,8 +378,7 @@ def monomial_certificate_search(A: AlgebraStructure, B: AlgebraStructure, max_ex
     n = A.dim
     if B.dim != n:
         raise ValueError("dimension mismatch")
-    cA = [[[A.constants[i][j][k].constant_value() for k in range(n)] for j in range(n)] for i in range(n)]
-    cB = [[[B.constants[i][j][k].constant_value() for k in range(n)] for j in range(n)] for i in range(n)]
+    cA, cB = A.constants, B.constants
     found = []
     for ks in itertools.product(range(max_exp + 1), repeat=n):
         ok = True

@@ -290,6 +290,8 @@ def multilinear_dim(sys: IdentitySystem, n: int, cap: int | None = None) -> int:
 
 def hilbert(sys: IdentitySystem, order: int, cap: int | None = None) -> SeriesQ:
     """Signed exponential series: coefficient of t^n is (-1)^n dim(n)/n!."""
+    if order < 1:
+        raise ValueError(f"series order must be at least 1, got {order}")
     coeffs = []
     for n in range(1, order + 1):
         d = multilinear_dim(sys, n, cap)
@@ -477,6 +479,8 @@ def nice_index(sys: IdentitySystem, kmax: int, cap: int | None = None) -> int | 
     which every monomial is congruent to every other with coefficient +1
     (products of k elements do not depend on association or order).  The
     search starts at 3, the lowest degree where association is meaningful."""
+    if kmax < 3:
+        raise ValueError(f"kmax must be at least 3, where the search starts, got {kmax}")
     for k in range(3, kmax + 1):
         cons = consequences(sys, k, cap)
         space = cons.space

@@ -2,15 +2,20 @@
 
 Covers derivation algebras, power/solvability chains, subalgebra
 restriction, the Peirce split at an idempotent, and the semisimple-plus-
-radical decomposition.  The linear algebra is exact over Q and runs on
-`exact.linalg`: a subspace of Q^n is its RREF row list, `rref(vectors)[1]`,
-so its dimension is the length of that list, and coordinates in a span come
-from `express`.  The radical candidate is the kernel of the trace
-form tau(x,y) = trace(L_{x o y}) on the anticommutator algebra; the
-semisimple part is rebuilt by lifting orthogonal primitive idempotents from
-the quotient with the cubic iteration e <- 3e^2 - 2e^3.  Because the trace
-recipe is a heuristic imported from the commutative setting, every split is
-post-verified and the flags are part of the result.
+radical decomposition.  Derivations, the two splits and the fingerprint
+need a parameter-free algebra, whose constants and element coordinates are
+already Fractions, so they enter the linear algebra as they are; only the
+family-uniform power chains and subalgebra restriction split a family's
+PolyQ coordinates into one rational vector per parameter monomial.  The
+linear algebra is exact over Q and runs on `exact.linalg`: a subspace of
+Q^n is its RREF row list, `rref(vectors)[1]`, so its dimension is the
+length of that list, and coordinates in a span come from `express`.  The
+radical candidate is the kernel of the trace form tau(x,y) = trace(L_{x o y})
+on the anticommutator algebra; the semisimple part is rebuilt by lifting
+orthogonal primitive idempotents from the quotient with the cubic iteration
+e <- 3e^2 - 2e^3.  Because the trace recipe is a heuristic imported from
+the commutative setting, every split is post-verified and the flags are
+part of the result.
 """
 
 from __future__ import annotations
@@ -40,18 +45,29 @@ def _identity_rows(n: int):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def _monomial_parts(A: AlgebraStructure, x: Element):
+    """(monomial, rational vector) pairs that sum to x as monomial * vector.
+
+    A parameter-free x is the single pair (1, x); a family element has one
+    pair per parameter monomial that occurs in its coordinates.
+    """
+    if not A.parameters:
+        return [(1, list(x.coords))]
+    coords = [c.on_vars(A.parameters) for c in x.coords]
+    monomials = sorted({e for c in coords for e in c.terms})
+    return [
+        (PolyQ(A.parameters, {mono: Fraction(1)}), [c.terms.get(mono, Fraction(0)) for c in coords])
+        for mono in monomials
+    ]
+
+
 def monomial_coefficient_vectors(A: AlgebraStructure, x: Element):
     """Rational coefficient vectors of x, one per parameter monomial.
 
     The span of these vectors contains the specialization of x at every
     parameter value, which is the right hull for family-uniform chains.
     """
-    coords = [c.on_vars(A.parameters) for c in x.coords]
-    monomials = sorted({e for c in coords for e in c.terms})
-    out = []
-    for mono in monomials:
-        out.append([c.terms.get(mono, Fraction(0)) for c in coords])
-    return out
+    return [vec for _, vec in _monomial_parts(A, x)]
 
 
 def product_span_vectors(A: AlgebraStructure, S1, S2):
@@ -126,20 +142,16 @@ def restrict_to_subspace(A: AlgebraStructure, sub, name: str) -> AlgebraStructur
     for i in range(r):
         for j in range(r):
             z = A.mul(A.element(sub[i]), A.element(sub[j]))
-            coords = [c.on_vars(A.parameters) for c in z.coords]
-            monos = sorted({e for c in coords for e in c.terms})
-            acc = [PolyQ.zero() for _ in range(r)]
-            for mono in monos:
-                vec = [c.terms.get(mono, Fraction(0)) for c in coords]
+            acc = [0] * r
+            for mono, vec in _monomial_parts(A, z):
                 coeffs = express(sub, vec)
                 if coeffs is None:
                     raise VerificationFailed(
                         f"subspace of {A.name} is not closed under multiplication"
                     )
-                mono_poly = PolyQ(A.parameters, {mono: Fraction(1)})
                 for t in range(r):
-                    if coeffs[t] != 0:
-                        acc[t] = acc[t] + mono_poly * coeffs[t]
+                    if coeffs[t]:
+                        acc[t] = acc[t] + mono * coeffs[t]
             constants[i][j] = acc
     labels = tuple(f"f{i+1}" for i in range(r))
     return AlgebraStructure(name, r, constants, A.parameters, labels)
@@ -181,14 +193,14 @@ def derivation_equations(c, zero=Fraction(0)):
             for m in range(n):
                 row = [zero] * (n * n)
                 for l in range(n):
-                    if c[i][j][l] != zero:
+                    if c[i][j][l]:
                         row[m * n + l] = row[m * n + l] + c[i][j][l]
                 for k in range(n):
-                    if c[k][j][m] != zero:
+                    if c[k][j][m]:
                         row[k * n + i] = row[k * n + i] - c[k][j][m]
-                    if c[i][k][m] != zero:
+                    if c[i][k][m]:
                         row[k * n + j] = row[k * n + j] - c[i][k][m]
-                if any(x != zero for x in row):
+                if any(row):
                     rows.append(row)
     return rows
 
@@ -200,8 +212,7 @@ def derivation_algebra(A: AlgebraStructure) -> DerivationAlgebra:
             f"derivations of {A.name} need specialized parameters; call specialize() first"
         )
     n = A.dim
-    c = [[[p.constant_value() for p in A.constants[i][j]] for j in range(n)] for i in range(n)]
-    kernel = nullspace(derivation_equations(c), ncols=n * n)
+    kernel = nullspace(derivation_equations(A.constants), ncols=n * n)
     mats = []
     for v in kernel:
         mats.append([[v[k * n + i] for i in range(n)] for k in range(n)])
@@ -211,7 +222,7 @@ def derivation_algebra(A: AlgebraStructure) -> DerivationAlgebra:
 def apply_matrix(A: AlgebraStructure, M, x: Element) -> Element:
     out = []
     for k in range(A.dim):
-        acc = PolyQ.zero()
+        acc = A.lift(0)
         for i in range(A.dim):
             if M[k][i]:
                 acc = acc + x.coords[i] * Fraction(M[k][i])
@@ -281,13 +292,6 @@ class PeirceSplit:
         return (len(self.a0), len(self.a_half), len(self.a1))
 
 
-def _require_rational(A: AlgebraStructure, x: Element):
-    try:
-        return [c.constant_value() for c in x.coords]
-    except ValueError:
-        raise ParametricNotSupported("element must have rational coordinates") from None
-
-
 def _lplus_matrix(A: AlgebraStructure, z: Element):
     """Matrix of x -> (zx + xz)/2; column m is the image of e_{m+1}."""
     n = A.dim
@@ -296,7 +300,7 @@ def _lplus_matrix(A: AlgebraStructure, z: Element):
     for m in range(1, n + 1):
         b = A.basis_element(m)
         v = A.add(A.mul(z, b), A.mul(b, z))
-        cols.append([c.constant_value() * half for c in v.coords])
+        cols.append([c * half for c in v.coords])
     return [[cols[m][k] for m in range(n)] for k in range(n)]
 
 
@@ -309,7 +313,7 @@ def _is_ideal(A: AlgebraStructure, vectors) -> bool:
         for i in range(1, A.dim + 1):
             b = A.basis_element(i)
             for prod in (A.mul(x, b), A.mul(b, x)):
-                prods.append([c.constant_value() for c in prod.coords])
+                prods.append(list(prod.coords))
     return len(rref(list(vectors) + prods)[1]) == len(vectors)
 
 
@@ -317,7 +321,10 @@ def peirce(A: AlgebraStructure, e: Element) -> PeirceSplit:
     """Eigenspace split of x -> (xe + ex)/2 at an exact idempotent e."""
     if A.is_parametric():
         raise ParametricNotSupported(f"specialize {A.name} before the Peirce split")
-    _require_rational(A, e)
+    try:
+        e = A.element(e.coords)
+    except ValueError:
+        raise ParametricNotSupported("element must have rational coordinates") from None
     if not A.equal_elements(A.mul(e, e), e):
         raise NotIdempotent("e*e differs from e")
     n = A.dim
@@ -483,14 +490,13 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
     for a in range(s_dim):
         for b in range(s_dim):
             prod = A.mul(A.element(free_units[a]), A.element(free_units[b]))
-            qconsts[a][b] = project([c.constant_value() for c in prod.coords])
+            qconsts[a][b] = project(list(prod.coords))
     Q = AlgebraStructure(f"{A.name}/rad", s_dim, qconsts)
     if not check_identity(Q, builtin_system("com-as")).holds:
         raise VerificationFailed(f"quotient of {A.name} by the trace kernel is not commutative associative")
 
     def qmul(u, v):
-        x = Q.mul(Q.element(u), Q.element(v))
-        return [c.constant_value() for c in x.coords]
+        return list(Q.mul(Q.element(u), Q.element(v)).coords)
 
     # unit of the quotient: sum_j unit_j e_j e_i = e_i for every i
     q_eye = _identity_rows(s_dim)
@@ -555,7 +561,7 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
             if not A.equal_elements(cube_l, cube_r):
                 raise VerificationFailed("cubic idempotent iteration left the associative subalgebra")
             nxt = A.add(A.scale(3, sq), A.scale(-2, cube_l))
-            x = [c.constant_value() for c in nxt.coords]
+            x = list(nxt.coords)
         else:
             raise VerificationFailed("idempotent lifting did not converge")
         lifted.append(x)
@@ -564,7 +570,7 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
         rows = []
         for v in ideal:
             w = A.add(A.mul(A.element(v), e_elem), A.mul(e_elem, A.element(v)))
-            rows.append([c.constant_value() for c in w.coords])
+            rows.append(list(w.coords))
         columns = [[rows[t][i] for t in range(len(ideal))] for i in range(n)]
         kern = nullspace(columns, ncols=len(ideal)) if ideal else []
         ideal = rref(
@@ -601,11 +607,7 @@ class CocycleSpec:
     entries: dict  # (i, j) with i <= j -> coordinate tuple
 
     def value(self, i: int, j: int):
-        key = (i, j) if i <= j else (j, i)
-        vec = self.entries.get(key)
-        if vec is None:
-            return None
-        return tuple(PolyQ.lift(c) for c in vec)
+        return self.entries.get((i, j) if i <= j else (j, i))
 
 
 def algebra_from_cocycle(L: AlgebraStructure, theta: CocycleSpec, name: str | None = None) -> AlgebraStructure:
@@ -621,9 +623,8 @@ def algebra_from_cocycle(L: AlgebraStructure, theta: CocycleSpec, name: str | No
     params = list(L.parameters)
     for vec in theta.entries.values():
         for c in vec:
-            for v in PolyQ.lift(c).used_vars():
-                if v not in params:
-                    params.append(v)
+            if isinstance(c, PolyQ):
+                params += [v for v in c.used_vars() if v not in params]
     constants = []
     for i in range(n):
         row = []
@@ -677,8 +678,8 @@ def annihilator_dim(A: AlgebraStructure) -> int:
     rows = []
     for j in range(n):
         for k in range(n):
-            rows.append([A.constants[i][j][k].constant_value() for i in range(n)])
-            rows.append([A.constants[j][i][k].constant_value() for i in range(n)])
+            rows.append([A.constants[i][j][k] for i in range(n)])
+            rows.append([A.constants[j][i][k] for i in range(n)])
     return len(nullspace(rows, ncols=n))
 
 
@@ -727,7 +728,7 @@ def change_basis(A: AlgebraStructure, matrix) -> AlgebraStructure:
             prod = A.mul(cols[i], cols[j])
             vec = []
             for k in range(n):
-                acc = PolyQ.zero()
+                acc = 0
                 for l in range(n):
                     if minv[k][l]:
                         acc = acc + prod.coords[l] * minv[k][l]

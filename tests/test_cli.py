@@ -92,6 +92,35 @@ def test_leibniz_order_zero_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and not out
 
 
+def test_set_of_an_unknown_parameter_is_a_usage_error(capsys):
+    # a1 has no parameters: --set gamma=7 used to be dropped and "holds" printed
+    code, out, err = run_cli(capsys, "check-identity", "--algebra", "a1", "--set", "gamma=7", "--system", "sas")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "'gamma'" in err
+    # a12's parameter is alpha: beta=1 used to fail later as "specialize a12[beta=1]"
+    code, out, err = run_cli(capsys, "wedderburn", "--algebra", "a12", "--set", "beta=1")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "'beta'" in err
+
+
+def test_dims_max_degree_zero_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "dims", "--system", "sas", "--max-degree", "0")
+    assert code == 2 and not out and err.startswith("error: ")
+
+
+def test_hilbert_order_zero_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "hilbert", "--system", "sas", "--order", "0")
+    assert code == 2 and not out and err.startswith("error: ")
+
+
+def test_nice_index_kmax_below_three_is_a_usage_error(capsys):
+    for kmax in ("0", "2"):
+        code, out, err = run_cli(capsys, "nice-index", "--system", "sas", "--kmax", kmax)
+        assert code == 2 and not out and err.startswith("error: ")
+    code, out, _ = run_cli(capsys, "nice-index", "--system", "com-as", "--kmax", "3")
+    assert code == 0 and out.strip() == "3"
+
+
 def test_json_and_text_verdicts_agree(capsys):
     code_t, out_t, _ = run_cli(capsys, "implies", "--sub", "cas", "--sup", "sas", "--degree", "3")
     code_j, out_j, _ = run_cli(capsys, "implies", "--sub", "cas", "--sup", "sas", "--degree", "3", "--json")

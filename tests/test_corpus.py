@@ -90,3 +90,36 @@ def test_non_nilpotent_entries_carry_table_idempotents():
         for S in specializations(A):
             nilpotent = powers_and_nilpotency(S).is_nilpotent
             assert nilpotent == (not has_idem), (name, S.name)
+
+
+def test_tables_hold_fractions_and_families_hold_polynomials():
+    from fractions import Fraction
+
+    for name in corpus.corpus_names():
+        A = corpus.load_algebra(name)
+        scalar = PolyQ if A.is_parametric() else Fraction
+        assert all(isinstance(c, scalar) for row in A.constants for vec in row for c in vec), name
+        assert all(isinstance(c, scalar) for c in A.mul(A.basis_element(1), A.basis_element(A.dim)).coords)
+
+
+def test_fraction_and_polynomial_scalars_agree_on_every_table():
+    """Each parameter-free table against itself with an unused parameter z,
+    which makes every scalar a PolyQ: same verdicts, counterexample strings
+    and power-chain dimensions."""
+    from nassoc.structure import power_subspaces
+
+    systems = [builtin_system(name) for name in ("as", "sas", "cas", "com-as")]
+    for name in corpus.corpus_names():
+        A = corpus.load_algebra(name)
+        if A.is_parametric():
+            continue
+        Z = A.with_parameters(("z",))
+        assert isinstance(Z.constants[0][0][0], PolyQ)
+        modes = ("multilinear", "symbolic") if A.dim <= 4 else ("multilinear",)
+        for sys in systems:
+            for mode in modes:
+                got = check_identity(A, sys, mode)
+                want = check_identity(Z, sys, mode)
+                assert got.holds == want.holds, (name, sys.name, mode)
+                assert str(got.counterexample) == str(want.counterexample), (name, sys.name, mode)
+        assert [len(s) for s in power_subspaces(A)] == [len(s) for s in power_subspaces(Z)], name

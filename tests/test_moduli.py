@@ -39,7 +39,7 @@ def test_transform_identity_basis():
     for i in range(4):
         for j in range(4):
             for k in range(4):
-                assert out[i][j][k] == RatFunT(A.constants[i][j][k].constant_value())
+                assert out[i][j][k] == RatFunT(A.constants[i][j][k])
 
 
 def test_transform_diagonal_example():
@@ -88,7 +88,7 @@ def test_transform_functorial_at_samples():
         for i in range(4):
             for j in range(4):
                 for k in range(4):
-                    assert once[i][j][k].eval_at(tval) == two_step.constants[i][j][k].constant_value()
+                    assert once[i][j][k].eval_at(tval) == two_step.constants[i][j][k]
 
 
 def test_transform_rejects_singular():

@@ -63,7 +63,7 @@ def test_derivation_solution_space_matches_bareiss_rank():
     A = load_algebra("a13")
     n = A.dim
     rows = []
-    c = [[[p.constant_value() for p in A.constants[i][j]] for j in range(n)] for i in range(n)]
+    c = [[[p for p in A.constants[i][j]] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             for m in range(n):
