@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 from . import corpus
 from .algebras import (
@@ -27,6 +26,7 @@ from .algebras import (
 )
 from .errors import NassocError, ParseError
 from .exact.poly import PolyQ
+from .exprparse import rational
 from .freealg import free_basis, label_str, normal_form
 from .operads import (
     OperadPresentation,
@@ -82,7 +82,7 @@ def _load_algebra(value: str, sets):
         env = {}
         for item in sets:
             name, _, text = item.partition("=")
-            env[name] = Fraction(text)
+            env[name] = rational(text)
         alg = alg.specialize(env)
     return alg
 
@@ -91,7 +91,7 @@ def _parse_element(A: AlgebraStructure, text: str):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != A.dim:
         raise ParseError(f"expected {A.dim} coordinates, got {len(parts)}")
-    return A.element([Fraction(p) for p in parts])
+    return A.element([rational(p) for p in parts])
 
 
 def _check_and_report(report: Report, result) -> int:
@@ -308,8 +308,8 @@ def cmd_hull(args, report, A):
 @command("scalar-mutate", "scalar mutation alpha*xy + beta*yx",
          flag("--alpha", default="u"), flag("--beta", default="v"), CHECK_SYSTEM, algebra="--algebra")
 def cmd_scalar_mutate(args, report, A):
-    alpha = PolyQ.var(args.alpha) if args.alpha.isalpha() else Fraction(args.alpha)
-    beta = PolyQ.var(args.beta) if args.beta.isalpha() else Fraction(args.beta)
+    alpha = PolyQ.var(args.alpha) if args.alpha.isalpha() else rational(args.alpha)
+    beta = PolyQ.var(args.beta) if args.beta.isalpha() else rational(args.beta)
     return _construction(args, report, scalar_mutation(A, alpha, beta))
 
 
@@ -343,7 +343,7 @@ def cmd_leibniz(args, report, A):
     if not (isinstance(rows, list) and len(rows) == A.dim
             and all(isinstance(row, list) and len(row) == A.dim for row in rows)):
         raise ParseError(f"--matrix must be {A.dim}x{A.dim} for {A.name}")
-    M = [[Fraction(x) for x in row] for row in rows]
+    M = [[rational(x) for x in row] for row in rows]
     bracketing = "all"
     if args.bracketing != "all":
         shape_list, k = shapes(args.order), int(args.bracketing)

@@ -15,6 +15,7 @@ import json
 from importlib import resources
 
 from .algebras import AlgebraStructure
+from .exprparse import rational
 from .moduli import ClosedSetSpec
 
 COMMUTATIVE_ASSOCIATIVE = tuple(f"A{i:02d}" for i in range(1, 30))
@@ -80,8 +81,6 @@ def run_certificate(cert: dict, sample=None):
     `sample` picks one value, defaulting to each listed sample in turn (a
     list of results is returned in that case).
     """
-    from fractions import Fraction
-
     from .moduli import family_degeneration_check
 
     source = load_algebra(cert["from"])
@@ -90,11 +89,11 @@ def run_certificate(cert: dict, sample=None):
     subst = cert.get("subst", {})
     if "family_parameter" in cert:
         if sample is not None:
-            env = {cert["family_parameter"]: Fraction(sample)}
+            env = {cert["family_parameter"]: rational(sample)}
             return family_degeneration_check(source, columns, subst, target, env)
         results = []
         for s in cert["samples"]:
-            env = {cert["family_parameter"]: Fraction(s)}
+            env = {cert["family_parameter"]: rational(s)}
             results.append(family_degeneration_check(source, columns, subst, target, env))
         return results
     return family_degeneration_check(source, columns, subst, target, None)

@@ -194,24 +194,13 @@ def det(matrix, zero=Q0, one=Q1):
 class SparseRREF:
     """Reduced row-echelon basis of a growing subspace of Q^ncols.
 
-    Vectors are dicts {position: Fraction}.  An optional priority order on
-    positions steers where pivots land: positions earlier in `order` are
-    eliminated first, so the final free positions are the late ones.  Rows
-    are kept fully reduced at all times.
+    Vectors are dicts {position: Fraction}.  The pivot of a row is its
+    smallest position, so the free positions are the late ones.  Rows are
+    kept fully reduced at all times.
     """
 
-    def __init__(self, ncols: int, order=None):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        if order is None:
-            self.to_priority = None
-            self.from_priority = None
-        else:
-            if sorted(order) != list(range(ncols)):
-                raise ValueError("order must be a permutation of range(ncols)")
-            self.from_priority = list(order)
-            self.to_priority = [0] * ncols
-            for pr, col in enumerate(order):
-                self.to_priority[col] = pr
         self.rows: dict[int, dict[int, Fraction]] = {}
         self.where: dict[int, set[int]] = {}  # non-pivot position -> pivots using it
 
@@ -219,19 +208,8 @@ class SparseRREF:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _encode(self, vec):
-        if self.to_priority is None:
-            return {p: c for p, c in vec.items() if c != 0}
-        tp = self.to_priority
-        return {tp[p]: c for p, c in vec.items() if c != 0}
-
-    def _decode(self, vec):
-        if self.from_priority is None:
-            return dict(vec)
-        fp = self.from_priority
-        return {fp[p]: c for p, c in vec.items()}
-
-    def _reduce_internal(self, work: dict[int, Fraction]) -> dict[int, Fraction]:
+    def _reduce_internal(self, vec) -> dict[int, Fraction]:
+        work = {p: c for p, c in vec.items() if c != 0}
         heap = sorted(work)
         heapq.heapify(heap)
         while heap:
@@ -256,15 +234,15 @@ class SparseRREF:
         return work
 
     def reduce(self, vec) -> dict[int, Fraction]:
-        """Residual of vec modulo the current subspace (in original positions)."""
-        return self._decode(self._reduce_internal(self._encode(vec)))
+        """Residual of vec modulo the current subspace."""
+        return self._reduce_internal(vec)
 
     def contains(self, vec) -> bool:
-        return not self._reduce_internal(self._encode(vec))
+        return not self._reduce_internal(vec)
 
     def insert(self, vec) -> bool:
         """Add vec to the subspace.  Returns True when the rank grew."""
-        work = self._reduce_internal(self._encode(vec))
+        work = self._reduce_internal(vec)
         if not work:
             return False
         lead = min(work)
@@ -295,11 +273,5 @@ class SparseRREF:
         return True
 
     def basis(self):
-        """Rows as vectors in original positions, sorted by pivot priority."""
-        return [self._decode(self.rows[p]) for p in sorted(self.rows)]
-
-    def pivot_positions(self):
-        """Pivot positions in original coordinates, sorted by priority."""
-        if self.from_priority is None:
-            return sorted(self.rows)
-        return [self.from_priority[p] for p in sorted(self.rows)]
+        """Rows as vectors, sorted by pivot position."""
+        return [dict(self.rows[p]) for p in sorted(self.rows)]

@@ -142,6 +142,14 @@ class _Parser:
         raise ParseError("expected a number, variable, or parenthesized expression", at)
 
 
+def rational(text) -> Fraction:
+    """Fraction(text), with a zero denominator raised as a ParseError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
+
+
 def parse(text: str):
     tokens = tokenize(text)
     parser = _Parser(tokens, text)
@@ -171,9 +179,15 @@ def eval_ast(node, env, const):
     if tag == "mul":
         return eval_ast(node[1], env, const) * eval_ast(node[2], env, const)
     if tag == "div":
-        return eval_ast(node[1], env, const) / eval_ast(node[2], env, const)
+        den = eval_ast(node[2], env, const)
+        if den == 0:
+            raise ParseError("division by zero")
+        return eval_ast(node[1], env, const) / den
     if tag == "pow":
-        return eval_ast(node[1], env, const) ** node[2]
+        base = eval_ast(node[1], env, const)
+        if node[2] < 0 and base == 0:
+            raise ParseError("negative power of zero")
+        return base ** node[2]
     raise ParseError(f"unknown AST node {tag}")
 
 

@@ -7,10 +7,11 @@ Both free algebras have the same low-degree skeleton: all words of degree
 case), and from there on a single sorted right-normed anticommutator word
 x_{i1} o (x_{i2} o (...)) per nondecreasing index tuple.
 
-Normal forms route every multihomogeneous component through exact linear
-algebra: polarize to the multilinear component, reduce modulo the
-consequence space with pivots steered away from the basis monomials, and
-specialize the fresh variables back.  This keeps the rewriting sound by
+Normal forms route every multihomogeneous component, of every degree,
+through exact linear algebra: polarize to the multilinear component, reduce
+modulo the consequence space, read off the coordinates of the residual in
+the basis of the quotient, and specialize the fresh variables back.  The
+coordinates in a basis are unique, so the rewriting is sound by
 construction (the difference always lies in the consequence ideal) and
 idempotent.
 """
@@ -18,26 +19,30 @@ idempotent.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeTooLarge
-from .exact.linalg import SparseRREF
+from .exact.linalg import inverse
 from .exact.poly import signed_sum
-from .operads import MultilinearSpace, consequences, resolve_degree_cap
+from .operads import ConsequenceSpace, consequences, resolve_degree_cap
 from .systems import builtin_system
 from .terms import (
     Expr,
-    build_word,
     circle,
     degree as word_degree,
     leaves,
     multihomogeneous_components,
     polarize,
-    shape_of,
+    relabel_word,
     word_key,
     word_str,
 )
+
+# free_basis refuses requests with more labels than this: the list is built
+# in memory, about 120 bytes per degree-3 label, so 10^6 labels take ~0.12 GB
+MAX_BASIS_LABELS = 10**6
 
 # right-normed degree-4 basis patterns: x_a(x_b(x_c x_d)) with (a,b,c,d) the
 # listed position patterns applied to a nondecreasing index tuple (i,j,k,l)
@@ -115,6 +120,16 @@ def free_basis(variety: str, n: int, k: int, multilinear: bool = False):
     if n > resolve_degree_cap(None) + 2:
         # enumeration is cheap but keep an upper sanity bound
         raise DegreeTooLarge(f"degree {n} basis enumeration refused")
+    if multilinear:
+        k = min(k, n)  # multilinear labels use x1..xn only
+    if n >= _circle_degree_start(variety):
+        count = math.comb(k + n - 1, n)
+    else:  # the words enumerated, a bound on the labels kept
+        count = len(_B4_PATTERNS) * math.comb(k + 3, 4) if n == 4 else k**n
+    if count > MAX_BASIS_LABELS:
+        raise DegreeTooLarge(
+            f"degree {n} on {k} generators enumerates {count} labels, more than {MAX_BASIS_LABELS}"
+        )
     gens = range(1, k + 1)
     labels: list = []
     if n >= _circle_degree_start(variety):
@@ -173,86 +188,69 @@ class NormalForm:
         return signed_sum(parts)
 
 
-def _multilinear_basis_labels(variety: str, n: int):
-    """Basis labels of the multilinear slot component (variables 1..n)."""
-    return free_basis(variety, n, n, multilinear=True)
+@dataclass(frozen=True)
+class _Quotient:
+    """Coordinates in the multilinear quotient of one degree.
+
+    `inv` inverts the square matrix whose rows are the basis labels'
+    residuals on the free (non-pivot) columns of the consequence space, so a
+    residual r has the label coordinates sum over col of r[col] * inv[free[col]].
+    """
+
+    cons: ConsequenceSpace
+    free: dict  # free column -> its position
+    labels: list
+    inv: list
 
 
-_steered_cache: dict[tuple, tuple[SparseRREF, list[int]]] = {}
+_quotient_cache: dict[tuple[str, int], _Quotient] = {}
 
 
-def _steered_rref(variety: str, n: int, cap):
-    """Consequence RREF whose pivots avoid the multilinear basis columns."""
+def _quotient(variety: str, n: int, cap) -> _Quotient:
     key = (variety, n)
-    if key in _steered_cache:
-        return _steered_cache[key]
-    sys = builtin_system(variety)
-    cons = consequences(sys, n, cap)
+    if key in _quotient_cache:
+        return _quotient_cache[key]
+    cons = consequences(builtin_system(variety), n, cap)
     space = cons.space
-    basis_cols = []
-    for label in _multilinear_basis_labels(variety, n):
-        if isinstance(label, CircleWord):
-            continue  # handled through the one-dimensional reduction path
-        basis_cols.append(space.index_of_word(label))
-    taken = set(basis_cols)
-    others = [i for i in range(space.dim) if i not in taken]
-    order = others + basis_cols
-    steered = SparseRREF(space.dim, order=order)
-    for row in cons.rref.basis():
-        steered.insert(row)
-    if steered.rank != cons.dim:
-        raise AssertionError("steered reduction lost rank")
-    pivots = set(steered.pivot_positions())
-    if any(c in pivots for c in basis_cols):
-        raise AssertionError("basis monomials are not independent modulo consequences")
-    _steered_cache[key] = (steered, basis_cols)
-    return _steered_cache[key]
+    free = {col: j for j, col in enumerate(c for c in range(space.dim) if c not in cons.rref.rows)}
+    labels = free_basis(variety, n, n, multilinear=True)
+    if len(labels) != len(free):
+        raise AssertionError(f"{len(labels)} basis labels for a {len(free)}-dimensional quotient")
+    matrix = []
+    for label in labels:
+        row = [Fraction(0)] * len(free)
+        for col, c in cons.reduce_vec(space.expr_to_vec(label_expr(label))).items():
+            row[free[col]] = c
+        matrix.append(row)
+    try:
+        inv = inverse(matrix)
+    except ValueError:
+        raise AssertionError("basis monomials are not independent modulo consequences") from None
+    _quotient_cache[key] = _Quotient(cons, free, labels, inv)
+    return _quotient_cache[key]
 
 
-def _one_dim_data(variety: str, n: int, cap):
-    """(consequence space, free column, coefficient of the sorted circle word)."""
-    sys = builtin_system(variety)
-    cons = consequences(sys, n, cap)
-    space = cons.space
-    if space.dim - cons.dim != 1:
-        raise AssertionError(f"degree {n} component of {variety} is not one-dimensional")
-    cw = CircleWord(tuple(range(1, n + 1)))
-    residual = cons.reduce_vec(space.expr_to_vec(cw.expr))
-    if len(residual) != 1:
-        raise AssertionError("circle word did not reduce to a single monomial")
-    ((free_col, mu),) = residual.items()
-    if mu == 0:
-        raise AssertionError("circle word vanishes modulo consequences")
-    return cons, free_col, mu
+def _label_key(label):
+    return label.indices if isinstance(label, CircleWord) else word_key(label)
 
 
 def _component_normal_form(variety: str, comp: Expr, cap) -> list:
     n = next(iter(comp.degrees()))
-    if n <= 2:
-        return [(c, w) for w, c in comp.sorted_terms()]
+    q = _quotient(variety, n, cap)
     lin, spec, factor = polarize(comp)
-    space = MultilinearSpace(n)
-    vec = space.expr_to_vec(lin)
-    if n >= _circle_degree_start(variety):
-        cons, free_col, mu = _one_dim_data(variety, n, cap)
-        residual = cons.reduce_vec(vec)
-        if not residual:
-            return []
-        lam = residual.get(free_col)
-        if lam is None or len(residual) != 1:
-            raise AssertionError("reduction left support outside the free column")
-        coeff = lam / mu / factor
-        tup = tuple(sorted(spec[s] for s in range(1, n + 1)))
-        return [(coeff, CircleWord(tup))]
-    steered, basis_cols = _steered_rref(variety, n, cap)
-    residual = steered.reduce(vec)
+    coords = [Fraction(0)] * len(q.labels)
+    for col, r in q.cons.reduce_vec(q.cons.space.expr_to_vec(lin)).items():
+        for i, x in enumerate(q.inv[q.free[col]]):
+            coords[i] += r * x
+    # specialize the slots back; distinct labels may land on the same word
     out: dict[object, Fraction] = {}
-    for col, c in residual.items():
-        word = space.word_at(col)
-        specialized = tuple(spec[s] for s in leaves(word))
-        label = build_word(shape_of(word), specialized)
-        out[label] = out.get(label, Fraction(0)) + c / factor
-    return [(c, w) for w, c in sorted(out.items(), key=lambda kv: word_key(kv[0])) if c != 0]
+    for c, label in zip(coords, q.labels):
+        if isinstance(label, CircleWord):
+            label = CircleWord(tuple(sorted(spec[s] for s in label.indices)))
+        else:
+            label = relabel_word(label, spec)
+        out[label] = out.get(label, 0) + c / factor
+    return [(c, lab) for lab, c in sorted(out.items(), key=lambda kv: _label_key(kv[0])) if c != 0]
 
 
 def normal_form(expr: Expr, variety: str, cap: int | None = None) -> NormalForm:
@@ -265,19 +263,11 @@ def normal_form(expr: Expr, variety: str, cap: int | None = None) -> NormalForm:
             raise DegreeTooLarge(f"word of degree {word_degree(w)} exceeds the cap {cap_val}")
         if not isinstance(expr.terms[w], Fraction):
             raise TypeError("normal forms require rational coefficients")
+    # components have distinct multidegrees, so their labels never collide
     terms: list = []
     for comp in multihomogeneous_components(expr):
         terms.extend(_component_normal_form(variety, comp, cap))
-    # merge duplicate circle-word labels across components (cannot collide with words)
-    merged: dict = {}
-    order: list = []
-    for c, label in terms:
-        if label in merged:
-            merged[label] += c
-        else:
-            merged[label] = c
-            order.append(label)
-    return NormalForm([(merged[lab], lab) for lab in order if merged[lab] != 0])
+    return NormalForm(terms)
 
 
 def sas_normal_form(expr: Expr, cap: int | None = None) -> NormalForm:

@@ -517,6 +517,8 @@ class _DslParser:
             k3, v3, at3 = self.next()
             if k3 != "int":
                 raise ParseError("expected a denominator", at3)
+            if v3 == 0:
+                raise ParseError("zero denominator", at3)
             return Fraction(num, v3)
         return Fraction(num)
 

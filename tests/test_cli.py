@@ -13,6 +13,7 @@ import sys
 import tempfile
 
 import nassoc
+from nassoc import corpus
 from nassoc.cli import build_parser, main
 
 
@@ -101,6 +102,27 @@ def test_set_of_an_unknown_parameter_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "wedderburn", "--algebra", "a12", "--set", "beta=1")
     assert code == 2 and not out
     assert err.startswith("error: ") and "'beta'" in err
+
+
+def test_zero_denominators_are_usage_errors(capsys, tmp_path):
+    # each of these used to exit 1 with a ZeroDivisionError traceback
+    for argv in (
+        ["normal-form", "--expr", "(x1 x2) + 2/0*(x2 x1)"],
+        ["prove-zero", "--system", "sas", "--expr", "1/0 * (x1 x2)"],
+        ["wedderburn", "--algebra", "a12", "--set", "alpha=1/0"],
+        ["scalar-mutate", "--algebra", "a1", "--alpha", "1/0", "--beta", "1"],
+        ["kantor", "--algebra", "a1", "--p", "1/0,0,0"],
+        ["degenerate", "--cert", "a12_family_to_a06", "--sample", "1/0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err.startswith("error: ") and "zero" in err, argv
+    code, out, err = _leibniz(capsys, tmp_path, '[["1/0","0","0"],["0","1","0"],["0","0","1"]]', "--order", "2")
+    assert code == 2 and not out and err.startswith("error: ")
+    cert = {**corpus.load_certificate("a12_family_to_a06"), "samples": ["1/0"]}
+    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "degenerate", "--cert", str(tmp_path / "cert.json"))
+    assert code == 2 and not out and err.startswith("error: ")
 
 
 def test_dims_max_degree_zero_is_a_usage_error(capsys):

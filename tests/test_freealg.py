@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 
 from nassoc.errors import DegreeTooLarge
-from nassoc.freealg import CircleWord, cas_normal_form, free_basis, label_str, sas_normal_form
-from nassoc.operads import MultilinearSpace, consequences, multilinear_dim
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nassoc.freealg import CircleWord, cas_normal_form, free_basis, label_str, normal_form, sas_normal_form
+from nassoc.operads import MultilinearSpace, consequences, multilinear_dim, prove_zero
 from nassoc.systems import builtin_system
-from nassoc.terms import parse_expr
+from nassoc.terms import Expr, build_word, degree, parse_expr, shapes
 
 Q = Fraction
 
@@ -125,15 +128,55 @@ def test_nf_degree_cap():
         sas_normal_form(deep)
 
 
-def test_nf_exhaustive_degree4():
-    """Every multilinear degree-4 word: idempotent, sound, lands in the basis."""
-    sas = builtin_system("sas")
-    cons = consequences(sas, 4)
-    space = MultilinearSpace(4)
-    basis_words = set(free_basis("sas", 4, 4, multilinear=True))
+@pytest.mark.parametrize("variety,n", [(v, n) for v in ("sas", "cas") for n in (3, 4, 5)])
+def test_nf_exhaustive(variety, n):
+    """Every multilinear word: lands in the basis, sound, idempotent.
+
+    A sound normal form in the basis is unique, so this pins it down.
+    """
+    cons = consequences(builtin_system(variety), n)
+    space = MultilinearSpace(n)
+    basis_labels = set(free_basis(variety, n, n, multilinear=True))
     for idx in range(space.dim):
         e = space.vec_to_expr({idx: Q(1)})
-        nf = sas_normal_form(e)
-        assert all(lab in basis_words for _, lab in nf.terms)
+        nf = normal_form(e, variety)
+        assert all(lab in basis_labels for _, lab in nf.terms)
         assert cons.contains_expr(e - nf.expr)
-        assert sas_normal_form(nf.expr).expr == nf.expr
+        assert normal_form(nf.expr, variety).terms == nf.terms
+
+
+@st.composite
+def _word(draw, n):
+    shape = draw(st.sampled_from(shapes(n)))
+    return build_word(shape, draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+
+
+@st.composite
+def _mixed_expr(draw):
+    """A sum of words of degree 1..5 on x1..x3 with rational coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        word = draw(st.integers(1, 5).flatmap(_word))
+        c = Q(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        terms[word] = terms.get(word, Q(0)) + c
+    return Expr({w: c for w, c in terms.items() if c != 0})
+
+
+@pytest.mark.parametrize("variety", ["sas", "cas"])
+@settings(max_examples=100, deadline=None)
+@given(e=_mixed_expr())
+def test_nf_property_on_mixed_input(variety, e):
+    """Repeated variables and mixed degrees: sound, idempotent, in the basis."""
+    nf = normal_form(e, variety)
+    assert prove_zero(e - nf.expr, builtin_system(variety))
+    assert normal_form(nf.expr, variety).terms == nf.terms
+    for _, label in nf.terms:
+        n = len(label.indices) if isinstance(label, CircleWord) else degree(label)
+        assert label in free_basis(variety, n, 3)
+
+
+def test_basis_size_is_checked_before_enumeration():
+    # 2000^3 = 8e9 words: refused before any is built
+    with pytest.raises(DegreeTooLarge):
+        free_basis("sas", 3, 2000)
+    assert free_basis("sas", 3, 2000, multilinear=True) == free_basis("sas", 3, 3, multilinear=True)

@@ -75,6 +75,18 @@ def test_parse_error_position():
     assert err.value.position == 4
 
 
+def test_zero_denominator_is_a_parse_error():
+    from nassoc import exprparse
+
+    with pytest.raises(ParseError) as err:
+        parse_expr("(x1 x2) + 2/0*(x2 x1)")
+    assert err.value.position == 12
+    for text in ("1/0", "alpha/(alpha-alpha)", "(1-1)^-2"):
+        with pytest.raises(ParseError):
+            exprparse.evaluate(text, {"alpha": Fraction(3)}, Fraction)
+    assert exprparse.evaluate("1/(alpha-2)", {"alpha": Fraction(3)}, Fraction) == 1
+
+
 def test_unbalanced_parens():
     with pytest.raises(UnbalancedParens):
         parse_expr("((x1 x2) x3")
