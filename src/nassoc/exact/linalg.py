@@ -13,7 +13,9 @@ shares no code with `rref`; tests use it as an independent oracle.
 The SparseRREF accumulator maintains a reduced row-echelon basis of a
 growing subspace of Q^n with sparse rows; it is the workhorse behind the
 consequence-space computations, where generated relations have very few
-nonzero entries.
+nonzero entries.  Their eliminations mostly meet pivots of +-1, so its rows
+keep integral coefficients as `int` and use `Fraction` only where a
+coefficient is not integral; what it returns is always `Fraction`.
 """
 
 from __future__ import annotations
@@ -194,22 +196,34 @@ def det(matrix, zero=Q0, one=Q1):
 class SparseRREF:
     """Reduced row-echelon basis of a growing subspace of Q^ncols.
 
-    Vectors are dicts {position: Fraction}.  The pivot of a row is its
-    smallest position, so the free positions are the late ones.  Rows are
-    kept fully reduced at all times.
+    Vectors are dicts {position: rational}, positions in [0, ncols).  The
+    pivot of a row is its smallest position, so the free positions are the
+    late ones.  Rows are kept fully reduced at all times.
+
+    `rows` is internal: it stores an integral coefficient as an `int` and
+    any other as a `Fraction`, so that relations whose eliminations meet
+    only pivots of +-1 never leave integer arithmetic.  `reduce` and `basis`
+    return `Fraction` values only.  `reduce` and `contains` reject a
+    position outside [0, ncols) with ValueError; `insert` does not check,
+    because its callers build their vectors in range.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, int | Fraction]] = {}
         self.where: dict[int, set[int]] = {}  # non-pivot position -> pivots using it
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce_internal(self, vec) -> dict[int, Fraction]:
-        work = {p: c for p, c in vec.items() if c != 0}
+    def _check_positions(self, vec):
+        if vec and (min(vec) < 0 or max(vec) >= self.ncols):
+            bad = next(p for p in vec if not 0 <= p < self.ncols)
+            raise ValueError(f"position {bad} is outside [0, {self.ncols})")
+
+    def _reduce_internal(self, vec) -> dict[int, int | Fraction]:
+        work = {p: c.numerator if c.denominator == 1 else c for p, c in vec.items() if c != 0}
         heap = sorted(work)
         heapq.heapify(heap)
         while heap:
@@ -224,7 +238,9 @@ class SparseRREF:
             for q, rc in row.items():
                 if q == p:
                     continue
-                nv = work.get(q, Q0) - c * rc
+                # the default must be the int 0: a Fraction default would
+                # turn every integer entry back into a Fraction
+                nv = work.get(q, 0) - c * rc
                 if nv == 0:
                     work.pop(q, None)
                 else:
@@ -235,9 +251,11 @@ class SparseRREF:
 
     def reduce(self, vec) -> dict[int, Fraction]:
         """Residual of vec modulo the current subspace."""
-        return self._reduce_internal(vec)
+        self._check_positions(vec)
+        return {p: Fraction(c) for p, c in self._reduce_internal(vec).items()}
 
     def contains(self, vec) -> bool:
+        self._check_positions(vec)
         return not self._reduce_internal(vec)
 
     def insert(self, vec) -> bool:
@@ -246,8 +264,17 @@ class SparseRREF:
         if not work:
             return False
         lead = min(work)
-        inv = Q1 / work[lead]
-        row = {q: c * inv for q, c in work.items()}
+        pivot = work[lead]
+        if pivot == 1:
+            row = work
+        elif pivot == -1:
+            row = {q: -c for q, c in work.items()}
+        else:
+            inv = Q1 / pivot
+            row = {}
+            for q, c in work.items():
+                x = c * inv
+                row[q] = x.numerator if x.denominator == 1 else x
         # keep existing rows fully reduced with respect to the new pivot
         users = self.where.pop(lead, None)
         if users:
@@ -257,7 +284,7 @@ class SparseRREF:
                 for q, rc in row.items():
                     if q == lead:
                         continue
-                    nv = other.get(q, Q0) - c * rc
+                    nv = other.get(q, 0) - c * rc
                     if nv == 0:
                         if q in other:
                             del other[q]
@@ -272,6 +299,6 @@ class SparseRREF:
                 self.where.setdefault(q, set()).add(lead)
         return True
 
-    def basis(self):
-        """Rows as vectors, sorted by pivot position."""
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
+    def basis(self) -> list[dict[int, Fraction]]:
+        """Rows as vectors of Fractions, sorted by pivot position."""
+        return [{q: Fraction(c) for q, c in self.rows[p].items()} for p in sorted(self.rows)]

@@ -214,8 +214,10 @@ def _step_maps(m: int) -> list[list[array]]:
     return maps
 
 
-# Peak memory of a consequence build per ambient column, measured on the
-# degree-7 sas build: 364 MiB over 665,280 columns.
+# Peak memory of a consequence build per ambient column.  It was measured on
+# the degree-7 sas build when rows held only Fractions (364 MiB over 665,280
+# columns); with integer rows that build peaks at 293 MiB (about 462 bytes
+# per column), so the constant is kept as a safe upper bound.
 BYTES_PER_COLUMN = 573
 
 

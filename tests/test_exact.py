@@ -246,3 +246,53 @@ def test_sparse_rref_matches_dense(data):
     probe[data.draw(st.integers(0, ncols - 1))] = Q(1)
     grew = len(rref(rows + [probe])[0]) > len(pivots)
     assert acc.contains({i: c for i, c in enumerate(probe) if c != 0}) == (not grew)
+
+
+def _mixed_scalar(draw, pivot: bool):
+    """An int, an integral Fraction or (off the pivot) a non-integral Fraction."""
+    if pivot:
+        value = draw(st.sampled_from([Q(1), Q(-1), Q(2), Q(-2), Q(3, 2)]))
+    else:
+        value = Q(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 1, 2, 3])))
+    if value.denominator == 1 and draw(st.booleans()):
+        return value.numerator
+    return value
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sparse_rref_mixed_scalars(data):
+    """int and Fraction inputs, pivots +-1, +-2 and 3/2: the sparse rows equal
+    the dense Fraction RREF and the public results are Fractions."""
+    from nassoc.exact import SparseRREF
+    from nassoc.exact.linalg import rref
+
+    draw = data.draw
+    ncols = draw(st.integers(3, 7))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        lead = draw(st.integers(0, ncols - 1))
+        row = {lead: _mixed_scalar(draw, pivot=True)}
+        for i in range(lead + 1, ncols):
+            if draw(st.booleans()):
+                row[i] = _mixed_scalar(draw, pivot=False)
+        rows.append({i: c for i, c in row.items() if c != 0})
+    acc = SparseRREF(ncols)
+    for row in rows:
+        acc.insert(row)
+    matrix = [[Q(row.get(i, 0)) for i in range(ncols)] for row in rows]
+    pivots, dense = rref(matrix)
+    assert acc.rows == {p: {i: c for i, c in enumerate(dr) if c != 0} for p, dr in zip(pivots, dense)}
+    basis = acc.basis()
+    assert all(type(c) is Q for vec in basis for c in vec.values())
+
+    probe = {i: _mixed_scalar(draw, pivot=False) for i in range(ncols) if draw(st.booleans())}
+    dense_probe = [Q(probe.get(i, 0)) for i in range(ncols)]
+    residual = list(dense_probe)
+    for p, dr in zip(pivots, dense):
+        residual = [a - dense_probe[p] * b for a, b in zip(residual, dr)]
+    got = acc.reduce(probe)
+    assert got == {i: c for i, c in enumerate(residual) if c != 0}
+    assert all(type(c) is Q for c in got.values())
+    grew = len(rref(matrix + [dense_probe])[0]) > len(pivots)
+    assert acc.contains(probe) == (not grew)

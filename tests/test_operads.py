@@ -9,7 +9,7 @@ import pytest
 from nassoc import operads
 from nassoc.errors import DegreeTooLarge, NotQuadratic
 from nassoc.exact import SeriesQ
-from nassoc.exact.linalg import SparseRREF
+from nassoc.exact.linalg import SparseRREF, rref
 from nassoc.operads import (
     MultilinearSpace,
     OperadPresentation,
@@ -211,6 +211,71 @@ def test_step_maps_are_the_word_generators(m):
             tau[j], tau[m + 1] = m + 1, j
             for k in sample:
                 assert mp[k] == dst.index_of_word(relabel_word(g(src.word_at(k)), tau))
+
+
+def _generator_rows(sys, m: int, prev_rows) -> list[dict]:
+    """The relations the degree-m build inserts: the images of the degree-(m-1)
+    rows under the step maps, then the lifted degree-m identities."""
+    gens = []
+    if prev_rows:
+        maps = _step_maps(m - 1)
+        for row in prev_rows:
+            for per_tau in maps:
+                gens.extend({mp[k]: c for k, c in row.items()} for mp in per_tau)
+    space = MultilinearSpace(m)
+    for ident in (i for i in sys.identities if i.degree == m):
+        vec = space.expr_to_vec(ident.expr)
+        gens.extend(space.relabel_vec(vec, perm) for perm in _perms_lex(m))
+    return gens
+
+
+def _fraction_residual(rows: dict, vec: dict) -> dict:
+    """vec minus its pivot coefficients times the rows, in Fractions only.
+    This is the residual modulo span(rows) when the rows are in reduced
+    echelon form."""
+    out = {q: Q(c) for q, c in vec.items()}
+    for p, c in vec.items():
+        for q, rc in rows.get(p, {}).items():
+            out[q] = out.get(q, Q(0)) - Q(c) * Q(rc)
+    return {q: c for q, c in out.items() if c != 0}
+
+
+def test_cas_dual_degree5_against_fraction_reducer():
+    """Non-unit pivots (denominators 2, 3 and 6) take the Fraction fallback;
+    check the built rows with arithmetic that shares nothing with SparseRREF."""
+    sys = builtin_system("cas-dual")
+    rows = consequences(sys, 5).rref.rows
+    assert len(rows) == 771
+    assert {c.denominator for row in rows.values() for c in map(Q, row.values())} >= {2, 3, 6}
+    for p, row in rows.items():
+        assert min(row) == p and row[p] == 1
+        assert not (set(row) - {p}) & set(rows)
+    gens = _generator_rows(sys, 5, consequences(sys, 4).rref.basis())
+    assert gens
+    for vec in gens:
+        assert not _fraction_residual(rows, vec)
+
+
+@pytest.mark.parametrize("name", BUILTIN_SYSTEM_NAMES)
+def test_degree4_matches_dense_rref(name):
+    sys = builtin_system(name)
+    dense_rows = None
+    for m in range(1, 5):
+        ncols = MultilinearSpace(m).dim
+        gens = _generator_rows(sys, m, dense_rows)
+        pivots, dense = rref([[Q(g.get(i, 0)) for i in range(ncols)] for g in gens])
+        dense_rows = [{i: c for i, c in enumerate(row) if c != 0} for row in dense]
+        assert consequences(sys, m).rref.rows == dict(zip(pivots, dense_rows)), m
+
+
+def test_positions_outside_the_space_are_rejected():
+    cons = consequences(builtin_system("sas"), 3)
+    assert cons.space.dim == 12
+    with pytest.raises(ValueError, match="position 12"):
+        cons.contains_vec({12: 1})
+    with pytest.raises(ValueError, match="position -1"):
+        cons.reduce_vec({-1: 1, 12: 2})
+    assert cons.contains_vec({}) and cons.reduce_vec({11: 0}) == {}
 
 
 def test_memory_estimate():
