@@ -13,6 +13,15 @@ Identity checking has two modes: "multilinear" evaluates every identity
 in characteristic zero; "symbolic" substitutes generic elements with fresh
 coordinate parameters and checks polynomial vanishing, which is valid over
 any infinite field and also covers non-multilinear identities directly.
+
+The multilinear mode is compiled once per call and never builds an Element:
+the constants become a sparse table of the nonzero (k, c) of each product
+e_i e_j, each word becomes its tree shape and leaf positions, and the value
+of a shape on a tuple of basis indices is computed once and shared by every
+word, tuple and identity of the call.  Tuples and coordinates are scanned in
+lexicographic order, so the first counterexample is the same as that of a
+plain evaluation of every word.  Both modes raise DegreeTooLarge, before any
+evaluation, for a request past MAX_CHECK_EVALUATIONS.
 """
 
 from __future__ import annotations
@@ -21,11 +30,16 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import exprparse
-from .errors import ParameterClash
+from .errors import DegreeTooLarge, ParameterClash
 from .exact.poly import PolyQ, as_fraction
-from .terms import Expr, Identity, IdentitySystem, leaves, multilinearize
+from .terms import Expr, Identity, IdentitySystem, degree, leaves, multilinearize, shape_of
+
+# check_identity refuses a request of more word evaluations than this (words
+# times basis tuples, or times generic monomials), as dim ** degree grows fast
+MAX_CHECK_EVALUATIONS = 10**6
 
 
 @dataclass(frozen=True)
@@ -211,16 +225,32 @@ class AlgebraStructure:
 
     @staticmethod
     def from_json_dict(data: dict) -> "AlgebraStructure":
+        """Raises ValueError on a repeated basis label, an unknown label or a product given twice."""
         dim = data["dim"]
         basis = data.get("basis") or [f"e{i+1}" for i in range(dim)]
         params = tuple(data.get("parameters", ()))
-        index = {label: i for i, label in enumerate(basis)}
+        index = {}
+        for i, label in enumerate(basis):
+            if label in index:
+                raise ValueError(f"basis label {label!r} is repeated")
+            index[label] = i
+
+        def at(label):
+            if label not in index:
+                raise ValueError(f"unknown basis label {label!r}")
+            return index[label]
+
         env = {p: PolyQ.var(p) for p in params}
         constants = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        given = set()
         for prod in data.get("products", ()):
-            vec = constants[index[prod["left"]]][index[prod["right"]]] = [0] * dim
+            pair = (at(prod["left"]), at(prod["right"]))
+            if pair in given:
+                raise ValueError(f"product {prod['left']} {prod['right']} is given twice")
+            given.add(pair)
+            vec = constants[pair[0]][pair[1]] = [0] * dim
             for coeff_str, label in prod["value"]:
-                vec[index[label]] += exprparse.evaluate(coeff_str, env, PolyQ.const)
+                vec[at(label)] += exprparse.evaluate(coeff_str, env, PolyQ.const)
         return AlgebraStructure(data.get("name", "algebra"), dim, constants, params, basis)
 
     @staticmethod
@@ -254,23 +284,6 @@ class CheckResult:
         return self.holds
 
 
-def _eval_word_on_tuple(A: AlgebraStructure, word, assignment, cache) -> Element:
-    """assignment maps variable index -> basis index (1-based)."""
-    key = (word, tuple(assignment[v] for v in leaves(word)))
-    got = cache.get(key)
-    if got is not None:
-        return got
-    if isinstance(word, int):
-        val = A.basis_element(assignment[word])
-    else:
-        val = A.mul(
-            _eval_word_on_tuple(A, word[0], assignment, cache),
-            _eval_word_on_tuple(A, word[1], assignment, cache),
-        )
-    cache[key] = val
-    return val
-
-
 def evaluate_expr(A: AlgebraStructure, expr: Expr, values: dict[int, Element]) -> Element:
     """Evaluate an Expr with variables bound to elements."""
 
@@ -285,25 +298,67 @@ def evaluate_expr(A: AlgebraStructure, expr: Expr, values: dict[int, Element]) -
     return acc
 
 
-def _check_multilinear_identity(A: AlgebraStructure, ident: Identity, cache) -> Counterexample | None:
-    d = ident.nvars
+def _small(c):
+    """An integral Fraction as int, so sums of small table constants stay in int arithmetic."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _product_table(A: AlgebraStructure):
+    """table[i][j] lists the nonzero (k, c) of e_i e_j, k ascending, all indices 0-based."""
+    return [[tuple((k, _small(c)) for k, c in enumerate(vec) if c) for vec in row] for row in A.constants]
+
+
+def _shape_value(shape, idx, table, memo):
+    """The nonzero (k, c), k ascending, of the product of basis vectors idx bracketed as shape.
+
+    The memo key is (shape, idx), so every word of one shape shares it.  The
+    additions run in the order of a dense product (left index, right index,
+    output coordinate), which keeps the variable order of PolyQ sums, and
+    with it every printed value, independent of the memo.
+    """
+    key = (shape, idx)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if shape == 0:
+        got = ((idx[0], 1),)
+    else:
+        split = degree(shape[0])
+        left = _shape_value(shape[0], idx[:split], table, memo)
+        right = _shape_value(shape[1], idx[split:], table, memo)
+        out = {}
+        for a, ca in left:
+            row = table[a]
+            for b, cb in right:
+                coef = ca * cb
+                for k, c in row[b]:
+                    out[k] = out.get(k, 0) + coef * c
+        got = tuple(sorted((k, v) for k, v in out.items() if v))
+    memo[key] = got
+    return got
+
+
+def _check_multilinear_identity(A: AlgebraStructure, ident: Identity, table, memo) -> Counterexample | None:
+    """Evaluate ident on every basis tuple, in itertools.product order."""
     n = A.dim
-    words = ident.expr.sorted_terms()
-    for combo in itertools.product(range(1, n + 1), repeat=d):
-        assignment = {v + 1: combo[v] for v in range(d)}
-        acc = [A.lift(0)] * n
-        for w, c in words:
-            val = _eval_word_on_tuple(A, w, assignment, cache)
-            for k in range(n):
-                if val.coords[k]:
-                    acc[k] = acc[k] + c * val.coords[k]
+    # pick(combo) is the tuple of basis indices at the leaves; itemgetter of a
+    # single index would return a bare int, and a 1-tuple is its own pick
+    words = [
+        (_small(c), shape_of(w), itemgetter(*[v - 1 for v in leaves(w)]) if ident.nvars > 1 else tuple)
+        for w, c in ident.expr.sorted_terms()
+    ]
+    for combo in itertools.product(range(n), repeat=ident.nvars):
+        acc = [0] * n
+        for coef, shape, pick in words:
+            for k, c in _shape_value(shape, pick(combo), table, memo):
+                acc[k] = acc[k] + coef * c
         for k in range(n):
             if acc[k]:
                 return Counterexample(
                     identity=str(ident),
-                    tuple_labels=tuple(A.basis[i - 1] for i in combo),
+                    tuple_labels=tuple(A.basis[i] for i in combo),
                     coordinate=A.basis[k],
-                    value=str(acc[k]),
+                    value=str(A.lift(acc[k])),
                     mode="multilinear",
                 )
     return None
@@ -331,22 +386,38 @@ def _check_symbolic_identity(A: AlgebraStructure, ident: Identity) -> Counterexa
 
 
 def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multilinear") -> CheckResult:
-    """Check every identity of the system on A; parameters stay symbolic."""
+    """Check every identity of the system on A; parameters stay symbolic.
+
+    Raises DegreeTooLarge, before evaluating anything, when the check would
+    make more than MAX_CHECK_EVALUATIONS word evaluations: each word of a
+    multilinear part on dim ** nvars basis tuples, or each word of an
+    identity expanded into dim ** degree monomials in symbolic mode.
+    """
     if mode not in ("multilinear", "symbolic"):
         raise ValueError("mode must be 'multilinear' or 'symbolic'")
     if mode == "multilinear":
-        cache: dict = {}
-        for ident in sys.identities:
-            for lin in multilinearize(ident):
-                ce = _check_multilinear_identity(A, lin, cache)
-                if ce is not None:
-                    return CheckResult(False, ce)
+        parts = [lin for ident in sys.identities for lin in multilinearize(ident)]
+        _refuse_above(A, sys, mode, sum(A.dim**lin.nvars * len(lin.expr.terms) for lin in parts))
+        table = _product_table(A)
+        memo: dict = {}
+        for lin in parts:
+            ce = _check_multilinear_identity(A, lin, table, memo)
+            if ce is not None:
+                return CheckResult(False, ce)
         return CheckResult(True)
+    _refuse_above(A, sys, mode, sum(A.dim ** max(i.expr.degrees()) * len(i.expr.terms) for i in sys.identities))
     for ident in sys.identities:
         ce = _check_symbolic_identity(A, ident)
         if ce is not None:
             return CheckResult(False, ce)
     return CheckResult(True)
+
+
+def _refuse_above(A: AlgebraStructure, sys: IdentitySystem, mode: str, count: int):
+    if count > MAX_CHECK_EVALUATIONS:
+        raise DegreeTooLarge(
+            f"{mode} check of {sys.name} on {A.name} needs {count} word evaluations, more than {MAX_CHECK_EVALUATIONS}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,18 @@ that expands immediately into raw products:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
-from .errors import IndexOutOfRange, NotHomogeneous, ParseError, UnbalancedParens
+from .errors import DegreeTooLarge, IndexOutOfRange, NotHomogeneous, ParseError, UnbalancedParens
 from .exact.poly import PolyQ, signed_sum
 
 Word = object  # int leaf or (Word, Word) pair
+
+# multilinearize refuses identities whose polarization writes more words than this
+MAX_POLARIZED_TERMS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +677,15 @@ def multilinearize(ident: Identity) -> list[Identity]:
     Each multihomogeneous component is polarized: every variable of
     multiplicity m is replaced by a sum of m fresh variables and the
     component of multidegree (1,...,1) is kept.  Over Q the output system is
-    equivalent to the input identity.
+    equivalent to the input identity.  A word in which the variables occur
+    m_1, m_2, ... times polarizes into m_1! m_2! ... words; DegreeTooLarge is
+    raised before any polarization when their sum exceeds MAX_POLARIZED_TERMS.
     """
     if ident.degree is None:
         raise NotHomogeneous(f"identity {ident} is not homogeneous in total degree")
     if ident.is_multilinear():
         return [ident]
+    count = sum(prod(map(factorial, Counter(leaves(w)).values())) for w in ident.expr.terms)
+    if count > MAX_POLARIZED_TERMS:
+        raise DegreeTooLarge(f"polarizing {ident} writes {count} words, more than {MAX_POLARIZED_TERMS}")
     return [Identity(polarize(comp)[0]) for comp in multihomogeneous_components(ident.expr)]

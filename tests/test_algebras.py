@@ -1,10 +1,14 @@
 """Tests for structure-constant algebras, identity checks, and constructions."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nassoc import corpus, reproduce
 from nassoc.algebras import (
     AlgebraStructure,
     check_identity,
@@ -18,10 +22,11 @@ from nassoc.algebras import (
     unital_hull,
 )
 from nassoc.corpus import load_algebra
-from nassoc.errors import ParameterClash
+from nassoc.errors import DegreeTooLarge, ParameterClash
 from nassoc.exact.poly import PolyQ
+from nassoc.structure import change_basis
 from nassoc.systems import builtin_system
-from nassoc.terms import parse_system
+from nassoc.terms import leaves, multilinearize, parse_system
 
 Q = Fraction
 
@@ -62,6 +67,171 @@ def test_symbolic_mode_counterexample():
     assert not res.holds
     assert res.counterexample.mode == "symbolic"
     assert check_identity(dim5, builtin_system("sas"), "symbolic").holds
+
+
+# ---------------------------------------------------------------------------
+# the compiled multilinear check against a plain evaluation of every word
+
+
+def _oracle_word(A, word, assignment, cache):
+    """Element value of a word with variable v bound to basis vector assignment[v] (1-based)."""
+    key = (word, tuple(assignment[v] for v in leaves(word)))
+    got = cache.get(key)
+    if got is not None:
+        return got
+    if isinstance(word, int):
+        val = A.basis_element(assignment[word])
+    else:
+        val = A.mul(_oracle_word(A, word[0], assignment, cache), _oracle_word(A, word[1], assignment, cache))
+    cache[key] = val
+    return val
+
+
+def oracle_check(A, sys):
+    """Multilinear check through Element and A.mul, word by word: (holds, counterexample string)."""
+    cache = {}
+    for ident in sys.identities:
+        for lin in multilinearize(ident):
+            words = lin.expr.sorted_terms()
+            for combo in itertools.product(range(1, A.dim + 1), repeat=lin.nvars):
+                assignment = {v + 1: combo[v] for v in range(lin.nvars)}
+                acc = [A.lift(0)] * A.dim
+                for w, c in words:
+                    val = _oracle_word(A, w, assignment, cache)
+                    for k in range(A.dim):
+                        if val.coords[k]:
+                            acc[k] = acc[k] + c * val.coords[k]
+                for k in range(A.dim):
+                    if acc[k]:
+                        labels = ", ".join(A.basis[i - 1] for i in combo)
+                        return False, f"{lin} fails at ({labels}): coefficient of {A.basis[k]} is {acc[k]}"
+    return True, "None"
+
+
+def assert_matches_oracle(A, sys):
+    got = check_identity(A, sys)
+    assert (got.holds, str(got.counterexample)) == oracle_check(A, sys), (A.name, sys.name)
+    return got.holds
+
+
+def dense_basis(n):
+    """Columns of the unit lower times unit upper all-ones matrices: min(i, j) + 1, determinant 1."""
+    return [[min(i, j) + 1 for j in range(n)] for i in range(n)]
+
+
+ORACLE_SYSTEMS = ("as", "sas", "cas", "com-as", "a12", "cas-dual")
+
+
+def test_compiled_check_matches_oracle_on_the_corpus():
+    """Every table, shipped and in a dense basis; families keep their PolyQ constants."""
+    failures = {"shipped": 0, "dense": 0}
+    for name in corpus.corpus_names():
+        A = load_algebra(name)
+        for tag, B in (("shipped", A), ("dense", change_basis(A, dense_basis(A.dim)))):
+            for sys_name in ORACLE_SYSTEMS:
+                failures[tag] += not assert_matches_oracle(B, builtin_system(sys_name))
+    # both sweeps compare counterexample strings, not only verdicts
+    assert all(failures.values()), failures
+
+
+def test_compiled_check_matches_oracle_on_the_structure_systems():
+    systems = [
+        parse_system("swap", reproduce.SWAP_SYSTEM),
+        parse_system("anti-poisson-jordan", reproduce.JORDAN_ADMISSIBLE_SYSTEM),
+        parse_system("two-step", reproduce.TWO_STEP_SYSTEM),
+    ]
+    nested5 = parse_system("right-nested-5", reproduce.RIGHT_NESTED_FIVE)
+    for name in reproduce.sas_family_entries():
+        A = load_algebra(name)
+        for sys in systems:
+            assert_matches_oracle(A, sys)
+        assert_matches_oracle(minus_algebra(A), nested5)
+    # the hull of a1 fails all but two-step, so counterexample strings are compared too
+    hull = unital_hull(load_algebra("a1"))
+    assert [assert_matches_oracle(hull, sys) for sys in (*systems, nested5)] == [False, False, True, False]
+
+
+def test_compiled_check_matches_oracle_on_polynomial_families():
+    """Constants over several parameters: the printed order of their variables
+    follows the arithmetic, as in 4*p_2*q_3 - 4*q_2*p_3."""
+    hull = unital_hull(load_algebra("a2"))
+    ext, p = hull.generic_element("p")
+    ext, q = ext.generic_element("q")
+    smut = scalar_mutation(hull, PolyQ.var("u"), PolyQ.var("v"))
+    generic = [
+        mutation(ext, ext.element(p.coords), q),
+        kantor_square(ext, ext.element(p.coords)),
+        change_basis(smut, dense_basis(smut.dim)),
+        load_algebra("a12").with_parameters(("z",)),
+    ]
+    verdicts = [
+        assert_matches_oracle(A, builtin_system(sys_name))
+        for A in generic
+        for sys_name in ("as", "sas", "cas", "a132")
+    ]
+    assert verdicts.count(False) == 10
+    # e1 (e1 e1) = e1 (u e1 + e2) sums u*u, then v^2: the order of a dense product
+    u, v = PolyQ.var("u"), PolyQ.var("v")
+    B = AlgebraStructure("uv", 2, [[[u, 1], [v**2, 0]], [[0, 0], [0, 0]]], ("u", "v"))
+    nested = parse_system("right-nested-3", "(x1 (x2 x3)) = 0")
+    assert not assert_matches_oracle(B, nested)
+    assert check_identity(B, nested).counterexample.value == "u^2 + v^2"
+    # at (e1, e2) the words add in sorted order: e1 e2 = v e1 first, then e2 e1 = u e1
+    C = AlgebraStructure("vu", 2, [[[0, 0], [v, 0]], [[u, 0], [0, 0]]], ("u", "v"))
+    anti = parse_system("anticommutative", "(x1 x2) + (x2 x1) = 0")
+    assert not assert_matches_oracle(C, anti)
+    assert check_identity(C, anti).counterexample.value == "v + u"
+
+
+SCALARS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Q(1, 2), Q(-3, 2)])
+
+
+@st.composite
+def small_algebras(draw):
+    """Dimension 1-3, int or Fraction constants, and at times a parameter t in them."""
+    n = draw(st.integers(1, 3))
+    parametric = draw(st.booleans())
+    t = PolyQ.var("t")
+
+    def scalar():
+        c = draw(SCALARS)
+        return c + draw(SCALARS) * t if parametric else c
+
+    constants = [[[scalar() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return AlgebraStructure("random", n, constants, ("t",) if parametric else ())
+
+
+@st.composite
+def invertible_matrices(draw, n):
+    """Unit lower times unit upper triangular, so the determinant is 1."""
+    lower = [[draw(SCALARS) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[draw(SCALARS) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_identity_checks_agree_on_random_algebras(data):
+    A = data.draw(small_algebras())
+    sys = builtin_system(data.draw(st.sampled_from(ORACLE_SYSTEMS)))
+    holds = assert_matches_oracle(A, sys)
+    assert check_identity(A, sys, "symbolic").holds == holds
+    B = change_basis(A, data.draw(invertible_matrices(A.dim)))
+    assert check_identity(B, sys).holds == holds
+
+
+def test_check_refuses_too_many_evaluations_before_work():
+    dim5 = load_algebra("dim5_nonassoc")
+    word = " ".join(f"(x{i}" for i in range(1, 12)) + " x12" + ")" * 11
+    deep = parse_system("right-nested-12", f"{word} = 0")
+    for mode in ("multilinear", "symbolic"):
+        with pytest.raises(DegreeTooLarge):
+            check_identity(dim5, deep, mode)
+    power = "x1"
+    for _ in range(9):
+        power = f"({power} x1)"
+    with pytest.raises(DegreeTooLarge):
+        check_identity(dim5, parse_system("power-10", f"{power} = 0"))
 
 
 def test_parameter_clash():

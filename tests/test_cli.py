@@ -220,6 +220,50 @@ def test_polarize(capsys):
     assert out.count("= 0") == 1
 
 
+def test_identities_too_large_to_check_fail_early(capsys, tmp_path):
+    """244 M basis tuples, or 10! polarized words: exit 2 at once, not after minutes."""
+    deep = " ".join(f"(x{i}" for i in range(1, 12)) + " x12" + ")" * 11 + " = 0"
+    power = "x1"
+    for _ in range(9):
+        power = f"({power} x1)"
+    power += " = 0"
+    (tmp_path / "deep.ids").write_text(deep + "\n")
+    (tmp_path / "power.ids").write_text(power + "\n")
+    for argv in (
+        ("check-identity", "--algebra", "dim5_nonassoc", "--system", str(tmp_path / "deep.ids")),
+        ("check-identity", "--algebra", "dim5_nonassoc", "--system", str(tmp_path / "deep.ids"), "--mode", "symbolic"),
+        ("check-identity", "--algebra", "dim5_nonassoc", "--system", str(tmp_path / "power.ids")),
+        ("polarize", "--identity", power),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert "more than 1000000" in err, argv
+
+
+def _algebra_file(tmp_path, basis, products):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"name": "bad", "dim": 2, "basis": basis, "products": products}))
+    return str(path)
+
+
+def test_malformed_algebra_json_names_the_fault(capsys, tmp_path):
+    e1e1 = {"left": "e1", "right": "e1", "value": [["1", "e2"]]}
+    cases = [
+        (["e1", "e1"], [], "basis label 'e1' is repeated"),
+        (["e1", "e2"], [{"left": "e1", "right": "e3", "value": [["1", "e2"]]}], "unknown basis label 'e3'"),
+        (["e1", "e2"], [{"left": "e1", "right": "e2", "value": [["1", "e3"]]}], "unknown basis label 'e3'"),
+        (["e1", "e2"], [e1e1, {**e1e1, "value": [["2", "e1"]]}], "product e1 e1 is given twice"),
+    ]
+    for basis, products, message in cases:
+        path = _algebra_file(tmp_path, basis, products)
+        code, out, err = run_cli(capsys, "check-identity", "--algebra", path, "--system", "sas")
+        assert code == 2 and not out
+        assert err.strip() == f"error: {message}"
+    code, out, _ = run_cli(capsys, "check-identity", "--algebra", _algebra_file(tmp_path, ["e1", "e2"], [e1e1]),
+                           "--system", "sas")
+    assert code == 0 and out.strip() == "holds"
+
+
 def test_system_from_file(capsys, tmp_path):
     path = tmp_path / "anti.ids"
     path.write_text("# sign-flipped variant\n((x1 x2) x3) + (x1 (x3 x2)) = 0\n")
