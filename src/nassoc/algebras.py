@@ -286,16 +286,16 @@ class CheckResult:
 
 def evaluate_expr(A: AlgebraStructure, expr: Expr, values: dict[int, Element]) -> Element:
     """Evaluate an Expr with variables bound to elements."""
-
-    def go(word) -> Element:
-        if isinstance(word, int):
-            return values[word]
-        return A.mul(go(word[0]), go(word[1]))
-
     acc = A.zero_element()
     for w, c in expr.sorted_terms():
-        acc = A.add(acc, A.scale(c, go(w)))
+        acc = A.add(acc, A.scale(c, _evaluate_word(A, w, values)))
     return acc
+
+
+def _evaluate_word(A: AlgebraStructure, word, values: dict[int, Element]) -> Element:
+    if isinstance(word, int):
+        return values[word]
+    return A.mul(_evaluate_word(A, word[0], values), _evaluate_word(A, word[1], values))
 
 
 def _small(c):
@@ -370,8 +370,6 @@ def _check_symbolic_identity(A: AlgebraStructure, ident: Identity) -> Counterexa
     for v in range(1, ident.nvars + 1):
         ext, elem = ext.generic_element(f"g{v}")
         values[v] = elem
-    # re-lift earlier elements into the final parameter ring
-    values = {v: ext.element(e.coords) for v, e in values.items()}
     result = evaluate_expr(ext, ident.expr, values)
     for k in range(ext.dim):
         if result.coords[k]:

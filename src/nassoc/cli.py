@@ -283,7 +283,7 @@ def cmd_mutate(args, report, A):
     if args.generic:
         ext, p = A.generic_element("p")
         ext, q = ext.generic_element("q")
-        return _construction(args, report, mutation(ext, ext.element(p.coords), q))
+        return _construction(args, report, mutation(ext, p, q))
     if args.p is None or args.q is None:
         raise ParseError("mutate needs --p and --q, or --generic")
     return _construction(args, report, mutation(A, _parse_element(A, args.p), _parse_element(A, args.q)))

@@ -5,12 +5,19 @@ map from exponent tuples (aligned with the variable order) to nonzero
 Fraction coefficients.  The zero polynomial has an empty term map.  Term
 ordering everywhere is graded lexicographic on the declared variable order,
 which makes printing and equality canonical.
+
+PolyQ's constructor is the one place where sums of monomials are collected:
+repeated exponent tuples are added and zero sums dropped there, once, and
+sums, products and changes of variable tuple only stream (exponents,
+coefficient) pairs into it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from itertools import chain
+from operator import add
+from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -36,30 +43,37 @@ class PolyQ:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: tuple[str, ...] = (), terms: Mapping[tuple[int, ...], Scalar] | None = None):
+    def __init__(
+        self,
+        vars: tuple[str, ...] = (),
+        terms: dict[tuple[int, ...], Scalar] | Iterable[tuple[tuple[int, ...], Scalar]] = (),
+    ):
+        """terms: a dict or an iterable of (exponents, coefficient) pairs.
+        Repeated exponents are summed and zero sums dropped, and the
+        exponents keep the order in which they first appear."""
         self.vars = tuple(vars)
+        nv = len(self.vars)
         clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            nv = len(self.vars)
-            for exps, c in terms.items():
-                c = as_fraction(c)
-                if c == 0:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != nv:
-                    raise ValueError("exponent tuple length does not match variable count")
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if clean[exps] == 0:
-                    del clean[exps]
+        if isinstance(terms, dict):
+            terms = terms.items()
+        for exps, c in terms:
+            c = as_fraction(c)
+            exps = tuple(exps)
+            if len(exps) != nv:
+                raise ValueError("exponent tuple length does not match variable count")
+            acc = clean.get(exps)
+            if acc is not None:
+                c = acc + c
+            if c == 0:
+                clean.pop(exps, None)
+            else:
+                clean[exps] = c
         self.terms = clean
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def const(c: Scalar, vars: tuple[str, ...] = ()) -> "PolyQ":
-        c = as_fraction(c)
-        if c == 0:
-            return PolyQ(vars)
         return PolyQ(vars, {(0,) * len(vars): c})
 
     @staticmethod
@@ -114,8 +128,8 @@ class PolyQ:
             return self
         pos = {v: i for i, v in enumerate(vars)}
         nv = len(vars)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
+
+        def moved(exps):
             new = [0] * nv
             for v, e in zip(self.vars, exps):
                 if e == 0:
@@ -123,8 +137,9 @@ class PolyQ:
                 if v not in pos:
                     raise ValueError(f"variable {v} not present in target context")
                 new[pos[v]] = e
-            out[tuple(new)] = out.get(tuple(new), Fraction(0)) + c
-        return PolyQ(vars, out)
+            return tuple(new)
+
+        return PolyQ(vars, ((moved(exps), c) for exps, c in self.terms.items()))
 
     def _aligned(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
         if self.vars == other.vars:
@@ -142,14 +157,7 @@ class PolyQ:
         if isinstance(other, (int, Fraction)):
             other = PolyQ.const(other, self.vars)
         a, b = self._aligned(other)
-        out = dict(a.terms)
-        for exps, c in b.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return PolyQ(a.vars, out)
+        return PolyQ(a.vars, chain(a.terms.items(), b.terms.items()))
 
     __radd__ = __add__
 
@@ -166,21 +174,12 @@ class PolyQ:
 
     def __mul__(self, other) -> "PolyQ":
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if c == 0:
-                return PolyQ(self.vars)
-            return PolyQ(self.vars, {e: cc * c for e, cc in self.terms.items()})
+            return PolyQ(self.vars, {e: cc * other for e, cc in self.terms.items()})
         a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return PolyQ(a.vars, out)
+        right = b.terms.items()
+        return PolyQ(
+            a.vars, ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a.terms.items() for e2, c2 in right)
+        )
 
     __rmul__ = __mul__
 

@@ -30,7 +30,6 @@ from .operads import ConsequenceSpace, consequences, resolve_degree_cap
 from .systems import builtin_system
 from .terms import (
     Expr,
-    circle,
     degree as word_degree,
     leaves,
     multihomogeneous_components,
@@ -78,10 +77,13 @@ class CircleWord:
 
     @property
     def expr(self) -> Expr:
-        out = Expr.var(self.indices[-1])
+        """The 2^(n-1) words that take both orders of every product, each
+        with coefficient 1/2^(n-1): a o w = 1/2 (a w) + 1/2 (w a), expanded."""
+        words = [self.indices[-1]]
         for i in reversed(self.indices[:-1]):
-            out = circle(Expr.var(i), out)
-        return out
+            words = [(i, w) for w in words] + [(w, i) for w in words]
+        c = Fraction(1, len(words))
+        return Expr((w, c) for w in words)
 
     def __str__(self):
         text = f"x{self.indices[-1]}"
@@ -175,10 +177,7 @@ class NormalForm:
 
     @property
     def expr(self) -> Expr:
-        out = Expr.zero()
-        for c, label in self.terms:
-            out = out + label_expr(label).scale(c)
-        return out
+        return Expr((w, lc * c) for c, label in self.terms for w, lc in label_expr(label).terms.items())
 
     def __str__(self):
         parts = []

@@ -25,7 +25,7 @@ from .algebras import AlgebraStructure
 from .errors import ParametricNotSupported, PoleAtZero, ShapeMismatch, SingularForAllT
 from .exact.linalg import det, rref, solve_right
 from .exact.ratfun import RatFunT
-from .structure import derivation_algebra, derivation_equations, power_subspaces
+from .structure import derivation_algebra, derivation_equations, power_subspaces, powers_and_nilpotency
 
 RF0 = RatFunT.const(0)
 RF1 = RatFunT.const(1)
@@ -218,14 +218,9 @@ def degeneration_necessary(A: AlgebraStructure, B: AlgebraStructure) -> Necessar
     )
     derA = derivation_algebra(A).dim
     derB = derivation_algebra(B).dim
-    chainA = power_subspaces(A, limit=3)
-    chainB = power_subspaces(B, limit=3)
-    a2A = len(chainA[1]) if len(chainA) > 1 else 0
-    a2B = len(chainB[1]) if len(chainB) > 1 else 0
-    from .structure import powers_and_nilpotency
-
-    nilpA = powers_and_nilpotency(A).is_nilpotent
-    nilpB = powers_and_nilpotency(B).is_nilpotent
+    powA, powB = powers_and_nilpotency(A), powers_and_nilpotency(B)
+    a2A, a2B = powA.power_dims[1], powB.power_dims[1]
+    nilpA, nilpB = powA.is_nilpotent, powB.is_nilpotent
     return NecessaryReport(
         proper=not same,
         der_condition=derA < derB,

@@ -435,6 +435,13 @@ def prove_zero(expr: Expr, sys: IdentitySystem, cap: int | None = None) -> bool:
     return True
 
 
+def _formal_expand(word, combine) -> Expr:
+    """A word in the polarized operation combine, expanded into raw products."""
+    if isinstance(word, int):
+        return Expr.var(word)
+    return combine(_formal_expand(word[0], combine), _formal_expand(word[1], combine))
+
+
 def polarized_identity_dim(sys: IdentitySystem, op: str, n: int, cap: int | None = None) -> int:
     """Dimension of the degree-n identity space of the polarized operation.
 
@@ -453,17 +460,12 @@ def polarized_identity_dim(sys: IdentitySystem, op: str, n: int, cap: int | None
     cons = consequences(sys, n, cap)
     space = cons.space
 
-    def formal_expand(word) -> Expr:
-        if isinstance(word, int):
-            return Expr.var(word)
-        return combine(formal_expand(word[0]), formal_expand(word[1]))
-
     from .exact.linalg import nullspace as dense_nullspace
 
     columns = []
     for idx in range(space.dim):
         word = space.word_at(idx)
-        reduced = cons.reduce_vec(space.expr_to_vec(formal_expand(word)))
+        reduced = cons.reduce_vec(space.expr_to_vec(_formal_expand(word, combine)))
         columns.append(reduced)
     coords = sorted({c for col in columns for c in col})
     coord_pos = {c: i for i, c in enumerate(coords)}

@@ -362,7 +362,6 @@ def rows_constructions(overrides=None):
         A = _algebra(name, overrides)
         ext, p = A.generic_element("p")
         ext, q = ext.generic_element("q")
-        p = ext.element(p.coords)
         rows.append(
             Row(
                 "constructions",

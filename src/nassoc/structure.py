@@ -231,14 +231,7 @@ def apply_matrix(A: AlgebraStructure, M, x: Element) -> Element:
 
 
 def is_derivation(A: AlgebraStructure, M) -> bool:
-    for i in range(1, A.dim + 1):
-        for j in range(1, A.dim + 1):
-            x, y = A.basis_element(i), A.basis_element(j)
-            lhs = apply_matrix(A, M, A.mul(x, y))
-            rhs = A.add(A.mul(apply_matrix(A, M, x), y), A.mul(x, apply_matrix(A, M, y)))
-            if not A.equal_elements(lhs, rhs):
-                return False
-    return True
+    return is_leibniz_derivation(A, M, 2)
 
 
 def _eval_bracketing(A: AlgebraStructure, shape, elements, state):
@@ -446,6 +439,42 @@ def _rational_roots(coeffs):
     return sorted(roots)
 
 
+def _primitive_idempotents(qmul, sub, unit_elem, name: str) -> list:
+    """Primitive orthogonal idempotents of a split semisimple commutative
+    associative algebra (product qmul) on the subspace sub with unit unit_elem."""
+    if len(sub) == 1:
+        base = sub[0]
+        c = express(sub, qmul(base, base))[0]
+        if c == 0:
+            raise VerificationFailed("one-dimensional quotient piece is nilpotent")
+        return [[x / c for x in base]]
+    candidates = [list(b) for b in sub]
+    for i in range(len(candidates)):
+        for j in range(i + 1, len(candidates)):
+            candidates.append([a + b for a, b in zip(candidates[i], candidates[j])])
+    for u in candidates:
+        coeffs = _min_poly(qmul, unit_elem, u)
+        roots = _rational_roots(coeffs)
+        if len(roots) != len(coeffs) - 1:
+            continue
+        if len(roots) < 2:
+            continue
+        out = []
+        for lam in roots:
+            proj = list(unit_elem)
+            for mu in roots:
+                if mu == lam:
+                    continue
+                shifted = [a - mu * b for a, b in zip(u, unit_elem)]
+                proj = [x / (lam - mu) for x in qmul(proj, shifted)]
+            piece = rref([qmul(proj, b) for b in sub])[1]
+            out.extend(_primitive_idempotents(qmul, piece, proj, name))
+        return out
+    raise VerificationFailed(
+        f"semisimple quotient of {name} does not split over Q (irrational idempotent data)"
+    )
+
+
 def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
     """Split A into lifted orthogonal idempotents plus the trace-form radical.
 
@@ -507,41 +536,7 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
     if unit is None:
         raise VerificationFailed(f"quotient of {A.name} has no unit; trace kernel is not the radical")
 
-    # primitive orthogonal idempotents of the split semisimple quotient
-    def primitive_idempotents(sub, unit_elem):
-        if len(sub) == 1:
-            base = sub[0]
-            c = express(sub, qmul(base, base))[0]
-            if c == 0:
-                raise VerificationFailed("one-dimensional quotient piece is nilpotent")
-            return [[x / c for x in base]]
-        candidates = [list(b) for b in sub]
-        for i in range(len(candidates)):
-            for j in range(i + 1, len(candidates)):
-                candidates.append([a + b for a, b in zip(candidates[i], candidates[j])])
-        for u in candidates:
-            coeffs = _min_poly(qmul, unit_elem, u)
-            roots = _rational_roots(coeffs)
-            if len(roots) != len(coeffs) - 1:
-                continue
-            if len(roots) < 2:
-                continue
-            out = []
-            for lam in roots:
-                proj = list(unit_elem)
-                for mu in roots:
-                    if mu == lam:
-                        continue
-                    shifted = [a - mu * b for a, b in zip(u, unit_elem)]
-                    proj = [x / (lam - mu) for x in qmul(proj, shifted)]
-                piece = rref([qmul(proj, b) for b in sub])[1]
-                out.extend(primitive_idempotents(piece, proj))
-            return out
-        raise VerificationFailed(
-            f"semisimple quotient of {A.name} does not split over Q (irrational idempotent data)"
-        )
-
-    prim = primitive_idempotents(q_eye, unit)
+    prim = _primitive_idempotents(qmul, q_eye, unit, A.name)
 
     # lift the idempotents into shrinking Peirce-zero ideals
     lifted = []
@@ -688,10 +683,10 @@ def fingerprint(A: AlgebraStructure) -> Fingerprint:
 
     if A.is_parametric():
         raise ParametricNotSupported("specialize parameters before fingerprinting")
-    chain = power_subspaces(A, limit=4)
-    dim_a2 = len(chain[1]) if len(chain) > 1 else 0
-    dim_a3 = len(chain[2]) if len(chain) > 2 else dim_a2
     powers = powers_and_nilpotency(A)
+    dims = powers.power_dims
+    dim_a2 = dims[1]
+    dim_a3 = dims[2] if len(dims) > 2 else dim_a2
     commutative = all(
         A.constants[i][j][k] == A.constants[j][i][k]
         for i in range(A.dim)

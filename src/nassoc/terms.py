@@ -5,6 +5,11 @@ A Word is a full binary tree over generators x1, x2, ...; nested tuples
 rational (or polynomial) linear combination of Words.  Identities are Exprs
 normalized to "= 0" form with contiguously numbered variables.
 
+Expr's constructor is the one place where sums of words are collected:
+repeated words are added and zero sums dropped there, once, and every
+operation (sum, product, scaling, relabelling, substitution, polarization)
+only streams (word, coefficient) pairs into it.
+
 The identity DSL is parsed here.  Products are explicitly parenthesized
 binary products; [a,b], (a o b) and the ternary associator (a,b,c) are sugar
 that expands immediately into raw products:
@@ -57,18 +62,18 @@ def shape_of(word):
 def build_word(shape, labels):
     """Attach leaf labels (left to right) to a shape."""
     it = iter(labels)
-
-    def go(s):
-        if s == 0:
-            return next(it)
-        return (go(s[0]), go(s[1]))
-
-    out = go(shape)
+    out = _build_word(shape, it)
     try:
         next(it)
     except StopIteration:
         return out
     raise ValueError("too many labels for shape")
+
+
+def _build_word(shape, it):
+    if shape == 0:
+        return next(it)
+    return (_build_word(shape[0], it), _build_word(shape[1], it))
 
 
 @lru_cache(maxsize=None)
@@ -114,32 +119,30 @@ def word_str(word) -> str:
 # expressions
 
 
-def _is_zero_coeff(c) -> bool:
-    return c == 0
-
-
 class Expr:
-    """Formal linear combination of Words with Fraction or PolyQ coefficients."""
+    """Formal linear combination of Words with Fraction or PolyQ coefficients.
+
+    Built from a dict or an iterable of (word, coefficient) pairs: repeated
+    words are summed, zero sums dropped, and words keep the order in which
+    they first appear (a word whose sum drops to zero appears anew).
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=()):
         clean = {}
-        if terms:
-            for w, c in terms.items():
-                if isinstance(c, int):
-                    c = Fraction(c)
-                if _is_zero_coeff(c):
-                    continue
-                acc = clean.get(w)
-                if acc is None:
-                    clean[w] = c
-                else:
-                    s = acc + c
-                    if _is_zero_coeff(s):
-                        del clean[w]
-                    else:
-                        clean[w] = s
+        if isinstance(terms, dict):
+            terms = terms.items()
+        for w, c in terms:
+            if isinstance(c, int):
+                c = Fraction(c)
+            acc = clean.get(w)
+            if acc is not None:
+                c = acc + c
+            if c == 0:
+                clean.pop(w, None)
+            else:
+                clean[w] = c
         self.terms = clean
 
     @staticmethod
@@ -158,14 +161,7 @@ class Expr:
         return not self.terms
 
     def __add__(self, other: "Expr") -> "Expr":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
-            if _is_zero_coeff(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return Expr(out)
+        return Expr(itertools.chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "Expr") -> "Expr":
         return self + (-other)
@@ -174,25 +170,12 @@ class Expr:
         return Expr({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "Expr":
-        if isinstance(c, int):
-            c = Fraction(c)
-        if _is_zero_coeff(c):
-            return Expr()
-        return Expr({w: cc * c for w, cc in self.terms.items()})
+        return Expr((w, cc * c) for w, cc in self.terms.items())
 
     def __mul__(self, other: "Expr") -> "Expr":
         """Bilinear product: every word of self times every word of other."""
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = (w1, w2)
-                c = c1 * c2
-                s = out.get(w, Fraction(0)) + c
-                if _is_zero_coeff(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return Expr(out)
+        right = other.terms.items()
+        return Expr(((w1, w2), c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in right)
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
@@ -223,28 +206,15 @@ class Expr:
         return all(tuple(sorted(leaves(w))) == target for w in self.terms)
 
     def relabel(self, mapping) -> "Expr":
-        out = {}
-        for w, c in self.terms.items():
-            nw = relabel_word(w, mapping)
-            s = out.get(nw, Fraction(0)) + c
-            if _is_zero_coeff(s):
-                out.pop(nw, None)
-            else:
-                out[nw] = s
-        return Expr(out)
+        return Expr((relabel_word(w, mapping), c) for w, c in self.terms.items())
 
     def subs_vars(self, mapping: dict[int, "Expr"]) -> "Expr":
         """Substitute expressions for variables, expanding multilinearly."""
-
-        def go(word) -> Expr:
-            if isinstance(word, int):
-                return mapping.get(word, Expr.var(word))
-            return go(word[0]) * go(word[1])
-
-        out = Expr()
-        for w, c in self.terms.items():
-            out = out + go(w).scale(c)
-        return out
+        return Expr(
+            (sw, sc * c)
+            for w, c in self.terms.items()
+            for sw, sc in _subs_word(w, mapping).terms.items()
+        )
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
@@ -262,6 +232,12 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({self})"
+
+
+def _subs_word(word, mapping: dict[int, Expr]) -> Expr:
+    if isinstance(word, int):
+        return mapping.get(word, Expr.var(word))
+    return _subs_word(word[0], mapping) * _subs_word(word[1], mapping)
 
 
 def bracket(a: Expr, b: Expr) -> Expr:
@@ -604,10 +580,9 @@ def parse_system(name: str, text: str) -> IdentitySystem:
 # multilinearization
 
 
-def _polarize_words(expr: Expr, slot_map: dict[int, list[int]]) -> Expr:
-    """Replace each occurrence of var v by a distinct slot from slot_map[v],
-    summing over all assignments."""
-    out = {}
+def _polarize_words(expr: Expr, slot_map: dict[int, list[int]]):
+    """Replace each occurrence of var v by a distinct slot from slot_map[v]:
+    the (word, coefficient) pairs of every assignment, to be summed by Expr."""
     for w, c in expr.terms.items():
         shape = shape_of(w)
         labs = leaves(w)
@@ -624,13 +599,7 @@ def _polarize_words(expr: Expr, slot_map: dict[int, list[int]]) -> Expr:
             for v, perm in zip(vars_here, combo):
                 for pos, slot in zip(positions[v], perm):
                     new_labs[pos] = slot
-            nw = build_word(shape, tuple(new_labs))
-            s = out.get(nw, Fraction(0)) + c
-            if _is_zero_coeff(s):
-                out.pop(nw, None)
-            else:
-                out[nw] = s
-    return Expr(out)
+            yield build_word(shape, tuple(new_labs)), c
 
 
 def polarize(expr: Expr):
@@ -656,7 +625,7 @@ def polarize(expr: Expr):
         nxt += m
         for i in range(2, m + 1):
             factor *= i
-    return _polarize_words(expr, slot_map), spec, Fraction(factor)
+    return Expr(_polarize_words(expr, slot_map)), spec, Fraction(factor)
 
 
 def multihomogeneous_components(expr: Expr) -> list[Expr]:

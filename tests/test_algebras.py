@@ -1,5 +1,6 @@
 """Tests for structure-constant algebras, identity checks, and constructions."""
 
+import gc
 import itertools
 import json
 from fractions import Fraction
@@ -24,9 +25,10 @@ from nassoc.algebras import (
 from nassoc.corpus import load_algebra
 from nassoc.errors import DegreeTooLarge, ParameterClash
 from nassoc.exact.poly import PolyQ
-from nassoc.structure import change_basis
+from nassoc.freealg import sas_normal_form
+from nassoc.structure import change_basis, wedderburn
 from nassoc.systems import builtin_system
-from nassoc.terms import leaves, multilinearize, parse_system
+from nassoc.terms import build_word, leaves, multilinearize, parse_expr, parse_system
 
 Q = Fraction
 
@@ -67,6 +69,36 @@ def test_symbolic_mode_counterexample():
     assert not res.holds
     assert res.counterexample.mode == "symbolic"
     assert check_identity(dim5, builtin_system("sas"), "symbolic").holds
+    # the order of the variables in a printed value comes out of the arithmetic
+    dim5_value = (res.counterexample.coordinate, res.counterexample.value)
+    assert dim5_value == ("e5", "g1_1*g2_2*g3_1 - g3_1*g1_2*g2_1")
+    hull = check_identity(unital_hull(load_algebra("a2")), builtin_system("sas"), "symbolic").counterexample
+    assert (hull.coordinate, hull.value) == (
+        "e3",
+        "2*g2_1*g1_2*g3_3 - 2*g2_1*g3_2*g1_3 - 2*g2_2*g1_3*g3_1 + 2*g1_2*g2_3*g3_1",
+    )
+
+
+def test_calls_leave_no_reference_cycles():
+    """Recursive helpers take their context as arguments instead of closing
+    over it, so these calls free what they build by reference counting."""
+    dim5, a17 = load_algebra("dim5_nonassoc"), load_algebra("A17")
+    calls = [
+        lambda: check_identity(dim5, builtin_system("as"), "symbolic"),
+        lambda: wedderburn(a17),
+        lambda: build_word(((0, 0), 0), (1, 2, 3)),
+        lambda: sas_normal_form(parse_expr("((x1 x1) x2) - (x1 (x1 x2))")),
+    ]
+    for call in calls:  # fill the module caches first
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,57 @@ def test_poly_constant_hashes_like_its_fraction():
     assert len({PolyQ.zero(("alpha", "beta")), 0}) == 1
 
 
+_POLY_VARS = ("a", "b", "c")
+
+
+@st.composite
+def _poly(draw):
+    """(PolyQ, its raw pairs): up to three variables in a drawn order, and
+    pairs whose exponent tuples repeat, so the constructor has sums to collect."""
+    names = draw(st.permutations(_POLY_VARS))[: draw(st.integers(0, 3))]
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    coeff = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    monomials = draw(st.lists(exps, min_size=1, max_size=3))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(monomials), coeff), max_size=6))
+    return PolyQ(names, pairs), names, pairs
+
+
+def _raw_value(names, pairs, env):
+    total = Q(0)
+    for exps, c in pairs:
+        for v, e in zip(names, exps):
+            c *= env[v] ** e
+        total += c
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _poly(),
+    _poly(),
+    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3),
+    st.permutations(_POLY_VARS),
+)
+def test_poly_operations_agree_with_evaluation(pp, qq, point, ctx):
+    """On overlapping, permuted variable tuples: the constructor, +, -, * and
+    on_vars agree with evaluation at a rational point and store no zero."""
+    (p, p_names, p_pairs), (q, _, _) = pp, qq
+    env = dict(zip(_POLY_VARS, point))
+    pv, qv = p.eval(env), q.eval(env)
+    ctx = tuple(ctx)
+    for r, value in (
+        (p, _raw_value(p_names, p_pairs, env)),
+        (p + q, pv + qv),
+        (p - q, pv - qv),
+        (p * q, pv * qv),
+        (p.on_vars(ctx), pv),
+    ):
+        assert r.eval(env) == value
+        assert 0 not in r.terms.values()
+    assert p.on_vars(ctx).vars == ctx
+    assert (p - p).is_zero()
+
+
 def test_poly_graded_lex_printing():
     a, b = PolyQ.var("a"), PolyQ.var("b")
     p = a + b + a * a * b

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nassoc.freealg import CircleWord, cas_normal_form, free_basis, label_str, normal_form, sas_normal_form
 from nassoc.operads import MultilinearSpace, consequences, multilinear_dim, prove_zero
 from nassoc.systems import builtin_system
-from nassoc.terms import Expr, build_word, degree, parse_expr, shapes
+from nassoc.terms import Expr, build_word, circle, degree, parse_expr, shapes
 
 Q = Fraction
 
@@ -173,6 +173,24 @@ def test_nf_property_on_mixed_input(variety, e):
     for _, label in nf.terms:
         n = len(label.indices) if isinstance(label, CircleWord) else degree(label)
         assert label in free_basis(variety, n, 3)
+
+
+def _nested_circle(indices) -> Expr:
+    """x_{i1} o (x_{i2} o (...)) through the circle sugar, one product at a time."""
+    out = Expr.var(indices[-1])
+    for i in reversed(indices[:-1]):
+        out = circle(Expr.var(i), out)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+def test_circle_word_expr_matches_nested_circle(indices):
+    """The closed form sums its repeated words in the order the nested
+    products write them."""
+    got, want = CircleWord(tuple(indices)).expr, _nested_circle(indices)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
 
 
 def test_basis_size_is_checked_before_enumeration():

@@ -125,6 +125,29 @@ def test_parse_print_roundtrip(data):
     assert parse_expr(str(e)) == e
 
 
+def _expr_pairs(data):
+    """Raw (word, coefficient) pairs on x1..x3, words repeating."""
+    words = [_random_word(data, (1, 2, 3), 2) for _ in range(data.draw(st.integers(1, 3)))]
+    coeff = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    return data.draw(st.lists(st.tuples(st.sampled_from(words), coeff), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_expr_constructor_sums_and_products_distribute(data):
+    pa, pb, pc = _expr_pairs(data), _expr_pairs(data), _expr_pairs(data)
+    a, b, c = Expr(pa), Expr(pb), Expr(pc)
+    want = {}
+    for w, x in pa:
+        want[w] = want.get(w, 0) + x
+    assert a.terms == {w: x for w, x in want.items() if x != 0}
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert (a - a).is_zero()
+    for e in (a + b, a - b, a * b, (a * b).scale(Q(-2, 3))):
+        assert 0 not in e.terms.values()
+
+
 # ---------------------------------------------------------------------------
 # permutations
 
