@@ -14,6 +14,11 @@ the basis of the quotient, and specialize the fresh variables back.  The
 coordinates in a basis are unique, so the rewriting is sound by
 construction (the difference always lies in the consequence ideal) and
 idempotent.
+
+The coordinate work is done on multilinear index vectors, once per degree:
+each degree's quotient keeps the index vector of every basis label, maps a
+vector to its label coordinates and expands coordinates back to a vector.
+`NormalForm.expr`, the expansion into raw words, is only for output.
 """
 
 from __future__ import annotations
@@ -191,15 +196,34 @@ class NormalForm:
 class _Quotient:
     """Coordinates in the multilinear quotient of one degree.
 
-    `inv` inverts the square matrix whose rows are the basis labels'
-    residuals on the free (non-pivot) columns of the consequence space, so a
-    residual r has the label coordinates sum over col of r[col] * inv[free[col]].
+    `vecs` holds the multilinear index vector of each basis label, and `inv`
+    inverts the square matrix whose rows are the labels' residuals on the
+    free (non-pivot) columns of the consequence space, so a residual r has
+    the label coordinates sum over col of r[col] * inv[free[col]].
     """
 
     cons: ConsequenceSpace
     free: dict  # free column -> its position
     labels: list
+    vecs: list
     inv: list
+
+    def coords(self, vec) -> list:
+        """Label coordinates of a multilinear vector modulo the consequences."""
+        out = [Fraction(0)] * len(self.labels)
+        for col, r in self.cons.reduce_vec(vec).items():
+            for i, x in enumerate(self.inv[self.free[col]]):
+                out[i] += r * x
+        return out
+
+    def expand(self, coords) -> dict[int, Fraction]:
+        """The multilinear vector sum of coords[i] * vecs[i]."""
+        out: dict[int, Fraction] = {}
+        for c, vec in zip(coords, self.vecs):
+            if c:
+                for k, x in vec.items():
+                    out[k] = out.get(k, 0) + c * x
+        return out
 
 
 _quotient_cache: dict[tuple[str, int], _Quotient] = {}
@@ -215,17 +239,18 @@ def _quotient(variety: str, n: int, cap) -> _Quotient:
     labels = free_basis(variety, n, n, multilinear=True)
     if len(labels) != len(free):
         raise AssertionError(f"{len(labels)} basis labels for a {len(free)}-dimensional quotient")
+    vecs = [space.expr_to_vec(label_expr(label)) for label in labels]
     matrix = []
-    for label in labels:
+    for vec in vecs:
         row = [Fraction(0)] * len(free)
-        for col, c in cons.reduce_vec(space.expr_to_vec(label_expr(label))).items():
+        for col, c in cons.reduce_vec(vec).items():
             row[free[col]] = c
         matrix.append(row)
     try:
         inv = inverse(matrix)
     except ValueError:
         raise AssertionError("basis monomials are not independent modulo consequences") from None
-    _quotient_cache[key] = _Quotient(cons, free, labels, inv)
+    _quotient_cache[key] = _Quotient(cons, free, labels, vecs, inv)
     return _quotient_cache[key]
 
 
@@ -237,10 +262,7 @@ def _component_normal_form(variety: str, comp: Expr, cap) -> list:
     n = next(iter(comp.degrees()))
     q = _quotient(variety, n, cap)
     lin, spec, factor = polarize(comp)
-    coords = [Fraction(0)] * len(q.labels)
-    for col, r in q.cons.reduce_vec(q.cons.space.expr_to_vec(lin)).items():
-        for i, x in enumerate(q.inv[q.free[col]]):
-            coords[i] += r * x
+    coords = q.coords(q.cons.space.expr_to_vec(lin))
     # specialize the slots back; distinct labels may land on the same word
     out: dict[object, Fraction] = {}
     for c, label in zip(coords, q.labels):

@@ -37,11 +37,10 @@ from .terms import (
     Identity,
     IdentitySystem,
     build_word,
-    leaves,
     multihomogeneous_components,
     polarize,
     relabel_word,
-    shape_of,
+    shape_and_leaves,
     shapes,
 )
 
@@ -108,9 +107,9 @@ class MultilinearSpace:
         return self
 
     def index_of_word(self, word) -> int:
-        srank = self._shape_rank[shape_of(word)]
-        prank = _perm_rank_map(self.n)[leaves(word)]
-        return srank * self.nperms + prank
+        """Index of a multilinear word; KeyError for any other word."""
+        shape, labs = shape_and_leaves(word)
+        return self._shape_rank[shape] * self.nperms + _perm_rank_map(self.n)[labs]
 
     def word_at(self, index: int):
         srank, prank = divmod(index, self.nperms)
@@ -119,10 +118,11 @@ class MultilinearSpace:
     def expr_to_vec(self, expr: Expr) -> dict[int, Fraction]:
         vec: dict[int, Fraction] = {}
         for w, c in expr.terms.items():
-            labs = leaves(w)
-            if len(labs) != self.n or tuple(sorted(labs)) != tuple(range(1, self.n + 1)):
-                raise NotMultilinear(f"word {w} is not multilinear of degree {self.n}")
-            vec[self.index_of_word(w)] = Fraction(c)
+            try:
+                idx = self.index_of_word(w)
+            except KeyError:
+                raise NotMultilinear(f"word {w} is not multilinear of degree {self.n}") from None
+            vec[idx] = Fraction(c)
         return vec
 
     def vec_to_expr(self, vec: dict[int, Fraction]) -> Expr:

@@ -23,11 +23,9 @@ from .algebras import (
     unital_hull,
 )
 from .exact.series import SeriesQ
-from .freealg import free_basis, sas_normal_form
+from .freealg import _quotient, free_basis, sas_normal_form
 from .operads import (
-    MultilinearSpace,
     OperadPresentation,
-    consequences,
     implies,
     koszul_dual,
     koszulity_residual,
@@ -171,6 +169,18 @@ def rows_operads(cap=None):
     return rows
 
 
+def _nf_verdicts(q, idx, nf):
+    """(idempotent, sound) for the normal form nf of the multilinear word at
+    index idx, decided on index vectors in the quotient q of its degree."""
+    c = [Fraction(0)] * len(q.labels)
+    for coeff, label in nf.terms:
+        c[q.labels.index(label)] = coeff
+    rewritten = q.expand(c)
+    diff = {k: -x for k, x in rewritten.items()}
+    diff[idx] = diff.get(idx, 0) + 1
+    return q.coords(rewritten) == c, q.cons.contains_vec(diff)
+
+
 def rows_freealg(cap=None):
     rows = []
     sas = builtin_system("sas")
@@ -190,16 +200,12 @@ def rows_freealg(cap=None):
     ok_idem = True
     ok_sound = True
     for n in range(1, 6):
-        cons = consequences(sas, n, cap)
-        space = MultilinearSpace(n)
+        q = _quotient("sas", n, cap)
+        space = q.cons.space
         for idx in range(space.dim):
-            word_expr = space.vec_to_expr({idx: Fraction(1)})
-            nf = sas_normal_form(word_expr, cap)
-            if sas_normal_form(nf.expr, cap).expr != nf.expr:
-                ok_idem = False
-                break
-            if not cons.contains_expr(word_expr - nf.expr):
-                ok_sound = False
+            nf = sas_normal_form(space.vec_to_expr({idx: Fraction(1)}), cap)
+            ok_idem, ok_sound = _nf_verdicts(q, idx, nf)
+            if not (ok_idem and ok_sound):
                 break
         if not (ok_idem and ok_sound):
             break

@@ -59,6 +59,19 @@ def shape_of(word):
     return (shape_of(word[0]), shape_of(word[1]))
 
 
+def shape_and_leaves(word):
+    """(shape_of(word), leaves(word)) from a single walk of the tree."""
+    labs: list[int] = []
+    return _shape_collect(word, labs.append), tuple(labs)
+
+
+def _shape_collect(word, collect):
+    if isinstance(word, int):
+        collect(word)
+        return 0
+    return (_shape_collect(word[0], collect), _shape_collect(word[1], collect))
+
+
 def build_word(shape, labels):
     """Attach leaf labels (left to right) to a shape."""
     it = iter(labels)
@@ -96,8 +109,8 @@ def _shape_rank(n: int):
 
 def word_key(word):
     """Canonical sort key: degree, shape in Catalan order, then leaf labels."""
-    n = degree(word)
-    return (n, _shape_rank(n)[shape_of(word)], leaves(word))
+    shape, labs = shape_and_leaves(word)
+    return (len(labs), _shape_rank(len(labs))[shape], labs)
 
 
 def relabel_word(word, mapping):
@@ -584,8 +597,7 @@ def _polarize_words(expr: Expr, slot_map: dict[int, list[int]]):
     """Replace each occurrence of var v by a distinct slot from slot_map[v]:
     the (word, coefficient) pairs of every assignment, to be summed by Expr."""
     for w, c in expr.terms.items():
-        shape = shape_of(w)
-        labs = leaves(w)
+        shape, labs = shape_and_leaves(w)
         positions: dict[int, list[int]] = {}
         for pos, v in enumerate(labs):
             positions.setdefault(v, []).append(pos)

@@ -8,8 +8,19 @@ from nassoc.errors import DegreeTooLarge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nassoc.freealg import CircleWord, cas_normal_form, free_basis, label_str, normal_form, sas_normal_form
+from nassoc.freealg import (
+    CircleWord,
+    NormalForm,
+    _quotient,
+    cas_normal_form,
+    free_basis,
+    label_expr,
+    label_str,
+    normal_form,
+    sas_normal_form,
+)
 from nassoc.operads import MultilinearSpace, consequences, multilinear_dim, prove_zero
+from nassoc.reproduce import _nf_verdicts
 from nassoc.systems import builtin_system
 from nassoc.terms import Expr, build_word, circle, degree, parse_expr, shapes
 
@@ -128,21 +139,30 @@ def test_nf_degree_cap():
         sas_normal_form(deep)
 
 
-@pytest.mark.parametrize("variety,n", [(v, n) for v in ("sas", "cas") for n in (3, 4, 5)])
+@pytest.mark.parametrize("variety,n", [(v, n) for v in ("sas", "cas") for n in range(1, 6)])
 def test_nf_exhaustive(variety, n):
     """Every multilinear word: lands in the basis, sound, idempotent.
 
-    A sound normal form in the basis is unique, so this pins it down.
+    A sound normal form in the basis is unique, so this pins it down.  The
+    Expr-level checks are the oracle for the index-vector verdicts of
+    reproduce-paper's rows, on each normal form and on its double, which is
+    unsound unless it is zero.
     """
     cons = consequences(builtin_system(variety), n)
     space = MultilinearSpace(n)
     basis_labels = set(free_basis(variety, n, n, multilinear=True))
+    q = _quotient(variety, n, None)
+    assert q.vecs == [space.expr_to_vec(label_expr(label)) for label in q.labels]
     for idx in range(space.dim):
         e = space.vec_to_expr({idx: Q(1)})
         nf = normal_form(e, variety)
         assert all(lab in basis_labels for _, lab in nf.terms)
         assert cons.contains_expr(e - nf.expr)
         assert normal_form(nf.expr, variety).terms == nf.terms
+        for cand in (nf, NormalForm([(2 * c, lab) for c, lab in nf.terms])):
+            idempotent = normal_form(cand.expr, variety).terms == cand.terms
+            sound = cons.contains_expr(e - cand.expr)
+            assert _nf_verdicts(q, idx, cand) == (idempotent, sound)
 
 
 @st.composite

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nassoc import operads
-from nassoc.errors import DegreeTooLarge, NotQuadratic
+from nassoc.errors import DegreeTooLarge, NotMultilinear, NotQuadratic
 from nassoc.exact import SeriesQ
 from nassoc.exact.linalg import SparseRREF, rref
 from nassoc.operads import (
@@ -192,6 +192,29 @@ def _word_generators(m: int):
         sub[i] = (i, new)
         gens.append(lambda w, sub=sub: relabel_word(w, sub))
     return gens
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        ((1, 2), 2),  # a repeated variable
+        ((1, 2), (3, 3)),  # a repeated variable, degree 4
+        (1, 2),  # a wrong degree (and a missing variable)
+        (((1, 2), 3), 4),  # a wrong degree
+        ((0, 1), 2),  # x0 is outside 1..3
+        ((1, 4), 2),  # x4 is outside 1..3, and x3 is missing
+    ],
+)
+def test_expr_to_vec_rejects_non_multilinear_words(word):
+    with pytest.raises(NotMultilinear, match="is not multilinear of degree 3"):
+        MultilinearSpace(3).expr_to_vec(Expr.from_word(word) + Expr.from_word(((1, 2), 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expr_to_vec_inverts_word_at(n):
+    space = MultilinearSpace(n)
+    for idx in range(space.dim):
+        assert space.expr_to_vec(Expr.from_word(space.word_at(idx), Fraction(3))) == {idx: Fraction(3)}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

@@ -1,9 +1,14 @@
 """Tests for the reproduction matrix: determinism and mutation sensitivity."""
 
+import dataclasses
+
+import pytest
+
 from nassoc.algebras import AlgebraStructure
 from nassoc.corpus import load_algebra
 from nassoc.exact.poly import PolyQ
-from nassoc.reproduce import rows_classification, rows_constructions, rows_pencil, run_reproduction
+from nassoc.freealg import _quotient, _quotient_cache
+from nassoc.reproduce import rows_classification, rows_constructions, rows_freealg, rows_pencil, run_reproduction
 
 
 def test_sections_are_deterministic():
@@ -15,8 +20,6 @@ def test_sections_are_deterministic():
 
 
 def test_unknown_section_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         run_reproduction(only="nonsense")
 
@@ -48,3 +51,24 @@ def test_mutation_detected_only_in_affected_rows():
     for row in mutated_cons:
         if "dim5_nonassoc" not in row.name:
             assert row.passed, f"unrelated construction row flipped: {row.name}"
+
+
+def _negate_inv_row(q):
+    return dataclasses.replace(q, inv=[[-x for x in row] if j == 0 else row for j, row in enumerate(q.inv)])
+
+
+def _swap_label_vecs(q):
+    return dataclasses.replace(q, vecs=[q.vecs[1], q.vecs[0], *q.vecs[2:]])
+
+
+@pytest.mark.parametrize("corrupt", [_negate_inv_row, _swap_label_vecs])
+def test_freealg_rows_detect_a_corrupted_quotient(monkeypatch, corrupt):
+    """A wrong degree-4 quotient (coordinate inverse or label vectors) flips
+    the index-vector normal-form rows, and only them."""
+    clean = rows_freealg()
+    assert [r.passed for r in clean] == [True] * 4
+    # monkeypatch restores the real cache entry when the test ends
+    monkeypatch.setitem(_quotient_cache, ("sas", 4), corrupt(_quotient("sas", 4, None)))
+    counts, agree, idempotent, sound = rows_freealg()
+    assert counts.passed and agree.passed
+    assert not (idempotent.passed and sound.passed)

@@ -12,9 +12,14 @@ from nassoc.terms import (
     Identity,
     Permutation,
     apply_permutation,
+    build_word,
+    leaves,
     multilinearize,
     parse_expr,
     parse_identity,
+    shape_and_leaves,
+    shape_of,
+    shapes,
     word_key,
 )
 
@@ -246,3 +251,10 @@ def test_word_key_orders_by_shape():
     left = ((1, 2), 3)
     right = (1, (2, 3))
     assert word_key(left) < word_key(right)
+
+
+def test_shape_and_leaves_walks_once_for_both():
+    for n in range(1, 6):
+        for shape in shapes(n):
+            word = build_word(shape, range(n, 0, -1))
+            assert shape_and_leaves(word) == (shape_of(word), leaves(word)) == (shape, tuple(range(n, 0, -1)))
