@@ -10,18 +10,32 @@ code path serves both.
 
 Identity checking has two modes: "multilinear" evaluates every identity
 (multilinearized first when needed) on all basis tuples, which is complete
-in characteristic zero; "symbolic" substitutes generic elements with fresh
-coordinate parameters and checks polynomial vanishing, which is valid over
+in characteristic zero; "symbolic" substitutes generic elements
+g{v} = sum_i g{v}_i e_i and checks polynomial vanishing, which is valid over
 any infinite field and also covers non-multilinear identities directly.
 
-The multilinear mode is compiled once per call and never builds an Element:
-the constants become a sparse table of the nonzero (k, c) of each product
-e_i e_j, each word becomes its tree shape and leaf positions, and the value
-of a shape on a tuple of basis indices is computed once and shared by every
-word, tuple and identity of the call.  Tuples and coordinates are scanned in
-lexicographic order, so the first counterexample is the same as that of a
-plain evaluation of every word.  Both modes raise DegreeTooLarge, before any
-evaluation, for a request past MAX_CHECK_EVALUATIONS.
+Both modes are compiled once per call and never build an Element: the
+constants become a sparse table of the nonzero (k, c) of each product
+e_i e_j, each word becomes its tree shape and leaf labels, and the value of
+a shape on a tuple of basis indices is computed once and shared by every
+word, tuple and identity of the call.  Multilinear mode scans tuples and
+coordinates in lexicographic order, so the first counterexample is the same
+as that of a plain evaluation of every word.  Symbolic mode runs each word
+on every tuple of basis indices at its leaves and adds the value into the
+coefficient of the monomial, the product of the g{v}_i at the leaves, so
+each coordinate of the generic value is a dict from monomial to coefficient
+(int or Fraction, PolyQ for a family).  The identity holds when every such
+dict is empty, and a PolyQ is built only for the first nonzero coordinate.
+
+A PolyQ prints its terms in graded-lex order of its variable tuple, so the
+printed PolyQ gets the tuple that a dense evaluation in PolyQ arithmetic
+gives: the variables in order of first appearance, where the words come in
+sorted_terms order and, for output coordinate k of a product, the pairs
+(i, j) come ascending, skipping zero generic coordinates and zero constants
+c_ij^k, each adding the left factor's variables, then the right factor's,
+then those of the constant.  A variable whose terms cancel keeps its place.
+Both modes raise DegreeTooLarge, before any evaluation, for a request past
+MAX_CHECK_EVALUATIONS.
 """
 
 from __future__ import annotations
@@ -35,10 +49,10 @@ from operator import itemgetter
 from . import exprparse
 from .errors import DegreeTooLarge, ParameterClash
 from .exact.poly import PolyQ, as_fraction
-from .terms import Expr, Identity, IdentitySystem, degree, leaves, multilinearize, shape_of
+from .terms import Identity, IdentitySystem, degree, leaves, multilinearize, shape_and_leaves, shape_of
 
 # check_identity refuses a request of more word evaluations than this (words
-# times basis tuples, or times generic monomials), as dim ** degree grows fast
+# times the basis tuples at their leaves), as dim ** degree grows fast
 MAX_CHECK_EVALUATIONS = 10**6
 
 
@@ -169,12 +183,20 @@ class AlgebraStructure:
     def is_parametric(self) -> bool:
         return bool(self.parameters)
 
-    def generic_element(self, prefix: str) -> tuple["AlgebraStructure", Element]:
-        """Extend the parameter ring by fresh coordinates prefix_1..prefix_n."""
+    def generic_names(self, prefix: str) -> list[str]:
+        """The coordinate names prefix_1..prefix_n of a generic element.
+
+        Raises ParameterClash when one of them is already a parameter.
+        """
         names = [f"{prefix}_{i+1}" for i in range(self.dim)]
         for nm in names:
             if nm in self.parameters:
                 raise ParameterClash(f"generated coordinate {nm!r} collides with a parameter")
+        return names
+
+    def generic_element(self, prefix: str) -> tuple["AlgebraStructure", Element]:
+        """Extend the parameter ring by fresh coordinates prefix_1..prefix_n."""
+        names = self.generic_names(prefix)
         ext = self.with_parameters(names)
         return ext, ext.element([PolyQ.var(nm) for nm in names])
 
@@ -284,20 +306,6 @@ class CheckResult:
         return self.holds
 
 
-def evaluate_expr(A: AlgebraStructure, expr: Expr, values: dict[int, Element]) -> Element:
-    """Evaluate an Expr with variables bound to elements."""
-    acc = A.zero_element()
-    for w, c in expr.sorted_terms():
-        acc = A.add(acc, A.scale(c, _evaluate_word(A, w, values)))
-    return acc
-
-
-def _evaluate_word(A: AlgebraStructure, word, values: dict[int, Element]) -> Element:
-    if isinstance(word, int):
-        return values[word]
-    return A.mul(_evaluate_word(A, word[0], values), _evaluate_word(A, word[1], values))
-
-
 def _small(c):
     """An integral Fraction as int, so sums of small table constants stay in int arithmetic."""
     return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
@@ -364,48 +372,120 @@ def _check_multilinear_identity(A: AlgebraStructure, ident: Identity, table, mem
     return None
 
 
-def _check_symbolic_identity(A: AlgebraStructure, ident: Identity) -> Counterexample | None:
-    ext = A
-    values = {}
+def _generic_coords(words, table, dim: int, memo) -> list[dict]:
+    """Coordinates of sum c * w over words [(c, w)] at generic elements g{v} = sum_i g{v}_i e_i.
+
+    Coordinate k is a dict from monomial, the sorted tuple of the (variable,
+    basis index) pairs at the leaves, to its nonzero coefficient: the sum
+    over leaf tuples idx of c times the value of the word's shape on idx,
+    read through the _shape_value memo.
+    """
+    acc = [{} for _ in range(dim)]
+    for c, w in words:
+        shape, labels = shape_and_leaves(w)
+        for idx in itertools.product(range(dim), repeat=len(labels)):
+            mono = tuple(sorted(zip(labels, idx)))
+            for k, v in _shape_value(shape, idx, table, memo):
+                total = acc[k]
+                total[mono] = total.get(mono, 0) + c * v
+    return [{m: a for m, a in total.items() if a} for total in acc]
+
+
+def _variable_order(word, A: AlgebraStructure, table, memo, shape_memo):
+    """(variable tuple, nonzero) of every generic coordinate of word.
+
+    The names come in order of first appearance in a dense product: for
+    output coordinate k, pairs (i, j) ascending, skipping zero generic
+    coordinates of the factors and zero constants c_ij^k; each pair adds the
+    left factor's variables, then the right's, then the variables of the
+    constant's PolyQ.  Variables whose terms cancel keep their place.
+    """
+    got = memo.get(word)
+    if got is not None:
+        return got
+    if isinstance(word, int):
+        order = tuple((f"g{word}_{i + 1}",) for i in range(A.dim))
+    else:
+        left, left_nonzero = _variable_order(word[0], A, table, memo, shape_memo)
+        right, right_nonzero = _variable_order(word[1], A, table, memo, shape_memo)
+        parts = [[] for _ in range(A.dim)]
+        for i in range(A.dim):
+            for j in range(A.dim):
+                if left_nonzero[i] and right_nonzero[j]:
+                    for k, c in enumerate(A.constants[i][j]):
+                        if c:
+                            parts[k] += (left[i], right[j], c.vars if isinstance(c, PolyQ) else ())
+        order = tuple(tuple(dict.fromkeys(itertools.chain.from_iterable(p))) for p in parts)
+    nonzero = [bool(d) for d in _generic_coords([(1, word)], table, A.dim, shape_memo)]
+    got = memo[word] = (order, nonzero)
+    return got
+
+
+def _generic_poly(coeffs: dict, names: tuple) -> PolyQ:
+    """The PolyQ on the variable tuple names of a coordinate of _generic_coords."""
+    pos = {v: p for p, v in enumerate(names)}
+    total = PolyQ.zero(names)
+    for mono, c in coeffs.items():
+        exps = [0] * len(names)
+        for v, i in mono:
+            exps[pos[f"g{v}_{i + 1}"]] += 1
+        total = total + c * PolyQ(names, [(exps, 1)])
+    return total.on_vars(names)
+
+
+def _check_symbolic_identity(A: AlgebraStructure, ident: Identity, table, memo) -> Counterexample | None:
+    """Expand ident at generic elements g1..g{nvars}; only a failing coordinate becomes a PolyQ."""
     for v in range(1, ident.nvars + 1):
-        ext, elem = ext.generic_element(f"g{v}")
-        values[v] = elem
-    result = evaluate_expr(ext, ident.expr, values)
-    for k in range(ext.dim):
-        if result.coords[k]:
-            return Counterexample(
-                identity=str(ident),
-                tuple_labels=tuple(f"g{v}" for v in range(1, ident.nvars + 1)),
-                coordinate=ext.basis[k],
-                value=str(result.coords[k]),
-                mode="symbolic",
-            )
+        A.generic_names(f"g{v}")  # raises ParameterClash on a parameter named g{v}_i
+    words = [(_small(c), w) for w, c in ident.expr.sorted_terms()]
+    for k, total in enumerate(_generic_coords(words, table, A.dim, memo)):
+        if not total:
+            continue
+        order, order_memo = {}, {}
+        for _, w in words:
+            order.update(dict.fromkeys(_variable_order(w, A, table, order_memo, memo)[0][k]))
+        return Counterexample(
+            identity=str(ident),
+            tuple_labels=tuple(f"g{v}" for v in range(1, ident.nvars + 1)),
+            coordinate=A.basis[k],
+            value=str(_generic_poly(total, tuple(order))),
+            mode="symbolic",
+        )
     return None
 
 
 def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multilinear") -> CheckResult:
     """Check every identity of the system on A; parameters stay symbolic.
 
+    Multilinear mode evaluates each multilinear part on every basis tuple
+    and reports the first nonzero coordinate at the first failing tuple.
+    Symbolic mode expands each identity at generic elements g1, g2, ... and
+    reports its first nonzero coordinate, a polynomial whose variables print
+    in the order of a dense evaluation (see the module docstring).  Both run
+    on one product table and one memo of products for the whole call.
+
     Raises DegreeTooLarge, before evaluating anything, when the check would
     make more than MAX_CHECK_EVALUATIONS word evaluations: each word of a
     multilinear part on dim ** nvars basis tuples, or each word of an
-    identity expanded into dim ** degree monomials in symbolic mode.
+    identity on the dim ** degree basis tuples at its leaves in symbolic
+    mode.  Raises ParameterClash when a generated coordinate g{v}_i is a
+    parameter of A.
     """
-    if mode not in ("multilinear", "symbolic"):
-        raise ValueError("mode must be 'multilinear' or 'symbolic'")
     if mode == "multilinear":
         parts = [lin for ident in sys.identities for lin in multilinearize(ident)]
-        _refuse_above(A, sys, mode, sum(A.dim**lin.nvars * len(lin.expr.terms) for lin in parts))
-        table = _product_table(A)
-        memo: dict = {}
-        for lin in parts:
-            ce = _check_multilinear_identity(A, lin, table, memo)
-            if ce is not None:
-                return CheckResult(False, ce)
-        return CheckResult(True)
-    _refuse_above(A, sys, mode, sum(A.dim ** max(i.expr.degrees()) * len(i.expr.terms) for i in sys.identities))
-    for ident in sys.identities:
-        ce = _check_symbolic_identity(A, ident)
+        count = sum(A.dim**lin.nvars * len(lin.expr.terms) for lin in parts)
+        check = _check_multilinear_identity
+    elif mode == "symbolic":
+        parts = sys.identities
+        count = sum(A.dim ** max(i.expr.degrees()) * len(i.expr.terms) for i in parts)
+        check = _check_symbolic_identity
+    else:
+        raise ValueError("mode must be 'multilinear' or 'symbolic'")
+    _refuse_above(A, sys, mode, count)
+    table = _product_table(A)
+    memo: dict = {}
+    for ident in parts:
+        ce = check(A, ident, table, memo)
         if ce is not None:
             return CheckResult(False, ce)
     return CheckResult(True)

@@ -26,7 +26,8 @@ from nassoc.corpus import load_algebra
 from nassoc.errors import DegreeTooLarge, ParameterClash
 from nassoc.exact.poly import PolyQ
 from nassoc.freealg import sas_normal_form
-from nassoc.structure import change_basis, wedderburn
+from nassoc.moduli import orbit_dim
+from nassoc.structure import change_basis, fingerprint, wedderburn
 from nassoc.systems import builtin_system
 from nassoc.terms import build_word, leaves, multilinearize, parse_expr, parse_system
 
@@ -146,6 +147,38 @@ def assert_matches_oracle(A, sys):
     return got.holds
 
 
+def _generic_word(A, word, values):
+    """Element value of a word with variable v bound to the element values[v]."""
+    if isinstance(word, int):
+        return values[word]
+    return A.mul(_generic_word(A, word[0], values), _generic_word(A, word[1], values))
+
+
+def symbolic_oracle_check(A, sys):
+    """Symbolic check through generic elements, Element and A.mul: (holds, counterexample string).
+
+    Every coordinate is a PolyQ, so the printed variable order is the one
+    the PolyQ sums and products of a dense evaluation give."""
+    for ident in sys.identities:
+        ext, values = A, {}
+        for v in range(1, ident.nvars + 1):
+            ext, values[v] = ext.generic_element(f"g{v}")
+        acc = ext.zero_element()
+        for w, c in ident.expr.sorted_terms():
+            acc = ext.add(acc, ext.scale(c, _generic_word(ext, w, values)))
+        for k in range(A.dim):
+            if acc.coords[k]:
+                labels = ", ".join(f"g{v}" for v in values)
+                return False, f"{ident} fails at ({labels}): coefficient of {A.basis[k]} is {acc.coords[k]}"
+    return True, "None"
+
+
+def assert_symbolic_matches_oracle(A, sys):
+    got = check_identity(A, sys, "symbolic")
+    assert (got.holds, str(got.counterexample)) == symbolic_oracle_check(A, sys), (A.name, sys.name)
+    return got.holds
+
+
 def dense_basis(n):
     """Columns of the unit lower times unit upper all-ones matrices: min(i, j) + 1, determinant 1."""
     return [[min(i, j) + 1 for j in range(n)] for i in range(n)]
@@ -155,13 +188,15 @@ ORACLE_SYSTEMS = ("as", "sas", "cas", "com-as", "a12", "cas-dual")
 
 
 def test_compiled_check_matches_oracle_on_the_corpus():
-    """Every table, shipped and in a dense basis; families keep their PolyQ constants."""
+    """Every table, shipped and in a dense basis, in both modes; families keep their PolyQ constants."""
     failures = {"shipped": 0, "dense": 0}
     for name in corpus.corpus_names():
         A = load_algebra(name)
         for tag, B in (("shipped", A), ("dense", change_basis(A, dense_basis(A.dim)))):
             for sys_name in ORACLE_SYSTEMS:
-                failures[tag] += not assert_matches_oracle(B, builtin_system(sys_name))
+                holds = assert_matches_oracle(B, builtin_system(sys_name))
+                assert assert_symbolic_matches_oracle(B, builtin_system(sys_name)) == holds
+                failures[tag] += not holds
     # both sweeps compare counterexample strings, not only verdicts
     assert all(failures.values()), failures
 
@@ -176,11 +211,14 @@ def test_compiled_check_matches_oracle_on_the_structure_systems():
     for name in reproduce.sas_family_entries():
         A = load_algebra(name)
         for sys in systems:
-            assert_matches_oracle(A, sys)
+            assert assert_matches_oracle(A, sys) == assert_symbolic_matches_oracle(A, sys)
         assert_matches_oracle(minus_algebra(A), nested5)
+        assert_symbolic_matches_oracle(minus_algebra(A), nested5)
     # the hull of a1 fails all but two-step, so counterexample strings are compared too
     hull = unital_hull(load_algebra("a1"))
-    assert [assert_matches_oracle(hull, sys) for sys in (*systems, nested5)] == [False, False, True, False]
+    expected = [False, False, True, False]
+    assert [assert_matches_oracle(hull, sys) for sys in (*systems, nested5)] == expected
+    assert [assert_symbolic_matches_oracle(hull, sys) for sys in (*systems, nested5)] == expected
 
 
 def test_compiled_check_matches_oracle_on_polynomial_families():
@@ -202,27 +240,37 @@ def test_compiled_check_matches_oracle_on_polynomial_families():
         for sys_name in ("as", "sas", "cas", "a132")
     ]
     assert verdicts.count(False) == 10
+    symbolic = [
+        assert_symbolic_matches_oracle(A, builtin_system(sys_name))
+        for A in generic
+        for sys_name in ("as", "sas", "cas", "a132")
+    ]
+    assert symbolic == verdicts
     # e1 (e1 e1) = e1 (u e1 + e2) sums u*u, then v^2: the order of a dense product
     u, v = PolyQ.var("u"), PolyQ.var("v")
     B = AlgebraStructure("uv", 2, [[[u, 1], [v**2, 0]], [[0, 0], [0, 0]]], ("u", "v"))
     nested = parse_system("right-nested-3", "(x1 (x2 x3)) = 0")
     assert not assert_matches_oracle(B, nested)
     assert check_identity(B, nested).counterexample.value == "u^2 + v^2"
+    assert not assert_symbolic_matches_oracle(B, nested)
     # at (e1, e2) the words add in sorted order: e1 e2 = v e1 first, then e2 e1 = u e1
     C = AlgebraStructure("vu", 2, [[[0, 0], [v, 0]], [[u, 0], [0, 0]]], ("u", "v"))
     anti = parse_system("anticommutative", "(x1 x2) + (x2 x1) = 0")
     assert not assert_matches_oracle(C, anti)
     assert check_identity(C, anti).counterexample.value == "v + u"
+    assert not assert_symbolic_matches_oracle(C, anti)
 
 
 SCALARS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Q(1, 2), Q(-3, 2)])
 
 
 @st.composite
-def small_algebras(draw):
-    """Dimension 1-3, int or Fraction constants, and at times a parameter t in them."""
+def small_algebras(draw, parametric=None):
+    """Dimension 1-3, int or Fraction constants, and a parameter t in them
+    at times, or always or never when parametric is given."""
     n = draw(st.integers(1, 3))
-    parametric = draw(st.booleans())
+    if parametric is None:
+        parametric = draw(st.booleans())
     t = PolyQ.var("t")
 
     def scalar():
@@ -241,15 +289,42 @@ def invertible_matrices(draw, n):
     return [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
+# a repeated variable maps several leaves to one generic element, so a
+# generic product can cancel while its variables stay in the printed order
+REPEATED_VARIABLES = tuple(
+    parse_system(f"repeated-{i}", text)
+    for i, text in enumerate((
+        "(x1 (x1 x1)) - ((x1 x1) x1) = 0",
+        "((x1 x1) x2) - (x1 (x1 x2)) = 0",
+        "(x1 x1) = 0",
+        "((x1 x2) (x1 x1)) - (x1 (x2 (x1 x1))) = 0",
+    ))
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_identity_checks_agree_on_random_algebras(data):
+    """Both modes against their oracles, counterexample strings included, and against each other."""
     A = data.draw(small_algebras())
-    sys = builtin_system(data.draw(st.sampled_from(ORACLE_SYSTEMS)))
-    holds = assert_matches_oracle(A, sys)
-    assert check_identity(A, sys, "symbolic").holds == holds
+    systems = (
+        builtin_system(data.draw(st.sampled_from(ORACLE_SYSTEMS))),
+        data.draw(st.sampled_from(REPEATED_VARIABLES)),
+    )
     B = change_basis(A, data.draw(invertible_matrices(A.dim)))
-    assert check_identity(B, sys).holds == holds
+    for sys in systems:
+        holds = assert_matches_oracle(A, sys)
+        assert assert_symbolic_matches_oracle(A, sys) == holds
+        assert check_identity(B, sys).holds == holds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_basis_change_keeps_fingerprint_and_orbit_dim(data):
+    A = data.draw(small_algebras(parametric=False))
+    B = change_basis(A, data.draw(invertible_matrices(A.dim)))
+    assert fingerprint(B) == fingerprint(A)
+    assert orbit_dim(B) == orbit_dim(A)
 
 
 def test_check_refuses_too_many_evaluations_before_work():
@@ -270,6 +345,12 @@ def test_parameter_clash():
     A = zero_algebra(2).with_parameters(["g1_1"])
     with pytest.raises(ParameterClash):
         A.generic_element("g1")
+    with pytest.raises(ParameterClash, match="^generated coordinate 'g1_1' collides with a parameter$"):
+        check_identity(A, builtin_system("sas"), "symbolic")
+    assert check_identity(A, builtin_system("sas")).holds
+    # sas has three variables, so the third generic element clashes too
+    with pytest.raises(ParameterClash, match="'g3_2'"):
+        check_identity(zero_algebra(2).with_parameters(["g3_2"]), builtin_system("sas"), "symbolic")
 
 
 # ---------------------------------------------------------------------------

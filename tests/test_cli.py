@@ -264,6 +264,17 @@ def test_malformed_algebra_json_names_the_fault(capsys, tmp_path):
     assert code == 0 and out.strip() == "holds"
 
 
+def test_symbolic_check_refuses_a_parameter_named_like_a_coordinate(capsys, tmp_path):
+    path = tmp_path / "clash.json"
+    e1e1 = {"left": "e1", "right": "e1", "value": [["g1_1", "e2"]]}
+    path.write_text(json.dumps({"name": "clash", "dim": 2, "parameters": ["g1_1"], "products": [e1e1]}))
+    code, out, err = run_cli(capsys, "check-identity", "--algebra", str(path), "--system", "sas", "--mode", "symbolic")
+    assert code == 2 and not out
+    assert err.strip() == "error: generated coordinate 'g1_1' collides with a parameter"
+    code, out, _ = run_cli(capsys, "check-identity", "--algebra", str(path), "--system", "sas")
+    assert code == 0 and out.strip() == "holds"
+
+
 def test_system_from_file(capsys, tmp_path):
     path = tmp_path / "anti.ids"
     path.write_text("# sign-flipped variant\n((x1 x2) x3) + (x1 (x3 x2)) = 0\n")

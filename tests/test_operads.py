@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nassoc import operads
 from nassoc.errors import DegreeTooLarge, NotMultilinear, NotQuadratic
@@ -376,6 +378,27 @@ def test_dual_involution():
     for name in ("as", "sas", "a132"):
         pres = OperadPresentation.of_system(builtin_system(name))
         assert koszul_dual(koszul_dual(pres)).same_space(pres)
+
+
+@st.composite
+def s3_stable_presentations(draw):
+    """The S3-closure of 1-3 random degree-3 relation vectors."""
+    space = MultilinearSpace(3)
+    rref = SparseRREF(space.dim)
+    coefficients = st.sampled_from([0, 0, 0, 1, -1, 2, Q(1, 2)])
+    for _ in range(draw(st.integers(1, 3))):
+        vec = {i: Q(c) for i in range(space.dim) if (c := draw(coefficients))}
+        for perm in _perms_lex(3):
+            rref.insert(space.relabel_vec(vec, perm))
+    return OperadPresentation(rref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s3_stable_presentations())
+def test_dual_involution_on_random_presentations(pres):
+    dual = koszul_dual(pres)
+    assert pres.dim + dual.dim == 12
+    assert koszul_dual(dual).same_space(pres)
 
 
 def test_dual_sas_explicit_identity():
