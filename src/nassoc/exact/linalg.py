@@ -1,21 +1,20 @@
 """Exact dense and sparse linear algebra.
 
-`rref` is the one dense elimination: every dense rank, span, kernel, solve
-and inverse in the package goes through it.  It works over any field whose
-elements support +, -, *, / and compare equal to 0; callers pass explicit
-zero/one elements for fields other than the rationals.  Pivoting is always
-"first nonzero in column order" so results are deterministic.  A span is
-stored as its RREF row list, `rref(vectors)[1]`, and `express` writes a
-vector in terms of given vectors.  `det` eliminates separately because it
-tracks the row swaps.  `bareiss_rank` is a fraction-free integer rank that
-shares no code with `rref`; tests use it as an independent oracle.
+Every elimination over Q runs on `SparseRREF`, which maintains a reduced
+row-echelon basis of a growing subspace of Q^n with sparse rows.  Its
+eliminations mostly meet pivots of +-1, so its rows keep integral
+coefficients as `int` and use `Fraction` only where a coefficient is not
+integral; what it returns is always `Fraction`.  `span` builds one from
+dense rows, and `nullspace`, `express` and `inverse` read their answers
+off it: the kernel, coefficients in a span, and the inverse from the RREF
+of [M | I].  Pivoting is always "first nonzero in column order", and the
+reduced form is unique, so results are deterministic.
 
-The SparseRREF accumulator maintains a reduced row-echelon basis of a
-growing subspace of Q^n with sparse rows; it is the workhorse behind the
-consequence-space computations, where generated relations have very few
-nonzero entries.  Their eliminations mostly meet pivots of +-1, so its rows
-keep integral coefficients as `int` and use `Fraction` only where a
-coefficient is not integral; what it returns is always `Fraction`.
+The dense `rref` and `solve_right` serve the rational function field Q(t)
+of `moduli`; they work over any field whose elements support +, -, *, /
+and compare equal to 0, with explicit zero/one elements.  `rref`, `det` and
+`bareiss_rank`, a fraction-free integer rank that shares no code with
+`SparseRREF`, remain as independent oracles for the tests.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ def bareiss_rank(matrix) -> int:
     return r
 
 
-def nullspace(matrix, ncols=None, zero=Q0, one=Q1):
+def nullspace(matrix, ncols=None):
     """Basis of the right kernel, one vector per free column, ascending.
 
     Each vector is scaled so that its first nonzero coordinate is +1.
@@ -107,24 +106,10 @@ def nullspace(matrix, ncols=None, zero=Q0, one=Q1):
         if not matrix:
             raise ValueError("empty matrix needs an explicit column count")
         ncols = len(matrix[0])
-    if not matrix:
-        matrix = [[zero] * ncols]
-    pivots, rows = rref(matrix, zero, one)
-    pivot_set = set(pivots)
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = zero - rows[r][f]
-        for x in v:
-            if x != zero:
-                inv = one / x
-                v = [inv * y for y in v]
-                break
-        basis.append(v)
+    for vec in span(matrix, ncols).kernel():
+        inv = Q1 / vec[min(vec)]
+        basis.append([vec.get(i, Q0) * inv for i in range(ncols)])
     return basis
 
 
@@ -141,26 +126,25 @@ def solve_right(matrix, rhs_columns, zero=Q0, one=Q1):
     return cols
 
 
-def express(vectors, target, zero=Q0, one=Q1):
+def express(vectors, target):
     """Coefficients c with sum c[k] * vectors[k] == target, or None when the
     target lies outside the span.  Coefficients of vectors that depend on
     earlier ones are zero."""
     k = len(vectors)
-    aug = [[v[i] for v in vectors] + [x] for i, x in enumerate(target)]
-    pivots, rows = rref(aug, zero, one)
-    if pivots and pivots[-1] == k:
+    acc = span(([v[i] for v in vectors] + [x] for i, x in enumerate(target)), k + 1)
+    if k in acc.rows:
         return None
-    coeffs = [zero] * k
-    for r, p in enumerate(pivots):
-        coeffs[p] = rows[r][k]
-    return coeffs
+    phi = acc.kernel()[-1]  # the functional of free column k
+    return [-phi.get(p, Q0) for p in range(k)]
 
 
-def inverse(matrix, zero=Q0, one=Q1):
+def inverse(matrix):
+    """Inverse of a square rational matrix, read off the RREF of [M | I]."""
     n = len(matrix)
-    eye = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    cols = solve_right(matrix, eye, zero, one)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    acc = span(([*row] + [Q1 if i == j else Q0 for j in range(n)] for i, row in enumerate(matrix)), 2 * n)
+    if any(p not in acc.rows for p in range(n)):
+        raise ValueError("matrix is singular")
+    return [[row.get(n + j, Q0) for j in range(n)] for row in acc.basis()]
 
 
 def det(matrix, zero=Q0, one=Q1):
@@ -302,3 +286,21 @@ class SparseRREF:
     def basis(self) -> list[dict[int, Fraction]]:
         """Rows as vectors of Fractions, sorted by pivot position."""
         return [{q: Fraction(c) for q, c in self.rows[p].items()} for p in sorted(self.rows)]
+
+    def kernel(self) -> list[dict[int, Fraction]]:
+        """Basis of the functionals that vanish on the subspace, one per free
+        position f, ascending: 1 at f and -R[p][f] at each pivot p whose row
+        uses f."""
+        return [
+            {p: -Fraction(self.rows[p][f]) for p in sorted(self.where.get(f, ()))} | {f: Q1}
+            for f in range(self.ncols)
+            if f not in self.rows
+        ]
+
+
+def span(rows, ncols: int) -> SparseRREF:
+    """The subspace of Q^ncols spanned by dense rows."""
+    acc = SparseRREF(ncols)
+    for row in rows:
+        acc.insert(dict(enumerate(row)))
+    return acc

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import exprparse
 from .algebras import AlgebraStructure
 from .errors import ParametricNotSupported, PoleAtZero, ShapeMismatch, SingularForAllT
-from .exact.linalg import det, rref, solve_right
+from .exact.linalg import rref, solve_right, span
 from .exact.ratfun import RatFunT
 from .structure import derivation_algebra, derivation_equations, power_subspaces, powers_and_nilpotency
 
@@ -64,8 +64,8 @@ class ParamBasis:
 def transform(A: AlgebraStructure, basis: ParamBasis):
     """Structure constants of A in the parametrized basis, as RatFunT entries.
 
-    Raises SingularForAllT when the basis matrix has identically zero
-    determinant, and requires basis.subst to cover all parameters of A.
+    Raises SingularForAllT when the basis matrix is singular over Q(t),
+    and requires basis.subst to cover all parameters of A.
     """
     n = A.dim
     if basis.dim != n:
@@ -73,9 +73,6 @@ def transform(A: AlgebraStructure, basis: ParamBasis):
     for p in A.parameters:
         if p not in basis.subst:
             raise ParametricNotSupported(f"no substitution supplied for parameter {p!r}")
-    m = basis.matrix()
-    if det(m, zero=RF0, one=RF1) == RF0:
-        raise SingularForAllT("parametrized basis matrix is singular for every t")
     consts = A.constants
     if A.parameters:
         consts = [[[c.eval(basis.subst) for c in vec] for vec in row] for row in consts]
@@ -99,7 +96,10 @@ def transform(A: AlgebraStructure, basis: ParamBasis):
                             vec[k] = vec[k] + coef * consts[a][b][k]
             rhs_columns.append(vec)
             order.append((i, j))
-    solved = solve_right(m, rhs_columns, zero=RF0, one=RF1)
+    try:
+        solved = solve_right(basis.matrix(), rhs_columns, zero=RF0, one=RF1)
+    except ValueError:
+        raise SingularForAllT("parametrized basis matrix is singular for every t") from None
     for (i, j), col in zip(order, solved):
         new[i][j] = col
     return new
@@ -343,7 +343,7 @@ def pencil_invariant(A: AlgebraStructure) -> Fraction:
 def random_invertible_matrix(n: int, rng: random.Random):
     while True:
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        if det(m) != 0:
+        if span(m, n).rank == n:
             return m
 
 

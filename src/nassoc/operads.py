@@ -459,23 +459,10 @@ def polarized_identity_dim(sys: IdentitySystem, op: str, n: int, cap: int | None
     combine = circle if op == "circle" else bracket
     cons = consequences(sys, n, cap)
     space = cons.space
-
-    from .exact.linalg import nullspace as dense_nullspace
-
-    columns = []
+    images = SparseRREF(space.dim)
     for idx in range(space.dim):
-        word = space.word_at(idx)
-        reduced = cons.reduce_vec(space.expr_to_vec(_formal_expand(word, combine)))
-        columns.append(reduced)
-    coords = sorted({c for col in columns for c in col})
-    coord_pos = {c: i for i, c in enumerate(coords)}
-    rows = [[Fraction(0)] * space.dim for _ in coords]
-    for j, col in enumerate(columns):
-        for c, v in col.items():
-            rows[coord_pos[c]][j] = v
-    if not rows:
-        return space.dim
-    return len(dense_nullspace(rows, ncols=space.dim))
+        images.insert(cons.reduce_vec(space.expr_to_vec(_formal_expand(space.word_at(idx), combine))))
+    return space.dim - images.rank
 
 
 def nice_index(sys: IdentitySystem, kmax: int, cap: int | None = None) -> int | None:

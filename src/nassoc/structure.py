@@ -7,15 +7,16 @@ need a parameter-free algebra, whose constants and element coordinates are
 already Fractions, so they enter the linear algebra as they are; only the
 family-uniform power chains and subalgebra restriction split a family's
 PolyQ coordinates into one rational vector per parameter monomial.  The
-linear algebra is exact over Q and runs on `exact.linalg`: a subspace of
-Q^n is its RREF row list, `rref(vectors)[1]`, so its dimension is the
-length of that list, and coordinates in a span come from `express`.  The
-radical candidate is the kernel of the trace form tau(x,y) = trace(L_{x o y})
-on the anticommutator algebra; the semisimple part is rebuilt by lifting
-orthogonal primitive idempotents from the quotient with the cubic iteration
-e <- 3e^2 - 2e^3.  Because the trace recipe is a heuristic imported from
-the commutative setting, every split is post-verified and the flags are
-part of the result.
+linear algebra is exact over Q and runs on the sparse elimination of
+`exact.linalg`: a subspace of Q^n is kept as its dense RREF row list of
+Fractions, read off a `SparseRREF` by `_rref_rows`, so its dimension is the
+length of that list; ranks come from `span` and coordinates in a span from
+`express`.  The radical candidate is the kernel of the trace form
+tau(x,y) = trace(L_{x o y}) on the anticommutator algebra; the semisimple
+part is rebuilt by lifting orthogonal primitive idempotents from the
+quotient with the cubic iteration e <- 3e^2 - 2e^3.  Because the trace
+recipe is a heuristic imported from the commutative setting, every split
+is post-verified and the flags are part of the result.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     ParametricNotSupported,
     VerificationFailed,
 )
-from .exact.linalg import express, nullspace, rref
+from .exact.linalg import express, inverse, nullspace, span
 from .exact.poly import PolyQ
 from .systems import builtin_system
 from .terms import shapes
@@ -43,6 +44,11 @@ from .terms import shapes
 
 def _identity_rows(n: int):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _rref_rows(acc):
+    """The RREF row list of a SparseRREF subspace, as dense Fraction rows."""
+    return [[row.get(i, Fraction(0)) for i in range(acc.ncols)] for row in acc.basis()]
 
 
 def _monomial_parts(A: AlgebraStructure, x: Element):
@@ -108,7 +114,7 @@ def power_subspaces(A: AlgebraStructure, limit: int | None = None) -> list[list]
         vecs = []
         for i in range(1, k):
             vecs.extend(product_span_vectors(A, chain[i - 1], chain[k - i - 1]))
-        nxt = rref(vecs)[1]
+        nxt = _rref_rows(span(vecs, A.dim))
         chain.append(nxt)
         if not nxt or len(nxt) == len(chain[-2]):
             break
@@ -124,7 +130,7 @@ def powers_and_nilpotency(A: AlgebraStructure) -> PowersReport:
         ncls = max(k for k, s in enumerate(chain, start=1) if s) if power_dims[0] > 0 else 0
     derived = [_identity_rows(A.dim)]
     for _ in range(2 * A.dim + 2):
-        nxt = rref(product_span_vectors(A, derived[-1], derived[-1]))[1]
+        nxt = _rref_rows(span(product_span_vectors(A, derived[-1], derived[-1]), A.dim))
         derived.append(nxt)
         if not nxt or len(nxt) == len(derived[-2]):
             break
@@ -307,7 +313,7 @@ def _is_ideal(A: AlgebraStructure, vectors) -> bool:
             b = A.basis_element(i)
             for prod in (A.mul(x, b), A.mul(b, x)):
                 prods.append(list(prod.coords))
-    return len(rref(list(vectors) + prods)[1]) == len(vectors)
+    return span(list(vectors) + prods, A.dim).rank == len(vectors)
 
 
 def peirce(A: AlgebraStructure, e: Element) -> PeirceSplit:
@@ -467,7 +473,7 @@ def _primitive_idempotents(qmul, sub, unit_elem, name: str) -> list:
                     continue
                 shifted = [a - mu * b for a, b in zip(u, unit_elem)]
                 proj = [x / (lam - mu) for x in qmul(proj, shifted)]
-            piece = rref([qmul(proj, b) for b in sub])[1]
+            piece = _rref_rows(span([qmul(proj, b) for b in sub], len(unit_elem)))
             out.extend(_primitive_idempotents(qmul, piece, proj, name))
         return out
     raise VerificationFailed(
@@ -485,7 +491,8 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
     if A.is_parametric():
         raise ParametricNotSupported(f"specialize {A.name} before the Wedderburn split")
     n = A.dim
-    r_pivots, radical = rref(nullspace(trace_form_gram(A), ncols=n))
+    rad = span(nullspace(trace_form_gram(A), ncols=n), n)
+    radical = _rref_rows(rad)
     flags: dict[str, bool] = {}
 
     # radical must be an ideal for the quotient to make sense
@@ -508,12 +515,15 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
 
     # quotient algebra on the non-pivot coordinates: the radical rows and the
     # free unit vectors form a basis of Q^n, and a vector's quotient
-    # coordinates are its coefficients on the free unit vectors
+    # coordinates, its coefficients on the free unit vectors, are its
+    # residual modulo the radical read at the free positions
     eye = _identity_rows(n)
-    free_units = [eye[i] for i in range(n) if i not in r_pivots]
+    free = [i for i in range(n) if i not in rad.rows]
+    free_units = [eye[i] for i in free]
 
     def project(vec):
-        return express(radical + free_units, vec)[len(radical):]
+        res = rad.reduce(dict(enumerate(vec)))
+        return [res.get(i, Fraction(0)) for i in free]
 
     qconsts = [[None] * s_dim for _ in range(s_dim)]
     for a in range(s_dim):
@@ -568,9 +578,9 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
             rows.append(list(w.coords))
         columns = [[rows[t][i] for t in range(len(ideal))] for i in range(n)]
         kern = nullspace(columns, ncols=len(ideal)) if ideal else []
-        ideal = rref(
-            [[sum(coeffs[t] * ideal[t][i] for t in range(len(ideal))) for i in range(n)] for coeffs in kern]
-        )[1]
+        ideal = _rref_rows(
+            span([[sum(coeffs[t] * ideal[t][i] for t in range(len(ideal))) for i in range(n)] for coeffs in kern], n)
+        )
 
     # post-verification
     ortho = True
@@ -581,9 +591,9 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
             if not A.equal_elements(prod, expected):
                 ortho = False
     flags["idempotents_orthonormal"] = ortho
-    flags["sum_is_direct"] = len(radical) + len(lifted) == n == len(rref(radical + lifted)[1])
+    flags["sum_is_direct"] = len(radical) + len(lifted) == n == span(radical + lifted, n).rank
     if lifted:
-        s_alg = restrict_to_subspace(A, rref(lifted)[1], f"ss({A.name})")
+        s_alg = restrict_to_subspace(A, _rref_rows(span(lifted, n)), f"ss({A.name})")
         flags["s_commutative_associative"] = check_identity(s_alg, builtin_system("com-as")).holds
     else:
         flags["s_commutative_associative"] = True
@@ -710,8 +720,6 @@ def fingerprint(A: AlgebraStructure) -> Fingerprint:
 
 def change_basis(A: AlgebraStructure, matrix) -> AlgebraStructure:
     """Structure constants in the basis E_i = sum_j matrix[j][i] e_j."""
-    from .exact.linalg import inverse
-
     n = A.dim
     m = [[Fraction(x) for x in row] for row in matrix]
     minv = inverse(m)

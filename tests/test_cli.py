@@ -57,6 +57,13 @@ def test_transform_without_basis_is_a_usage_error(capsys):
     assert "--cert or --basis" in err
 
 
+def test_transform_singular_basis_is_a_usage_error(capsys):
+    basis = '[["t","0","0"],["t","0","0"],["0","0","1"]]'
+    code, out, err = run_cli(capsys, "transform", "--algebra", "a1", "--basis", basis)
+    assert code == 2 and not out
+    assert err == "error: parametrized basis matrix is singular for every t\n"
+
+
 def test_mutate_and_kantor_without_elements_are_usage_errors(capsys):
     for argv in (["mutate", "--algebra", "a1"], ["mutate", "--algebra", "a1", "--p", "1,0,0"],
                  ["kantor", "--algebra", "a1"]):

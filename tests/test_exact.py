@@ -14,8 +14,10 @@ from nassoc.exact import (
     bareiss_rank,
     compose_series,
     express,
+    inverse,
     nullspace,
 )
+from nassoc.exact.linalg import rref
 from nassoc.operads import MultilinearSpace, _perms_lex
 from nassoc.systems import builtin_system
 
@@ -60,21 +62,65 @@ def test_pairing_matrix_kernel_dimension():
             assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+def _rational(data):
+    return Q(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+
+
+def _rows_with_dependencies(data, nrows, ncols):
+    """nrows random rational rows, some of them combinations of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        if rows and data.draw(st.booleans()):
+            coeffs = [_rational(data) for _ in rows]
+            rows.append([sum((c * r[i] for c, r in zip(coeffs, rows)), Q(0)) for i in range(ncols)])
+        else:
+            rows.append([_rational(data) for _ in range(ncols)])
+    return rows
+
+
+def dense_nullspace(matrix, ncols):
+    """Reference kernel from the dense RREF: one vector per free column,
+    scaled so that its first nonzero coordinate is +1."""
+    pivots, rows = rref(matrix)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Q(0)] * ncols
+        v[f] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        lead = next(x for x in v if x)
+        basis.append([x / lead for x in v])
+    return basis
+
+
+def dense_express(vectors, target):
+    """Reference coefficients from the dense RREF of [vectors | target]."""
+    k = len(vectors)
+    pivots, rows = rref([[v[i] for v in vectors] + [x] for i, x in enumerate(target)])
+    if k in pivots:
+        return None
+    coeffs = [Q(0)] * k
+    for r, p in enumerate(pivots):
+        coeffs[p] = rows[r][k]
+    return coeffs
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(2, 4),
+    st.integers(2, 5),
     st.integers(2, 4),
     st.data(),
 )
 def test_rank_nullity(nrows, ncols, data):
-    matrix = [
-        [Q(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3))) for _ in range(ncols)]
-        for _ in range(nrows)
-    ]
+    matrix = _rows_with_dependencies(data, nrows, ncols)
     kernel = nullspace(matrix)
     assert bareiss_rank(matrix) + len(kernel) == ncols
     for v in kernel:
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in matrix)
+    assert kernel == dense_nullspace(matrix, ncols)
+    assert all(type(x) is Q for v in kernel for x in v)
 
 
 def test_nullspace_deterministic():
@@ -82,7 +128,9 @@ def test_nullspace_deterministic():
     assert nullspace(m) == nullspace(m)
 
 
-def test_express_round_trip_and_outside():
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_express_round_trip_and_outside(data):
     vectors = [[Q(1), Q(2), Q(0), Q(1)], [Q(0), Q(1), Q(-1), Q(3)], [Q(1), Q(3), Q(-1), Q(4)]]
     coeffs = [Q(2, 3), Q(-5)]
     target = [coeffs[0] * a + coeffs[1] * b for a, b in zip(vectors[0], vectors[1])]
@@ -93,6 +141,38 @@ def test_express_round_trip_and_outside():
     assert express(vectors, [Q(0), Q(0), Q(0), Q(1)]) is None
     assert express([], [Q(0), Q(0)]) == []
     assert express([], [Q(0), Q(1)]) is None
+
+    # random vectors with dependencies, against the dense reference
+    dim = data.draw(st.integers(1, 4))
+    vectors = _rows_with_dependencies(data, data.draw(st.integers(1, 4)), dim)
+    if data.draw(st.booleans()):
+        coeffs = [_rational(data) for _ in vectors]
+        target = [sum((c * v[i] for c, v in zip(coeffs, vectors)), Q(0)) for i in range(dim)]
+    else:
+        target = [_rational(data) for _ in range(dim)]
+    got = express(vectors, target)
+    assert got == dense_express(vectors, target)
+    if got is not None:
+        assert all(type(c) is Q for c in got)
+        assert [sum(c * v[i] for c, v in zip(got, vectors)) for i in range(dim)] == target
+        # a vector in the span of earlier ones gets coefficient 0
+        for k in range(len(vectors)):
+            if bareiss_rank(vectors[: k + 1]) == bareiss_rank(vectors[:k]):
+                assert got[k] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_inverse_on_random_matrices(n, data):
+    matrix = _rows_with_dependencies(data, n, n)
+    if bareiss_rank(matrix) < n:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            inverse(matrix)
+        return
+    inv = inverse(matrix)
+    eye = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    assert [[sum(matrix[i][t] * inv[t][j] for t in range(n)) for j in range(n)] for i in range(n)] == eye
+    assert all(type(x) is Q for row in inv for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +350,6 @@ def test_poly_graded_lex_printing():
 def test_sparse_rref_matches_dense(data):
     """The incremental sparse eliminator agrees with dense reduction."""
     from nassoc.exact import SparseRREF
-    from nassoc.exact.linalg import rref
 
     ncols = data.draw(st.integers(3, 7))
     nrows = data.draw(st.integers(1, 8))
@@ -316,7 +395,6 @@ def test_sparse_rref_mixed_scalars(data):
     """int and Fraction inputs, pivots +-1, +-2 and 3/2: the sparse rows equal
     the dense Fraction RREF and the public results are Fractions."""
     from nassoc.exact import SparseRREF
-    from nassoc.exact.linalg import rref
 
     draw = data.draw
     ncols = draw(st.integers(3, 7))

@@ -26,6 +26,7 @@ from nassoc.operads import (
     koszulity_residual,
     multilinear_dim,
     nice_index,
+    polarized_identity_dim,
     prove_zero,
     resolve_degree_cap,
 )
@@ -453,6 +454,17 @@ def test_prove_zero_nonmultilinear():
 
 # ---------------------------------------------------------------------------
 # niceness
+
+
+@pytest.mark.parametrize(
+    "name, circle, bracket",
+    # for as, 12 - 9 = 3 = dim SJ(3) and 12 - 10 = 2 = dim Lie(3)
+    [("as", 9, 10), ("com-as", 11, 12), ("a12", 9, 9), ("a23", 9, 9)],
+)
+def test_polarized_identity_dim_degree3(name, circle, bracket):
+    sys = builtin_system(name)
+    assert polarized_identity_dim(sys, "circle", 3) == circle
+    assert polarized_identity_dim(sys, "bracket", 3) == bracket
 
 
 def test_nice_indices():

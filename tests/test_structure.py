@@ -343,6 +343,13 @@ def test_change_basis_identity():
                 assert B.constants[i][j][k] == A.constants[i][j][k]
 
 
+def test_change_basis_rejects_singular_matrix():
+    A = load_algebra("a13")
+    M = [[Q(1), Q(2), Q(0), Q(0)], [Q(2), Q(4), Q(0), Q(0)], [Q(0), Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(0), Q(1)]]
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        change_basis(A, M)
+
+
 def test_change_basis_preserves_identities():
     import random
 
