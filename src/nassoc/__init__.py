@@ -25,7 +25,7 @@ from .algebras import (
     unital_hull,
 )
 from .corpus import load_algebra, load_certificate, load_closed_set, run_certificate
-from .exact import PolyQ, Rational, RatFunT, SeriesQ, compose_series, nullspace
+from .exact import PolyQ, RatFunT, SeriesQ, compose_series, nullspace
 from .freealg import CircleWord, NormalForm, cas_normal_form, free_basis, normal_form, sas_normal_form
 from .moduli import (
     ClosedSetSpec,
@@ -74,8 +74,6 @@ from .terms import (
     Expr,
     Identity,
     IdentitySystem,
-    Permutation,
-    apply_permutation,
     multilinearize,
     parse_expr,
     parse_identity,

@@ -5,15 +5,12 @@ Rationals are plain fractions.Fraction values: arbitrary precision,
 gcd-reduced with positive denominator, never rounding.
 """
 
-from fractions import Fraction as Rational
-
 from .linalg import SparseRREF, bareiss_rank, det, express, inverse, nullspace, rref, solve_right
 from .poly import PolyQ
 from .ratfun import RatFunT
 from .series import SeriesQ, compose_series
 
 __all__ = [
-    "Rational",
     "PolyQ",
     "RatFunT",
     "SeriesQ",

@@ -1,14 +1,17 @@
 """Exact dense and sparse linear algebra.
 
 Every elimination over Q runs on `SparseRREF`, which maintains a reduced
-row-echelon basis of a growing subspace of Q^n with sparse rows.  Its
-eliminations mostly meet pivots of +-1, so its rows keep integral
-coefficients as `int` and use `Fraction` only where a coefficient is not
-integral; what it returns is always `Fraction`.  `span` builds one from
-dense rows, and `nullspace`, `express` and `inverse` read their answers
-off it: the kernel, coefficients in a span, and the inverse from the RREF
-of [M | I].  Pivoting is always "first nonzero in column order", and the
-reduced form is unique, so results are deterministic.
+row-echelon basis of a growing subspace of Q^n with sparse rows.  Its rows
+are kept fully reduced: each row is 1 at its own pivot and 0 at every other
+pivot.  So reducing a vector is one pass, subtracting once the row of each
+pivot the vector holds, and the residual lives on the free (non-pivot)
+positions only.  Its eliminations mostly meet pivots of +-1, so its rows
+keep integral coefficients as `int` and use `Fraction` only where a
+coefficient is not integral; what it returns is always `Fraction`.  `span`
+builds one from dense rows, and `nullspace`, `express` and `inverse` read
+their answers off it: the kernel, coefficients in a span, and the inverse
+from the RREF of [M | I].  Pivoting is always "first nonzero in column
+order", and the reduced form is unique, so results are deterministic.
 
 The dense `rref` and `solve_right` serve the rational function field Q(t)
 of `moduli`; they work over any field whose elements support +, -, *, /
@@ -19,7 +22,6 @@ and compare equal to 0, with explicit zero/one elements.  `rref`, `det` and
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd
 
@@ -182,7 +184,12 @@ class SparseRREF:
 
     Vectors are dicts {position: rational}, positions in [0, ncols).  The
     pivot of a row is its smallest position, so the free positions are the
-    late ones.  Rows are kept fully reduced at all times.
+    late ones.  Rows are kept fully reduced at all times: no row has a
+    nonzero at another row's pivot, and `where[q]` is the set of rows that
+    use the free position q.  `insert` keeps this by subtracting the new row
+    from every row in `where` of its pivot.  It is what makes `reduce` one
+    pass, and it makes the residual of v on the free positions the values
+    of the `kernel` functionals at v.
 
     `rows` is internal: it stores an integral coefficient as an `int` and
     any other as a `Fraction`, so that relations whose eliminations meet
@@ -207,29 +214,22 @@ class SparseRREF:
             raise ValueError(f"position {bad} is outside [0, {self.ncols})")
 
     def _reduce_internal(self, vec) -> dict[int, int | Fraction]:
+        # one pass: a fully reduced row is zero at every other pivot, so
+        # subtracting the row of each pivot in vec changes only free positions
+        # and leaves vec's entries at the other pivots as they were
         work = {p: c.numerator if c.denominator == 1 else c for p, c in vec.items() if c != 0}
-        heap = sorted(work)
-        heapq.heapify(heap)
-        while heap:
-            p = heapq.heappop(heap)
-            c = work.get(p)
-            if not c:
-                continue
-            row = self.rows.get(p)
-            if row is None:
-                continue
-            del work[p]
-            for q, rc in row.items():
+        rows = self.rows
+        for p in [p for p in work if p in rows]:
+            c = work.pop(p)
+            for q, rc in rows[p].items():
                 if q == p:
                     continue
                 # the default must be the int 0: a Fraction default would
                 # turn every integer entry back into a Fraction
                 nv = work.get(q, 0) - c * rc
                 if nv == 0:
-                    work.pop(q, None)
+                    del work[q]
                 else:
-                    if q not in work:
-                        heapq.heappush(heap, q)
                     work[q] = nv
         return work
 
@@ -262,7 +262,7 @@ class SparseRREF:
         # keep existing rows fully reduced with respect to the new pivot
         users = self.where.pop(lead, None)
         if users:
-            for p in sorted(users):
+            for p in users:
                 other = self.rows[p]
                 c = other.pop(lead)
                 for q, rc in row.items():
@@ -287,14 +287,17 @@ class SparseRREF:
         """Rows as vectors of Fractions, sorted by pivot position."""
         return [{q: Fraction(c) for q, c in self.rows[p].items()} for p in sorted(self.rows)]
 
+    def free(self) -> list[int]:
+        """The non-pivot positions, ascending."""
+        return [f for f in range(self.ncols) if f not in self.rows]
+
     def kernel(self) -> list[dict[int, Fraction]]:
         """Basis of the functionals that vanish on the subspace, one per free
         position f, ascending: 1 at f and -R[p][f] at each pivot p whose row
         uses f."""
         return [
             {p: -Fraction(self.rows[p][f]) for p in sorted(self.where.get(f, ()))} | {f: Q1}
-            for f in range(self.ncols)
-            if f not in self.rows
+            for f in self.free()
         ]
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .errors import DegreeTooLarge
 from .exact.linalg import inverse
 from .exact.poly import signed_sum
-from .operads import ConsequenceSpace, consequences, resolve_degree_cap
+from .operads import HARD_DEGREE_CAP, ConsequenceSpace, consequences, resolve_degree_cap
 from .systems import builtin_system
 from .terms import (
     Expr,
@@ -124,7 +124,7 @@ def free_basis(variety: str, n: int, k: int, multilinear: bool = False):
         raise ValueError("variety must be 'sas' or 'cas'")
     if n < 1 or k < 1:
         raise ValueError("degree and generator count must be positive")
-    if n > resolve_degree_cap(None) + 2:
+    if n > HARD_DEGREE_CAP + 2:
         # enumeration is cheap but keep an upper sanity bound
         raise DegreeTooLarge(f"degree {n} basis enumeration refused")
     if multilinear:
@@ -235,7 +235,7 @@ def _quotient(variety: str, n: int, cap) -> _Quotient:
         return _quotient_cache[key]
     cons = consequences(builtin_system(variety), n, cap)
     space = cons.space
-    free = {col: j for j, col in enumerate(c for c in range(space.dim) if c not in cons.rref.rows)}
+    free = {col: j for j, col in enumerate(cons.rref.free())}
     labels = free_basis(variety, n, n, multilinear=True)
     if len(labels) != len(free):
         raise AssertionError(f"{len(labels)} basis labels for a {len(free)}-dimensional quotient")

@@ -175,12 +175,12 @@ def family_degeneration_check(
 
 def generic_derivation_dim(A: AlgebraStructure) -> int:
     """Derivation dimension at generic parameter values (rank over Q(alpha))."""
+    n = A.dim
     if len(A.parameters) == 0:
-        return derivation_algebra(A).dim
+        return n * n - span(derivation_equations(A.constants), n * n).rank
     if len(A.parameters) > 1:
         raise ParametricNotSupported("generic derivations support one parameter")
     env = {A.parameters[0]: RatFunT.t()}
-    n = A.dim
     c = [[[p.eval(env) for p in vec] for vec in row] for row in A.constants]
     pivots, _ = rref(derivation_equations(c, RF0), zero=RF0, one=RF1)
     return n * n - len(pivots)
@@ -189,10 +189,7 @@ def generic_derivation_dim(A: AlgebraStructure) -> int:
 def orbit_dim(A: AlgebraStructure) -> int:
     """n^2 - dim Der(A); for a parametric family, the dimension of the union
     of the family's orbits (one extra dimension per free parameter)."""
-    n = A.dim
-    if not A.is_parametric():
-        return n * n - derivation_algebra(A).dim
-    return n * n - generic_derivation_dim(A) + len(A.parameters)
+    return A.dim * A.dim - generic_derivation_dim(A) + len(A.parameters)
 
 
 @dataclass

@@ -65,14 +65,6 @@ def free_magma_dim(n: int) -> int:
     return math.factorial(n) * catalan(n - 1)
 
 
-def free_magma_series(order: int) -> SeriesQ:
-    """Signed exponential series of the free magma (the no-identities placeholder)."""
-    return SeriesQ(
-        order,
-        [Fraction((-1) ** n * free_magma_dim(n), math.factorial(n)) for n in range(1, order + 1)],
-    )
-
-
 # ---------------------------------------------------------------------------
 # the ambient multilinear space
 
@@ -474,15 +466,12 @@ def nice_index(sys: IdentitySystem, kmax: int, cap: int | None = None) -> int | 
         raise ValueError(f"kmax must be at least 3, where the search starts, got {kmax}")
     for k in range(3, kmax + 1):
         cons = consequences(sys, k, cap)
-        space = cons.space
-        if space.dim - cons.dim != 1:
+        if cons.space.dim - cons.dim != 1:
             continue
-        ok = True
-        for i in range(1, space.dim):
-            diff = {0: Fraction(1), i: Fraction(-1)}
-            if not cons.contains_vec(diff):
-                ok = False
-                break
-        if ok:
+        # the one functional vanishing on the consequences takes the same
+        # value on every monomial exactly when all monomials are congruent,
+        # and that value is its 1 at the free position
+        (phi,) = cons.rref.kernel()
+        if len(phi) == cons.space.dim and all(x == 1 for x in phi.values()):
             return k
     return None

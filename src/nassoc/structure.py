@@ -10,13 +10,15 @@ PolyQ coordinates into one rational vector per parameter monomial.  The
 linear algebra is exact over Q and runs on the sparse elimination of
 `exact.linalg`: a subspace of Q^n is kept as its dense RREF row list of
 Fractions, read off a `SparseRREF` by `_rref_rows`, so its dimension is the
-length of that list; ranks come from `span` and coordinates in a span from
-`express`.  The radical candidate is the kernel of the trace form
-tau(x,y) = trace(L_{x o y}) on the anticommutator algebra; the semisimple
-part is rebuilt by lifting orthogonal primitive idempotents from the
-quotient with the cubic iteration e <- 3e^2 - 2e^3.  Because the trace
-recipe is a heuristic imported from the commutative setting, every split
-is post-verified and the flags are part of the result.
+length of that list; ranks come from `span`.  A vector in the span of an
+RREF basis has its coordinates in that basis at the basis's pivots, since
+each row is 1 at its own pivot and 0 at the others; `express` serves the
+spanning sets that are not in RREF.  The radical candidate is the kernel
+of the trace form tau(x,y) = trace(L_{x o y}) on the anticommutator
+algebra; the semisimple part is rebuilt by lifting orthogonal primitive
+idempotents from the quotient with the cubic iteration e <- 3e^2 - 2e^3.
+Because the trace recipe is a heuristic imported from the commutative
+setting, every split is post-verified and the flags are part of the result.
 """
 
 from __future__ import annotations
@@ -140,25 +142,26 @@ def powers_and_nilpotency(A: AlgebraStructure) -> PowersReport:
 
 def restrict_to_subspace(A: AlgebraStructure, sub, name: str) -> AlgebraStructure:
     """Algebra structure induced on a multiplicatively closed subspace,
-    given by independent rows that become the new basis."""
+    given by its RREF rows, which become the new basis."""
     r = len(sub)
     if r == 0:
         raise ValueError("cannot restrict to the zero subspace")
+    acc = span(sub, A.dim)
+    pivots = sorted(acc.rows)
     constants = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(r):
             z = A.mul(A.element(sub[i]), A.element(sub[j]))
-            acc = [0] * r
+            coords = [0] * r
             for mono, vec in _monomial_parts(A, z):
-                coeffs = express(sub, vec)
-                if coeffs is None:
+                if not acc.contains(dict(enumerate(vec))):
                     raise VerificationFailed(
                         f"subspace of {A.name} is not closed under multiplication"
                     )
-                for t in range(r):
-                    if coeffs[t]:
-                        acc[t] = acc[t] + mono * coeffs[t]
-            constants[i][j] = acc
+                for t, p in enumerate(pivots):
+                    if vec[p]:
+                        coords[t] = coords[t] + mono * vec[p]
+            constants[i][j] = coords
     labels = tuple(f"f{i+1}" for i in range(r))
     return AlgebraStructure(name, r, constants, A.parameters, labels)
 
@@ -234,10 +237,6 @@ def apply_matrix(A: AlgebraStructure, M, x: Element) -> Element:
                 acc = acc + x.coords[i] * Fraction(M[k][i])
         out.append(acc)
     return Element(tuple(out))
-
-
-def is_derivation(A: AlgebraStructure, M) -> bool:
-    return is_leibniz_derivation(A, M, 2)
 
 
 def _eval_bracketing(A: AlgebraStructure, shape, elements, state):
@@ -518,7 +517,7 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
     # coordinates, its coefficients on the free unit vectors, are its
     # residual modulo the radical read at the free positions
     eye = _identity_rows(n)
-    free = [i for i in range(n) if i not in rad.rows]
+    free = rad.free()
     free_units = [eye[i] for i in free]
 
     def project(vec):
@@ -685,7 +684,7 @@ def annihilator_dim(A: AlgebraStructure) -> int:
         for k in range(n):
             rows.append([A.constants[i][j][k] for i in range(n)])
             rows.append([A.constants[j][i][k] for i in range(n)])
-    return len(nullspace(rows, ncols=n))
+    return n - span(rows, n).rank
 
 
 def fingerprint(A: AlgebraStructure) -> Fingerprint:

@@ -268,71 +268,6 @@ def associator(a: Expr, b: Expr, c: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# permutations
-
-
-class Permutation:
-    """Bijection of {1..n}; images[i-1] = sigma(i)."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-        self.images = images
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= len(self.images):
-            raise IndexOutOfRange(f"index {i} outside 1..{len(self.images)}")
-        return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self*other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("permutation sizes differ")
-        return Permutation(tuple(self.images[other.images[i] - 1] for i in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, im in enumerate(self.images, start=1):
-            inv[im - 1] = i
-        return Permutation(inv)
-
-    @property
-    def sign(self) -> int:
-        inversions = sum(
-            1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.images[i] > self.images[j]
-        )
-        return -1 if inversions % 2 else 1
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation{self.images}"
-
-
-def apply_permutation(e: Expr, p: Permutation) -> Expr:
-    """Relabel variables of e through p; linear over coefficients."""
-    mapping = {i: p(i) for i in range(1, p.n + 1)}
-    for v in e.variables():
-        if v not in mapping:
-            raise IndexOutOfRange(f"variable x{v} outside permutation domain 1..{p.n}")
-    return e.relabel(mapping)
-
-
-# ---------------------------------------------------------------------------
 # identities
 
 

@@ -2,7 +2,8 @@
 methods that it names as strings.  Resolving every name here makes a
 refactor that drops or renames one fail in this suite, not in a traced
 benchmark run.  The tracer's tables are read as literals, so no benchmark
-code runs."""
+code runs.  The tracer also reads a few attributes of nassoc objects; those
+are checked here on real objects."""
 
 import ast
 import importlib
@@ -33,3 +34,16 @@ def test_traced_names_resolve():
         assert callable(cls.__dict__[attr]), f"{clsname}.{attr}"
     sections = importlib.import_module("nassoc.reproduce").SECTIONS
     assert set(tables["SECTIONS"]) <= set(sections)
+
+
+def test_traced_attributes_exist():
+    from nassoc.algebras import AlgebraStructure
+    from nassoc.operads import consequences
+    from nassoc.systems import builtin_system
+
+    # Tracer._note_space and layer_metrics read these off each built space
+    space = consequences(builtin_system("sas"), 3)
+    assert (space.system_name, space.degree, space.dim) == ("sas", 3, 6)
+    assert sum(len(row) for row in space.rref.rows.values()) > 0
+    # Tracer._check_tag classifies identity checks by this
+    assert AlgebraStructure("z", 1, [[[0]]]).is_parametric() is False

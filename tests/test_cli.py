@@ -179,6 +179,19 @@ def test_normal_form_and_free_basis(capsys):
     assert code == 0 and "count: 12" in out
 
 
+def test_free_basis_degree_bound_is_fixed(capsys, monkeypatch):
+    """The basis enumeration bound does not depend on the degree cap."""
+    argv = ("free-basis", "--variety", "sas", "--generators", "2", "--cap", "8", "--degree")
+    monkeypatch.delenv("NASSOC_DEGREE_CAP", raising=False)
+    code, out, _ = run_cli(capsys, *argv, "9")
+    assert code == 0 and "count: 10" in out
+    monkeypatch.setenv("NASSOC_DEGREE_CAP", "8")
+    code, out, _ = run_cli(capsys, *argv, "9")
+    assert code == 0 and "count: 10" in out
+    code, _, err = run_cli(capsys, *argv, "11")
+    assert code == 2 and "degree 11 basis enumeration refused" in err
+
+
 def test_prove_zero_exit(capsys):
     code, _, _ = run_cli(capsys, "prove-zero", "--expr", "[x1,[x2,[x3,[x4,x5]]]]", "--system", "sas")
     assert code == 0

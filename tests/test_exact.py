@@ -412,6 +412,18 @@ def test_sparse_rref_mixed_scalars(data):
     matrix = [[Q(row.get(i, 0)) for i in range(ncols)] for row in rows]
     pivots, dense = rref(matrix)
     assert acc.rows == {p: {i: c for i, c in enumerate(dr) if c != 0} for p, dr in zip(pivots, dense)}
+    # the fully reduced invariant that makes reduction one pass: no row has a
+    # nonzero at another row's pivot, and where[q] is the set of rows using q
+    used = {}
+    for p, row in acc.rows.items():
+        assert not (row.keys() - {p}) & acc.rows.keys()
+        for q in row.keys() - {p}:
+            used.setdefault(q, set()).add(p)
+    assert {q: ps for q, ps in acc.where.items() if ps} == used
+    assert acc.free() == sorted(set(range(ncols)) - acc.rows.keys())
+    for phi in acc.kernel():
+        for row in acc.rows.values():
+            assert sum(c * row.get(i, 0) for i, c in phi.items()) == 0
     basis = acc.basis()
     assert all(type(c) is Q for vec in basis for c in vec.values())
 

@@ -12,17 +12,18 @@ from nassoc.exact.linalg import bareiss_rank, express
 from nassoc.exact.poly import PolyQ
 from nassoc.structure import (
     CocycleSpec,
+    _monomial_parts,
     algebra_from_cocycle,
     annihilator_dim,
     change_basis,
     derivation_algebra,
     fingerprint,
-    is_derivation,
     is_leibniz_derivation,
     peirce,
     power_subspaces,
     powers_and_nilpotency,
     product_span_vectors,
+    restrict_to_subspace,
     subalgebra_identity_check,
     wedderburn,
 )
@@ -56,7 +57,7 @@ def test_derivations_of_a12_at_one():
     der = derivation_algebra(A)
     assert der.dim == 4
     for m in der.matrices:
-        assert is_derivation(A, m)
+        assert is_leibniz_derivation(A, m, 2)
 
 
 def test_derivation_solution_space_matches_bareiss_rank():
@@ -154,6 +155,44 @@ def test_power_chain_dims_match_bareiss_rank():
         for k in range(2, len(chain) + 1):
             raw = [v for i in range(1, k) for v in product_span_vectors(A, chain[i - 1], chain[k - i - 1])]
             assert len(chain[k - 1]) == bareiss_rank(raw), (name, k)
+
+
+def _express_restriction(A, sub):
+    """Oracle: the restricted constants with each product part's coordinates
+    solved by its own `express` elimination, not read at the pivots."""
+    r = len(sub)
+    constants = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            coords = [0] * r
+            for mono, vec in _monomial_parts(A, A.mul(A.element(sub[i]), A.element(sub[j]))):
+                coeffs = express(sub, vec)
+                assert coeffs is not None
+                for t in range(r):
+                    if coeffs[t]:
+                        coords[t] = coords[t] + mono * coeffs[t]
+            constants[i][j] = coords
+    return AlgebraStructure("oracle", r, constants, A.parameters).constants
+
+
+def test_restriction_reads_coordinates_at_pivots():
+    levels = families = 0
+    for name in corpus_names():
+        A = load_algebra(name)
+        for k, sub in enumerate(power_subspaces(A), start=1):
+            if sub:
+                got = restrict_to_subspace(A, sub, f"{name}^{k}")
+                assert got.constants == _express_restriction(A, sub), (name, k)
+                levels += 1
+                families += bool(A.parameters)
+    assert (levels, families) == (120, 14)
+
+
+def test_restriction_to_a_non_subalgebra_fails():
+    dim5 = load_algebra("dim5_nonassoc")
+    e1 = [Q(1), Q(0), Q(0), Q(0), Q(0)]
+    with pytest.raises(VerificationFailed):
+        restrict_to_subspace(dim5, [e1], "span(e1)")
 
 
 def test_subalgebra_identity_checks():

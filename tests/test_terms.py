@@ -10,8 +10,6 @@ from nassoc.errors import IndexOutOfRange, NotHomogeneous, ParseError, Unbalance
 from nassoc.terms import (
     Expr,
     Identity,
-    Permutation,
-    apply_permutation,
     build_word,
     leaves,
     multilinearize,
@@ -154,42 +152,38 @@ def test_expr_constructor_sums_and_products_distribute(data):
 
 
 # ---------------------------------------------------------------------------
-# permutations
+# relabeling variables
 
 
-def test_apply_permutation_examples():
+def _perm(images):
+    """The relabeling x_i -> x_{images[i-1]}."""
+    return dict(enumerate(images, start=1))
+
+
+def test_relabel_examples():
     e = parse_expr("((x1 x2) x3)")
-    p = Permutation((2, 1, 3))
-    assert apply_permutation(e, p) == parse_expr("((x2 x1) x3)")
-    cyc = Permutation((2, 3, 1))  # 1 -> 2 -> 3 -> 1
-    assert apply_permutation(e, cyc) == parse_expr("((x2 x3) x1)")
+    assert e.relabel(_perm((2, 1, 3))) == parse_expr("((x2 x1) x3)")
+    cyc = _perm((2, 3, 1))  # 1 -> 2 -> 3 -> 1
+    assert e.relabel(cyc) == parse_expr("((x2 x3) x1)")
 
 
 def test_bracket_antisymmetry_under_swap():
     e = parse_expr("[x1,x2]")
-    assert apply_permutation(e, Permutation((2, 1))) == e.scale(-1)
-
-
-def test_permutation_sign_and_compose():
-    p = Permutation((2, 1, 3))
-    q = Permutation((2, 3, 1))
-    assert p.sign == -1
-    assert q.sign == 1
-    assert p.compose(p) == Permutation((1, 2, 3))
+    assert e.relabel(_perm((2, 1))) == e.scale(-1)
 
 
 def test_index_out_of_range():
     e = parse_expr("(x1 x4)")
     with pytest.raises(IndexOutOfRange):
-        apply_permutation(e, Permutation((2, 1, 3)))
+        e.relabel(_perm((2, 1, 3)))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.permutations([1, 2, 3]), st.permutations([1, 2, 3]))
 def test_group_action(p_imgs, q_imgs):
     e = parse_expr("((x1 x2) x3) - 2 * (x2 (x3 x1))")
-    p, q = Permutation(p_imgs), Permutation(q_imgs)
-    assert apply_permutation(apply_permutation(e, q), p) == apply_permutation(e, p.compose(q))
+    p, q = _perm(p_imgs), _perm(q_imgs)
+    assert e.relabel(q).relabel(p) == e.relabel({i: p[q[i]] for i in q})
 
 
 # ---------------------------------------------------------------------------
