@@ -10,7 +10,9 @@ keep integral coefficients as `int` and use `Fraction` only where a
 coefficient is not integral; what it returns is always `Fraction`.  `span`
 builds one from dense rows, and `nullspace`, `express` and `inverse` read
 their answers off it: the kernel, coefficients in a span, and the inverse
-from the RREF of [M | I].  Pivoting is always "first nonzero in column
+from the RREF of [M | I].  `SparseRREF.kernel_of` goes the other way: from
+functionals to the RREF of the subspace they annihilate, without
+elimination over its rows.  Pivoting is always "first nonzero in column
 order", and the reduced form is unique, so results are deterministic.
 
 The dense `rref` and `solve_right` serve the rational function field Q(t)
@@ -203,6 +205,52 @@ class SparseRREF:
         self.ncols = ncols
         self.rows: dict[int, dict[int, int | Fraction]] = {}
         self.where: dict[int, set[int]] = {}  # non-pivot position -> pivots using it
+
+    @classmethod
+    def kernel_of(cls, columns) -> "SparseRREF":
+        """The RREF of ker Phi, the subspace of Q^ncols on which d independent
+        functionals vanish, built without eliminating over its rows.
+
+        columns[k] is the tuple of the d values of the functionals at
+        position k, so ncols = len(columns) and Phi[:, k] = columns[k].
+        Position f is free exactly when Phi[:, f] is independent of the
+        columns right of it; every other position p gets the row
+        e_p - sum_f (Phi_F^-1 Phi[:, p])_f e_f over the free positions F,
+        which all lie right of p.  Equal columns share one tail, so pass
+        their entries as `int` where integral: they are hashed.  The reduced
+        form is unique, so `rows` and `where` are those that inserting any
+        spanning set of the subspace would leave.
+        """
+        ncols = len(columns)
+        d = len(columns[0]) if ncols else 0
+        last = {col: p for p, col in enumerate(columns)}
+        # only the last position of a column can be independent of those right of it
+        found, free = cls(d), {}
+        for col, p in sorted(last.items(), key=lambda item: item[1], reverse=True):
+            if found.rank == d:
+                break
+            if found.insert(dict(enumerate(col))):
+                free[p] = col
+        if found.rank != d:
+            raise ValueError(f"the {d} functionals span only {found.rank} dimensions")
+        order = sorted(free)
+        # row t of the RREF of [Phi_F | distinct columns] holds (Phi_F^-1 c)_t at c's place
+        solved = span(([free[f][t] for f in order] + [c[t] for c in last] for t in range(d)), d + len(last))
+        tails = {
+            col: {f: -x for t, f in enumerate(order) if (x := solved.rows[t].get(d + k, 0))}
+            for k, col in enumerate(last)
+        }
+        acc = cls(ncols)
+        users = {f: set() for f in order}
+        for p, col in enumerate(columns):
+            if p not in free:
+                tail = tails[col]
+                row = acc.rows[p] = {p: 1}
+                row.update(tail)
+                for f in tail:
+                    users[f].add(p)
+        acc.where = {f: ps for f, ps in users.items() if ps}
+        return acc
 
     @property
     def rank(self) -> int:

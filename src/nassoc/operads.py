@@ -16,6 +16,23 @@ permutation ranks, and the image of a relation row is the row with its
 indices looked up: no word trees, expressions or new coefficients are made.
 Identities are lifted over S_m the same way, through `relabel_vec`.
 
+Each degree is built on one of two sides, and both leave the same RREF.
+The primal side (`_primal_step`) eliminates: it inserts the images of the
+degree-(m-1) rows under every step map, then the lifted identities, so its
+cost grows with the rank of I(m-1).  The dual side (`_dual_step`) works
+with the functionals that vanish on I(m-1): a basis of them has
+d = dim P(m-1) elements, P(m-1) being the quotient by I(m-1), since
+P(m-1)* is the annihilator of I(m-1) (Loday & Vallette, Algebraic
+Operads).  A degree-m functional vanishes on I(m) exactly when its
+composite with every step map is a combination of them and it kills the
+lifted identities, a linear system in (m+1)*m*d unknowns.
+`SparseRREF.kernel_of` turns the degree-m functionals it finds back into
+the unique RREF of I(m), so `rows` and `where`, and every consumer of
+them, do not depend on the side.  A degree
+is built on the dual side when d <= DUAL_MAX_QUOTIENT, which by measurement
+is 1: degree 2 of every system, `com-as` from degree 2 on, `cas` from
+degree 5 on, and `sas` and `a123` from degree 6 on.
+
 Everything downstream (dimensions, Hilbert series, Koszulity residuals,
 Koszul duals, implication between systems, membership proofs, k-niceness)
 reduces to exact linear algebra on these spaces.
@@ -52,7 +69,10 @@ def resolve_degree_cap(cap: int | None = None) -> int:
     """Effective degree cap: explicit argument, else NASSOC_DEGREE_CAP, else 6."""
     if cap is None:
         env = os.environ.get("NASSOC_DEGREE_CAP")
-        cap = int(env) if env else DEFAULT_DEGREE_CAP
+        try:
+            cap = int(env) if env else DEFAULT_DEGREE_CAP
+        except ValueError:
+            raise ValueError(f"NASSOC_DEGREE_CAP must be an integer, got {env!r}") from None
     return min(cap, HARD_DEGREE_CAP)
 
 
@@ -218,6 +238,14 @@ def consequence_memory_estimate(n: int) -> int:
     return free_magma_dim(n) * BYTES_PER_COLUMN
 
 
+# Build degree m on the dual side when the quotient one degree below has at
+# most this dimension.  One step on each side, raw, min of 3, dual time over
+# primal time (Python 3.11.7, 2 CPUs): d = 1 wins everywhere (sas 6 0.32,
+# cas 5 0.34, cas 6 0.23, com-as 6 0.18); d = 2 loses at degree 4 (cas 1.4)
+# and d = 6 at degree 4 (sas 4.4, as 5.7); d = 12 at degree 5 is mixed (sas
+# 0.93, a12 1.17); d = 24 loses (as 5 5.7).
+DUAL_MAX_QUOTIENT = 1
+
 _consequence_cache: dict[tuple, ConsequenceSpace] = {}
 
 
@@ -259,22 +287,108 @@ def consequences(sys: IdentitySystem, n: int, cap: int | None = None) -> Consequ
             break
 
     for m in range(start, n + 1):
-        space = MultilinearSpace(m)
-        acc = SparseRREF(space.dim)
-        if prev is not None and prev.rref.rank:
-            maps = _step_maps(m - 1)
-            rows = prev.rref.rows  # read in pivot order, as basis() would, without copying
-            for row in (rows[p] for p in sorted(rows)):
-                for per_tau in maps:
-                    for mp in per_tau:
-                        acc.insert({mp[k]: c for k, c in row.items()})
-        for ident in by_degree.get(m, ()):
-            vec = space.expr_to_vec(ident.expr)
-            for perm in _perms_lex(m):
-                acc.insert(space.relabel_vec(vec, perm))
+        lifted = _lifted(by_degree.get(m, ()), m)
+        if prev is not None and prev.space.dim - prev.dim <= DUAL_MAX_QUOTIENT:
+            acc = _dual_step(prev.rref, m, lifted)
+        else:
+            acc = _primal_step(prev.rref if prev is not None else None, m, lifted)
         prev = ConsequenceSpace(sys.name, m, acc)
         _consequence_cache[(sys.key(), m)] = prev
     return prev
+
+
+def _lifted(idents, m: int):
+    """The degree-m identities under every relabeling, as index vectors."""
+    space = MultilinearSpace(m)
+    for ident in idents:
+        vec = space.expr_to_vec(ident.expr)
+        for perm in _perms_lex(m):
+            yield space.relabel_vec(vec, perm)
+
+
+def _primal_step(prev: SparseRREF | None, m: int, lifted) -> SparseRREF:
+    """I(m) by elimination: the images of prev's rows under the step maps,
+    then the lifted identities."""
+    acc = SparseRREF(MultilinearSpace(m).dim)
+    if prev is not None and prev.rank:
+        maps = _step_maps(m - 1)
+        rows = prev.rows  # read in pivot order, as basis() would, without copying
+        for row in (rows[p] for p in sorted(rows)):
+            for per_tau in maps:
+                for mp in per_tau:
+                    acc.insert({mp[k]: c for k, c in row.items()})
+    for vec in lifted:
+        acc.insert(vec)
+    return acc
+
+
+def _as_int(x):
+    return x.numerator if x.denominator == 1 else x
+
+
+def _first_hits(maps, cid: list[int], ncols: int):
+    """Every hit of the step maps on the ncols degree-m monomials, as the key
+    g * ncid + cid[k] of map g and source column k, where the column ids
+    cid are 0..ncid-1.
+
+    Returns the key of each monomial's first hit, in map order, and the
+    distinct pairs (first key, key of a later hit).  Maps are injective, so
+    a hit with the first key is the first hit itself, and is left out.
+    """
+    ncid = max(cid) + 1
+    first = array("q", [-1]) * ncols
+    # later maps write first, so each monomial keeps its first hit; map()
+    # runs the writes without a Python-level loop, and any() drains it
+    for g in range(len(maps) - 1, -1, -1):
+        any(map(first.__setitem__, maps[g], map((g * ncid).__add__, cid)))
+    if min(first) < 0:
+        raise AssertionError(f"the step maps miss {first.count(-1)} of {ncols} monomials")
+    pairs = set()
+    for g, mp in enumerate(maps):
+        pairs.update(zip(map(first.__getitem__, mp), map((g * ncid).__add__, cid)))
+    return first, {(a, b) for a, b in pairs if a != b}
+
+
+def _dual_step(prev: SparseRREF, m: int, lifted) -> SparseRREF:
+    """I(m) from the functionals Phi that vanish on I(m-1) = prev.
+
+    A functional f of degree m vanishes on I(m) exactly when f o A lies in
+    the span of Phi for every step map A, say f o A = a_A . Phi, and f
+    vanishes on the lifted identities.  Every degree-m monomial j is hit by
+    some map, so f is fixed by the unknowns a: f(j) = a_g0 . Phi[:, k0] at
+    the first hit (g0, k0) of j, and each later hit (g, k) of j asks
+    a_g . Phi[:, k] = a_g0 . Phi[:, k0].  The solutions a give the
+    functionals of degree m, whose annihilator is I(m).
+    """
+    phi = prev.kernel()
+    d = len(phi)
+    # intern the columns of Phi: a hit is (map, column id), not (map, position)
+    ids: dict[tuple, int] = {}
+    cid = [ids.setdefault(tuple(_as_int(f.get(k, 0)) for f in phi), len(ids)) for k in range(prev.ncols)]
+    distinct = list(ids)
+    maps = [mp for per_tau in _step_maps(m - 1) for mp in per_tau]
+    first, pairs = _first_hits(maps, cid, MultilinearSpace(m).dim)
+
+    def unknowns(key, sign):
+        g, c = divmod(key, len(distinct))
+        return {g * d + i: sign * x for i, x in enumerate(distinct[c]) if x}
+
+    solve = SparseRREF(len(maps) * d)
+    for a, b in pairs:
+        solve.insert(unknowns(b, 1) | unknowns(a, -1))
+    for vec in lifted:
+        row: dict[int, int | Fraction] = {}
+        for j, c in vec.items():
+            for u, x in unknowns(first[j], c).items():
+                row[u] = row.get(u, 0) + x
+        solve.insert(row)
+    sols = solve.kernel()
+    # Phi_m[:, j] = a_g0 . Phi[:, k0] for each solution a
+    value = {}
+    for key in set(first):
+        part = unknowns(key, 1).items()
+        value[key] = tuple(_as_int(sum(a.get(u, 0) * x for u, x in part)) for a in sols)
+    return SparseRREF.kernel_of([value[key] for key in first])
 
 
 def multilinear_dim(sys: IdentitySystem, n: int, cap: int | None = None) -> int:

@@ -38,12 +38,18 @@ def test_traced_names_resolve():
 
 def test_traced_attributes_exist():
     from nassoc.algebras import AlgebraStructure
-    from nassoc.operads import consequences
+    from nassoc.operads import _primal_step, consequences
     from nassoc.systems import builtin_system
 
     # Tracer._note_space and layer_metrics read these off each built space
     space = consequences(builtin_system("sas"), 3)
     assert (space.system_name, space.degree, space.dim) == ("sas", 3, 6)
     assert sum(len(row) for row in space.rref.rows.values()) > 0
+    # degree 6 of sas is built on the dual side; it reads as a primal build
+    sas = builtin_system("sas")
+    dual_built = consequences(sas, 6)
+    primal = _primal_step(consequences(sas, 5).rref, 6, ())
+    assert (dual_built.degree, dual_built.dim) == (6, primal.rank)
+    assert dual_built.rref.rows == primal.rows
     # Tracer._check_tag classifies identity checks by this
     assert AlgebraStructure("z", 1, [[[0]]]).is_parametric() is False

@@ -192,6 +192,13 @@ def test_free_basis_degree_bound_is_fixed(capsys, monkeypatch):
     assert code == 2 and "degree 11 basis enumeration refused" in err
 
 
+def test_invalid_degree_cap_variable_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("NASSOC_DEGREE_CAP", "abc")
+    code, out, err = run_cli(capsys, "dims", "--system", "sas", "--max-degree", "3")
+    assert code == 2 and not out
+    assert err.strip() == "error: NASSOC_DEGREE_CAP must be an integer, got 'abc'"
+
+
 def test_prove_zero_exit(capsys):
     code, _, _ = run_cli(capsys, "prove-zero", "--expr", "[x1,[x2,[x3,[x4,x5]]]]", "--system", "sas")
     assert code == 0

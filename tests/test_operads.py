@@ -173,6 +173,15 @@ _SEEDED_CAS = parse_system(
 )
 
 
+# its quotient dimensions are 1 2 3 1 0 0, so degrees 5 and 6 step from d = 1 and d = 0
+_SIGNED = parse_system("signed", "((x1 x2) x3) = (x1 (x2 x3))\n((x1 x2) x3) = -(x3 (x2 x1))")
+
+# a random degree-3 relation whose degree-4 consequences are not integral
+_FRACTIONAL = parse_system(
+    "fractional", "1/2*((x2 x3) x1) + 1/2*((x3 x2) x1) - (x1 (x2 x3)) + 2*(x3 (x1 x2)) + (x3 (x2 x1)) = 0"
+)
+
+
 @pytest.mark.parametrize(
     "sys, n",
     [(builtin_system(name), 6 if name in ("sas", "cas") else 5) for name in BUILTIN_SYSTEM_NAMES]
@@ -291,6 +300,87 @@ def test_degree4_matches_dense_rref(name):
         pivots, dense = rref([[Q(g.get(i, 0)) for i in range(ncols)] for g in gens])
         dense_rows = [{i: c for i, c in enumerate(row) if c != 0} for row in dense]
         assert consequences(sys, m).rref.rows == dict(zip(pivots, dense_rows)), m
+
+
+def _both_sides(prev: SparseRREF, m: int, lifted=()):
+    """The degree-m RREF stepped from the degree-(m-1) one on each side."""
+    lifted = list(lifted)
+    return operads._primal_step(prev, m, lifted), operads._dual_step(prev, m, lifted)
+
+
+@pytest.mark.parametrize(
+    "sys, m",
+    [
+        (builtin_system("sas"), 5),  # d_4 = 12
+        (builtin_system("a12"), 5),  # d_4 = 12
+        (builtin_system("cas-dual"), 4),  # d_3 = 10
+        (_FRACTIONAL, 4),  # d_3 = 7, denominators up to 56
+        (_SEEDED_CAS, 3),
+        (_SEEDED_CAS, 4),
+        (_SEEDED_CAS, 5),
+        (_SIGNED, 5),  # d_4 = 1
+        (_SIGNED, 6),  # d_5 = 0
+    ],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_dual_step_matches_primal(sys, m):
+    """The dual step, called whichever side the size rule picks, leaves the
+    primal build's RREF, entry for entry."""
+    lifted = operads._lifted([i for i in sys.identities if i.degree == m], m)
+    primal, dual = _both_sides(consequences(sys, m - 1).rref, m, lifted)
+    assert dual.rows == primal.rows
+    assert dual.where == primal.where
+    if sys is _FRACTIONAL:
+        assert max(Q(c).denominator for row in dual.rows.values() for c in row.values()) == 56
+
+
+def test_size_rule_picks_the_side(monkeypatch):
+    """Dual exactly when the quotient one degree below has dimension <= 1."""
+    sides = []
+    for name in ("_primal_step", "_dual_step"):
+        real = getattr(operads, name)
+
+        def step(prev, m, lifted, real=real, name=name):
+            sides.append((m, name))
+            return real(prev, m, lifted)
+
+        monkeypatch.setattr(operads, name, step)
+    monkeypatch.setattr(operads, "_consequence_cache", {})
+    consequences(builtin_system("sas"), 6)  # 1 2 6 12 1 1
+    consequences(builtin_system("cas"), 5)  # 1 2 2 1 1
+    dual = [(2, "sas"), (6, "sas"), (2, "cas"), (5, "cas")]
+    assert sides == [(m, "_dual_step" if (m, name) in dual else "_primal_step")
+                     for name, top in (("sas", 6), ("cas", 5)) for m in range(1, top + 1)]
+
+
+@st.composite
+def degree3_relations(draw):
+    """1-3 random degree-3 relation vectors, not closed under relabeling."""
+    space = MultilinearSpace(3)
+    coefficients = st.sampled_from([0, 0, 0, 1, -1, 2, Q(1, 2)])
+    return [
+        {i: Q(c) for i in range(space.dim) if (c := draw(coefficients))}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(degree3_relations())
+def test_dual_step_on_random_presentations(relations):
+    """Degrees 4 and 5 of random presentations on both sides.  Degree 5 is
+    stepped only from d_4 <= 12: above it, both sides can take seconds on
+    growing denominators.  The primal `where` may keep an emptied set, which
+    the dual one never has."""
+    space = MultilinearSpace(3)
+    lifted = [space.relabel_vec(vec, perm) for vec in relations for perm in _perms_lex(3)]
+    prev = operads._primal_step(SparseRREF(2), 3, lifted)
+    for m in (4, 5):
+        if m == 5 and prev.ncols - prev.rank > 12:
+            break
+        primal, dual = _both_sides(prev, m)
+        assert dual.rows == primal.rows
+        assert dual.where == {q: ps for q, ps in primal.where.items() if ps}
+        prev = primal
 
 
 def test_positions_outside_the_space_are_rejected():
@@ -477,7 +567,7 @@ def test_nice_index_needs_coefficient_one():
     """A one-dimensional component whose monomials are congruent only up to
     sign is not nice: here degree 4 is the only one-dimensional degree and
     its functional takes both +1 and -1."""
-    sys = parse_system("signed", "((x1 x2) x3) = (x1 (x2 x3))\n((x1 x2) x3) = -(x3 (x2 x1))")
+    sys = _SIGNED
     assert [multilinear_dim(sys, n) for n in range(1, 7)] == [1, 2, 3, 1, 0, 0]
     (phi,) = consequences(sys, 4).rref.kernel()
     assert len(phi) == 120 and set(phi.values()) == {1, -1}
