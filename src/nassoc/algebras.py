@@ -1,12 +1,15 @@
 """Finite-dimensional algebras given by structure constants.
 
 The scalars are chosen once, when the algebra is built: a table without
-parameters holds Fraction constants, and a table that declares parameters
-holds multivariate polynomials over Q (PolyQ) in those names, so a whole
-family like e2*e2 = alpha*e3 is a single algebra value and identity checks
-verify the family at once.  Elements are coordinate vectors in the same
-scalars, and the arithmetic below uses only +, *, == and truthiness, so one
-code path serves both.
+parameters holds rational constants, each an int when integral and a
+Fraction otherwise (`exact.poly.canonical`), and a table that declares
+parameters holds multivariate polynomials over Q (PolyQ) in those names,
+whose coefficients follow the same rule, so a whole family like
+e2*e2 = alpha*e3 is a single algebra value and identity checks verify the
+family at once.  Elements are coordinate vectors in the same scalars, and
+the arithmetic below uses only +, *, == and truthiness, so one code path
+serves both; the results of add, scale and mul are lifted back into
+canonical form, as a sum of non-integral Fractions can be integral.
 
 Identity checking has two modes: "multilinear" evaluates every identity
 (multilinearized first when needed) on all basis tuples, which is complete
@@ -48,7 +51,7 @@ from operator import itemgetter
 
 from . import exprparse
 from .errors import DegreeTooLarge, ParameterClash
-from .exact.poly import PolyQ, as_fraction
+from .exact.poly import PolyQ, as_fraction, canonical
 from .terms import Identity, IdentitySystem, degree, leaves, multilinearize, shape_and_leaves, shape_of
 
 # check_identity refuses a request of more word evaluations than this (words
@@ -66,13 +69,15 @@ class Element:
         return len(self.coords)
 
 
-def _rational(c) -> Fraction:
-    """Lift a scalar into a parameter-free algebra: a Fraction."""
+def _rational(c) -> int | Fraction:
+    """Lift a scalar into a parameter-free algebra: an int when integral, else a Fraction."""
+    if c.__class__ is int:
+        return c
     if isinstance(c, PolyQ):
         if c.used_vars():
             raise ValueError(f"undeclared parameter {c.used_vars()[0]!r} in constants")
         return c.constant_value()
-    return as_fraction(c)
+    return canonical(as_fraction(c))
 
 
 class AlgebraStructure:
@@ -81,8 +86,9 @@ class AlgebraStructure:
     def __init__(self, name: str, dim: int, constants, parameters=(), basis=None):
         """constants[i][j] is the coordinate list of e_{i+1} e_{j+1}.
 
-        Scalars are Fractions when there are no parameters and PolyQ
-        otherwise; self.lift turns a rational or polynomial input into one.
+        Scalars are rationals when there are no parameters, an int when
+        integral and a Fraction otherwise, and PolyQ when there are; self.lift
+        turns a rational or polynomial input into one.
         """
         if dim < 1:
             raise ValueError("dimension must be at least 1")
@@ -126,10 +132,10 @@ class AlgebraStructure:
         return Element(coords)
 
     def add(self, x: Element, y: Element) -> Element:
-        return Element(tuple(a + b for a, b in zip(x.coords, y.coords)))
+        return Element(tuple(self.lift(a + b) for a, b in zip(x.coords, y.coords)))
 
     def scale(self, c, x: Element) -> Element:
-        return Element(tuple(c * a for a in x.coords))
+        return Element(tuple(self.lift(c * a) for a in x.coords))
 
     def mul(self, x: Element, y: Element) -> Element:
         n = self.dim
@@ -145,7 +151,7 @@ class AlgebraStructure:
                 for k in range(n):
                     if cij[k]:
                         out[k] = out[k] + coef * cij[k]
-        return Element(tuple(out))
+        return Element(tuple(map(self.lift, out)))
 
     def is_zero_element(self, x: Element) -> bool:
         return not any(x.coords)
@@ -306,14 +312,16 @@ class CheckResult:
         return self.holds
 
 
-def _small(c):
-    """An integral Fraction as int, so sums of small table constants stay in int arithmetic."""
-    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
-
-
 def _product_table(A: AlgebraStructure):
     """table[i][j] lists the nonzero (k, c) of e_i e_j, k ascending, all indices 0-based."""
-    return [[tuple((k, _small(c)) for k, c in enumerate(vec) if c) for vec in row] for row in A.constants]
+    return [[tuple((k, c) for k, c in enumerate(vec) if c) for vec in row] for row in A.constants]
+
+
+def _coefficients(ident: Identity) -> list:
+    """The (coefficient, word) pairs of ident in sorted_terms order, a
+    rational coefficient in canonical form, so that products with integral
+    table constants stay in int arithmetic."""
+    return [(c if isinstance(c, PolyQ) else canonical(c), w) for w, c in ident.expr.sorted_terms()]
 
 
 def _shape_value(shape, idx, table, memo):
@@ -352,8 +360,8 @@ def _check_multilinear_identity(A: AlgebraStructure, ident: Identity, table, mem
     # pick(combo) is the tuple of basis indices at the leaves; itemgetter of a
     # single index would return a bare int, and a 1-tuple is its own pick
     words = [
-        (_small(c), shape_of(w), itemgetter(*[v - 1 for v in leaves(w)]) if ident.nvars > 1 else tuple)
-        for w, c in ident.expr.sorted_terms()
+        (c, shape_of(w), itemgetter(*[v - 1 for v in leaves(w)]) if ident.nvars > 1 else tuple)
+        for c, w in _coefficients(ident)
     ]
     for combo in itertools.product(range(n), repeat=ident.nvars):
         acc = [0] * n
@@ -437,7 +445,7 @@ def _check_symbolic_identity(A: AlgebraStructure, ident: Identity, table, memo) 
     """Expand ident at generic elements g1..g{nvars}; only a failing coordinate becomes a PolyQ."""
     for v in range(1, ident.nvars + 1):
         A.generic_names(f"g{v}")  # raises ParameterClash on a parameter named g{v}_i
-    words = [(_small(c), w) for w, c in ident.expr.sorted_terms()]
+    words = _coefficients(ident)
     for k, total in enumerate(_generic_coords(words, table, A.dim, memo)):
         if not total:
             continue

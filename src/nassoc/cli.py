@@ -81,17 +81,19 @@ def _load_algebra(value: str, sets):
     if sets:
         env = {}
         for item in sets:
-            name, _, text = item.partition("=")
-            env[name] = rational(text)
+            name, sep, text = item.partition("=")
+            if not (name and sep):
+                raise ParseError(f"--set expects NAME=VALUE, got {item!r}")
+            env[name] = rational(text, f"--set {name}")
         alg = alg.specialize(env)
     return alg
 
 
-def _parse_element(A: AlgebraStructure, text: str):
+def _parse_element(A: AlgebraStructure, text: str, flag: str):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != A.dim:
-        raise ParseError(f"expected {A.dim} coordinates, got {len(parts)}")
-    return A.element([rational(p) for p in parts])
+        raise ParseError(f"{flag} expects {A.dim} coordinates, got {len(parts)}")
+    return A.element([rational(p, flag) for p in parts])
 
 
 def _check_and_report(report: Report, result) -> int:
@@ -286,7 +288,8 @@ def cmd_mutate(args, report, A):
         return _construction(args, report, mutation(ext, p, q))
     if args.p is None or args.q is None:
         raise ParseError("mutate needs --p and --q, or --generic")
-    return _construction(args, report, mutation(A, _parse_element(A, args.p), _parse_element(A, args.q)))
+    p, q = _parse_element(A, args.p, "--p"), _parse_element(A, args.q, "--q")
+    return _construction(args, report, mutation(A, p, q))
 
 
 @command("kantor", "Kantor square", flag("--p"), flag("--generic", action="store_true"), CHECK_SYSTEM,
@@ -297,7 +300,7 @@ def cmd_kantor(args, report, A):
         return _construction(args, report, kantor_square(ext, p))
     if args.p is None:
         raise ParseError("kantor needs --p, or --generic")
-    return _construction(args, report, kantor_square(A, _parse_element(A, args.p)))
+    return _construction(args, report, kantor_square(A, _parse_element(A, args.p, "--p")))
 
 
 @command("hull", "unital hull", CHECK_SYSTEM, algebra="--algebra")
@@ -308,8 +311,8 @@ def cmd_hull(args, report, A):
 @command("scalar-mutate", "scalar mutation alpha*xy + beta*yx",
          flag("--alpha", default="u"), flag("--beta", default="v"), CHECK_SYSTEM, algebra="--algebra")
 def cmd_scalar_mutate(args, report, A):
-    alpha = PolyQ.var(args.alpha) if args.alpha.isalpha() else rational(args.alpha)
-    beta = PolyQ.var(args.beta) if args.beta.isalpha() else rational(args.beta)
+    alpha = PolyQ.var(args.alpha) if args.alpha.isalpha() else rational(args.alpha, "--alpha")
+    beta = PolyQ.var(args.beta) if args.beta.isalpha() else rational(args.beta, "--beta")
     return _construction(args, report, scalar_mutation(A, alpha, beta))
 
 
@@ -343,7 +346,7 @@ def cmd_leibniz(args, report, A):
     if not (isinstance(rows, list) and len(rows) == A.dim
             and all(isinstance(row, list) and len(row) == A.dim for row in rows)):
         raise ParseError(f"--matrix must be {A.dim}x{A.dim} for {A.name}")
-    M = [[rational(x) for x in row] for row in rows]
+    M = [[rational(x, "--matrix") for x in row] for row in rows]
     bracketing = "all"
     if args.bracketing != "all":
         shape_list, k = shapes(args.order), int(args.bracketing)
@@ -367,7 +370,7 @@ def cmd_powers(args, report, A):
 @command("peirce", "Peirce split at an idempotent",
          flag("--idempotent", required=True, help="comma-separated coordinates"), algebra="--algebra")
 def cmd_peirce(args, report, A):
-    split = peirce(A, _parse_element(A, args.idempotent))
+    split = peirce(A, _parse_element(A, args.idempotent, "--idempotent"))
     report.data.update(
         {
             "dims": list(split.dims()),
@@ -460,7 +463,8 @@ def cmd_transform(args, report, A):
          flag("--sample", help="family parameter sample (rational)"))
 def cmd_degenerate(args, report):
     cert = corpus.load_certificate(args.cert)
-    result = corpus.run_certificate(cert, sample=args.sample)
+    sample = None if args.sample is None else rational(args.sample, "--sample")
+    result = corpus.run_certificate(cert, sample=sample)
     results = result if isinstance(result, list) else [result]
     ok = all(r.verdict for r in results)
     report.verdict = ok

@@ -89,11 +89,11 @@ def run_certificate(cert: dict, sample=None):
     subst = cert.get("subst", {})
     if "family_parameter" in cert:
         if sample is not None:
-            env = {cert["family_parameter"]: rational(sample)}
+            env = {cert["family_parameter"]: rational(sample, "sample")}
             return family_degeneration_check(source, columns, subst, target, env)
         results = []
         for s in cert["samples"]:
-            env = {cert["family_parameter"]: rational(s)}
+            env = {cert["family_parameter"]: rational(s, "certificate samples")}
             results.append(family_degeneration_check(source, columns, subst, target, env))
         return results
     return family_degeneration_check(source, columns, subst, target, None)

@@ -27,6 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .poly import canonical
+
 Q0 = Fraction(0)
 Q1 = Fraction(1)
 
@@ -193,12 +195,13 @@ class SparseRREF:
     pass, and it makes the residual of v on the free positions the values
     of the `kernel` functionals at v.
 
-    `rows` is internal: it stores an integral coefficient as an `int` and
-    any other as a `Fraction`, so that relations whose eliminations meet
-    only pivots of +-1 never leave integer arithmetic.  `reduce` and `basis`
-    return `Fraction` values only.  `reduce` and `contains` reject a
-    position outside [0, ncols) with ValueError; `insert` does not check,
-    because its callers build their vectors in range.
+    `rows` is internal: it stores each coefficient in the form of
+    `exact.poly.canonical`, an integral one as an `int`, so that relations
+    whose eliminations meet only pivots of +-1 never leave integer
+    arithmetic.  `reduce` and `basis` return `Fraction` values only.
+    `reduce` and `contains` reject a position outside [0, ncols) with
+    ValueError; `insert` does not check, because its callers build their
+    vectors in range.
     """
 
     def __init__(self, ncols: int):
@@ -265,7 +268,7 @@ class SparseRREF:
         # one pass: a fully reduced row is zero at every other pivot, so
         # subtracting the row of each pivot in vec changes only free positions
         # and leaves vec's entries at the other pivots as they were
-        work = {p: c.numerator if c.denominator == 1 else c for p, c in vec.items() if c != 0}
+        work = {p: canonical(c) for p, c in vec.items() if c != 0}
         rows = self.rows
         for p in [p for p in work if p in rows]:
             c = work.pop(p)
@@ -303,10 +306,7 @@ class SparseRREF:
             row = {q: -c for q, c in work.items()}
         else:
             inv = Q1 / pivot
-            row = {}
-            for q, c in work.items():
-                x = c * inv
-                row[q] = x.numerator if x.denominator == 1 else x
+            row = {q: canonical(c * inv) for q, c in work.items()}
         # keep existing rows fully reduced with respect to the new pivot
         users = self.where.pop(lead, None)
         if users:

@@ -2,14 +2,16 @@
 
 A polynomial carries an ordered tuple of variable names and a sparse term
 map from exponent tuples (aligned with the variable order) to nonzero
-Fraction coefficients.  The zero polynomial has an empty term map.  Term
-ordering everywhere is graded lexicographic on the declared variable order,
-which makes printing and equality canonical.
+rational coefficients, each an `int` when integral and a `Fraction`
+otherwise (see `canonical`).  The zero polynomial has an empty term map.
+Term ordering everywhere is graded lexicographic on the declared variable
+order, which makes printing and equality canonical.
 
 PolyQ's constructor is the one place where sums of monomials are collected:
 repeated exponent tuples are added and zero sums dropped there, once, and
 sums, products and changes of variable tuple only stream (exponents,
-coefficient) pairs into it.
+coefficient) pairs into it.  It also puts each coefficient in canonical
+form, so the arithmetic of integral coefficients stays in `int`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,16 @@ def signed_sum(parts: list) -> str:
         return "0"
     (sign, body), rest = parts[0], parts[1:]
     return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
+
+
+def canonical(x: Scalar) -> Scalar:
+    """x as an int when it is integral, else x itself, a Fraction.
+
+    PolyQ coefficients, SparseRREF rows and the scalars of parameter-free
+    algebras are kept in this form, so integral arithmetic stays in int.
+    Dividing two such values needs a Fraction operand: int / int is a float.
+    """
+    return x.numerator if x.denominator == 1 else x
 
 
 def as_fraction(c) -> Fraction:
@@ -53,17 +65,18 @@ class PolyQ:
         exponents keep the order in which they first appear."""
         self.vars = tuple(vars)
         nv = len(self.vars)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         if isinstance(terms, dict):
             terms = terms.items()
         for exps, c in terms:
-            c = as_fraction(c)
             exps = tuple(exps)
             if len(exps) != nv:
                 raise ValueError("exponent tuple length does not match variable count")
             acc = clean.get(exps)
             if acc is not None:
                 c = acc + c
+            if c.__class__ is not int:
+                c = canonical(as_fraction(c))
             if c == 0:
                 clean.pop(exps, None)
             else:
@@ -78,7 +91,7 @@ class PolyQ:
 
     @staticmethod
     def var(name: str) -> "PolyQ":
-        return PolyQ((name,), {(1,): Fraction(1)})
+        return PolyQ((name,), {(1,): 1})
 
     @staticmethod
     def zero(vars: tuple[str, ...] = ()) -> "PolyQ":
@@ -98,10 +111,10 @@ class PolyQ:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         """Value of a constant polynomial (raises if variables actually occur)."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError(f"polynomial {self} is not constant")
         return next(iter(self.terms.values()))

@@ -127,7 +127,7 @@ class RatFunT:
             q = p.on_vars(("t",))
             out = [Fraction(0)] * (q.total_degree() + 1)
             for (e,), c in q.terms.items():
-                out[e] = c
+                out[e] = Fraction(c)  # PolyQ keeps integral coefficients as int
             return _trim(out)
         if isinstance(p, (list, tuple)):
             return _trim([Fraction(c) for c in p])

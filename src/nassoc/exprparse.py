@@ -142,12 +142,18 @@ class _Parser:
         raise ParseError("expected a number, variable, or parenthesized expression", at)
 
 
-def rational(text) -> Fraction:
-    """Fraction(text), with a zero denominator raised as a ParseError."""
+def rational(text, source: str) -> Fraction:
+    """Fraction(text) for a value read from source, a flag or a file field.
+
+    A malformed literal or a zero denominator is a ParseError that names
+    source and the text it got.
+    """
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}") from None
+        raise ParseError(f"{source}: zero denominator in {text!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{source} expects a rational number, got {text!r}") from None
 
 
 def parse(text: str):

@@ -266,8 +266,9 @@ def closed_set_membership(spec: ClosedSetSpec, A: AlgebraStructure) -> bool:
                 for k in range(1, r):
                     if c[i - 1][j - 1][k - 1] != 0:
                         return False
+    # Fraction values, so that / and negative powers in the equations stay exact
     env = {
-        f"c[{i}][{j}][{k}]": c[i - 1][j - 1][k - 1]
+        f"c[{i}][{j}][{k}]": Fraction(c[i - 1][j - 1][k - 1])
         for i in range(1, n + 1)
         for j in range(1, n + 1)
         for k in range(1, n + 1)
@@ -317,7 +318,7 @@ def pencil_invariant(A: AlgebraStructure) -> Fraction:
 
     def coeff(x, y):
         prod = A.mul(x, y).coords
-        lam = prod[pivot] / z[pivot]
+        lam = Fraction(prod[pivot], z[pivot])  # int / int would be a float
         if any(prod[i] != lam * z[i] for i in range(3)):
             raise ShapeMismatch("products leave the one-dimensional square")
         return lam
@@ -326,8 +327,8 @@ def pencil_invariant(A: AlgebraStructure) -> Fraction:
     s22 = coeff(v, v)
     uv = coeff(u, v)
     vu = coeff(v, u)
-    k = (uv - vu) / 2
-    s12 = (uv + vu) / 2
+    k = Fraction(uv - vu, 2)
+    s12 = Fraction(uv + vu, 2)
     if k == 0:
         raise ShapeMismatch("the antisymmetric product part vanishes")
     return (s11 * s22 - s12 * s12) / (k * k)

@@ -48,6 +48,7 @@ from functools import lru_cache
 
 from .errors import DegreeTooLarge, NotMultilinear, NotQuadratic
 from .exact.linalg import SparseRREF
+from .exact.poly import canonical
 from .exact.series import SeriesQ, compose_series
 from .terms import (
     Expr,
@@ -181,6 +182,7 @@ class ConsequenceSpace:
         return f"ConsequenceSpace({self.system_name!r}, degree={self.degree}, dim={self.dim})"
 
 
+@lru_cache(maxsize=None)
 def _step_maps(m: int) -> list[list[array]]:
     """Index maps from the degree-m to the degree-(m+1) multilinear basis.
 
@@ -188,6 +190,9 @@ def _step_maps(m: int) -> list[list[array]]:
     generators g are, in order, w -> w x_{m+1}, w -> x_{m+1} w and
     x_i -> x_i x_{m+1} for i = 1..m; tau_j swaps the labels j and m+1
     (tau_{m+1} is the identity).  Every map is injective.
+
+    The maps depend on m alone, so they are built once per process and
+    every caller shares the same lists: callers must not mutate them.
     """
     new = m + 1
     src, dst = MultilinearSpace(m), MultilinearSpace(new)
@@ -322,10 +327,6 @@ def _primal_step(prev: SparseRREF | None, m: int, lifted) -> SparseRREF:
     return acc
 
 
-def _as_int(x):
-    return x.numerator if x.denominator == 1 else x
-
-
 def _first_hits(maps, cid: list[int], ncols: int):
     """Every hit of the step maps on the ncols degree-m monomials, as the key
     g * ncid + cid[k] of map g and source column k, where the column ids
@@ -364,7 +365,7 @@ def _dual_step(prev: SparseRREF, m: int, lifted) -> SparseRREF:
     d = len(phi)
     # intern the columns of Phi: a hit is (map, column id), not (map, position)
     ids: dict[tuple, int] = {}
-    cid = [ids.setdefault(tuple(_as_int(f.get(k, 0)) for f in phi), len(ids)) for k in range(prev.ncols)]
+    cid = [ids.setdefault(tuple(canonical(f.get(k, 0)) for f in phi), len(ids)) for k in range(prev.ncols)]
     distinct = list(ids)
     maps = [mp for per_tau in _step_maps(m - 1) for mp in per_tau]
     first, pairs = _first_hits(maps, cid, MultilinearSpace(m).dim)
@@ -387,7 +388,7 @@ def _dual_step(prev: SparseRREF, m: int, lifted) -> SparseRREF:
     value = {}
     for key in set(first):
         part = unknowns(key, 1).items()
-        value[key] = tuple(_as_int(sum(a.get(u, 0) * x for u, x in part)) for a in sols)
+        value[key] = tuple(canonical(sum(a.get(u, 0) * x for u, x in part)) for a in sols)
     return SparseRREF.kernel_of([value[key] for key in first])
 
 

@@ -4,9 +4,10 @@ Covers derivation algebras, power/solvability chains, subalgebra
 restriction, the Peirce split at an idempotent, and the semisimple-plus-
 radical decomposition.  Derivations, the two splits and the fingerprint
 need a parameter-free algebra, whose constants and element coordinates are
-already Fractions, so they enter the linear algebra as they are; only the
-family-uniform power chains and subalgebra restriction split a family's
-PolyQ coordinates into one rational vector per parameter monomial.  The
+already rationals (an int when integral, else a Fraction), so they enter
+the linear algebra as they are; only the family-uniform power chains and
+subalgebra restriction split a family's PolyQ coordinates into one
+rational vector per parameter monomial.  The
 linear algebra is exact over Q and runs on the sparse elimination of
 `exact.linalg`: a subspace of Q^n is kept as its dense RREF row list of
 Fractions, read off a `SparseRREF` by `_rref_rows`, so its dimension is the
@@ -449,7 +450,7 @@ def _primitive_idempotents(qmul, sub, unit_elem, name: str) -> list:
     associative algebra (product qmul) on the subspace sub with unit unit_elem."""
     if len(sub) == 1:
         base = sub[0]
-        c = express(sub, qmul(base, base))[0]
+        c = express(sub, qmul(base, base))[0]  # a Fraction, so x / c is exact for int x
         if c == 0:
             raise VerificationFailed("one-dimensional quotient piece is nilpotent")
         return [[x / c for x in base]]
@@ -471,6 +472,7 @@ def _primitive_idempotents(qmul, sub, unit_elem, name: str) -> list:
                 if mu == lam:
                     continue
                 shifted = [a - mu * b for a, b in zip(u, unit_elem)]
+                # the roots are Fractions: qmul may return ints
                 proj = [x / (lam - mu) for x in qmul(proj, shifted)]
             piece = _rref_rows(span([qmul(proj, b) for b in sub], len(unit_elem)))
             out.extend(_primitive_idempotents(qmul, piece, proj, name))

@@ -320,6 +320,26 @@ def test_identity_checks_agree_on_random_algebras(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
+def test_rational_tables_agree_with_their_polynomial_twins(data):
+    """A random int or Fraction table, and the same in a drawn basis, against
+    itself with an unused parameter z, which makes every scalar a PolyQ:
+    same verdicts and counterexample strings in both modes, as on the corpus."""
+    A = data.draw(small_algebras(parametric=False))
+    systems = (
+        builtin_system(data.draw(st.sampled_from(ORACLE_SYSTEMS))),
+        data.draw(st.sampled_from(REPEATED_VARIABLES)),
+    )
+    for table in (A, change_basis(A, data.draw(invertible_matrices(A.dim)))):
+        twin = table.with_parameters(("z",))
+        for sys in systems:
+            for mode in ("multilinear", "symbolic"):
+                got, want = check_identity(table, sys, mode), check_identity(twin, sys, mode)
+                assert got.holds == want.holds, (sys.name, mode)
+                assert str(got.counterexample) == str(want.counterexample), (sys.name, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
 def test_basis_change_keeps_fingerprint_and_orbit_dim(data):
     A = data.draw(small_algebras(parametric=False))
     B = change_basis(A, data.draw(invertible_matrices(A.dim)))

@@ -132,6 +132,27 @@ def test_zero_denominators_are_usage_errors(capsys, tmp_path):
     assert code == 2 and not out and err.startswith("error: ")
 
 
+def test_bad_rationals_name_their_flag(capsys, tmp_path):
+    # each of these used to print only "Invalid literal for Fraction: ..."
+    for argv, message in (
+        (["wedderburn", "--algebra", "a12", "--set", "alpha"], "--set expects NAME=VALUE, got 'alpha'"),
+        (["wedderburn", "--algebra", "a12", "--set", "=1"], "--set expects NAME=VALUE, got '=1'"),
+        (["wedderburn", "--algebra", "a12", "--set", "alpha=x"], "--set alpha expects a rational number, got 'x'"),
+        (["peirce", "--algebra", "a13", "--idempotent", "0,x,0,1"], "--idempotent expects a rational number, got 'x'"),
+        (["kantor", "--algebra", "a1", "--p", "1,a,0"], "--p expects a rational number, got 'a'"),
+        (["mutate", "--algebra", "a1", "--p", "1,0,0", "--q", "1,0"], "--q expects 3 coordinates, got 2"),
+        (["scalar-mutate", "--algebra", "a1", "--alpha", "1/x", "--beta", "1"], "--alpha expects a rational number, got '1/x'"),
+        (["degenerate", "--cert", "a12_family_to_a06", "--sample", "x"], "--sample expects a rational number, got 'x'"),
+        (["wedderburn", "--algebra", "a12", "--set", "alpha=1/0"], "--set alpha: zero denominator in '1/0'"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err == f"error: {message}\n", argv
+    code, out, err = _leibniz(capsys, tmp_path, '[["1","0","0"],["0",[1],"0"],["0","0","1"]]', "--order", "2")
+    assert code == 2 and not out
+    assert err == "error: --matrix expects a rational number, got [1]\n"
+
+
 def test_dims_max_degree_zero_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "dims", "--system", "sas", "--max-degree", "0")
     assert code == 2 and not out and err.startswith("error: ")

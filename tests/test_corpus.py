@@ -1,5 +1,7 @@
 """Tests for the shipped classification corpus."""
 
+from fractions import Fraction
+
 from nassoc import corpus
 from nassoc.algebras import check_identity
 from nassoc.exact.poly import PolyQ
@@ -92,14 +94,32 @@ def test_non_nilpotent_entries_carry_table_idempotents():
             assert nilpotent == (not has_idem), (name, S.name)
 
 
-def test_tables_hold_fractions_and_families_hold_polynomials():
-    from fractions import Fraction
+def _canonical_rational(c):
+    """An int, or a Fraction that is not integral: never a float, never Fraction(2)."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
+
+def _canonical(c):
+    """A canonical rational, or a PolyQ whose coefficients all are."""
+    if type(c) is PolyQ:
+        return all(map(_canonical_rational, c.terms.values()))
+    return _canonical_rational(c)
+
+
+def test_tables_hold_fractions_and_families_hold_polynomials():
+    """A parameter-free table holds canonical rationals, a family PolyQ with
+    canonical coefficients, and so do elements and their sums and products,
+    including sums of halves that come out integral."""
     for name in corpus.corpus_names():
         A = corpus.load_algebra(name)
-        scalar = PolyQ if A.is_parametric() else Fraction
-        assert all(isinstance(c, scalar) for row in A.constants for vec in row for c in vec), name
-        assert all(isinstance(c, scalar) for c in A.mul(A.basis_element(1), A.basis_element(A.dim)).coords)
+        basis = [A.basis_element(i) for i in range(1, A.dim + 1)]
+        half = A.element([Fraction(1, 2)] * A.dim)
+        elements = [*basis, half, A.add(half, half), A.scale(Fraction(2), half)]
+        scalars = [c for row in A.constants for vec in row for c in vec]
+        scalars += [c for x in elements for c in x.coords]
+        scalars += [c for x in elements for y in elements for c in A.mul(x, y).coords]
+        assert all(isinstance(c, PolyQ) == A.is_parametric() for c in scalars), name
+        assert all(map(_canonical, scalars)), name
 
 
 def test_fraction_and_polynomial_scalars_agree_on_every_table():

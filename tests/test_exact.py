@@ -213,6 +213,14 @@ def test_ratfun_eval():
     assert f.eval_at(1) == Q(1, 2)
 
 
+def test_ratfun_from_polyq_keeps_fraction_coefficients():
+    # PolyQ stores 1 and 2 as int; copied raw, c / lead divided two ints
+    t = PolyQ.var("t")
+    f = RatFunT(PolyQ.const(1) + t, 2 * t + 4)
+    assert str(f) == "(1/2*t + 1/2)/(t + 2)"
+    assert all(type(c) is Q for c in f.num + f.den)
+
+
 def test_ratfun_constant_hashes_like_its_fraction():
     assert RatFunT.const(1) == 1
     assert len({RatFunT.const(1), 1}) == 1
@@ -320,8 +328,9 @@ def _raw_value(names, pairs, env):
     st.permutations(_POLY_VARS),
 )
 def test_poly_operations_agree_with_evaluation(pp, qq, point, ctx):
-    """On overlapping, permuted variable tuples: the constructor, +, -, * and
-    on_vars agree with evaluation at a rational point and store no zero."""
+    """On overlapping, permuted variable tuples: the constructor, +, -, *, /
+    and on_vars agree with evaluation at a rational point and store no zero
+    and no integral Fraction."""
     (p, p_names, p_pairs), (q, _, _) = pp, qq
     env = dict(zip(_POLY_VARS, point))
     pv, qv = p.eval(env), q.eval(env)
@@ -332,9 +341,12 @@ def test_poly_operations_agree_with_evaluation(pp, qq, point, ctx):
         (p - q, pv - qv),
         (p * q, pv * qv),
         (p.on_vars(ctx), pv),
+        (p / Q(2, 3), pv * Q(3, 2)),
     ):
         assert r.eval(env) == value
         assert 0 not in r.terms.values()
+        # an integral coefficient is an int, any other a Fraction
+        assert all(type(c) is int or (type(c) is Q and c.denominator != 1) for c in r.terms.values())
     assert p.on_vars(ctx).vars == ctx
     assert (p - p).is_zero()
 

@@ -1,13 +1,18 @@
 """Tests for basis transforms, degeneration certificates, closed sets,
 orbit dimensions, and the pencil invariant."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nassoc.corpus import corpus_names, load_algebra, load_certificate, load_closed_set, run_certificate
-from nassoc.errors import ParametricNotSupported, ShapeMismatch, SingularForAllT
+from nassoc.algebras import AlgebraStructure
+from nassoc.errors import NassocError, ParametricNotSupported, ShapeMismatch, SingularForAllT
+from nassoc.exact.poly import PolyQ
 from nassoc.exact.ratfun import RatFunT
 from nassoc.moduli import (
     ClosedSetSpec,
@@ -23,7 +28,7 @@ from nassoc.moduli import (
     random_invertible_matrix,
     transform,
 )
-from nassoc.structure import change_basis, derivation_algebra
+from nassoc.structure import change_basis, derivation_algebra, peirce, wedderburn
 
 Q = Fraction
 
@@ -220,6 +225,14 @@ def test_closed_set_zero_algebra():
     assert closed_set_membership(spec, zero4)
 
 
+def test_closed_set_equations_divide_exactly():
+    # the constants 1 and 3 are ints: 1/3 and 3^-1 must not become floats
+    constants = [[[1, 3]] * 2] * 2
+    A = AlgebraStructure("thirds", 2, constants)
+    spec = ClosedSetSpec(equations=["c[1][1][1]/c[1][1][2] = 1/3", "c[1][2][2]^-1 = 1/3"])
+    assert closed_set_membership(spec, A)
+
+
 def test_containment_shorthand():
     spec = ClosedSetSpec(containments=["A1*A1<=A3"])
     assert closed_set_membership(spec, load_algebra("a12").specialize({"alpha": 1}))
@@ -309,3 +322,99 @@ def test_generic_derivation_dim_against_specializations():
         ]
         assert all(generic <= d for d in special), A.name
         assert generic in special, A.name
+
+
+# ---------------------------------------------------------------------------
+# no float in any scalar result: int / int is a float, so every division of
+# algebra scalars needs a Fraction operand
+
+
+def _floats(x):
+    """Every float reachable from x through containers, dataclasses (Element
+    and the result records), PolyQ coefficients and RatFunT coefficients."""
+    if isinstance(x, float):
+        yield x
+    elif isinstance(x, (list, tuple, set)):
+        for y in x:
+            yield from _floats(y)
+    elif isinstance(x, dict):
+        yield from _floats(list(x.items()))
+    elif isinstance(x, PolyQ):
+        yield from _floats(list(x.terms.values()))
+    elif isinstance(x, RatFunT):
+        yield from _floats(x.num + x.den)
+    elif dataclasses.is_dataclass(x):
+        yield from _floats([getattr(x, f.name) for f in dataclasses.fields(x)])
+
+
+INTEGERS = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+RATIONALS = st.sampled_from([0, 0, 0, 1, -1, Q(1, 2), Q(-3, 2), Q(2, 3), 2])
+SMALL_TABLES = [name for name in corpus_names() if load_algebra(name).dim <= 4]
+
+
+@st.composite
+def _matrices(draw, n):
+    """An invertible matrix with integer entries, its columns scaled by
+    nonzero rationals, so entries are int-valued Fractions or not."""
+    m = random_invertible_matrix(n, random.Random(draw(st.integers(0, 2**16))))
+    scales = [draw(st.sampled_from([1, -1, 2, Q(1, 2), Q(-2, 3)])) for _ in range(n)]
+    return [[m[r][i] * scales[i] for i in range(n)] for r in range(n)]
+
+
+@st.composite
+def _tables(draw):
+    """A random integer or rational table of dimension 1-4, or a corpus table
+    of dimension at most 4 (a family at a drawn alpha) in a drawn basis."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        scalar = draw(st.sampled_from([INTEGERS, RATIONALS]))
+        constants = [[[draw(scalar) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        return AlgebraStructure("random", n, constants)
+    A = load_algebra(draw(st.sampled_from(SMALL_TABLES)))
+    if A.is_parametric():
+        A = A.specialize({"alpha": draw(RATIONALS)})
+    return change_basis(A, draw(_matrices(A.dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_structure_and_transform_results_hold_no_float(data):
+    A = data.draw(_tables())
+    results = [derivation_algebra(A)]
+    idempotents = [A.zero_element()]
+    try:
+        split = wedderburn(A)
+    except NassocError:
+        pass
+    else:
+        results.append(split)
+        idempotents += [A.element(e) for e in split.s_basis]
+    results += [peirce(A, e) for e in idempotents]
+    t = RatFunT.t()
+    m = data.draw(_matrices(A.dim))
+    powers = [data.draw(st.integers(0, 2)) for _ in range(A.dim)]
+    columns = [[RatFunT(m[r][i]) * t ** powers[i] for r in range(A.dim)] for i in range(A.dim)]
+    results.append(transform(A, ParamBasis(columns)))
+    family = load_algebra(data.draw(st.sampled_from(["a2", "a02", "a06", "a07", "a10", "a12"])))
+    alpha = RatFunT(data.draw(RATIONALS)) + data.draw(INTEGERS) * t
+    columns = [[RatFunT(int(r == i)) * t ** (i % 2) for r in range(family.dim)] for i in range(family.dim)]
+    results.append(transform(family, ParamBasis(columns, {"alpha": alpha})))
+    assert not list(_floats(results))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pencil_invariant_holds_no_float(data):
+    """A 3-dimensional 2-step algebra u u = s11 z, v v = s22 z,
+    u v = (s12 + k) z, v u = (s12 - k) z in a drawn basis: the invariant is
+    det(S) / k^2, a Fraction."""
+    s11, s22, s12 = (data.draw(RATIONALS) for _ in range(3))
+    k = data.draw(RATIONALS.filter(bool))
+    z = [0, 0, 1]
+    constants = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
+    for (i, j), c in {(0, 0): s11, (1, 1): s22, (0, 1): s12 + k, (1, 0): s12 - k}.items():
+        constants[i][j] = [c * x for x in z]
+    A = change_basis(AlgebraStructure("pencil", 3, constants), data.draw(_matrices(3)))
+    value = pencil_invariant(A)
+    assert type(value) is Q
+    assert value == Q(s11 * s22 - s12 * s12) / (k * k)
