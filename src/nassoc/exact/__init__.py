@@ -5,7 +5,7 @@ Rationals are plain fractions.Fraction values: arbitrary precision,
 gcd-reduced with positive denominator, never rounding.
 """
 
-from .linalg import SparseRREF, bareiss_rank, det, express, inverse, nullspace, rref, solve_right
+from .linalg import SparseRREF, express, inverse, nullspace
 from .poly import PolyQ
 from .ratfun import RatFunT
 from .series import SeriesQ, compose_series
@@ -17,10 +17,6 @@ __all__ = [
     "compose_series",
     "SparseRREF",
     "nullspace",
-    "bareiss_rank",
-    "rref",
     "express",
-    "det",
     "inverse",
-    "solve_right",
 ]

@@ -1,30 +1,32 @@
-"""Exact dense and sparse linear algebra.
+"""Exact linear algebra over Q and over the rational functions Q(t).
 
-Every elimination over Q runs on `SparseRREF`, which maintains a reduced
-row-echelon basis of a growing subspace of Q^n with sparse rows.  Its rows
-are kept fully reduced: each row is 1 at its own pivot and 0 at every other
-pivot.  So reducing a vector is one pass, subtracting once the row of each
-pivot the vector holds, and the residual lives on the free (non-pivot)
-positions only.  Its eliminations mostly meet pivots of +-1, so its rows
-keep integral coefficients as `int` and use `Fraction` only where a
-coefficient is not integral; what it returns is always `Fraction`.  `span`
-builds one from dense rows, and `nullspace`, `express` and `inverse` read
-their answers off it: the kernel, coefficients in a span, and the inverse
-from the RREF of [M | I].  `SparseRREF.kernel_of` goes the other way: from
-functionals to the RREF of the subspace they annihilate, without
-elimination over its rows.  Pivoting is always "first nonzero in column
-order", and the reduced form is unique, so results are deterministic.
+Every elimination runs on `SparseRREF`, a reduced row-echelon basis of a
+growing subspace of K^n with sparse rows.  The field K is that of the
+values: Q for `int` and `Fraction`, Q(t) for `RatFunT`.  Rows are kept fully
+reduced: each row is 1 at its own pivot and 0 at every other pivot.  So
+reducing a vector is one pass, subtracting once the row of each pivot the
+vector holds, and the residual lives on the free (non-pivot) positions
+only.  Over Q the eliminations mostly meet pivots of +-1, so rows keep
+integral coefficients as `int`; what `SparseRREF` returns is a `Fraction`
+for a rational value and the `RatFunT` itself in Q(t).  `span` builds one
+from dense rows, and `nullspace`, `express`, `solve_right` and `inverse`
+read their answers off it: the kernel, coefficients in a span, and X with
+M X = B from the RREF of [M | B] (B = I for the inverse).
+`SparseRREF.kernel_of` goes the other way: from functionals to the RREF of
+the subspace they annihilate, without elimination over its rows.  Pivoting
+is always "first nonzero in column order", and the reduced form is unique,
+so results are deterministic.
 
-The dense `rref` and `solve_right` serve the rational function field Q(t)
-of `moduli`; they work over any field whose elements support +, -, *, /
-and compare equal to 0, with explicit zero/one elements.  `rref`, `det` and
-`bareiss_rank`, a fraction-free integer rank that shares no code with
-`SparseRREF`, remain as independent oracles for the tests.
+The dense `rref` and `det`, over either field, and `bareiss_rank`, a
+fraction-free integer rank, share no code with `SparseRREF` and no other
+module calls them: `rref` and `bareiss_rank` are the tests' independent
+oracles, and `det` stays because the benchmark's tracer names it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .poly import canonical
@@ -33,17 +35,18 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
+def _exact(c):
+    """A rational value as a Fraction; an element of Q(t) as it is."""
+    return Fraction(c) if isinstance(c, (int, Fraction)) else c
+
+
 # ---------------------------------------------------------------------------
 # dense matrices
 
 
-def mat_copy(m):
-    return [list(row) for row in m]
-
-
-def rref(matrix, zero=Q0, one=Q1):
+def rref(matrix):
     """Reduced row echelon form; returns (pivot column list, row list)."""
-    rows = mat_copy(matrix)
+    rows = [list(row) for row in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -51,16 +54,16 @@ def rref(matrix, zero=Q0, one=Q1):
     for j in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if rows[i][j] != zero:
+            if rows[i][j] != 0:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = one / rows[r][j]
+        inv = Q1 / rows[r][j]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][j] != zero:
+            if i != r and rows[i][j] != 0:
                 c = rows[i][j]
                 rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
         pivots.append(j)
@@ -119,17 +122,18 @@ def nullspace(matrix, ncols=None):
     return basis
 
 
-def solve_right(matrix, rhs_columns, zero=Q0, one=Q1):
-    """Solve M X = B for X given B as a list of columns; M must be square invertible."""
+def solve_right(matrix, rhs_columns):
+    """Solve M X = B for X, given B as a list of columns; M must be square
+    and invertible, else ValueError.  Column k of X is read off the RREF of
+    [M | B] at position n + k of the rows of the pivots 0..n-1; an entry no
+    row holds is the zero of the field of the first value outside Q, if any."""
     n = len(matrix)
-    aug = [list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(n)]
-    pivots, rows = rref(aug, zero, one)
-    if pivots[:n] != list(range(n)):
+    acc = span(([*row] + [col[i] for col in rhs_columns] for i, row in enumerate(matrix)), n + len(rhs_columns))
+    if any(p not in acc.rows for p in range(n)):
         raise ValueError("matrix is singular")
-    cols = []
-    for k in range(len(rhs_columns)):
-        cols.append([rows[i][n + k] for i in range(n)])
-    return cols
+    zero = next((x * 0 for x in chain(*matrix, *rhs_columns) if not isinstance(x, (int, Fraction))), Q0)
+    rows = [acc.rows[p] for p in range(n)]
+    return [[_exact(row.get(n + k, zero)) for row in rows] for k in range(len(rhs_columns))]
 
 
 def express(vectors, target):
@@ -145,48 +149,47 @@ def express(vectors, target):
 
 
 def inverse(matrix):
-    """Inverse of a square rational matrix, read off the RREF of [M | I]."""
+    """Inverse of a square matrix, the solution X of M X = I."""
     n = len(matrix)
-    acc = span(([*row] + [Q1 if i == j else Q0 for j in range(n)] for i, row in enumerate(matrix)), 2 * n)
-    if any(p not in acc.rows for p in range(n)):
-        raise ValueError("matrix is singular")
-    return [[row.get(n + j, Q0) for j in range(n)] for row in acc.basis()]
+    columns = solve_right(matrix, [[Q1 if i == j else Q0 for i in range(n)] for j in range(n)])
+    return [list(row) for row in zip(*columns)]
 
 
-def det(matrix, zero=Q0, one=Q1):
-    rows = mat_copy(matrix)
+def det(matrix):
+    rows = [list(row) for row in matrix]
     n = len(rows)
     sign = 1
-    result = one
+    result = Q1
     for j in range(n):
         pivot_row = None
         for i in range(j, n):
-            if rows[i][j] != zero:
+            if rows[i][j] != 0:
                 pivot_row = i
                 break
         if pivot_row is None:
-            return zero
+            return Q0
         if pivot_row != j:
             rows[j], rows[pivot_row] = rows[pivot_row], rows[j]
             sign = -sign
         p = rows[j][j]
         result = result * p
-        inv = one / p
+        inv = Q1 / p
         for i in range(j + 1, n):
-            if rows[i][j] != zero:
+            if rows[i][j] != 0:
                 c = rows[i][j] * inv
                 rows[i] = [a - c * b for a, b in zip(rows[i], rows[j])]
-    return result if sign == 1 else zero - result
+    return result if sign == 1 else -result
 
 
 # ---------------------------------------------------------------------------
-# sparse incremental RREF over Q
+# sparse incremental RREF over Q or Q(t)
 
 
 class SparseRREF:
-    """Reduced row-echelon basis of a growing subspace of Q^ncols.
+    """Reduced row-echelon basis of a growing subspace of K^ncols, where K is
+    Q or Q(t), the field of the values inserted.
 
-    Vectors are dicts {position: rational}, positions in [0, ncols).  The
+    Vectors are dicts {position: value}, positions in [0, ncols).  The
     pivot of a row is its smallest position, so the free positions are the
     late ones.  Rows are kept fully reduced at all times: no row has a
     nonzero at another row's pivot, and `where[q]` is the set of rows that
@@ -196,17 +199,18 @@ class SparseRREF:
     of the `kernel` functionals at v.
 
     `rows` is internal: it stores each coefficient in the form of
-    `exact.poly.canonical`, an integral one as an `int`, so that relations
-    whose eliminations meet only pivots of +-1 never leave integer
-    arithmetic.  `reduce` and `basis` return `Fraction` values only.
-    `reduce` and `contains` reject a position outside [0, ncols) with
-    ValueError; `insert` does not check, because its callers build their
-    vectors in range.
+    `exact.poly.canonical`, an integral rational as an `int`, so that
+    relations whose eliminations meet only pivots of +-1 never leave integer
+    arithmetic.  `reduce`, `basis` and `kernel` return a rational value as a
+    `Fraction` and an element of Q(t) as the `RatFunT` it is.  `reduce` and
+    `contains` reject a position outside [0, ncols) with ValueError;
+    `insert` does not check, because its callers build their vectors in
+    range.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: dict[int, dict[int, int | Fraction]] = {}
+        self.rows: dict[int, dict] = {}
         self.where: dict[int, set[int]] = {}  # non-pivot position -> pivots using it
 
     @classmethod
@@ -264,7 +268,7 @@ class SparseRREF:
             bad = next(p for p in vec if not 0 <= p < self.ncols)
             raise ValueError(f"position {bad} is outside [0, {self.ncols})")
 
-    def _reduce_internal(self, vec) -> dict[int, int | Fraction]:
+    def _reduce_internal(self, vec) -> dict:
         # one pass: a fully reduced row is zero at every other pivot, so
         # subtracting the row of each pivot in vec changes only free positions
         # and leaves vec's entries at the other pivots as they were
@@ -284,10 +288,10 @@ class SparseRREF:
                     work[q] = nv
         return work
 
-    def reduce(self, vec) -> dict[int, Fraction]:
+    def reduce(self, vec) -> dict:
         """Residual of vec modulo the current subspace."""
         self._check_positions(vec)
-        return {p: Fraction(c) for p, c in self._reduce_internal(vec).items()}
+        return {p: _exact(c) for p, c in self._reduce_internal(vec).items()}
 
     def contains(self, vec) -> bool:
         self._check_positions(vec)
@@ -331,26 +335,26 @@ class SparseRREF:
                 self.where.setdefault(q, set()).add(lead)
         return True
 
-    def basis(self) -> list[dict[int, Fraction]]:
-        """Rows as vectors of Fractions, sorted by pivot position."""
-        return [{q: Fraction(c) for q, c in self.rows[p].items()} for p in sorted(self.rows)]
+    def basis(self) -> list[dict]:
+        """Rows as vectors, sorted by pivot position."""
+        return [{q: _exact(c) for q, c in self.rows[p].items()} for p in sorted(self.rows)]
 
     def free(self) -> list[int]:
         """The non-pivot positions, ascending."""
         return [f for f in range(self.ncols) if f not in self.rows]
 
-    def kernel(self) -> list[dict[int, Fraction]]:
+    def kernel(self) -> list[dict]:
         """Basis of the functionals that vanish on the subspace, one per free
         position f, ascending: 1 at f and -R[p][f] at each pivot p whose row
         uses f."""
         return [
-            {p: -Fraction(self.rows[p][f]) for p in sorted(self.where.get(f, ()))} | {f: Q1}
+            {p: -_exact(self.rows[p][f]) for p in sorted(self.where.get(f, ()))} | {f: Q1}
             for f in self.free()
         ]
 
 
 def span(rows, ncols: int) -> SparseRREF:
-    """The subspace of Q^ncols spanned by dense rows."""
+    """The subspace of K^ncols spanned by dense rows."""
     acc = SparseRREF(ncols)
     for row in rows:
         acc.insert(dict(enumerate(row)))

@@ -32,14 +32,16 @@ def signed_sum(parts: list) -> str:
     return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
 
 
-def canonical(x: Scalar) -> Scalar:
-    """x as an int when it is integral, else x itself, a Fraction.
+def canonical(x):
+    """An integral Fraction as its int; any other value, an int, a
+    non-integral Fraction or an element of another field such as a RatFunT,
+    as it is.
 
     PolyQ coefficients, SparseRREF rows and the scalars of parameter-free
     algebras are kept in this form, so integral arithmetic stays in int.
     Dividing two such values needs a Fraction operand: int / int is a float.
     """
-    return x.numerator if x.denominator == 1 else x
+    return x.numerator if x.__class__ is Fraction and x.denominator == 1 else x
 
 
 def as_fraction(c) -> Fraction:

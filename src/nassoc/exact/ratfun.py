@@ -130,7 +130,8 @@ class RatFunT:
                 out[e] = Fraction(c)  # PolyQ keeps integral coefficients as int
             return _trim(out)
         if isinstance(p, (list, tuple)):
-            return _trim([Fraction(c) for c in p])
+            # the lists of RatFunT arithmetic hold Fractions already
+            return _trim([c if c.__class__ is Fraction else Fraction(c) for c in p])
         raise TypeError(f"cannot build polynomial in t from {type(p).__name__}")
 
     # -- constructors ------------------------------------------------------

@@ -23,12 +23,11 @@ from fractions import Fraction
 from . import exprparse
 from .algebras import AlgebraStructure
 from .errors import ParametricNotSupported, PoleAtZero, ShapeMismatch, SingularForAllT
-from .exact.linalg import rref, solve_right, span
+from .exact.linalg import solve_right, span
 from .exact.ratfun import RatFunT
 from .structure import derivation_algebra, derivation_equations, power_subspaces, powers_and_nilpotency
 
 RF0 = RatFunT.const(0)
-RF1 = RatFunT.const(1)
 
 
 @dataclass
@@ -70,6 +69,9 @@ def transform(A: AlgebraStructure, basis: ParamBasis):
     n = A.dim
     if basis.dim != n:
         raise ValueError("basis dimension does not match the algebra")
+    for i, col in enumerate(basis.columns, 1):
+        if len(col) != n:
+            raise ValueError(f"basis column {i} has {len(col)} entries, expected {n}")
     for p in A.parameters:
         if p not in basis.subst:
             raise ParametricNotSupported(f"no substitution supplied for parameter {p!r}")
@@ -97,7 +99,7 @@ def transform(A: AlgebraStructure, basis: ParamBasis):
             rhs_columns.append(vec)
             order.append((i, j))
     try:
-        solved = solve_right(basis.matrix(), rhs_columns, zero=RF0, one=RF1)
+        solved = solve_right(basis.matrix(), rhs_columns)
     except ValueError:
         raise SingularForAllT("parametrized basis matrix is singular for every t") from None
     for (i, j), col in zip(order, solved):
@@ -174,16 +176,14 @@ def family_degeneration_check(
 
 
 def generic_derivation_dim(A: AlgebraStructure) -> int:
-    """Derivation dimension at generic parameter values (rank over Q(alpha))."""
-    n = A.dim
-    if len(A.parameters) == 0:
-        return n * n - span(derivation_equations(A.constants), n * n).rank
+    """Derivation dimension at generic parameter values (rank over Q(alpha), alpha as t)."""
     if len(A.parameters) > 1:
         raise ParametricNotSupported("generic derivations support one parameter")
-    env = {A.parameters[0]: RatFunT.t()}
-    c = [[[p.eval(env) for p in vec] for vec in row] for row in A.constants]
-    pivots, _ = rref(derivation_equations(c, RF0), zero=RF0, one=RF1)
-    return n * n - len(pivots)
+    n, c = A.dim, A.constants
+    if A.parameters:
+        env = {A.parameters[0]: RatFunT.t()}
+        c = [[[p.eval(env) for p in vec] for vec in row] for row in c]
+    return n * n - span(derivation_equations(c), n * n).rank
 
 
 def orbit_dim(A: AlgebraStructure) -> int:
@@ -343,17 +343,6 @@ def random_invertible_matrix(n: int, rng: random.Random):
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         if span(m, n).rank == n:
             return m
-
-
-def random_lower_triangular(n: int, rng: random.Random):
-    """Column i supported on rows >= i: these basis changes stabilize the
-    tail flags A_i = span(e_i..e_n) used by the containment shorthands."""
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = Fraction(rng.choice([1, -1, 2, 3]))
-        for j in range(i):
-            m[i][j] = Fraction(rng.randint(-2, 2))
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,10 @@ class DerivationAlgebra:
     matrices: list  # list of n x n Fraction matrices, D(e_i) = sum_k D[k][i] e_k
 
 
-def derivation_equations(c, zero=Fraction(0)):
-    """Nonzero rows of D(e_i e_j) = D(e_i) e_j + e_i D(e_j) over any field.
+def derivation_equations(c):
+    """Nonzero rows of D(e_i e_j) = D(e_i) e_j + e_i D(e_j) over Q or Q(t).
 
-    c[i][j][k] is the e_k coordinate of e_i e_j and zero is the field's zero.
+    c[i][j][k] is the e_k coordinate of e_i e_j; int 0 is either field's zero.
     The unknown D[k][i], the e_k coordinate of D(e_i), is column k * n + i.
     """
     n = len(c)
@@ -201,7 +201,7 @@ def derivation_equations(c, zero=Fraction(0)):
     for i in range(n):
         for j in range(n):
             for m in range(n):
-                row = [zero] * (n * n)
+                row = [0] * (n * n)
                 for l in range(n):
                     if c[i][j][l]:
                         row[m * n + l] = row[m * n + l] + c[i][j][l]

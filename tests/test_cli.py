@@ -64,6 +64,25 @@ def test_transform_singular_basis_is_a_usage_error(capsys):
     assert err == "error: parametrized basis matrix is singular for every t\n"
 
 
+def test_basis_column_of_wrong_length_is_a_usage_error(capsys, tmp_path):
+    # a 5-entry column used to be accepted with its extra entry ignored, and a
+    # 3-entry column exited 1 with an IndexError traceback
+    rest = '["0","t^2","0","0"],["0","0","t^3","0"],["0","0","0","t^2"]'
+    for first, length in (('["t","0","0","0","5"]', 5), ('["t","0","0"]', 3)):
+        code, out, err = run_cli(capsys, "transform", "--algebra", "a13", "--basis", f"[{first},{rest}]")
+        assert code == 2 and not out
+        assert err == f"error: basis column 1 has {length} entries, expected 4\n"
+    cert = corpus.load_certificate("a12_0_to_a11")
+    for column, length in ((["0", "1", "0", "0", "0"], 5), (["0", "1", "0"], 3)):
+        basis = [cert["basis"][0], column, *cert["basis"][2:]]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({**cert, "basis": basis}))
+        for argv in (["degenerate", "--cert", str(path)], ["transform", "--algebra", "a12", "--cert", str(path)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and not out, argv
+            assert err == f"error: basis column 2 has {length} entries, expected 4\n", argv
+
+
 def test_mutate_and_kantor_without_elements_are_usage_errors(capsys):
     for argv in (["mutate", "--algebra", "a1"], ["mutate", "--algebra", "a1", "--p", "1,0,0"],
                  ["kantor", "--algebra", "a1"]):

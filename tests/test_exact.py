@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nassoc.errors import PoleAtZero, TruncationMismatch
+from nassoc.algebras import AlgebraStructure
+from nassoc.errors import PoleAtZero, SingularForAllT, TruncationMismatch
 from nassoc.exact import (
     PolyQ,
     RatFunT,
     SeriesQ,
-    bareiss_rank,
     compose_series,
     express,
     inverse,
     nullspace,
 )
-from nassoc.exact.linalg import rref
+from nassoc.exact.linalg import bareiss_rank, rref, solve_right, span
+from nassoc.exact.poly import canonical
+from nassoc.moduli import ParamBasis, transform
 from nassoc.operads import MultilinearSpace, _perms_lex
 from nassoc.systems import builtin_system
 
@@ -456,3 +458,82 @@ def test_sparse_rref_mixed_scalars(data):
     assert all(type(c) is Q for c in got.values())
     grew = len(rref(matrix + [dense_probe])[0]) > len(pivots)
     assert acc.contains(probe) == (not grew)
+
+
+# ---------------------------------------------------------------------------
+# elimination over Q(t): the same SparseRREF, the dense rref as its oracle
+
+
+def test_canonical_forms():
+    assert canonical(3) == 3 and type(canonical(3)) is int
+    assert canonical(Q(6, 2)) == 3 and type(canonical(Q(6, 2))) is int
+    half = Q(1, 2)
+    assert canonical(half) is half
+    f = RatFunT([1, 2], [3, 1])
+    assert canonical(f) is f
+    assert canonical(RatFunT.const(2)).__class__ is RatFunT
+
+
+def _ratfun(draw):
+    """0, a constant, a polynomial in t of degree at most 2, or a ratio of
+    two such."""
+
+    def coeffs():
+        return [draw(st.integers(-2, 2)) for _ in range(draw(st.integers(0, 3)))]
+
+    num = coeffs()
+    den = coeffs() if draw(st.booleans()) else [1]
+    return RatFunT(num, den if any(den) else [1])
+
+
+def _ratfun_matrix(draw, nrows, ncols):
+    """Random entries; with some chance the last row is a Q(t) combination of
+    the others, so singular and rank-deficient cases come often."""
+    rows = [[_ratfun(draw) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        mults = [_ratfun(draw) for _ in range(nrows - 1)]
+        rows[-1] = [sum((m * row[j] for m, row in zip(mults, rows)), RatFunT(0)) for j in range(ncols)]
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sparse_rref_over_qt_matches_dense(data):
+    draw = data.draw
+    ncols = draw(st.integers(1, 5))
+    rows = _ratfun_matrix(draw, draw(st.integers(1, 4)), ncols)
+    acc = span(rows, ncols)
+    pivots, dense = rref(rows)
+    assert acc.rank == len(pivots)
+    # the RREF is unique, so the rows agree entry for entry
+    assert acc.basis() == [{i: c for i, c in enumerate(dr) if c != 0} for dr in dense]
+    assert all(type(c) is RatFunT for vec in acc.basis() for c in vec.values())
+    for phi in acc.kernel():
+        for row in rows:
+            assert sum((c * row[i] for i, c in phi.items()), RatFunT(0)) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_solve_right_over_qt(n, k, data):
+    draw = data.draw
+    matrix = _ratfun_matrix(draw, n, n)
+    rhs = [[_ratfun(draw) for _ in range(n)] for _ in range(k)]
+    # a zero-constant algebra: transform solves M X = 0 for each product
+    algebra = AlgebraStructure("zero", n, [[[0] * n for _ in range(n)] for _ in range(n)])
+    columns = [[matrix[r][i] for r in range(n)] for i in range(n)]
+    pivots, dense = rref([row + [col[i] for col in rhs] for i, row in enumerate(matrix)])
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            solve_right(matrix, rhs)
+        with pytest.raises(SingularForAllT):
+            transform(algebra, ParamBasis(columns))
+        return
+    solved = solve_right(matrix, rhs)
+    assert solved == [[dense[i][n + j] for i in range(n)] for j in range(k)]
+    for x, b in zip(solved, rhs):
+        assert [sum((matrix[i][s] * x[s] for s in range(n)), RatFunT(0)) for i in range(n)] == b
+    # a missing entry comes back as the zero of Q(t), not as a rational 0
+    assert all(type(c) is RatFunT for col in solved for c in col)
+    out = transform(algebra, ParamBasis(columns))
+    assert all(type(c) is RatFunT and str(c) == "0" for row in out for vec in row for c in vec)

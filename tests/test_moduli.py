@@ -110,6 +110,18 @@ def test_transform_requires_substitution():
         transform(A, ParamBasis.from_strings(cols))
 
 
+def test_transform_rejects_columns_of_the_wrong_length():
+    """Four columns for a 4-dimensional algebra, one of them too long or too
+    short: the long one used to be truncated silently, the short one to
+    fail with IndexError."""
+    A = load_algebra("a13")
+    cols = [["t", "0", "0", "0"], ["0", "t^2", "0", "0"], ["0", "0", "t^3", "0"], ["0", "0", "0", "t^2"]]
+    for col, length in ((["t", "0", "0", "0", "5"], 5), (["t", "0", "0"], 3)):
+        with pytest.raises(ValueError, match=f"basis column 1 has {length} entries, expected 4"):
+            transform(A, ParamBasis.from_strings([col] + cols[1:]))
+    assert transform(A, ParamBasis.from_strings(cols))[1][1][2] == RatFunT.t()
+
+
 # ---------------------------------------------------------------------------
 # degenerations
 
@@ -239,6 +251,17 @@ def test_containment_shorthand():
     assert not closed_set_membership(spec, load_algebra("A17"))
 
 
+def random_lower_triangular(n: int, rng: random.Random):
+    """Column i supported on rows >= i: these basis changes stabilize the
+    tail flags A_i = span(e_i..e_n) used by the containment shorthands."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = Fraction(rng.choice([1, -1, 2, 3]))
+        for j in range(i):
+            m[i][j] = Fraction(rng.randint(-2, 2))
+    return m
+
+
 def test_borel_stability_evidence():
     """The containment shorthand part of the closed set is stable under
     triangular basis changes fixing the tail flags (randomized, seeded).
@@ -246,8 +269,6 @@ def test_borel_stability_evidence():
     With columns as new basis vectors, the matrices stabilizing the flags
     A_i = span(e_i..e_n) are the lower-triangular ones.
     """
-    from nassoc.moduli import random_lower_triangular
-
     spec = ClosedSetSpec(containments=["A1*A1<=A3"])
     rng = random.Random(0)
     for name, value in (("a12", Q(1)), ("a10", Q(1)), ("a02", Q(2))):
