@@ -47,6 +47,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 from . import exprparse
@@ -324,6 +325,12 @@ def _coefficients(ident: Identity) -> list:
     return [(c if isinstance(c, PolyQ) else canonical(c), w) for w, c in ident.expr.sorted_terms()]
 
 
+@lru_cache(maxsize=None)
+def _left_degree(shape) -> int:
+    """The number of leaves of the left factor of a product shape."""
+    return degree(shape[0])
+
+
 def _shape_value(shape, idx, table, memo):
     """The nonzero (k, c), k ascending, of the product of basis vectors idx bracketed as shape.
 
@@ -339,7 +346,7 @@ def _shape_value(shape, idx, table, memo):
     if shape == 0:
         got = ((idx[0], 1),)
     else:
-        split = degree(shape[0])
+        split = _left_degree(shape)
         left = _shape_value(shape[0], idx[:split], table, memo)
         right = _shape_value(shape[1], idx[split:], table, memo)
         out = {}

@@ -11,9 +11,7 @@ integral coefficients as `int`; what `SparseRREF` returns is a `Fraction`
 for a rational value and the `RatFunT` itself in Q(t).  `span` builds one
 from dense rows, and `nullspace`, `express`, `solve_right` and `inverse`
 read their answers off it: the kernel, coefficients in a span, and X with
-M X = B from the RREF of [M | B] (B = I for the inverse).
-`SparseRREF.kernel_of` goes the other way: from functionals to the RREF of
-the subspace they annihilate, without elimination over its rows.  Pivoting
+M X = B from the RREF of [M | B] (B = I for the inverse).  Pivoting
 is always "first nonzero in column order", and the reduced form is unique,
 so results are deterministic.
 
@@ -185,6 +183,13 @@ def det(matrix):
 # sparse incremental RREF over Q or Q(t)
 
 
+def check_positions(vec, ncols: int):
+    """ValueError when a position of vec lies outside [0, ncols)."""
+    if vec and (min(vec) < 0 or max(vec) >= ncols):
+        bad = next(p for p in vec if not 0 <= p < ncols)
+        raise ValueError(f"position {bad} is outside [0, {ncols})")
+
+
 class SparseRREF:
     """Reduced row-echelon basis of a growing subspace of K^ncols, where K is
     Q or Q(t), the field of the values inserted.
@@ -213,60 +218,9 @@ class SparseRREF:
         self.rows: dict[int, dict] = {}
         self.where: dict[int, set[int]] = {}  # non-pivot position -> pivots using it
 
-    @classmethod
-    def kernel_of(cls, columns) -> "SparseRREF":
-        """The RREF of ker Phi, the subspace of Q^ncols on which d independent
-        functionals vanish, built without eliminating over its rows.
-
-        columns[k] is the tuple of the d values of the functionals at
-        position k, so ncols = len(columns) and Phi[:, k] = columns[k].
-        Position f is free exactly when Phi[:, f] is independent of the
-        columns right of it; every other position p gets the row
-        e_p - sum_f (Phi_F^-1 Phi[:, p])_f e_f over the free positions F,
-        which all lie right of p.  Equal columns share one tail, so pass
-        their entries as `int` where integral: they are hashed.  The reduced
-        form is unique, so `rows` and `where` are those that inserting any
-        spanning set of the subspace would leave.
-        """
-        ncols = len(columns)
-        d = len(columns[0]) if ncols else 0
-        last = {col: p for p, col in enumerate(columns)}
-        # only the last position of a column can be independent of those right of it
-        found, free = cls(d), {}
-        for col, p in sorted(last.items(), key=lambda item: item[1], reverse=True):
-            if found.rank == d:
-                break
-            if found.insert(dict(enumerate(col))):
-                free[p] = col
-        if found.rank != d:
-            raise ValueError(f"the {d} functionals span only {found.rank} dimensions")
-        order = sorted(free)
-        # row t of the RREF of [Phi_F | distinct columns] holds (Phi_F^-1 c)_t at c's place
-        solved = span(([free[f][t] for f in order] + [c[t] for c in last] for t in range(d)), d + len(last))
-        tails = {
-            col: {f: -x for t, f in enumerate(order) if (x := solved.rows[t].get(d + k, 0))}
-            for k, col in enumerate(last)
-        }
-        acc = cls(ncols)
-        users = {f: set() for f in order}
-        for p, col in enumerate(columns):
-            if p not in free:
-                tail = tails[col]
-                row = acc.rows[p] = {p: 1}
-                row.update(tail)
-                for f in tail:
-                    users[f].add(p)
-        acc.where = {f: ps for f, ps in users.items() if ps}
-        return acc
-
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def _check_positions(self, vec):
-        if vec and (min(vec) < 0 or max(vec) >= self.ncols):
-            bad = next(p for p in vec if not 0 <= p < self.ncols)
-            raise ValueError(f"position {bad} is outside [0, {self.ncols})")
 
     def _reduce_internal(self, vec) -> dict:
         # one pass: a fully reduced row is zero at every other pivot, so
@@ -285,16 +239,17 @@ class SparseRREF:
                 if nv == 0:
                     del work[q]
                 else:
-                    work[q] = nv
+                    # exact.poly.canonical, inlined: a call per entry would slow every elimination
+                    work[q] = nv.numerator if nv.__class__ is Fraction and nv.denominator == 1 else nv
         return work
 
     def reduce(self, vec) -> dict:
         """Residual of vec modulo the current subspace."""
-        self._check_positions(vec)
+        check_positions(vec, self.ncols)
         return {p: _exact(c) for p, c in self._reduce_internal(vec).items()}
 
     def contains(self, vec) -> bool:
-        self._check_positions(vec)
+        check_positions(vec, self.ncols)
         return not self._reduce_internal(vec)
 
     def insert(self, vec) -> bool:
@@ -328,7 +283,7 @@ class SparseRREF:
                     else:
                         if q not in other:
                             self.where.setdefault(q, set()).add(p)
-                        other[q] = nv
+                        other[q] = nv.numerator if nv.__class__ is Fraction and nv.denominator == 1 else nv
         self.rows[lead] = row
         for q in row:
             if q != lead:

@@ -235,7 +235,7 @@ def _quotient(variety: str, n: int, cap) -> _Quotient:
         return _quotient_cache[key]
     cons = consequences(builtin_system(variety), n, cap)
     space = cons.space
-    free = {col: j for j, col in enumerate(cons.rref.free())}
+    free = {col: j for j, col in enumerate(cons.free())}
     labels = free_basis(variety, n, n, multilinear=True)
     if len(labels) != len(free):
         raise AssertionError(f"{len(labels)} basis labels for a {len(free)}-dimensional quotient")

@@ -16,22 +16,27 @@ permutation ranks, and the image of a relation row is the row with its
 indices looked up: no word trees, expressions or new coefficients are made.
 Identities are lifted over S_m the same way, through `relabel_vec`.
 
-Each degree is built on one of two sides, and both leave the same RREF.
-The primal side (`_primal_step`) eliminates: it inserts the images of the
-degree-(m-1) rows under every step map, then the lifted identities, so its
-cost grows with the rank of I(m-1).  The dual side (`_dual_step`) works
-with the functionals that vanish on I(m-1): a basis of them has
-d = dim P(m-1) elements, P(m-1) being the quotient by I(m-1), since
-P(m-1)* is the annihilator of I(m-1) (Loday & Vallette, Algebraic
-Operads).  A degree-m functional vanishes on I(m) exactly when its
-composite with every step map is a combination of them and it kills the
-lifted identities, a linear system in (m+1)*m*d unknowns.
-`SparseRREF.kernel_of` turns the degree-m functionals it finds back into
-the unique RREF of I(m), so `rows` and `where`, and every consumer of
-them, do not depend on the side.  A degree
-is built on the dual side when d <= DUAL_MAX_QUOTIENT, which by measurement
-is 1: degree 2 of every system, `com-as` from degree 2 on, `cas` from
-degree 5 on, and `sas` and `a123` from degree 6 on.
+Each degree is held in one of two representations, with the same answers.
+A primal degree is built by elimination (`_primal_step`): it inserts the
+images of the degree-(m-1) rows under every step map, then the lifted
+identities, into a `SparseRREF`, so its cost grows with the rank of
+I(m-1).  A congruence (`Congruence`) is a weighted partition of the
+monomials: each monomial is +-1 (in general a nonzero rational) times the
+element of its class in the quotient P(m), or zero there.  Binomial
+systems, whose identities all read w1 = +-w2 (the algebras of associative
+type sigma, nine of the ten built-ins), give congruences at every degree,
+because a step map sends a monomial to one monomial.
+
+The rule: a degree with no identities of its own is stepped as a
+congruence (`_congruence_step`, a union-find with ratios over the images
+of the classes) whenever the degree below is one; every other degree is
+built primal, and afterwards is read as a congruence when every row of its
+RREF has at most two entries.  The check runs on the space, not on the
+identities, so a recombined or rescaled binomial presentation qualifies.
+A quotient of dimension d <= 1 always is a congruence: for d = 0 every
+monomial is zero, and for d = 1 the one functional f vanishing on I(m)
+spans the annihilator, so the RREF row of each pivot p is e_p - f(p) e_f
+at the one free position f.
 
 Everything downstream (dimensions, Hilbert series, Koszulity residuals,
 Koszul duals, implication between systems, membership proofs, k-niceness)
@@ -45,9 +50,11 @@ import os
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
+from typing import NamedTuple
 
 from .errors import DegreeTooLarge, NotMultilinear, NotQuadratic
-from .exact.linalg import SparseRREF
+from .exact.linalg import SparseRREF, check_positions
 from .exact.poly import canonical
 from .exact.series import SeriesQ, compose_series
 from .terms import (
@@ -156,30 +163,142 @@ class MultilinearSpace:
 # consequence spaces
 
 
-class ConsequenceSpace:
-    """Echelonized degree-n component of the operadic ideal of a system."""
+class Congruence(NamedTuple):
+    """A consequence degree as a weighted partition of its monomials.
 
-    def __init__(self, system_name: str, degree: int, rref: SparseRREF):
+    Monomial k is w[k] times the class element a_cls[k] of the quotient, or
+    zero there when cls[k] == -1 (and then w[k] == 0).  free[c] is the last
+    (largest) member of class c, ascending in c, and w[free[c]] == 1, so a_c
+    is that monomial.  w is an array of bytes when every weight is 0 or +-1,
+    else a list of canonical rationals.
+    """
+
+    cls: array
+    w: array | list
+    free: list[int]
+
+
+class ConsequenceSpace:
+    """Degree-n component I(n) of the operadic ideal of a system.
+
+    It holds I(n) in one of two forms, and answers the same from either.  A
+    primal space holds the `SparseRREF` of I(n).  A `Congruence` holds two
+    arrays over the monomials, a class and a weight each; a primal space
+    whose RREF rows all have at most two entries gets them too.  The unique
+    RREF of a congruence has the last members of the classes as its free
+    positions and the row e_p - w[p] e_f for any other member p of the
+    class of f, e_p for a monomial in I(n).
+
+    `dim`, `reduce_vec`, `contains_vec`, `free`, `kernel` and `basis` read
+    the arrays when there are any, and each gives what `SparseRREF` would.
+    `rref` builds the `SparseRREF` of a congruence on first use, its rows
+    and `where` filled in without elimination.
+    """
+
+    def __init__(
+        self, system_name: str, degree: int, rref: SparseRREF | None = None, congruence: Congruence | None = None
+    ):
         self.system_name = system_name
         self.degree = degree
         self.space = MultilinearSpace(degree)
-        self.rref = rref
+        self._rref = rref
+        self.congruence = congruence if rref is None else _congruence_of(rref)
+
+    def _congruence_rows(self):
+        """(pivot, row) of the RREF of a congruence, by pivot, entries canonical."""
+        cls, w, free = self.congruence
+        for p, (c, x) in enumerate(zip(cls, w)):
+            if c < 0:
+                yield p, {p: 1}
+            elif free[c] != p:
+                yield p, {p: 1, free[c]: -x}
+
+    @property
+    def rref(self) -> SparseRREF:
+        if self._rref is None:
+            acc = SparseRREF(self.space.dim)
+            for p, row in self._congruence_rows():
+                acc.rows[p] = row
+                for f in row:
+                    if f != p:
+                        acc.where.setdefault(f, set()).add(p)
+            self._rref = acc
+        return self._rref
 
     @property
     def dim(self) -> int:
-        return self.rref.rank
+        if self.congruence is None:
+            return self.rref.rank
+        return self.space.dim - len(self.congruence.free)
+
+    def reduce_vec(self, vec) -> dict:
+        """Residual of vec modulo I(n), on the free positions."""
+        if self.congruence is None:
+            return self.rref.reduce(vec)
+        check_positions(vec, self.space.dim)
+        cls, w, free = self.congruence
+        out: dict = {}
+        for k, c in vec.items():
+            if (cl := cls[k]) >= 0 and c:
+                out[free[cl]] = out.get(free[cl], 0) + c * w[k]
+        return {f: Fraction(c) for f, c in out.items() if c}
 
     def contains_vec(self, vec) -> bool:
-        return self.rref.contains(vec)
+        return not self.reduce_vec(vec)
 
     def contains_expr(self, expr: Expr) -> bool:
         return self.contains_vec(self.space.expr_to_vec(expr))
 
-    def reduce_vec(self, vec):
-        return self.rref.reduce(vec)
+    def free(self) -> list[int]:
+        """The free positions of the RREF, ascending."""
+        return list(self.congruence.free) if self.congruence is not None else self.rref.free()
+
+    def kernel(self) -> list[dict]:
+        """The functionals that vanish on I(n), one per free position f,
+        ascending, each 1 at f (as `SparseRREF.kernel`).  For a congruence,
+        the functional of a class is its weights."""
+        if self.congruence is None:
+            return self.rref.kernel()
+        cls, w, free = self.congruence
+        out: list[dict] = [{} for _ in free]
+        for k, c in enumerate(cls):
+            if c >= 0:
+                out[c][k] = Fraction(w[k])
+        return out
+
+    def basis(self) -> list[dict]:
+        """The RREF rows, by pivot (as `SparseRREF.basis`)."""
+        if self.congruence is None:
+            return self.rref.basis()
+        return [{q: Fraction(c) for q, c in row.items()} for _, row in self._congruence_rows()]
 
     def __repr__(self):
         return f"ConsequenceSpace({self.system_name!r}, degree={self.degree}, dim={self.dim})"
+
+
+def _gather(values: list, index) -> array | list:
+    """[values[i] for i in index], as bytes when every value is 0 or +-1 (the
+    weights of every built-in system), else as a list."""
+    picked = map(values.__getitem__, index)
+    return array("b", picked) if all(x in (-1, 0, 1) for x in values) else list(picked)
+
+
+def _congruence_of(rref: SparseRREF) -> Congruence | None:
+    """The congruence of a subspace whose RREF rows have at most two
+    entries, else None."""
+    rows = rref.rows
+    if any(len(row) > 2 for row in rows.values()):
+        return None
+    free = rref.free()
+    cls = array("i", [-1]) * rref.ncols
+    w = [0] * rref.ncols
+    for c, f in enumerate(free):
+        cls[f], w[f] = c, 1
+    for p, row in rows.items():
+        for f, x in row.items():
+            if f != p:
+                cls[p], w[p] = cls[f], -x
+    return Congruence(cls, _gather(w, range(rref.ncols)), free)
 
 
 @lru_cache(maxsize=None)
@@ -231,25 +350,24 @@ def _step_maps(m: int) -> list[list[array]]:
     return maps
 
 
-# Peak memory of a consequence build per ambient column.  It was measured on
-# the degree-7 sas build when rows held only Fractions (364 MiB over 665,280
-# columns); with integer rows that build peaks at 293 MiB (about 462 bytes
-# per column), so the constant is kept as a safe upper bound.
+# Peak memory of a primal consequence build per ambient column.  It was
+# measured on the degree-7 sas build when rows held only Fractions (364 MiB
+# over 665,280 columns); with integer rows that build peaks at 293 MiB
+# (about 462 bytes per column), so the constant is kept as a safe upper bound.
 BYTES_PER_COLUMN = 573
+# The same for a congruence step: the first-hit array, the pairs set, the
+# step maps, the union-find and the two output arrays.  Whole-process peaks
+# of the degree-7 builds (Python 3.11.7) were 35.1 MiB for sas, 35.7 for
+# a12, 46.2 for as, 62.5 for a13, 77.9 for a132 and 86.1 for a13-anti, the
+# largest: 136 bytes per column.  With a margin of about 40 %, 192.  At
+# degree 8 the same builds peak at 27-73 bytes per column.
+CONGRUENCE_BYTES_PER_COLUMN = 192
 
 
-def consequence_memory_estimate(n: int) -> int:
-    """Estimated peak bytes of building the degree-n consequence space."""
-    return free_magma_dim(n) * BYTES_PER_COLUMN
+def consequence_memory_estimate(n: int, congruence: bool) -> int:
+    """Estimated peak bytes of building degree n as a congruence or primal."""
+    return free_magma_dim(n) * (CONGRUENCE_BYTES_PER_COLUMN if congruence else BYTES_PER_COLUMN)
 
-
-# Build degree m on the dual side when the quotient one degree below has at
-# most this dimension.  One step on each side, raw, min of 3, dual time over
-# primal time (Python 3.11.7, 2 CPUs): d = 1 wins everywhere (sas 6 0.32,
-# cas 5 0.34, cas 6 0.23, com-as 6 0.18); d = 2 loses at degree 4 (cas 1.4)
-# and d = 6 at degree 4 (sas 4.4, as 5.7); d = 12 at degree 5 is mixed (sas
-# 0.93, a12 1.17); d = 24 loses (as 5 5.7).
-DUAL_MAX_QUOTIENT = 1
 
 _consequence_cache: dict[tuple, ConsequenceSpace] = {}
 
@@ -270,12 +388,6 @@ def consequences(sys: IdentitySystem, n: int, cap: int | None = None) -> Consequ
     key = (sys.key(), n)
     if key in _consequence_cache:
         return _consequence_cache[key]
-    need = consequence_memory_estimate(n)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise DegreeTooLarge(
-            f"degree {n} needs about {need / 2**30:.1f} GiB; this machine has {have / 2**30:.1f} GiB"
-        )
 
     by_degree: dict[int, list[Identity]] = {}
     for ident in sys.identities:
@@ -291,13 +403,20 @@ def consequences(sys: IdentitySystem, n: int, cap: int | None = None) -> Consequ
             start = m + 1
             break
 
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     for m in range(start, n + 1):
-        lifted = _lifted(by_degree.get(m, ()), m)
-        if prev is not None and prev.space.dim - prev.dim <= DUAL_MAX_QUOTIENT:
-            acc = _dual_step(prev.rref, m, lifted)
+        idents = by_degree.get(m, ())
+        congruence = prev is not None and prev.congruence is not None and not idents
+        need = consequence_memory_estimate(m, congruence)
+        if need > have:
+            raise DegreeTooLarge(
+                f"degree {m} needs about {need / 2**30:.1f} GiB; this machine has {have / 2**30:.1f} GiB"
+            )
+        if congruence:
+            prev = ConsequenceSpace(sys.name, m, congruence=_congruence_step(prev.congruence, m))
         else:
-            acc = _primal_step(prev.rref if prev is not None else None, m, lifted)
-        prev = ConsequenceSpace(sys.name, m, acc)
+            acc = _primal_step(prev.rref if prev is not None else None, m, _lifted(idents, m))
+            prev = ConsequenceSpace(sys.name, m, rref=acc)
         _consequence_cache[(sys.key(), m)] = prev
     return prev
 
@@ -333,10 +452,13 @@ def _first_hits(maps, cid: list[int], ncols: int):
     cid are 0..ncid-1.
 
     Returns the key of each monomial's first hit, in map order, and the
-    distinct pairs (first key, key of a later hit).  Maps are injective, so
-    a hit with the first key is the first hit itself, and is left out.
+    distinct pairs (first key a, key b of a later hit), each as the int
+    a * nkeys + b with nkeys = len(maps) * ncid: an int takes half the
+    memory of a tuple.  Maps are injective, so a hit with the first key is
+    the first hit itself, and is left out.
     """
     ncid = max(cid) + 1
+    nkeys = len(maps) * ncid
     first = array("q", [-1]) * ncols
     # later maps write first, so each monomial keeps its first hit; map()
     # runs the writes without a Python-level loop, and any() drains it
@@ -346,50 +468,86 @@ def _first_hits(maps, cid: list[int], ncols: int):
         raise AssertionError(f"the step maps miss {first.count(-1)} of {ncols} monomials")
     pairs = set()
     for g, mp in enumerate(maps):
-        pairs.update(zip(map(first.__getitem__, mp), map((g * ncid).__add__, cid)))
-    return first, {(a, b) for a, b in pairs if a != b}
+        pairs.update(map(add, map(nkeys.__mul__, map(first.__getitem__, mp)), map((g * ncid).__add__, cid)))
+    pairs.difference_update(a * (nkeys + 1) for a in set(first))
+    return first, pairs
 
 
-def _dual_step(prev: SparseRREF, m: int, lifted) -> SparseRREF:
-    """I(m) from the functionals Phi that vanish on I(m-1) = prev.
+def _ratio(a, b):
+    """a / b for canonical rationals, canonical; no Fraction for b = +-1."""
+    return a if b == 1 else -a if b == -1 else canonical(Fraction(a) / b)
 
-    A functional f of degree m vanishes on I(m) exactly when f o A lies in
-    the span of Phi for every step map A, say f o A = a_A . Phi, and f
-    vanishes on the lifted identities.  Every degree-m monomial j is hit by
-    some map, so f is fixed by the unknowns a: f(j) = a_g0 . Phi[:, k0] at
-    the first hit (g0, k0) of j, and each later hit (g, k) of j asks
-    a_g . Phi[:, k] = a_g0 . Phi[:, k0].  The solutions a give the
-    functionals of degree m, whose annihilator is I(m).
+
+def _congruence_step(prev: Congruence, m: int) -> Congruence:
+    """I(m), spanned by the images of I(m-1) = prev under the step maps.
+
+    Map g sends the class element a_c of degree m-1 to a node (g, c) of
+    the quotient P(m), so the degree-m monomial j = g(k) is w[k] (g, cls[k])
+    there, and is 0 when k is.  Two hits on j equate their two values.  A
+    union-find over the nodes, each node a ratio times its root, solves
+    these relations; a root is 0 when two paths give it different ratios or
+    a zero hit reaches it.  Each monomial takes the root and ratio of its
+    first hit.  A functional vanishes on I(m) exactly when its values on the
+    nodes satisfy these relations, so the roots that are not 0 give a basis
+    of P(m), found without elimination.
     """
-    phi = prev.kernel()
-    d = len(phi)
-    # intern the columns of Phi: a hit is (map, column id), not (map, position)
+    nclasses = len(prev.free)
     ids: dict[tuple, int] = {}
-    cid = [ids.setdefault(tuple(canonical(f.get(k, 0)) for f in phi), len(ids)) for k in range(prev.ncols)]
-    distinct = list(ids)
+    cid = [ids.setdefault(pair, len(ids)) for pair in zip(prev.cls, prev.w)]
     maps = [mp for per_tau in _step_maps(m - 1) for mp in per_tau]
     first, pairs = _first_hits(maps, cid, MultilinearSpace(m).dim)
+    # the node (-1 for a zero hit) and the weight of each hit key
+    key_node = [g * nclasses + c if c >= 0 else -1 for g in range(len(maps)) for c, _ in ids]
+    key_w = [x for _ in maps for _, x in ids]
 
-    def unknowns(key, sign):
-        g, c = divmod(key, len(distinct))
-        return {g * d + i: sign * x for i, x in enumerate(distinct[c]) if x}
+    parent = list(range(len(maps) * nclasses))
+    ratio = [1] * len(parent)  # node x is ratio[x] times node parent[x]
+    zero = bytearray(len(parent))
 
-    solve = SparseRREF(len(maps) * d)
-    for a, b in pairs:
-        solve.insert(unknowns(b, 1) | unknowns(a, -1))
-    for vec in lifted:
-        row: dict[int, int | Fraction] = {}
-        for j, c in vec.items():
-            for u, x in unknowns(first[j], c).items():
-                row[u] = row.get(u, 0) + x
-        solve.insert(row)
-    sols = solve.kernel()
-    # Phi_m[:, j] = a_g0 . Phi[:, k0] for each solution a
-    value = {}
+    def find(x):
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        r = 1
+        for y in reversed(path):
+            r = ratio[y] * r
+            parent[y], ratio[y] = x, r
+        return x, r
+
+    for pair in pairs:
+        a, b = divmod(pair, len(key_node))
+        na, nb = key_node[a], key_node[b]
+        if na < 0 or nb < 0:
+            if na >= 0 or nb >= 0:
+                zero[find(max(na, nb))[0]] = 1
+            continue
+        (ra, ya), (rb, yb) = find(na), find(nb)
+        u, v = key_w[a] * ya, key_w[b] * yb  # the monomial is u ra = v rb
+        if ra == rb:
+            if u != v:
+                zero[ra] = 1
+        else:
+            parent[ra], ratio[ra] = rb, _ratio(v, u)
+            zero[rb] |= zero[ra]
+
+    # the root (-1 when zero) and the weight against it of each first key
+    key_root = [-1] * len(key_node)
     for key in set(first):
-        part = unknowns(key, 1).items()
-        value[key] = tuple(canonical(sum(a.get(u, 0) * x for u, x in part)) for a in sols)
-    return SparseRREF.kernel_of([value[key] for key in first])
+        if (n := key_node[key]) >= 0:
+            r, y = find(n)
+            if not zero[r]:
+                key_root[key], key_w[key] = r, key_w[key] * y
+    # number the classes by their last members and give those weight 1
+    last = dict(zip(map(key_root.__getitem__, first), range(len(first))))
+    last.pop(-1, None)
+    order = sorted(last, key=last.__getitem__)
+    number = {r: c for c, r in enumerate(order)}
+    scale = {r: key_w[first[last[r]]] for r in order}
+    key_cls = [number[r] if r >= 0 else -1 for r in key_root]
+    key_w = [_ratio(x, scale[r]) if r >= 0 else 0 for r, x in zip(key_root, key_w)]
+    cls = array("i", map(key_cls.__getitem__, first))
+    return Congruence(cls, _gather(key_w, first), [last[r] for r in order])
 
 
 def multilinear_dim(sys: IdentitySystem, n: int, cap: int | None = None) -> int:
@@ -520,7 +678,7 @@ def implies(sysA: IdentitySystem, sysB: IdentitySystem, n: int, cap: int | None 
     consB = consequences(sysB, n, cap)
     if consB.dim > consA.dim:
         return False
-    return all(consA.contains_vec(row) for row in consB.rref.basis())
+    return all(consA.contains_vec(row) for row in consB.basis())
 
 
 def prove_zero(expr: Expr, sys: IdentitySystem, cap: int | None = None) -> bool:
@@ -586,7 +744,7 @@ def nice_index(sys: IdentitySystem, kmax: int, cap: int | None = None) -> int | 
         # the one functional vanishing on the consequences takes the same
         # value on every monomial exactly when all monomials are congruent,
         # and that value is its 1 at the free position
-        (phi,) = cons.rref.kernel()
+        (phi,) = cons.kernel()
         if len(phi) == cons.space.dim and all(x == 1 for x in phi.values()):
             return k
     return None

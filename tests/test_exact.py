@@ -440,13 +440,8 @@ def test_sparse_rref_mixed_scalars(data):
             assert sum(c * row.get(i, 0) for i, c in phi.items()) == 0
     basis = acc.basis()
     assert all(type(c) is Q for vec in basis for c in vec.values())
-    # the annihilator of the kernel functionals, built without elimination,
-    # is the same RREF, integral entries as int
-    kernel = acc.kernel()
-    rebuilt = SparseRREF.kernel_of([tuple(phi.get(i, 0) for phi in kernel) for i in range(ncols)])
-    assert rebuilt.rows == acc.rows
-    assert rebuilt.where == {q: ps for q, ps in acc.where.items() if ps}
-    assert all(type(c) is int for row in rebuilt.rows.values() for c in row.values() if Q(c).denominator == 1)
+    # rows hold integral entries as int
+    assert all(type(c) is int for row in acc.rows.values() for c in row.values() if Q(c).denominator == 1)
 
     probe = {i: _mixed_scalar(draw, pivot=False) for i in range(ncols) if draw(st.booleans())}
     dense_probe = [Q(probe.get(i, 0)) for i in range(ncols)]

@@ -13,6 +13,7 @@ from nassoc.errors import DegreeTooLarge, NotMultilinear, NotQuadratic
 from nassoc.exact import SeriesQ
 from nassoc.exact.linalg import SparseRREF, rref
 from nassoc.operads import (
+    ConsequenceSpace,
     MultilinearSpace,
     OperadPresentation,
     _perms_lex,
@@ -191,7 +192,9 @@ _FRACTIONAL = parse_system(
 def test_index_build_matches_expr_oracle(sys, n):
     oracle = _expr_consequences(sys, n)
     for m in range(1, n + 1):
-        assert consequences(sys, m).rref.rows == oracle[m].rows, m
+        rref = consequences(sys, m).rref
+        assert rref.rows == oracle[m].rows, m
+        assert _nonempty(rref.where) == _nonempty(oracle[m].where), m
 
 
 def _word_generators(m: int):
@@ -290,6 +293,13 @@ def test_cas_dual_degree5_against_fraction_reducer():
         assert not _fraction_residual(rows, vec)
 
 
+def test_cas_dual_rows_keep_integral_entries_as_int():
+    """Eliminations in Fraction arithmetic store an integral result as int."""
+    rows = consequences(builtin_system("cas-dual"), 5).rref.rows
+    assert not [c for row in rows.values() for c in row.values() if type(c) is Q and c.denominator == 1]
+    assert any(type(c) is Q for row in rows.values() for c in row.values())
+
+
 @pytest.mark.parametrize("name", BUILTIN_SYSTEM_NAMES)
 def test_degree4_matches_dense_rref(name):
     sys = builtin_system(name)
@@ -302,10 +312,25 @@ def test_degree4_matches_dense_rref(name):
         assert consequences(sys, m).rref.rows == dict(zip(pivots, dense_rows)), m
 
 
-def _both_sides(prev: SparseRREF, m: int, lifted=()):
-    """The degree-m RREF stepped from the degree-(m-1) one on each side."""
-    lifted = list(lifted)
-    return operads._primal_step(prev, m, lifted), operads._dual_step(prev, m, lifted)
+def _nonempty(where: dict) -> dict:
+    """`where` without the emptied sets that elimination can leave."""
+    return {q: ps for q, ps in where.items() if ps}
+
+
+def _spy_paths(monkeypatch) -> list:
+    """Record (degree, step) for every step that consequences takes, from an
+    empty cache."""
+    paths = []
+    for name in ("_primal_step", "_congruence_step"):
+        real = getattr(operads, name)
+
+        def step(prev, m, *rest, real=real, name=name):
+            paths.append((m, name))
+            return real(prev, m, *rest)
+
+        monkeypatch.setattr(operads, name, step)
+    monkeypatch.setattr(operads, "_consequence_cache", {})
+    return paths
 
 
 @pytest.mark.parametrize(
@@ -313,9 +338,9 @@ def _both_sides(prev: SparseRREF, m: int, lifted=()):
     [
         (builtin_system("sas"), 5),  # d_4 = 12
         (builtin_system("a12"), 5),  # d_4 = 12
-        (builtin_system("cas-dual"), 4),  # d_3 = 10
-        (_FRACTIONAL, 4),  # d_3 = 7, denominators up to 56
-        (_SEEDED_CAS, 3),
+        (builtin_system("cas-dual"), 4),  # d_3 = 10, no congruence
+        (_FRACTIONAL, 4),  # d_3 = 7, denominators up to 56, no congruence
+        (_SEEDED_CAS, 3),  # identities of its own
         (_SEEDED_CAS, 4),
         (_SEEDED_CAS, 5),
         (_SIGNED, 5),  # d_4 = 1
@@ -323,34 +348,55 @@ def _both_sides(prev: SparseRREF, m: int, lifted=()):
     ],
     ids=lambda v: getattr(v, "name", str(v)),
 )
-def test_dual_step_matches_primal(sys, m):
-    """The dual step, called whichever side the size rule picks, leaves the
-    primal build's RREF, entry for entry."""
-    lifted = operads._lifted([i for i in sys.identities if i.degree == m], m)
-    primal, dual = _both_sides(consequences(sys, m - 1).rref, m, lifted)
-    assert dual.rows == primal.rows
-    assert dual.where == primal.where
+def test_dual_step_matches_primal(sys, m, monkeypatch):
+    """The congruence step, which solves the constraints on the functionals
+    that vanish on I(m) by union-find, leaves the primal build's RREF, entry
+    for entry.  Where degree m has
+    identities of its own, or the degree below is no congruence, the
+    primal path is taken."""
+    idents = [i for i in sys.identities if i.degree == m]
+    prev = consequences(sys, m - 1)
+    primal = operads._primal_step(prev.rref, m, operads._lifted(idents, m))
+    congruent = prev.congruence is not None and not idents
+    assert congruent == (sys is not _FRACTIONAL and sys.name != "cas-dual" and m != 3)
+    if congruent:
+        stepped = ConsequenceSpace("stepped", m, congruence=operads._congruence_step(prev.congruence, m)).rref
+        assert stepped.rows == primal.rows
+        assert stepped.where == _nonempty(primal.where)
+    paths = _spy_paths(monkeypatch)
+    assert consequences(sys, m).rref.rows == primal.rows
+    assert paths[-1] == (m, "_congruence_step" if congruent else "_primal_step")
     if sys is _FRACTIONAL:
-        assert max(Q(c).denominator for row in dual.rows.values() for c in row.values()) == 56
+        assert max(Q(c).denominator for row in primal.rows.values() for c in row.values()) == 56
 
 
-def test_size_rule_picks_the_side(monkeypatch):
-    """Dual exactly when the quotient one degree below has dimension <= 1."""
-    sides = []
-    for name in ("_primal_step", "_dual_step"):
-        real = getattr(operads, name)
+def test_representation_rule(monkeypatch):
+    """A degree with no identities of its own is stepped as a congruence
+    exactly when the degree below is one.  The check runs on the space, so
+    the recombined and rescaled seeded cas qualifies and cas-dual does not."""
+    paths = _spy_paths(monkeypatch)
+    for sys, top in ((builtin_system("sas"), 6), (_SEEDED_CAS, 5), (builtin_system("cas-dual"), 4)):
+        del paths[:]
+        consequences(sys, top)
+        primal = (1, 3, 4) if sys.name == "cas-dual" else (1, 3)
+        assert paths == [(m, "_primal_step" if m in primal else "_congruence_step") for m in range(1, top + 1)]
+        congruences = [consequences(sys, m).congruence is not None for m in range(1, top + 1)]
+        assert congruences == [sys.name != "cas-dual" or m < 3 for m in range(1, top + 1)]
 
-        def step(prev, m, lifted, real=real, name=name):
-            sides.append((m, name))
-            return real(prev, m, lifted)
 
-        monkeypatch.setattr(operads, name, step)
-    monkeypatch.setattr(operads, "_consequence_cache", {})
-    consequences(builtin_system("sas"), 6)  # 1 2 6 12 1 1
-    consequences(builtin_system("cas"), 5)  # 1 2 2 1 1
-    dual = [(2, "sas"), (6, "sas"), (2, "cas"), (5, "cas")]
-    assert sides == [(m, "_dual_step" if (m, name) in dual else "_primal_step")
-                     for name, top in (("sas", 6), ("cas", 5)) for m in range(1, top + 1)]
+def _assert_congruence_steps(cons, prev):
+    """A degree-3 congruence rebuilds its RREF, and its steps to degrees 4
+    and 5 leave the primal rows and `where`."""
+    assert ConsequenceSpace("rebuilt", 3, congruence=cons.congruence).rref.rows == prev.rows
+    congruence = cons.congruence
+    for m in (4, 5):
+        primal = operads._primal_step(prev, m, ())
+        congruence = operads._congruence_step(congruence, m)
+        stepped = ConsequenceSpace("stepped", m, congruence=congruence)
+        assert stepped.rref.rows == primal.rows, m
+        assert stepped.rref.where == _nonempty(primal.where), m
+        assert stepped.dim == primal.rank
+        prev = primal
 
 
 @st.composite
@@ -367,35 +413,125 @@ def degree3_relations(draw):
 @settings(max_examples=30, deadline=None)
 @given(degree3_relations())
 def test_dual_step_on_random_presentations(relations):
-    """Degrees 4 and 5 of random presentations on both sides.  Degree 5 is
-    stepped only from d_4 <= 12: above it, both sides can take seconds on
-    growing denominators.  The primal `where` may keep an emptied set, which
-    the dual one never has."""
+    """Random presentations are congruences exactly when every row of their
+    degree-3 RREF has at most two entries, and then step to the primal RREF
+    at degrees 4 and 5."""
     space = MultilinearSpace(3)
     lifted = [space.relabel_vec(vec, perm) for vec in relations for perm in _perms_lex(3)]
     prev = operads._primal_step(SparseRREF(2), 3, lifted)
-    for m in (4, 5):
-        if m == 5 and prev.ncols - prev.rank > 12:
-            break
-        primal, dual = _both_sides(prev, m)
-        assert dual.rows == primal.rows
-        assert dual.where == {q: ps for q, ps in primal.where.items() if ps}
-        prev = primal
+    cons = ConsequenceSpace("random", 3, rref=prev)
+    assert (cons.congruence is not None) == all(len(row) <= 2 for row in prev.rows.values())
+    if cons.congruence is not None:
+        _assert_congruence_steps(cons, prev)
+
+
+@st.composite
+def binomial_presentations(draw):
+    """1-3 random signed and rescaled binomials a*m1 + b*m2, or monomials,
+    of degree 3, under every relabeling."""
+    space = MultilinearSpace(3)
+    scalars = st.sampled_from([1, -1, 2, -3, Q(1, 2), Q(-2, 3)])
+    lifted = []
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, space.dim - 1))
+        vec = {i: draw(scalars)}
+        if draw(st.integers(0, 4)):
+            vec[draw(st.integers(0, space.dim - 1).filter(lambda j: j != i))] = draw(scalars)
+        lifted.extend(space.relabel_vec(vec, perm) for perm in _perms_lex(3))
+    return lifted
+
+
+@settings(max_examples=40, deadline=None)
+@given(binomial_presentations())
+def test_congruence_steps_on_binomial_presentations(lifted):
+    """A span of binomials is a congruence, whatever its signs and scales,
+    and its steps leave the primal RREF."""
+    prev = operads._primal_step(SparseRREF(2), 3, lifted)
+    cons = ConsequenceSpace("binomial", 3, rref=prev)
+    assert cons.congruence is not None
+    _assert_congruence_steps(cons, prev)
+
+
+def test_a_corrupted_sign_changes_the_step():
+    """a12 and a12-anti partition degree 4 alike and differ only in signs;
+    from degree 5 on their dimensions differ, so the step reads the signs."""
+    a12, anti = builtin_system("a12"), anti_system("a12")
+    assert [multilinear_dim(a12, n) for n in range(1, 7)] == [1, 2, 6, 12, 20, 30]
+    assert [multilinear_dim(anti, n) for n in range(1, 7)] == [1, 2, 6, 12, 0, 0]
+    plus, minus = consequences(a12, 4).congruence, consequences(anti, 4).congruence
+    assert plus.cls == minus.cls and plus.free == minus.free and plus.w != minus.w
+    # a12's partition with the signs of a12-anti steps to a12-anti's degree 5
+    swapped = operads._congruence_step(operads.Congruence(plus.cls, minus.w, plus.free), 5)
+    assert swapped == consequences(anti, 5).congruence
+    assert swapped != consequences(a12, 5).congruence
+
+
+@pytest.mark.parametrize("name, dim", [("sas", 1), ("a12", 42)])
+def test_degree7_dimensions(name, dim):
+    assert multilinear_dim(builtin_system(name), 7, cap=7) == dim
 
 
 def test_positions_outside_the_space_are_rejected():
-    cons = consequences(builtin_system("sas"), 3)
-    assert cons.space.dim == 12
-    with pytest.raises(ValueError, match="position 12"):
-        cons.contains_vec({12: 1})
-    with pytest.raises(ValueError, match="position -1"):
-        cons.reduce_vec({-1: 1, 12: 2})
-    assert cons.contains_vec({}) and cons.reduce_vec({11: 0}) == {}
+    """The same errors from the SparseRREF of a primal build, from the
+    arrays of that degree and from a congruence-built degree."""
+    sas = builtin_system("sas")
+    primal = consequences(sas, 3)
+    assert primal.space.dim == 12 and primal.congruence is not None
+    stepped = consequences(sas, 4)
+    assert stepped.space.dim == 120
+    for reduce_vec, contains_vec, ncols in (
+        (primal.rref.reduce, primal.rref.contains, 12),
+        (primal.reduce_vec, primal.contains_vec, 12),
+        (stepped.reduce_vec, stepped.contains_vec, 120),
+    ):
+        with pytest.raises(ValueError, match=rf"position {ncols} is outside \[0, {ncols}\)"):
+            contains_vec({ncols: 1})
+        with pytest.raises(ValueError, match=rf"position -1 is outside \[0, {ncols}\)"):
+            reduce_vec({-1: 1, ncols: 2})
+        assert contains_vec({}) and reduce_vec({ncols - 1: 0}) == {}
+
+
+@pytest.mark.parametrize("sys, n", [(builtin_system("sas"), 5), (builtin_system("a12"), 5), (anti_system("a12"), 4)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_congruence_readers_match_the_rref(sys, n):
+    """Every reader of a congruence gives what its SparseRREF gives."""
+    cons = consequences(sys, n)
+    rref = ConsequenceSpace("rebuilt", n, congruence=cons.congruence).rref
+    assert cons.free() == rref.free()
+    assert cons.kernel() == rref.kernel()
+    assert cons.basis() == rref.basis()
+    assert cons.dim == rref.rank
+    rng = random.Random(n)
+    for _ in range(20):
+        vec = {rng.randrange(cons.space.dim): Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(5)}
+        assert cons.reduce_vec(vec) == rref.reduce(vec)
+        assert cons.contains_vec(vec) == rref.contains(vec)
+        assert all(type(c) is Q for c in cons.reduce_vec(vec).values())
 
 
 def test_memory_estimate():
-    assert consequence_memory_estimate(8) > 8 * 2**30
-    assert 0.37e9 / 2 < consequence_memory_estimate(7) < 0.37e9 * 2
+    assert consequence_memory_estimate(8, congruence=False) > 8 * 2**30
+    assert 0.37e9 / 2 < consequence_memory_estimate(7, congruence=False) < 0.37e9 * 2
+    # a congruence keeps two arrays per column, not rows: at degree 7 the
+    # binomial built-ins peak at 35-86 MiB
+    assert 86 * 2**20 < consequence_memory_estimate(7, congruence=True) < 0.37e9 / 2
+
+
+def test_memory_estimate_follows_the_path(monkeypatch):
+    """Each degree is charged the constant of the path that builds it."""
+    sas, casd = builtin_system("sas"), builtin_system("cas-dual")
+    monkeypatch.setattr(operads, "_consequence_cache", {})
+    consequences(sas, 3)
+    consequences(casd, 3)
+    monkeypatch.setattr(operads, "BYTES_PER_COLUMN", 2**40)
+    assert consequences(sas, 5).dim == 1679  # degrees 4 and 5 are congruences
+    with pytest.raises(DegreeTooLarge, match="degree 4 needs about"):
+        consequences(casd, 4)
+    monkeypatch.setattr(operads, "BYTES_PER_COLUMN", 573)
+    monkeypatch.setattr(operads, "CONGRUENCE_BYTES_PER_COLUMN", 2**40)
+    with pytest.raises(DegreeTooLarge, match="degree 6 needs about"):
+        consequences(sas, 6)
+    assert consequences(casd, 4).dim == 120 - 81
 
 
 def test_build_beyond_memory_is_refused(monkeypatch):
