@@ -318,13 +318,6 @@ def _product_table(A: AlgebraStructure):
     return [[tuple((k, c) for k, c in enumerate(vec) if c) for vec in row] for row in A.constants]
 
 
-def _coefficients(ident: Identity) -> list:
-    """The (coefficient, word) pairs of ident in sorted_terms order, a
-    rational coefficient in canonical form, so that products with integral
-    table constants stay in int arithmetic."""
-    return [(c if isinstance(c, PolyQ) else canonical(c), w) for w, c in ident.expr.sorted_terms()]
-
-
 @lru_cache(maxsize=None)
 def _left_degree(shape) -> int:
     """The number of leaves of the left factor of a product shape."""
@@ -368,7 +361,7 @@ def _check_multilinear_identity(A: AlgebraStructure, ident: Identity, table, mem
     # single index would return a bare int, and a 1-tuple is its own pick
     words = [
         (c, shape_of(w), itemgetter(*[v - 1 for v in leaves(w)]) if ident.nvars > 1 else tuple)
-        for c, w in _coefficients(ident)
+        for w, c in ident.expr.sorted_terms()
     ]
     for combo in itertools.product(range(n), repeat=ident.nvars):
         acc = [0] * n
@@ -452,7 +445,7 @@ def _check_symbolic_identity(A: AlgebraStructure, ident: Identity, table, memo) 
     """Expand ident at generic elements g1..g{nvars}; only a failing coordinate becomes a PolyQ."""
     for v in range(1, ident.nvars + 1):
         A.generic_names(f"g{v}")  # raises ParameterClash on a parameter named g{v}_i
-    words = _coefficients(ident)
+    words = [(c, w) for w, c in ident.expr.sorted_terms()]
     for k, total in enumerate(_generic_coords(words, table, A.dim, memo)):
         if not total:
             continue

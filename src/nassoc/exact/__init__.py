@@ -1,8 +1,9 @@
 """Exact arithmetic foundation: rationals, polynomials, rational functions
 of t, truncated series, and exact linear algebra.
 
-Rationals are plain fractions.Fraction values: arbitrary precision,
-gcd-reduced with positive denominator, never rounding.
+A rational is kept in one form, `poly.canonical`: an int when integral,
+else a fractions.Fraction (arbitrary precision, gcd-reduced with positive
+denominator), never rounded.
 """
 
 from .linalg import SparseRREF, express, inverse, nullspace

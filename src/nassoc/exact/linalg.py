@@ -6,14 +6,15 @@ values: Q for `int` and `Fraction`, Q(t) for `RatFunT`.  Rows are kept fully
 reduced: each row is 1 at its own pivot and 0 at every other pivot.  So
 reducing a vector is one pass, subtracting once the row of each pivot the
 vector holds, and the residual lives on the free (non-pivot) positions
-only.  Over Q the eliminations mostly meet pivots of +-1, so rows keep
-integral coefficients as `int`; what `SparseRREF` returns is a `Fraction`
-for a rational value and the `RatFunT` itself in Q(t).  `span` builds one
-from dense rows, and `nullspace`, `express`, `solve_right` and `inverse`
-read their answers off it: the kernel, coefficients in a span, and X with
-M X = B from the RREF of [M | B] (B = I for the inverse).  Pivoting
-is always "first nonzero in column order", and the reduced form is unique,
-so results are deterministic.
+only.  Every value is kept and returned in the form of
+`exact.poly.canonical`: a rational as an `int` when integral, else a
+`Fraction`, so eliminations that meet pivots of +-1 stay in integers, and
+an element of Q(t) as the `RatFunT` it is.  `span` builds one from dense
+rows, and `nullspace`, `express`, `solve_right` and `inverse` read their
+answers off it: the kernel, coefficients in a span, and X with M X = B
+from the RREF of [M | B] (B = I for the inverse).  Pivoting is always
+"first nonzero in column order", and the reduced form is unique, so
+results are deterministic.
 
 The dense `rref` and `det`, over either field, and `bareiss_rank`, a
 fraction-free integer rank, share no code with `SparseRREF` and no other
@@ -27,15 +28,10 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from .poly import canonical
+from .poly import canonical, ratio
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
-
-
-def _exact(c):
-    """A rational value as a Fraction; an element of Q(t) as it is."""
-    return Fraction(c) if isinstance(c, (int, Fraction)) else c
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +111,8 @@ def nullspace(matrix, ncols=None):
         ncols = len(matrix[0])
     basis = []
     for vec in span(matrix, ncols).kernel():
-        inv = Q1 / vec[min(vec)]
-        basis.append([vec.get(i, Q0) * inv for i in range(ncols)])
+        lead = vec[min(vec)]
+        basis.append([ratio(vec.get(i, 0), lead) for i in range(ncols)])
     return basis
 
 
@@ -129,9 +125,9 @@ def solve_right(matrix, rhs_columns):
     acc = span(([*row] + [col[i] for col in rhs_columns] for i, row in enumerate(matrix)), n + len(rhs_columns))
     if any(p not in acc.rows for p in range(n)):
         raise ValueError("matrix is singular")
-    zero = next((x * 0 for x in chain(*matrix, *rhs_columns) if not isinstance(x, (int, Fraction))), Q0)
+    zero = next((x * 0 for x in chain(*matrix, *rhs_columns) if not isinstance(x, (int, Fraction))), 0)
     rows = [acc.rows[p] for p in range(n)]
-    return [[_exact(row.get(n + k, zero)) for row in rows] for k in range(len(rhs_columns))]
+    return [[row.get(n + k, zero) for row in rows] for k in range(len(rhs_columns))]
 
 
 def express(vectors, target):
@@ -143,13 +139,13 @@ def express(vectors, target):
     if k in acc.rows:
         return None
     phi = acc.kernel()[-1]  # the functional of free column k
-    return [-phi.get(p, Q0) for p in range(k)]
+    return [-phi.get(p, 0) for p in range(k)]
 
 
 def inverse(matrix):
     """Inverse of a square matrix, the solution X of M X = I."""
     n = len(matrix)
-    columns = solve_right(matrix, [[Q1 if i == j else Q0 for i in range(n)] for j in range(n)])
+    columns = solve_right(matrix, [[int(i == j) for i in range(n)] for j in range(n)])
     return [list(row) for row in zip(*columns)]
 
 
@@ -203,14 +199,11 @@ class SparseRREF:
     pass, and it makes the residual of v on the free positions the values
     of the `kernel` functionals at v.
 
-    `rows` is internal: it stores each coefficient in the form of
-    `exact.poly.canonical`, an integral rational as an `int`, so that
-    relations whose eliminations meet only pivots of +-1 never leave integer
-    arithmetic.  `reduce`, `basis` and `kernel` return a rational value as a
-    `Fraction` and an element of Q(t) as the `RatFunT` it is.  `reduce` and
-    `contains` reject a position outside [0, ncols) with ValueError;
-    `insert` does not check, because its callers build their vectors in
-    range.
+    Every value is put in the form of `exact.poly.canonical` once, as it
+    enters `reduce`, `contains` or `insert`, and is stored and returned in
+    that form; `rows` is internal.  `reduce` and `contains` reject a
+    position outside [0, ncols) with ValueError; `insert` does not check,
+    because its callers build their vectors in range.
     """
 
     def __init__(self, ncols: int):
@@ -233,8 +226,6 @@ class SparseRREF:
             for q, rc in rows[p].items():
                 if q == p:
                     continue
-                # the default must be the int 0: a Fraction default would
-                # turn every integer entry back into a Fraction
                 nv = work.get(q, 0) - c * rc
                 if nv == 0:
                     del work[q]
@@ -246,7 +237,7 @@ class SparseRREF:
     def reduce(self, vec) -> dict:
         """Residual of vec modulo the current subspace."""
         check_positions(vec, self.ncols)
-        return {p: _exact(c) for p, c in self._reduce_internal(vec).items()}
+        return self._reduce_internal(vec)
 
     def contains(self, vec) -> bool:
         check_positions(vec, self.ncols)
@@ -292,7 +283,7 @@ class SparseRREF:
 
     def basis(self) -> list[dict]:
         """Rows as vectors, sorted by pivot position."""
-        return [{q: _exact(c) for q, c in self.rows[p].items()} for p in sorted(self.rows)]
+        return [dict(self.rows[p]) for p in sorted(self.rows)]
 
     def free(self) -> list[int]:
         """The non-pivot positions, ascending."""
@@ -303,7 +294,7 @@ class SparseRREF:
         position f, ascending: 1 at f and -R[p][f] at each pivot p whose row
         uses f."""
         return [
-            {p: -_exact(self.rows[p][f]) for p in sorted(self.where.get(f, ()))} | {f: Q1}
+            {p: -self.rows[p][f] for p in sorted(self.where.get(f, ()))} | {f: 1}
             for f in self.free()
         ]
 

@@ -37,11 +37,16 @@ def canonical(x):
     non-integral Fraction or an element of another field such as a RatFunT,
     as it is.
 
-    PolyQ coefficients, SparseRREF rows and the scalars of parameter-free
-    algebras are kept in this form, so integral arithmetic stays in int.
-    Dividing two such values needs a Fraction operand: int / int is a float.
+    Every rational of the exact core is kept in this form, so integral
+    arithmetic stays in int.  Divide two such values with `ratio`: int / int
+    is a float.
     """
     return x.numerator if x.__class__ is Fraction and x.denominator == 1 else x
+
+
+def ratio(a, b):
+    """a / b, canonical, for canonical a and rational b != 0; no Fraction for b = +-1."""
+    return a if b == 1 else -a if b == -1 else canonical(Fraction(a) / b)
 
 
 def as_fraction(c) -> Fraction:

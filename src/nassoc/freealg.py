@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .errors import DegreeTooLarge
 from .exact.linalg import inverse
-from .exact.poly import signed_sum
+from .exact.poly import canonical, ratio, signed_sum
 from .operads import HARD_DEGREE_CAP, ConsequenceSpace, consequences, resolve_degree_cap
 from .systems import builtin_system
 from .terms import (
@@ -178,7 +178,7 @@ def free_basis(variety: str, n: int, k: int, multilinear: bool = False):
 class NormalForm:
     """Linear combination of basis labels, with its raw-word expansion."""
 
-    terms: list  # list of (Fraction, label)
+    terms: list  # list of (rational, label)
 
     @property
     def expr(self) -> Expr:
@@ -210,20 +210,20 @@ class _Quotient:
 
     def coords(self, vec) -> list:
         """Label coordinates of a multilinear vector modulo the consequences."""
-        out = [Fraction(0)] * len(self.labels)
+        out = [0] * len(self.labels)
         for col, r in self.cons.reduce_vec(vec).items():
             for i, x in enumerate(self.inv[self.free[col]]):
                 out[i] += r * x
-        return out
+        return [canonical(c) for c in out]
 
-    def expand(self, coords) -> dict[int, Fraction]:
+    def expand(self, coords) -> dict:
         """The multilinear vector sum of coords[i] * vecs[i]."""
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         for c, vec in zip(coords, self.vecs):
             if c:
                 for k, x in vec.items():
                     out[k] = out.get(k, 0) + c * x
-        return out
+        return {k: canonical(x) for k, x in out.items() if x}
 
 
 _quotient_cache: dict[tuple[str, int], _Quotient] = {}
@@ -242,7 +242,7 @@ def _quotient(variety: str, n: int, cap) -> _Quotient:
     vecs = [space.expr_to_vec(label_expr(label)) for label in labels]
     matrix = []
     for vec in vecs:
-        row = [Fraction(0)] * len(free)
+        row = [0] * len(free)
         for col, c in cons.reduce_vec(vec).items():
             row[free[col]] = c
         matrix.append(row)
@@ -264,14 +264,15 @@ def _component_normal_form(variety: str, comp: Expr, cap) -> list:
     lin, spec, factor = polarize(comp)
     coords = q.coords(q.cons.space.expr_to_vec(lin))
     # specialize the slots back; distinct labels may land on the same word
-    out: dict[object, Fraction] = {}
+    out: dict = {}
     for c, label in zip(coords, q.labels):
         if isinstance(label, CircleWord):
             label = CircleWord(tuple(sorted(spec[s] for s in label.indices)))
         else:
             label = relabel_word(label, spec)
-        out[label] = out.get(label, 0) + c / factor
-    return [(c, lab) for lab, c in sorted(out.items(), key=lambda kv: _label_key(kv[0])) if c != 0]
+        out[label] = out.get(label, 0) + c
+    ordered = sorted(out.items(), key=lambda kv: _label_key(kv[0]))
+    return [(ratio(canonical(c), factor), lab) for lab, c in ordered if c != 0]
 
 
 def normal_form(expr: Expr, variety: str, cap: int | None = None) -> NormalForm:
@@ -282,7 +283,7 @@ def normal_form(expr: Expr, variety: str, cap: int | None = None) -> NormalForm:
     for w in expr.terms:
         if word_degree(w) > cap_val:
             raise DegreeTooLarge(f"word of degree {word_degree(w)} exceeds the cap {cap_val}")
-        if not isinstance(expr.terms[w], Fraction):
+        if not isinstance(expr.terms[w], (int, Fraction)):
             raise TypeError("normal forms require rational coefficients")
     # components have distinct multidegrees, so their labels never collide
     terms: list = []

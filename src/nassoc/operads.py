@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 from .errors import DegreeTooLarge, NotMultilinear, NotQuadratic
 from .exact.linalg import SparseRREF, check_positions
-from .exact.poly import canonical
+from .exact.poly import canonical, ratio
 from .exact.series import SeriesQ, compose_series
 from .terms import (
     Expr,
@@ -135,20 +135,24 @@ class MultilinearSpace:
         srank, prank = divmod(index, self.nperms)
         return build_word(self.shapes[srank], _perms_lex(self.n)[prank])
 
-    def expr_to_vec(self, expr: Expr) -> dict[int, Fraction]:
-        vec: dict[int, Fraction] = {}
+    def expr_to_vec(self, expr: Expr) -> dict:
+        """The index vector of a multilinear expression with rational
+        coefficients, which Expr keeps canonical; TypeError for any other."""
+        vec = {}
         for w, c in expr.terms.items():
             try:
                 idx = self.index_of_word(w)
             except KeyError:
                 raise NotMultilinear(f"word {w} is not multilinear of degree {self.n}") from None
-            vec[idx] = Fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"expected rational coefficient, got {type(c).__name__}")
+            vec[idx] = c
         return vec
 
-    def vec_to_expr(self, vec: dict[int, Fraction]) -> Expr:
+    def vec_to_expr(self, vec: dict) -> Expr:
         return Expr({self.word_at(i): c for i, c in vec.items()})
 
-    def relabel_vec(self, vec: dict[int, Fraction], perm) -> dict[int, Fraction]:
+    def relabel_vec(self, vec: dict, perm) -> dict:
         """vec with every variable x_i renamed x_perm[i-1]; perm is a tuple
         of 1..n.  Relabeling permutes monomials, so coefficients are reused."""
         nperms, perms, rank = self.nperms, _perms_lex(self.n), _perm_rank_map(self.n)
@@ -190,7 +194,9 @@ class ConsequenceSpace:
     class of f, e_p for a monomial in I(n).
 
     `dim`, `reduce_vec`, `contains_vec`, `free`, `kernel` and `basis` read
-    the arrays when there are any, and each gives what `SparseRREF` would.
+    the arrays when there are any, and each gives what `SparseRREF` would,
+    every rational in the form of `exact.poly.canonical`: the weights are
+    kept in that form, so only a residual, a sum, needs normalizing.
     `rref` builds the `SparseRREF` of a congruence on first use, its rows
     and `where` filled in without elimination.
     """
@@ -241,7 +247,7 @@ class ConsequenceSpace:
         for k, c in vec.items():
             if (cl := cls[k]) >= 0 and c:
                 out[free[cl]] = out.get(free[cl], 0) + c * w[k]
-        return {f: Fraction(c) for f, c in out.items() if c}
+        return {f: canonical(c) for f, c in out.items() if c}
 
     def contains_vec(self, vec) -> bool:
         return not self.reduce_vec(vec)
@@ -263,14 +269,14 @@ class ConsequenceSpace:
         out: list[dict] = [{} for _ in free]
         for k, c in enumerate(cls):
             if c >= 0:
-                out[c][k] = Fraction(w[k])
+                out[c][k] = w[k]
         return out
 
     def basis(self) -> list[dict]:
         """The RREF rows, by pivot (as `SparseRREF.basis`)."""
         if self.congruence is None:
             return self.rref.basis()
-        return [{q: Fraction(c) for q, c in row.items()} for _, row in self._congruence_rows()]
+        return [row for _, row in self._congruence_rows()]
 
     def __repr__(self):
         return f"ConsequenceSpace({self.system_name!r}, degree={self.degree}, dim={self.dim})"
@@ -301,7 +307,9 @@ def _congruence_of(rref: SparseRREF) -> Congruence | None:
     return Congruence(cls, _gather(w, range(rref.ncols)), free)
 
 
-@lru_cache(maxsize=None)
+_step_maps_cache: dict[int, list[list[array]]] = {}
+
+
 def _step_maps(m: int) -> list[list[array]]:
     """Index maps from the degree-m to the degree-(m+1) multilinear basis.
 
@@ -310,9 +318,13 @@ def _step_maps(m: int) -> list[list[array]]:
     x_i -> x_i x_{m+1} for i = 1..m; tau_j swaps the labels j and m+1
     (tau_{m+1} is the identity).  Every map is injective.
 
-    The maps depend on m alone, so they are built once per process and
-    every caller shares the same lists: callers must not mutate them.
+    The maps depend on m alone.  Those below the default cap (m <
+    DEFAULT_DEGREE_CAP, 0.3 MB in all) are built once per process and
+    shared, so callers must not mutate them; larger ones (192 MB at m = 7)
+    are built per call, so they do not stay resident.
     """
+    if m in _step_maps_cache:
+        return _step_maps_cache[m]
     new = m + 1
     src, dst = MultilinearSpace(m), MultilinearSpace(new)
     rank, nperms = _perm_rank_map(new), dst.nperms
@@ -347,6 +359,8 @@ def _step_maps(m: int) -> list[list[array]]:
                 array("i", [row[a] * nperms + r for row in table for a, r in zip(keys, pranks)])
             )
         maps.append(per_tau)
+    if m < DEFAULT_DEGREE_CAP:
+        _step_maps_cache[m] = maps
     return maps
 
 
@@ -473,11 +487,6 @@ def _first_hits(maps, cid: list[int], ncols: int):
     return first, pairs
 
 
-def _ratio(a, b):
-    """a / b for canonical rationals, canonical; no Fraction for b = +-1."""
-    return a if b == 1 else -a if b == -1 else canonical(Fraction(a) / b)
-
-
 def _congruence_step(prev: Congruence, m: int) -> Congruence:
     """I(m), spanned by the images of I(m-1) = prev under the step maps.
 
@@ -501,7 +510,7 @@ def _congruence_step(prev: Congruence, m: int) -> Congruence:
     key_w = [x for _ in maps for _, x in ids]
 
     parent = list(range(len(maps) * nclasses))
-    ratio = [1] * len(parent)  # node x is ratio[x] times node parent[x]
+    ratios = [1] * len(parent)  # node x is ratios[x] times node parent[x]
     zero = bytearray(len(parent))
 
     def find(x):
@@ -511,8 +520,8 @@ def _congruence_step(prev: Congruence, m: int) -> Congruence:
             x = parent[x]
         r = 1
         for y in reversed(path):
-            r = ratio[y] * r
-            parent[y], ratio[y] = x, r
+            r = ratios[y] * r
+            parent[y], ratios[y] = x, r
         return x, r
 
     for pair in pairs:
@@ -528,7 +537,7 @@ def _congruence_step(prev: Congruence, m: int) -> Congruence:
             if u != v:
                 zero[ra] = 1
         else:
-            parent[ra], ratio[ra] = rb, _ratio(v, u)
+            parent[ra], ratios[ra] = rb, ratio(v, u)
             zero[rb] |= zero[ra]
 
     # the root (-1 when zero) and the weight against it of each first key
@@ -545,7 +554,7 @@ def _congruence_step(prev: Congruence, m: int) -> Congruence:
     number = {r: c for c, r in enumerate(order)}
     scale = {r: key_w[first[last[r]]] for r in order}
     key_cls = [number[r] if r >= 0 else -1 for r in key_root]
-    key_w = [_ratio(x, scale[r]) if r >= 0 else 0 for r, x in zip(key_root, key_w)]
+    key_w = [ratio(x, scale[r]) if r >= 0 else 0 for r, x in zip(key_root, key_w)]
     cls = array("i", map(key_cls.__getitem__, first))
     return Congruence(cls, _gather(key_w, first), [last[r] for r in order])
 
@@ -651,16 +660,16 @@ def koszul_dual(pres: OperadPresentation | IdentitySystem) -> OperadPresentation
             (1, (z, (y, x)), (w, (v, u))),
         ]
 
-    collected: dict[int, dict[int, Fraction]] = {}
+    collected: dict[int, dict] = {}
     cycles = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
     for x, y, z in cycles:
         for sign, sword, uword in pair_terms(x, y, z, x, y, z):
-            svec = {space.index_of_word(sword): Fraction(sign)}
+            svec = {space.index_of_word(sword): sign}
             residual = pres.rref.reduce(svec)
             uidx = space.index_of_word(uword)
             for beta, lam in residual.items():
                 bucket = collected.setdefault(beta, {})
-                bucket[uidx] = bucket.get(uidx, Fraction(0)) + lam
+                bucket[uidx] = bucket.get(uidx, 0) + lam
     acc = SparseRREF(space.dim)
     for beta in sorted(collected):
         acc.insert(collected[beta])

@@ -97,13 +97,6 @@ def sas_family_entries():
     return corpus.SHIFT_ASSOCIATIVE_3D + corpus.SHIFT_ASSOCIATIVE_4D + ("dim5_nonassoc",)
 
 
-def _algebra(name, overrides):
-    """Corpus algebra `name`, unless `overrides` (name -> algebra) replaces it."""
-    if overrides and name in overrides:
-        return overrides[name]
-    return corpus.load_algebra(name)
-
-
 def find_table_idempotent(A):
     for i in range(1, A.dim + 1):
         e = A.basis_element(i)
@@ -172,7 +165,7 @@ def rows_operads(cap=None):
 def _nf_verdicts(q, idx, nf):
     """(idempotent, sound) for the normal form nf of the multilinear word at
     index idx, decided on index vectors in the quotient q of its degree."""
-    c = [Fraction(0)] * len(q.labels)
+    c = [0] * len(q.labels)
     for coeff, label in nf.terms:
         c[q.labels.index(label)] = coeff
     rewritten = q.expand(c)
@@ -203,7 +196,7 @@ def rows_freealg(cap=None):
         q = _quotient("sas", n, cap)
         space = q.cons.space
         for idx in range(space.dim):
-            nf = sas_normal_form(space.vec_to_expr({idx: Fraction(1)}), cap)
+            nf = sas_normal_form(space.vec_to_expr({idx: 1}), cap)
             ok_idem, ok_sound = _nf_verdicts(q, idx, nf)
             if not (ok_idem and ok_sound):
                 break
@@ -274,22 +267,22 @@ def rows_identities(cap=None):
     return rows
 
 
-def rows_classification(overrides=None):
+def rows_classification():
     rows = []
     for name in corpus.COMMUTATIVE_ASSOCIATIVE:
-        A = _algebra(name, overrides)
+        A = corpus.load_algebra(name)
         ok = check_identity(A, builtin_system("com-as")).holds
         rows.append(Row("classification", f"{name} is commutative associative", ok))
     for name in corpus.SHIFT_ASSOCIATIVE_3D + corpus.SHIFT_ASSOCIATIVE_4D:
-        A = _algebra(name, overrides)
+        A = corpus.load_algebra(name)
         ok = check_identity(A, builtin_system("sas")).holds
         detail = "symbolic in alpha" if A.is_parametric() else ""
         rows.append(Row("classification", f"{name} is shift associative", ok, detail))
     for name in corpus.SHIFT_ASSOCIATIVE_4D:
-        A = _algebra(name, overrides)
+        A = corpus.load_algebra(name)
         ok = check_identity(A, builtin_system("cas")).holds
         rows.append(Row("classification", f"{name} is cyclic associative", ok))
-    dim5 = _algebra("dim5_nonassoc", overrides)
+    dim5 = corpus.load_algebra("dim5_nonassoc")
     ok = check_identity(dim5, builtin_system("sas")).holds
     rows.append(Row("classification", "minimal example is shift associative", ok))
     res = check_identity(dim5, builtin_system("as"))
@@ -305,7 +298,7 @@ def rows_classification(overrides=None):
     return rows
 
 
-def rows_structure(overrides=None):
+def rows_structure():
     rows = []
     swap_sys = parse_system("swap", SWAP_SYSTEM)
     apj_sys = parse_system("anti-poisson-jordan", JORDAN_ADMISSIBLE_SYSTEM)
@@ -313,7 +306,7 @@ def rows_structure(overrides=None):
     nested5 = parse_system("right-nested-5", RIGHT_NESTED_FIVE)
 
     for name in sas_family_entries():
-        A = _algebra(name, overrides)
+        A = corpus.load_algebra(name)
         ok = check_identity(A, swap_sys).holds and check_identity(A, apj_sys).holds
         rows.append(Row("structure", f"{name}: polarized pair is anti-Poisson-Jordan", ok))
         rows.append(Row("structure", f"{name}: two-step associativity", check_identity(A, two_step).holds))
@@ -328,7 +321,7 @@ def rows_structure(overrides=None):
     for name in corpus.corpus_names():
         if name in ("L1", "L2"):
             continue
-        A = _algebra(name, overrides)
+        A = corpus.load_algebra(name)
         idx = find_table_idempotent(A)
         if idx is None:
             continue
@@ -346,7 +339,7 @@ def rows_structure(overrides=None):
     for name in corpus.corpus_names():
         if name in ("L1", "L2"):
             continue
-        A = _algebra(name, overrides)
+        A = corpus.load_algebra(name)
         for S in specializations(A):
             split = wedderburn(S)
             rows.append(
@@ -360,12 +353,12 @@ def rows_structure(overrides=None):
     return rows
 
 
-def rows_constructions(overrides=None):
+def rows_constructions():
     rows = []
     cas = builtin_system("cas")
     sas = builtin_system("sas")
     for name in sas_family_entries():
-        A = _algebra(name, overrides)
+        A = corpus.load_algebra(name)
         ext, p = A.generic_element("p")
         ext, q = ext.generic_element("q")
         rows.append(
@@ -388,7 +381,7 @@ def rows_constructions(overrides=None):
 
     a132 = builtin_system("a132")
     for name in ("a2", "A17"):
-        A = _algebra(name, overrides)
+        A = corpus.load_algebra(name)
         from .exact.poly import PolyQ
 
         mutated = scalar_mutation(A, PolyQ.var("u"), PolyQ.var("v"))
@@ -402,11 +395,11 @@ def rows_constructions(overrides=None):
     return rows
 
 
-def rows_moduli(overrides=None):
+def rows_moduli():
     from .moduli import closed_set_membership, degeneration_necessary, orbit_dim
 
     rows = []
-    A17, a12 = _algebra("A17", overrides), _algebra("a12", overrides)
+    A17, a12 = corpus.load_algebra("A17"), corpus.load_algebra("a12")
     rows.append(Row("moduli", "orbit dimension of the split semisimple table is 16", orbit_dim(A17) == 16))
     fam = orbit_dim(a12)
     rows.append(Row("moduli", "orbit dimension of the a12 family is 13", fam == 13, f"family orbit {fam}"))
@@ -425,7 +418,7 @@ def rows_moduli(overrides=None):
 
     spec = corpus.load_closed_set("a12_not_a10")
     in12 = closed_set_membership(spec, a12.specialize({"alpha": 1}))
-    in10 = closed_set_membership(spec, _algebra("a10", overrides).specialize({"alpha": 1}))
+    in10 = closed_set_membership(spec, corpus.load_algebra("a10").specialize({"alpha": 1}))
     rows.append(Row("moduli", "closed set contains the a12 representative", in12))
     rows.append(Row("moduli", "closed set excludes the a10 representative", not in10))
 
@@ -434,11 +427,11 @@ def rows_moduli(overrides=None):
     return rows
 
 
-def rows_pencil(seed=0, overrides=None):
+def rows_pencil(seed=0):
     from .moduli import pencil_invariant, random_invertible_matrix
 
     rows = []
-    a2 = _algebra("a2", overrides)
+    a2 = corpus.load_algebra("a2")
     values_ok = all(
         pencil_invariant(a2.specialize({"alpha": s})) == s for s in (Fraction(0), Fraction(1), Fraction(2), Fraction(-1))
     )
@@ -456,18 +449,18 @@ def rows_pencil(seed=0, overrides=None):
 
 
 SECTIONS = {
-    "operads": lambda seed, overrides, cap: rows_operads(cap),
-    "freealg": lambda seed, overrides, cap: rows_freealg(cap),
-    "identities": lambda seed, overrides, cap: rows_identities(cap),
-    "classification": lambda seed, overrides, cap: rows_classification(overrides),
-    "structure": lambda seed, overrides, cap: rows_structure(overrides),
-    "constructions": lambda seed, overrides, cap: rows_constructions(overrides),
-    "moduli": lambda seed, overrides, cap: rows_moduli(overrides),
-    "pencil": lambda seed, overrides, cap: rows_pencil(seed, overrides),
+    "operads": lambda seed, cap: rows_operads(cap),
+    "freealg": lambda seed, cap: rows_freealg(cap),
+    "identities": lambda seed, cap: rows_identities(cap),
+    "classification": lambda seed, cap: rows_classification(),
+    "structure": lambda seed, cap: rows_structure(),
+    "constructions": lambda seed, cap: rows_constructions(),
+    "moduli": lambda seed, cap: rows_moduli(),
+    "pencil": lambda seed, cap: rows_pencil(seed),
 }
 
 
-def run_reproduction(only=None, seed: int = 0, overrides=None, cap=None):
+def run_reproduction(only=None, seed: int = 0, cap=None):
     """Run all (or selected) sections; returns (rows, elapsed seconds)."""
     start = time.time()
     names = [only] if only else list(SECTIONS)
@@ -475,5 +468,5 @@ def run_reproduction(only=None, seed: int = 0, overrides=None, cap=None):
         raise ValueError(f"unknown section {only!r}; known: {', '.join(SECTIONS)}")
     rows: list[Row] = []
     for name in names:
-        rows.extend(SECTIONS[name](seed, overrides, cap))
+        rows.extend(SECTIONS[name](seed, cap))
     return rows, time.time() - start

@@ -7,11 +7,13 @@ need a parameter-free algebra, whose constants and element coordinates are
 already rationals (an int when integral, else a Fraction), so they enter
 the linear algebra as they are; only the family-uniform power chains and
 subalgebra restriction split a family's PolyQ coordinates into one
-rational vector per parameter monomial.  The
-linear algebra is exact over Q and runs on the sparse elimination of
-`exact.linalg`: a subspace of Q^n is kept as its dense RREF row list of
-Fractions, read off a `SparseRREF` by `_rref_rows`, so its dimension is the
-length of that list; ranks come from `span`.  A vector in the span of an
+rational vector per parameter monomial.  Every rational returned is in
+that form too (`exact.poly.canonical`), and a quotient of two goes through
+`exact.poly.ratio`, as int / int is a float.  The linear algebra is exact
+over Q and runs on the sparse elimination of `exact.linalg`: a subspace of
+Q^n is kept as its dense RREF row list, read off a `SparseRREF` by
+`_rref_rows`, so its dimension is the length of that list; ranks come
+from `span`.  A vector in the span of an
 RREF basis has its coordinates in that basis at the basis's pivots, since
 each row is 1 at its own pivot and 0 at the others; `express` serves the
 spanning sets that are not in RREF.  The radical candidate is the kernel
@@ -36,7 +38,7 @@ from .errors import (
     VerificationFailed,
 )
 from .exact.linalg import express, inverse, nullspace, span
-from .exact.poly import PolyQ
+from .exact.poly import PolyQ, canonical, ratio
 from .systems import builtin_system
 from .terms import shapes
 
@@ -46,12 +48,12 @@ from .terms import shapes
 
 
 def _identity_rows(n: int):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _rref_rows(acc):
-    """The RREF row list of a SparseRREF subspace, as dense Fraction rows."""
-    return [[row.get(i, Fraction(0)) for i in range(acc.ncols)] for row in acc.basis()]
+    """The RREF row list of a SparseRREF subspace, as dense rows."""
+    return [[row.get(i, 0) for i in range(acc.ncols)] for row in acc.basis()]
 
 
 def _monomial_parts(A: AlgebraStructure, x: Element):
@@ -65,7 +67,7 @@ def _monomial_parts(A: AlgebraStructure, x: Element):
     coords = [c.on_vars(A.parameters) for c in x.coords]
     monomials = sorted({e for c in coords for e in c.terms})
     return [
-        (PolyQ(A.parameters, {mono: Fraction(1)}), [c.terms.get(mono, Fraction(0)) for c in coords])
+        (PolyQ(A.parameters, {mono: 1}), [c.terms.get(mono, 0) for c in coords])
         for mono in monomials
     ]
 
@@ -187,7 +189,7 @@ def subalgebra_identity_check(A: AlgebraStructure, k: int, sys, mode: str = "mul
 @dataclass
 class DerivationAlgebra:
     dim: int
-    matrices: list  # list of n x n Fraction matrices, D(e_i) = sum_k D[k][i] e_k
+    matrices: list  # list of n x n rational matrices, D(e_i) = sum_k D[k][i] e_k
 
 
 def derivation_equations(c):
@@ -232,11 +234,11 @@ def derivation_algebra(A: AlgebraStructure) -> DerivationAlgebra:
 def apply_matrix(A: AlgebraStructure, M, x: Element) -> Element:
     out = []
     for k in range(A.dim):
-        acc = A.lift(0)
+        acc = 0
         for i in range(A.dim):
             if M[k][i]:
-                acc = acc + x.coords[i] * Fraction(M[k][i])
-        out.append(acc)
+                acc = acc + x.coords[i] * M[k][i]
+        out.append(A.lift(acc))
     return Element(tuple(out))
 
 
@@ -298,8 +300,7 @@ def _lplus_matrix(A: AlgebraStructure, z: Element):
     cols = []
     for m in range(1, n + 1):
         b = A.basis_element(m)
-        v = A.add(A.mul(z, b), A.mul(b, z))
-        cols.append([c * half for c in v.coords])
+        cols.append(A.scale(half, A.add(A.mul(z, b), A.mul(b, z))).coords)
     return [[cols[m][k] for m in range(n)] for k in range(n)]
 
 
@@ -329,7 +330,7 @@ def peirce(A: AlgebraStructure, e: Element) -> PeirceSplit:
     n = A.dim
     L = _lplus_matrix(A, e)
     spaces = {}
-    for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
+    for lam in (0, Fraction(1, 2), 1):
         m = [[L[k][i] - (lam if k == i else 0) for i in range(n)] for k in range(n)]
         spaces[lam] = nullspace(m, ncols=n)
     total = sum(len(v) for v in spaces.values())
@@ -337,7 +338,7 @@ def peirce(A: AlgebraStructure, e: Element) -> PeirceSplit:
         raise NonSplitOperator(
             f"Peirce operator spectrum escapes {{0, 1/2, 1}} (caught {total} of {n} dimensions)"
         )
-    a0, a_half, a1 = spaces[Fraction(0)], spaces[Fraction(1, 2)], spaces[Fraction(1)]
+    a0, a_half, a1 = spaces[0], spaces[Fraction(1, 2)], spaces[1]
 
     cross_zero = True
     for u in a0:
@@ -376,20 +377,18 @@ class WedderburnSplit:
 
 
 def trace_form_gram(A: AlgebraStructure):
-    n = A.dim
-    half = Fraction(1, 2)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            bi, bj = A.basis_element(i), A.basis_element(j)
-            z = A.scale(half, A.add(A.mul(bi, bj), A.mul(bj, bi)))
-            tr = Fraction(0)
-            m = _lplus_matrix(A, z)
-            for k in range(n):
-                tr += m[k][k]
-            gram[i - 1][j - 1] = tr
-            gram[j - 1][i - 1] = tr
-    return gram
+    """Gram matrix of tau(x, y) = trace(L_{x o y}) on the basis, where
+    L_z x = (zx + xz)/2 and x o y = (xy + yx)/2, read off the structure
+    constants c[i][j][k].  The trace is linear in z: trace(L_{e_k}) = t_k / 2
+    with t_k = sum_m (c[k][m][m] + c[m][k][m]), so tau(e_i, e_j) =
+    1/4 sum_k (c[i][j][k] + c[j][i][k]) t_k."""
+    n, c = A.dim, A.constants
+    t = [sum(c[k][m][m] + c[m][k][m] for m in range(n)) for k in range(n)]
+    quarter = Fraction(1, 4)
+    return [
+        [canonical(quarter * sum((c[i][j][k] + c[j][i][k]) * t[k] for k in range(n))) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def _min_poly(mulfn, unit, u):
@@ -400,12 +399,13 @@ def _min_poly(mulfn, unit, u):
         coeffs = express(powers, nxt)
         if coeffs is not None:
             # x^d - sum c_k x^k = 0
-            return [-c for c in coeffs] + [Fraction(1)]
+            return [-c for c in coeffs] + [1]
         powers.append(nxt)
 
 
 def _rational_roots(coeffs):
-    """Distinct rational roots of a polynomial with rational coefficients."""
+    """Distinct rational roots, canonical and ascending, of a polynomial with
+    rational coefficients."""
     from math import gcd
 
     mult = 1
@@ -421,7 +421,7 @@ def _rational_roots(coeffs):
         low += 1
     roots = set()
     if low > 0:
-        roots.add(Fraction(0))
+        roots.add(0)
     a0, an = abs(ints[low]), abs(ints[-1])
 
     def divisors(m):
@@ -441,7 +441,7 @@ def _rational_roots(coeffs):
                 for c in reversed(ints):
                     val = val * cand + c
                 if val == 0:
-                    roots.add(cand)
+                    roots.add(canonical(cand))
     return sorted(roots)
 
 
@@ -450,10 +450,10 @@ def _primitive_idempotents(qmul, sub, unit_elem, name: str) -> list:
     associative algebra (product qmul) on the subspace sub with unit unit_elem."""
     if len(sub) == 1:
         base = sub[0]
-        c = express(sub, qmul(base, base))[0]  # a Fraction, so x / c is exact for int x
+        c = express(sub, qmul(base, base))[0]
         if c == 0:
             raise VerificationFailed("one-dimensional quotient piece is nilpotent")
-        return [[x / c for x in base]]
+        return [[ratio(x, c) for x in base]]
     candidates = [list(b) for b in sub]
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
@@ -472,8 +472,7 @@ def _primitive_idempotents(qmul, sub, unit_elem, name: str) -> list:
                 if mu == lam:
                     continue
                 shifted = [a - mu * b for a, b in zip(u, unit_elem)]
-                # the roots are Fractions: qmul may return ints
-                proj = [x / (lam - mu) for x in qmul(proj, shifted)]
+                proj = [ratio(x, lam - mu) for x in qmul(proj, shifted)]
             piece = _rref_rows(span([qmul(proj, b) for b in sub], len(unit_elem)))
             out.extend(_primitive_idempotents(qmul, piece, proj, name))
         return out
@@ -524,7 +523,7 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
 
     def project(vec):
         res = rad.reduce(dict(enumerate(vec)))
-        return [res.get(i, Fraction(0)) for i in free]
+        return [res.get(i, 0) for i in free]
 
     qconsts = [[None] * s_dim for _ in range(s_dim)]
     for a in range(s_dim):

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .errors import DegreeTooLarge, IndexOutOfRange, NotHomogeneous, ParseError, UnbalancedParens
-from .exact.poly import PolyQ, signed_sum
+from .exact.poly import PolyQ, canonical, signed_sum
 
 Word = object  # int leaf or (Word, Word) pair
 
@@ -133,11 +133,13 @@ def word_str(word) -> str:
 
 
 class Expr:
-    """Formal linear combination of Words with Fraction or PolyQ coefficients.
+    """Formal linear combination of Words with rational or PolyQ coefficients.
 
     Built from a dict or an iterable of (word, coefficient) pairs: repeated
     words are summed, zero sums dropped, and words keep the order in which
-    they first appear (a word whose sum drops to zero appears anew).
+    they first appear (a word whose sum drops to zero appears anew).  A
+    rational coefficient is kept canonical: an int when integral, else a
+    Fraction (`exact.poly.canonical`).
     """
 
     __slots__ = ("terms",)
@@ -147,24 +149,22 @@ class Expr:
         if isinstance(terms, dict):
             terms = terms.items()
         for w, c in terms:
-            if isinstance(c, int):
-                c = Fraction(c)
             acc = clean.get(w)
             if acc is not None:
                 c = acc + c
             if c == 0:
                 clean.pop(w, None)
             else:
-                clean[w] = c
+                clean[w] = canonical(c)
         self.terms = clean
 
     @staticmethod
-    def from_word(word, coeff=Fraction(1)) -> "Expr":
+    def from_word(word, coeff=1) -> "Expr":
         return Expr({word: coeff})
 
     @staticmethod
     def var(i: int) -> "Expr":
-        return Expr({i: Fraction(1)})
+        return Expr({i: 1})
 
     @staticmethod
     def zero() -> "Expr":
@@ -435,7 +435,7 @@ class _DslParser:
             raise UnbalancedParens("unmatched ']'", at)
         raise ParseError("expected a word", at)
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> int | Fraction:
         kind, val, at = self.next()
         if kind != "int":
             raise ParseError("expected an integer", at)
@@ -449,7 +449,7 @@ class _DslParser:
             if v3 == 0:
                 raise ParseError("zero denominator", at3)
             return Fraction(num, v3)
-        return Fraction(num)
+        return num
 
     def parse_term(self) -> Expr:
         kind, val, _ = self.peek()
@@ -465,11 +465,11 @@ class _DslParser:
 
     def parse_sum(self) -> Expr:
         kind, val, _ = self.peek()
-        sign = Fraction(1)
+        sign = 1
         if kind == "op" and val in "+-":
             self.next()
             if val == "-":
-                sign = Fraction(-1)
+                sign = -1
         acc = self.parse_term().scale(sign)
         while True:
             kind, val, _ = self.peek()
@@ -572,7 +572,7 @@ def polarize(expr: Expr):
         nxt += m
         for i in range(2, m + 1):
             factor *= i
-    return Expr(_polarize_words(expr, slot_map)), spec, Fraction(factor)
+    return Expr(_polarize_words(expr, slot_map)), spec, factor
 
 
 def multihomogeneous_components(expr: Expr) -> list[Expr]:

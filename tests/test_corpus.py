@@ -122,6 +122,52 @@ def test_tables_hold_fractions_and_families_hold_polynomials():
         assert all(map(_canonical, scalars)), name
 
 
+def test_exact_core_returns_canonical_rationals():
+    """Every rational the structure theory, the consequence spaces, the
+    free-algebra coordinates and Expr hand out is an int when integral and
+    a Fraction otherwise, including sums of fractions that come out integral."""
+    import random
+
+    from nassoc.freealg import _quotient
+    from nassoc.operads import consequences
+    from nassoc.reproduce import specializations
+    from nassoc.structure import derivation_algebra, peirce, power_subspaces, wedderburn
+    from nassoc.terms import parse_expr
+
+    for name in corpus.corpus_names():
+        for A in specializations(corpus.load_algebra(name)):
+            split = wedderburn(A)
+            scalars = [c for vec in split.s_basis + split.r_basis for c in vec]
+            for e in split.s_basis:
+                pe = peirce(A, A.element(e))
+                scalars += [c for vec in pe.a0 + pe.a_half + pe.a1 for c in vec]
+            scalars += [c for M in derivation_algebra(A).matrices for row in M for c in row]
+            scalars += [c for rows in power_subspaces(A) for row in rows for c in row]
+            assert all(map(_canonical_rational, scalars)), A.name
+
+    rng = random.Random(5)
+    values = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 2), 1, -2)
+    for system, n in (("cas-dual", 4), ("sas", 5)):
+        cons = consequences(builtin_system(system), n)
+        assert (cons.congruence is None) == (system == "cas-dual")
+        scalars = [c for vec in cons.kernel() + cons.basis() for c in vec.values()]
+        for _ in range(40):
+            vec = {rng.randrange(cons.space.dim): rng.choice(values) for _ in range(6)}
+            scalars += cons.reduce_vec(vec).values()
+        assert all(map(_canonical_rational, scalars)), system
+
+    for n in range(1, 6):
+        q = _quotient("sas", n, None)
+        dim = q.cons.space.dim
+        vecs = [{k: 1} for k in range(dim)]
+        vecs += [{rng.randrange(dim): rng.choice(values) for _ in range(4)} for _ in range(40)]
+        assert all(_canonical_rational(c) for vec in vecs for c in q.coords(vec)), n
+
+    expr = parse_expr("2 * (x1 x2) + 1/2 * (x2 x1) - [x1,x2] + 3/4 * (x1 x1)")
+    assert expr.terms == {(1, 2): Fraction(3, 2), (2, 1): 1, (1, 1): Fraction(3, 4)}
+    assert all(map(_canonical_rational, expr.terms.values()))
+
+
 def test_fraction_and_polynomial_scalars_agree_on_every_table():
     """Each parameter-free table against itself with an unused parameter z,
     which makes every scalar a PolyQ: same verdicts, counterexample strings

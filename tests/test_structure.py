@@ -1,6 +1,7 @@
 """Tests for derivations, chains, Peirce splits, the semisimple/radical
 decomposition, cocycle products, and fingerprints."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ from nassoc.corpus import corpus_names, load_algebra
 from nassoc.errors import NonSplitOperator, NotIdempotent, ParametricNotSupported, VerificationFailed
 from nassoc.exact.linalg import bareiss_rank, express
 from nassoc.exact.poly import PolyQ
+from nassoc.reproduce import specializations
 from nassoc.structure import (
     CocycleSpec,
+    _lplus_matrix,
     _monomial_parts,
     algebra_from_cocycle,
     annihilator_dim,
@@ -25,6 +28,7 @@ from nassoc.structure import (
     product_span_vectors,
     restrict_to_subspace,
     subalgebra_identity_check,
+    trace_form_gram,
     wedderburn,
 )
 from nassoc.systems import builtin_system
@@ -272,6 +276,27 @@ def test_wedderburn_nonsplit_over_q():
     A = AlgebraStructure("gauss", 2, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]])
     with pytest.raises(VerificationFailed):
         wedderburn(A)
+
+
+def test_trace_form_gram_matches_the_lplus_traces():
+    """The Gram matrix read off the structure constants equals the traces of
+    the matrices of x -> (zx + xz)/2 at z = e_i o e_j, on every corpus table,
+    each family as a family and at every sampled parameter value, and on
+    seeded random tables, whose left and right multiplications differ."""
+    rng = random.Random(3)
+    values = (0, 0, 1, -1, 2, Q(1, 2))
+    def random_table(name):
+        return AlgebraStructure(name, 3, [[[rng.choice(values) for _ in range(3)] for _ in range(3)] for _ in range(3)])
+
+    tables = [random_table(f"random{t}") for t in range(5)]
+    for A in [*map(load_algebra, corpus_names()), *tables]:
+        for S in dict.fromkeys([A, *specializations(A)]):
+            n, gram = S.dim, trace_form_gram(S)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    bi, bj = S.basis_element(i), S.basis_element(j)
+                    m = _lplus_matrix(S, S.scale(Q(1, 2), S.add(S.mul(bi, bj), S.mul(bj, bi))))
+                    assert gram[i - 1][j - 1] == sum(m[k][k] for k in range(n)), (S.name, i, j)
 
 
 def test_wedderburn_corpus_samples():
