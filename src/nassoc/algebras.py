@@ -17,8 +17,8 @@ in characteristic zero; "symbolic" substitutes generic elements
 g{v} = sum_i g{v}_i e_i and checks polynomial vanishing, which is valid over
 any infinite field and also covers non-multilinear identities directly.
 
-Both modes are compiled once per call and never build an Element: the
-constants become a sparse table of the nonzero (k, c) of each product
+Both modes reach their verdict compiled once per call, without an Element:
+the constants become a sparse table of the nonzero (k, c) of each product
 e_i e_j, each word becomes its tree shape and leaf labels, and the value of
 a shape on a tuple of basis indices is computed once and shared by every
 word, tuple and identity of the call.  Multilinear mode scans tuples and
@@ -28,15 +28,10 @@ on every tuple of basis indices at its leaves and adds the value into the
 coefficient of the monomial, the product of the g{v}_i at the leaves, so
 each coordinate of the generic value is a dict from monomial to coefficient
 (int or Fraction, PolyQ for a family).  The identity holds when every such
-dict is empty, and a PolyQ is built only for the first nonzero coordinate.
-
-A PolyQ prints its terms in graded-lex order of its variable tuple, so the
-printed PolyQ gets the tuple that a dense evaluation in PolyQ arithmetic
-gives: the variables in order of first appearance, where the words come in
-sorted_terms order and, for output coordinate k of a product, the pairs
-(i, j) come ascending, skipping zero generic coordinates and zero constants
-c_ij^k, each adding the left factor's variables, then the right factor's,
-then those of the constant.  A variable whose terms cancel keeps its place.
+dict is empty.  The first nonzero coordinate is then printed from a second,
+plain evaluation of the identity: generic elements from `generic_element`,
+words through `mul`, `add` and `scale` in PolyQ arithmetic, so the order of
+the variables in a printed value is PolyQ's alone.
 Both modes raise DegreeTooLarge, before any evaluation, for a request past
 MAX_CHECK_EVALUATIONS.
 """
@@ -163,14 +158,15 @@ class AlgebraStructure:
     # -- parameters ---------------------------------------------------------
 
     def specialize(self, values: dict) -> "AlgebraStructure":
-        """Substitute rational values for (some) parameters.
+        """Substitute rational or PolyQ values for (some) parameters.
 
-        Raises ValueError when a name is not a parameter of the algebra.
+        Raises ValueError when a name is not a parameter of the algebra, and
+        TypeError when a value is neither rational nor a PolyQ, a float say.
         """
         unknown = sorted(set(values) - set(self.parameters))
         if unknown:
             raise ValueError(f"{self.name} has no parameter {', '.join(map(repr, unknown))}")
-        env = {k: Fraction(v) if not isinstance(v, PolyQ) else v for k, v in values.items()}
+        env = {k: v if isinstance(v, PolyQ) else canonical(as_fraction(v)) for k, v in values.items()}
         remaining = tuple(p for p in self.parameters if p not in env)
         constants = [
             [[c.subs(env) for c in vec] for vec in row] for row in self.constants
@@ -399,66 +395,39 @@ def _generic_coords(words, table, dim: int, memo) -> list[dict]:
     return [{m: a for m, a in total.items() if a} for total in acc]
 
 
-def _variable_order(word, A: AlgebraStructure, table, memo, shape_memo):
-    """(variable tuple, nonzero) of every generic coordinate of word.
-
-    The names come in order of first appearance in a dense product: for
-    output coordinate k, pairs (i, j) ascending, skipping zero generic
-    coordinates of the factors and zero constants c_ij^k; each pair adds the
-    left factor's variables, then the right's, then the variables of the
-    constant's PolyQ.  Variables whose terms cancel keep their place.
-    """
-    got = memo.get(word)
-    if got is not None:
-        return got
-    if isinstance(word, int):
-        order = tuple((f"g{word}_{i + 1}",) for i in range(A.dim))
-    else:
-        left, left_nonzero = _variable_order(word[0], A, table, memo, shape_memo)
-        right, right_nonzero = _variable_order(word[1], A, table, memo, shape_memo)
-        parts = [[] for _ in range(A.dim)]
-        for i in range(A.dim):
-            for j in range(A.dim):
-                if left_nonzero[i] and right_nonzero[j]:
-                    for k, c in enumerate(A.constants[i][j]):
-                        if c:
-                            parts[k] += (left[i], right[j], c.vars if isinstance(c, PolyQ) else ())
-        order = tuple(tuple(dict.fromkeys(itertools.chain.from_iterable(p))) for p in parts)
-    nonzero = [bool(d) for d in _generic_coords([(1, word)], table, A.dim, shape_memo)]
-    got = memo[word] = (order, nonzero)
+def _word_value(A: AlgebraStructure, word, values) -> Element:
+    """Element value of word; values maps each variable, and then each subword evaluated, to its Element."""
+    got = values.get(word)
+    if got is None:
+        got = values[word] = A.mul(_word_value(A, word[0], values), _word_value(A, word[1], values))
     return got
 
 
-def _generic_poly(coeffs: dict, names: tuple) -> PolyQ:
-    """The PolyQ on the variable tuple names of a coordinate of _generic_coords."""
-    pos = {v: p for p, v in enumerate(names)}
-    total = PolyQ.zero(names)
-    for mono, c in coeffs.items():
-        exps = [0] * len(names)
-        for v, i in mono:
-            exps[pos[f"g{v}_{i + 1}"]] += 1
-        total = total + c * PolyQ(names, [(exps, 1)])
-    return total.on_vars(names)
+def _generic_value(A: AlgebraStructure, ident: Identity, k: int) -> PolyQ:
+    """Coordinate k of ident at generic elements g1..g{nvars}, in PolyQ arithmetic."""
+    ext, values = A, {}
+    for v in range(1, ident.nvars + 1):
+        ext, values[v] = ext.generic_element(f"g{v}")
+    acc = ext.zero_element()
+    for w, c in ident.expr.sorted_terms():
+        acc = ext.add(acc, ext.scale(c, _word_value(ext, w, values)))
+    return acc.coords[k]
 
 
 def _check_symbolic_identity(A: AlgebraStructure, ident: Identity, table, memo) -> Counterexample | None:
-    """Expand ident at generic elements g1..g{nvars}; only a failing coordinate becomes a PolyQ."""
+    """Expand ident at generic elements g1..g{nvars}; only a failing coordinate is evaluated as a PolyQ."""
     for v in range(1, ident.nvars + 1):
         A.generic_names(f"g{v}")  # raises ParameterClash on a parameter named g{v}_i
     words = [(c, w) for w, c in ident.expr.sorted_terms()]
     for k, total in enumerate(_generic_coords(words, table, A.dim, memo)):
-        if not total:
-            continue
-        order, order_memo = {}, {}
-        for _, w in words:
-            order.update(dict.fromkeys(_variable_order(w, A, table, order_memo, memo)[0][k]))
-        return Counterexample(
-            identity=str(ident),
-            tuple_labels=tuple(f"g{v}" for v in range(1, ident.nvars + 1)),
-            coordinate=A.basis[k],
-            value=str(_generic_poly(total, tuple(order))),
-            mode="symbolic",
-        )
+        if total:
+            return Counterexample(
+                identity=str(ident),
+                tuple_labels=tuple(f"g{v}" for v in range(1, ident.nvars + 1)),
+                coordinate=A.basis[k],
+                value=str(_generic_value(A, ident, k)),
+                mode="symbolic",
+            )
     return None
 
 
@@ -468,9 +437,9 @@ def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multil
     Multilinear mode evaluates each multilinear part on every basis tuple
     and reports the first nonzero coordinate at the first failing tuple.
     Symbolic mode expands each identity at generic elements g1, g2, ... and
-    reports its first nonzero coordinate, a polynomial whose variables print
-    in the order of a dense evaluation (see the module docstring).  Both run
-    on one product table and one memo of products for the whole call.
+    reports its first nonzero coordinate, a polynomial evaluated in PolyQ
+    arithmetic (see the module docstring).  Both run on one product table
+    and one memo of products for the whole call.
 
     Raises DegreeTooLarge, before evaluating anything, when the check would
     make more than MAX_CHECK_EVALUATIONS word evaluations: each word of a

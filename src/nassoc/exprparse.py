@@ -5,9 +5,10 @@ coefficient strings in algebra files ("-1", "1/2", "alpha^2-1"), rational
 function entries of certificates ("-1/t", "(t^3-alpha*t)^3"), and closed-set
 equations in structure-constant variables ("c[1][2][4]^2*c[2][1][3]^2").
 
-parse() produces an AST which eval_ast() evaluates against an environment
-mapping variable names to values in any field-like domain (Fraction, PolyQ,
-RatFunT).  Structure-constant variables like c[1][2][4] lex as single names.
+evaluate() parses by recursive descent and computes the value as it goes,
+without an intermediate tree, against an environment mapping variable names
+to values in any field-like domain (Fraction, PolyQ, RatFunT).
+Structure-constant variables like c[1][2][4] lex as single names.
 """
 
 from __future__ import annotations
@@ -65,10 +66,15 @@ def tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, text):
+    """Recursive descent that evaluates as it parses: env maps names to
+    domain values, const lifts a Fraction into the domain."""
+
+    def __init__(self, tokens, text, env, const):
         self.tokens = tokens
         self.pos = 0
         self.text = text
+        self.env = env
+        self.const = const
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else ("end", None, len(self.text))
@@ -89,28 +95,33 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.next()
             negate = val == "-"
-        node = self.parse_term()
+        value = self.parse_term()
         if negate:
-            node = ("neg", node)
+            value = -value
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.parse_term()
-                node = ("add", node, rhs) if val == "+" else ("sub", node, rhs)
+                value = value + rhs if val == "+" else value - rhs
             else:
-                return node
+                return value
 
     def parse_term(self):
-        node = self.parse_power()
+        value = self.parse_power()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.parse_power()
-                node = ("mul", node, rhs) if val == "*" else ("div", node, rhs)
+                if val == "*":
+                    value = value * rhs
+                elif rhs == 0:
+                    raise ParseError("division by zero")
+                else:
+                    value = value / rhs
             else:
-                return node
+                return value
 
     def parse_power(self):
         base = self.parse_atom()
@@ -124,21 +135,27 @@ class _Parser:
                 k, v, at = self.next()
             if k != "int":
                 raise ParseError("exponent must be an integer", at)
-            return ("pow", base, -v if neg else v)
+            exp = -v if neg else v
+            if exp < 0 and base == 0:
+                raise ParseError("negative power of zero")
+            return base ** exp
         return base
 
     def parse_atom(self):
         kind, val, at = self.next()
         if kind == "int":
-            return ("const", Fraction(val))
+            return self.const(Fraction(val))
         if kind == "name":
-            return ("var", val)
+            try:
+                return self.env[val]
+            except KeyError:
+                raise ParseError(f"unknown variable {val!r}") from None
         if kind == "op" and val == "-":
-            return ("neg", self.parse_atom())
+            return -self.parse_atom()
         if kind == "op" and val == "(":
-            node = self.parse_expr()
+            value = self.parse_expr()
             self.expect_op(")")
-            return node
+            return value
         raise ParseError("expected a number, variable, or parenthesized expression", at)
 
 
@@ -156,46 +173,12 @@ def rational(text, source: str) -> Fraction:
         raise ParseError(f"{source} expects a rational number, got {text!r}") from None
 
 
-def parse(text: str):
-    tokens = tokenize(text)
-    parser = _Parser(tokens, text)
-    node = parser.parse_expr()
+def evaluate(text: str, env, const):
+    """The value of text, with env mapping names to domain values and const
+    lifting a Fraction; a syntax or evaluation error is a ParseError."""
+    parser = _Parser(tokenize(text), text, env, const)
+    value = parser.parse_expr()
     kind, _, at = parser.peek()
     if kind != "end":
         raise ParseError("trailing input after expression", at)
-    return node
-
-
-def eval_ast(node, env, const):
-    """Evaluate an AST.  env maps names to domain values; const lifts a Fraction."""
-    tag = node[0]
-    if tag == "const":
-        return const(node[1])
-    if tag == "var":
-        try:
-            return env[node[1]]
-        except KeyError:
-            raise ParseError(f"unknown variable {node[1]!r}") from None
-    if tag == "neg":
-        return -eval_ast(node[1], env, const)
-    if tag == "add":
-        return eval_ast(node[1], env, const) + eval_ast(node[2], env, const)
-    if tag == "sub":
-        return eval_ast(node[1], env, const) - eval_ast(node[2], env, const)
-    if tag == "mul":
-        return eval_ast(node[1], env, const) * eval_ast(node[2], env, const)
-    if tag == "div":
-        den = eval_ast(node[2], env, const)
-        if den == 0:
-            raise ParseError("division by zero")
-        return eval_ast(node[1], env, const) / den
-    if tag == "pow":
-        base = eval_ast(node[1], env, const)
-        if node[2] < 0 and base == 0:
-            raise ParseError("negative power of zero")
-        return base ** node[2]
-    raise ParseError(f"unknown AST node {tag}")
-
-
-def evaluate(text: str, env, const):
-    return eval_ast(parse(text), env, const)
+    return value

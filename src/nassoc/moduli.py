@@ -3,6 +3,8 @@
 A degeneration A -> B is certified by an invertible parametrized basis
 E_i(t): the structure constants of A rewritten in that basis must be
 rational functions of t whose limits at t = 0 exist and equal B's constants.
+The rewriting is `structure.constants_in_basis`, the basis change that
+`structure.change_basis` also runs, here over Q(t).
 All limits are taken symbolically; a pole surviving exact cancellation is a
 hard failure.  Families A(alpha) degenerate through an additional parameter
 substitution alpha := f(t) (checked at sampled rational alpha for
@@ -23,11 +25,15 @@ from fractions import Fraction
 from . import exprparse
 from .algebras import AlgebraStructure
 from .errors import ParametricNotSupported, PoleAtZero, ShapeMismatch, SingularForAllT
-from .exact.linalg import solve_right, span
+from .exact.linalg import span
 from .exact.ratfun import RatFunT
-from .structure import derivation_algebra, derivation_equations, power_subspaces, powers_and_nilpotency
-
-RF0 = RatFunT.const(0)
+from .structure import (
+    constants_in_basis,
+    derivation_algebra,
+    derivation_equations,
+    power_subspaces,
+    powers_and_nilpotency,
+)
 
 
 @dataclass
@@ -40,10 +46,6 @@ class ParamBasis:
     @property
     def dim(self) -> int:
         return len(self.columns)
-
-    def matrix(self):
-        n = self.dim
-        return [[self.columns[i][r] for i in range(n)] for r in range(n)]
 
     @staticmethod
     def from_strings(columns, subst=None, env=None) -> "ParamBasis":
@@ -75,36 +77,15 @@ def transform(A: AlgebraStructure, basis: ParamBasis):
     for p in A.parameters:
         if p not in basis.subst:
             raise ParametricNotSupported(f"no substitution supplied for parameter {p!r}")
+    # rational entries enter Q(t) here, so the constants come back as RatFunT; a float is refused
+    columns = [[c if isinstance(c, RatFunT) else RatFunT(c) for c in col] for col in basis.columns]
     consts = A.constants
     if A.parameters:
         consts = [[[c.eval(basis.subst) for c in vec] for vec in row] for row in consts]
-    new = [[None] * n for _ in range(n)]
-    rhs_columns = []
-    order = []
-    for i in range(n):
-        for j in range(n):
-            vec = [RF0] * n
-            for a in range(n):
-                ca = basis.columns[i][a]
-                if ca == RF0:
-                    continue
-                for b in range(n):
-                    cb = basis.columns[j][b]
-                    if cb == RF0:
-                        continue
-                    coef = ca * cb
-                    for k in range(n):
-                        if consts[a][b][k]:
-                            vec[k] = vec[k] + coef * consts[a][b][k]
-            rhs_columns.append(vec)
-            order.append((i, j))
     try:
-        solved = solve_right(basis.matrix(), rhs_columns)
+        return constants_in_basis(consts, columns)
     except ValueError:
         raise SingularForAllT("parametrized basis matrix is singular for every t") from None
-    for (i, j), col in zip(order, solved):
-        new[i][j] = col
-    return new
 
 
 @dataclass

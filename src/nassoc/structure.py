@@ -2,18 +2,23 @@
 
 Covers derivation algebras, power/solvability chains, subalgebra
 restriction, the Peirce split at an idempotent, and the semisimple-plus-
-radical decomposition.  Derivations, the two splits and the fingerprint
-need a parameter-free algebra, whose constants and element coordinates are
-already rationals (an int when integral, else a Fraction), so they enter
-the linear algebra as they are; only the family-uniform power chains and
-subalgebra restriction split a family's PolyQ coordinates into one
-rational vector per parameter monomial.  Every rational returned is in
-that form too (`exact.poly.canonical`), and a quotient of two goes through
+radical decomposition.  It also holds the one basis change of the package:
+`constants_in_basis` rewrites structure constants in a new basis over
+whatever field its inputs lie in, so `change_basis` (a rational matrix on a
+table or family) and `moduli.transform` (a basis over Q(t)) both call it.
+
+Derivations, the two splits and the fingerprint need a parameter-free
+algebra, whose constants and element coordinates are already rationals (an
+int when integral, else a Fraction), so they enter the linear algebra as
+they are; only the family-uniform power chains and subalgebra restriction
+split a family's PolyQ coordinates into one rational vector per parameter
+monomial.  Every rational returned is in that form too
+(`exact.poly.canonical`), and a quotient of two goes through
 `exact.poly.ratio`, as int / int is a float.  The linear algebra is exact
-over Q and runs on the sparse elimination of `exact.linalg`: a subspace of
-Q^n is kept as its dense RREF row list, read off a `SparseRREF` by
-`_rref_rows`, so its dimension is the length of that list; ranks come
-from `span`.  A vector in the span of an
+over Q, and over Q(t) for the basis change, and runs on the sparse
+elimination of `exact.linalg`: a subspace of Q^n is kept as its dense RREF
+row list, read off a `SparseRREF` by `_rref_rows`, so its dimension is the
+length of that list; ranks come from `span`.  A vector in the span of an
 RREF basis has its coordinates in that basis at the basis's pivots, since
 each row is 1 at its own pivot and 0 at the others; `express` serves the
 spanning sets that are not in RREF.  The radical candidate is the kernel
@@ -37,8 +42,8 @@ from .errors import (
     ParametricNotSupported,
     VerificationFailed,
 )
-from .exact.linalg import express, inverse, nullspace, span
-from .exact.poly import PolyQ, canonical, ratio
+from .exact.linalg import express, nullspace, solve_right, span
+from .exact.poly import PolyQ, as_fraction, canonical, ratio
 from .systems import builtin_system
 from .terms import shapes
 
@@ -718,24 +723,42 @@ def fingerprint(A: AlgebraStructure) -> Fingerprint:
     )
 
 
+def constants_in_basis(constants, columns):
+    """Structure constants in the basis E_i = sum_a columns[i][a] e_a.
+
+    The constants c[a][b][k] and the columns may lie in Q, Q[parameters]
+    (PolyQ constants) or Q(t) (RatFunT): the products E_i E_j are formed
+    from the constants, and their coordinates X in the new basis solve
+    M X = products, M the matrix whose columns are the E_i.  The rank of M
+    is checked first, so that a PolyQ product is never taken as a pivot.
+    Raises ValueError("matrix is singular") when the columns are dependent.
+    """
+    n = len(columns)
+    matrix = [[col[r] for col in columns] for r in range(n)]
+    if span(matrix, n).rank < n:
+        raise ValueError("matrix is singular")
+    products = [[0] * n for _ in range(n * n)]
+    for a, row in enumerate(constants):
+        for b, vec in enumerate(row):
+            for k, c in enumerate(vec):
+                if not c:
+                    continue
+                for i, ci in enumerate(columns):
+                    if not ci[a]:
+                        continue
+                    for j, cj in enumerate(columns):
+                        if cj[b]:
+                            products[i * n + j][k] += ci[a] * cj[b] * c
+    solved = solve_right(matrix, products)
+    return [solved[i * n : (i + 1) * n] for i in range(n)]
+
+
 def change_basis(A: AlgebraStructure, matrix) -> AlgebraStructure:
-    """Structure constants in the basis E_i = sum_j matrix[j][i] e_j."""
+    """Structure constants in the basis E_i = sum_j matrix[j][i] e_j.
+
+    The entries must be rationals: a float raises TypeError.
+    """
     n = A.dim
-    m = [[Fraction(x) for x in row] for row in matrix]
-    minv = inverse(m)
-    cols = [A.element([m[r][i] for r in range(n)]) for i in range(n)]
-    constants = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = A.mul(cols[i], cols[j])
-            vec = []
-            for k in range(n):
-                acc = 0
-                for l in range(n):
-                    if minv[k][l]:
-                        acc = acc + prod.coords[l] * minv[k][l]
-                vec.append(acc)
-            row.append(vec)
-        constants.append(row)
+    columns = [[canonical(as_fraction(matrix[r][i])) for r in range(n)] for i in range(n)]
+    constants = constants_in_basis(A.constants, columns)
     return AlgebraStructure(f"{A.name}~", n, constants, A.parameters, A.basis)

@@ -185,11 +185,15 @@ def dense_basis(n):
 
 
 ORACLE_SYSTEMS = ("as", "sas", "cas", "com-as", "a12", "cas-dual")
+# identities that only symbolic mode accepts: neither side is homogeneous
+NON_HOMOGENEOUS = (("idempotent", "(x1 x1) = x1"), ("square-left", "((x1 x1) x2) = (x1 x2)"))
 
 
 def test_compiled_check_matches_oracle_on_the_corpus():
     """Every table, shipped and in a dense basis, in both modes; families keep their PolyQ constants."""
     failures = {"shipped": 0, "dense": 0}
+    non_homogeneous = [parse_system(name, text) for name, text in NON_HOMOGENEOUS]
+    symbolic_failures = {"shipped": 0, "dense": 0}
     for name in corpus.corpus_names():
         A = load_algebra(name)
         for tag, B in (("shipped", A), ("dense", change_basis(A, dense_basis(A.dim)))):
@@ -197,8 +201,13 @@ def test_compiled_check_matches_oracle_on_the_corpus():
                 holds = assert_matches_oracle(B, builtin_system(sys_name))
                 assert assert_symbolic_matches_oracle(B, builtin_system(sys_name)) == holds
                 failures[tag] += not holds
+            for sys in non_homogeneous:
+                symbolic_failures[tag] += not assert_symbolic_matches_oracle(B, sys)
     # both sweeps compare counterexample strings, not only verdicts
     assert all(failures.values()), failures
+    assert all(symbolic_failures.values()), symbolic_failures
+    ce = check_identity(load_algebra("A17"), non_homogeneous[0], "symbolic").counterexample
+    assert (ce.coordinate, ce.value) == ("e1", "g1_1^2 - g1_1")
 
 
 def test_compiled_check_matches_oracle_on_the_structure_systems():
@@ -359,6 +368,15 @@ def test_check_refuses_too_many_evaluations_before_work():
         power = f"({power} x1)"
     with pytest.raises(DegreeTooLarge):
         check_identity(dim5, parse_system("power-10", f"{power} = 0"))
+
+
+def test_specialize_reads_rationals_only():
+    a12 = load_algebra("a12")
+    assert a12.specialize({"alpha": 1}).name == "a12[alpha=1]"
+    assert a12.specialize({"alpha": Q(1, 2)}).name == "a12[alpha=1/2]"
+    # a float used to enter as its binary expansion, 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        a12.specialize({"alpha": 0.1})
 
 
 def test_parameter_clash():

@@ -79,7 +79,7 @@ def test_transform_functorial_at_samples():
     Qb = [["1", "t", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "t", "1"]]
     pb = ParamBasis.from_strings(P)
     qb = ParamBasis.from_strings(Qb)
-    pm, qm = pb.matrix(), qb.matrix()
+    pm, qm = ([[col[r] for col in b.columns] for r in range(4)] for b in (pb, qb))
     prod_cols = [
         [sum((pm[r][s] * qm[s][i] for s in range(4)), RatFunT.const(0)) for r in range(4)]
         for i in range(4)
@@ -101,6 +101,43 @@ def test_transform_rejects_singular():
     cols = [["t", "0", "0"], ["t", "0", "0"], ["0", "0", "1"]]
     with pytest.raises(SingularForAllT):
         transform(A, ParamBasis.from_strings(cols))
+
+
+def test_transform_and_change_basis_agree_on_constant_bases():
+    """One basis change over Q and over Q(t): constant RatFunT columns give,
+    at t = 0, exactly the constants of change_basis in the same basis."""
+    for name in corpus_names():
+        A = load_algebra(name)
+        if A.is_parametric():
+            continue
+        n = A.dim
+        dense = [[min(i, j) + 1 for j in range(n)] for i in range(n)]  # determinant 1
+        columns = [[RatFunT.const(dense[r][i]) for r in range(n)] for i in range(n)]
+        over_qt = transform(A, ParamBasis(columns))
+        at_zero = [[[c.value_at_zero() for c in vec] for vec in row] for row in over_qt]
+        assert at_zero == [[list(vec) for vec in row] for row in change_basis(A, dense).constants], name
+
+
+def test_singular_and_float_basis_changes_are_refused():
+    """A singular matrix on a family is a ValueError, not a TypeError from a
+    polynomial pivot, and a float entry is refused rather than expanded."""
+    a12 = load_algebra("a12")
+    # E1 = e2, so E1 E1 = alpha e3 would be the first pivot of the products
+    singular = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        change_basis(a12, singular)
+    columns = [[RatFunT.const(singular[r][i]) for r in range(4)] for i in range(4)]
+    with pytest.raises(SingularForAllT):
+        transform(a12, ParamBasis(columns, {"alpha": RatFunT.t()}))
+    A17 = load_algebra("A17")
+    tenth = [[0.1 * (i == j) for j in range(A17.dim)] for i in range(A17.dim)]
+    with pytest.raises(TypeError):
+        change_basis(A17, tenth)
+    with pytest.raises(TypeError):
+        transform(A17, ParamBasis(tenth))
+    # rational columns are constants of Q(t)
+    unit = [[int(i == j) for j in range(A17.dim)] for i in range(A17.dim)]
+    assert all(type(c) is RatFunT for row in transform(A17, ParamBasis(unit)) for vec in row for c in vec)
 
 
 def test_transform_requires_substitution():
