@@ -13,7 +13,6 @@ from .algebras import (
     AlgebraStructure,
     CheckResult,
     Counterexample,
-    Element,
     check_identity,
     compatible_check,
     kantor_square,

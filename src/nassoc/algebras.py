@@ -6,10 +6,11 @@ Fraction otherwise (`exact.poly.canonical`), and a table that declares
 parameters holds multivariate polynomials over Q (PolyQ) in those names,
 whose coefficients follow the same rule, so a whole family like
 e2*e2 = alpha*e3 is a single algebra value and identity checks verify the
-family at once.  Elements are coordinate vectors in the same scalars, and
-the arithmetic below uses only +, *, == and truthiness, so one code path
-serves both; the results of add, scale and mul are lifted back into
-canonical form, as a sum of non-integral Fractions can be integral.
+family at once.  An element is the tuple of its coordinates in the same
+scalars, so x == y and not any(x) compare elements, and the arithmetic
+below uses only +, *, == and truthiness, so one code path serves both; the
+results of add, scale and mul are lifted back into canonical form, as a
+sum of non-integral Fractions can be integral.
 
 Identity checking has two modes: "multilinear" evaluates every identity
 (multilinearized first when needed) on all basis tuples, which is complete
@@ -17,11 +18,11 @@ in characteristic zero; "symbolic" substitutes generic elements
 g{v} = sum_i g{v}_i e_i and checks polynomial vanishing, which is valid over
 any infinite field and also covers non-multilinear identities directly.
 
-Both modes reach their verdict compiled once per call, without an Element:
-the constants become a sparse table of the nonzero (k, c) of each product
-e_i e_j, each word becomes its tree shape and leaf labels, and the value of
-a shape on a tuple of basis indices is computed once and shared by every
-word, tuple and identity of the call.  Multilinear mode scans tuples and
+Both modes reach their verdict compiled once per call, without forming an
+element: the constants become a sparse table of the nonzero (k, c) of each
+product e_i e_j, each word becomes its tree shape and leaf labels, and the
+value of a shape on a tuple of basis indices is computed once and shared by
+every word, tuple and identity of the call.  Multilinear mode scans tuples and
 coordinates in lexicographic order, so the first counterexample is the same
 as that of a plain evaluation of every word.  Symbolic mode runs each word
 on every tuple of basis indices at its leaves and adds the value into the
@@ -53,16 +54,6 @@ from .terms import Identity, IdentitySystem, degree, leaves, multilinearize, sha
 # check_identity refuses a request of more word evaluations than this (words
 # times the basis tuples at their leaves), as dim ** degree grows fast
 MAX_CHECK_EVALUATIONS = 10**6
-
-
-@dataclass(frozen=True)
-class Element:
-    """Coordinate vector in a fixed algebra basis."""
-
-    coords: tuple
-
-    def __len__(self):
-        return len(self.coords)
 
 
 def _rational(c) -> int | Fraction:
@@ -112,34 +103,39 @@ class AlgebraStructure:
 
     # -- elements ---------------------------------------------------------
 
-    def zero_element(self) -> Element:
-        return Element((self.lift(0),) * self.dim)
+    def zero_element(self) -> tuple:
+        return (self.lift(0),) * self.dim
 
-    def basis_element(self, i: int) -> Element:
+    def basis_element(self, i: int) -> tuple:
         """1-indexed basis vector."""
         coords = [self.lift(0)] * self.dim
         coords[i - 1] = self.lift(1)
-        return Element(tuple(coords))
+        return tuple(coords)
 
-    def element(self, coords) -> Element:
+    def element(self, coords) -> tuple:
+        """Coordinates from outside the program, lifted into the algebra's scalars.
+
+        Raises ValueError when their number is not the dimension.
+        """
         coords = tuple(self.lift(c) for c in coords)
         if len(coords) != self.dim:
             raise ValueError("coordinate vector has the wrong length")
-        return Element(coords)
+        return coords
 
-    def add(self, x: Element, y: Element) -> Element:
-        return Element(tuple(self.lift(a + b) for a, b in zip(x.coords, y.coords)))
+    def add(self, x, y) -> tuple:
+        return tuple(self.lift(a + b) for a, b in zip(x, y))
 
-    def scale(self, c, x: Element) -> Element:
-        return Element(tuple(self.lift(c * a) for a in x.coords))
+    def scale(self, c, x) -> tuple:
+        return tuple(self.lift(c * a) for a in x)
 
-    def mul(self, x: Element, y: Element) -> Element:
+    def mul(self, x, y) -> tuple:
+        """The product of two coordinate sequences of length dim, lifted into canonical form."""
         n = self.dim
         out = [self.lift(0)] * n
-        for i, xi in enumerate(x.coords):
+        for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y.coords):
+            for j, yj in enumerate(y):
                 if not yj:
                     continue
                 cij = self.constants[i][j]
@@ -147,13 +143,7 @@ class AlgebraStructure:
                 for k in range(n):
                     if cij[k]:
                         out[k] = out[k] + coef * cij[k]
-        return Element(tuple(map(self.lift, out)))
-
-    def is_zero_element(self, x: Element) -> bool:
-        return not any(x.coords)
-
-    def equal_elements(self, x: Element, y: Element) -> bool:
-        return all(a == b for a, b in zip(x.coords, y.coords))
+        return tuple(map(self.lift, out))
 
     # -- parameters ---------------------------------------------------------
 
@@ -197,7 +187,7 @@ class AlgebraStructure:
                 raise ParameterClash(f"generated coordinate {nm!r} collides with a parameter")
         return names
 
-    def generic_element(self, prefix: str) -> tuple["AlgebraStructure", Element]:
+    def generic_element(self, prefix: str) -> tuple["AlgebraStructure", tuple]:
         """Extend the parameter ring by fresh coordinates prefix_1..prefix_n."""
         names = self.generic_names(prefix)
         ext = self.with_parameters(names)
@@ -395,8 +385,8 @@ def _generic_coords(words, table, dim: int, memo) -> list[dict]:
     return [{m: a for m, a in total.items() if a} for total in acc]
 
 
-def _word_value(A: AlgebraStructure, word, values) -> Element:
-    """Element value of word; values maps each variable, and then each subword evaluated, to its Element."""
+def _word_value(A: AlgebraStructure, word, values) -> tuple:
+    """The element value of word; values maps each variable, and then each subword evaluated, to its element."""
     got = values.get(word)
     if got is None:
         got = values[word] = A.mul(_word_value(A, word[0], values), _word_value(A, word[1], values))
@@ -411,7 +401,7 @@ def _generic_value(A: AlgebraStructure, ident: Identity, k: int) -> PolyQ:
     acc = ext.zero_element()
     for w, c in ident.expr.sorted_terms():
         acc = ext.add(acc, ext.scale(c, _word_value(ext, w, values)))
-    return acc.coords[k]
+    return acc[k]
 
 
 def _check_symbolic_identity(A: AlgebraStructure, ident: Identity, table, memo) -> Counterexample | None:
@@ -491,13 +481,13 @@ def minus_algebra(A: AlgebraStructure) -> AlgebraStructure:
 
 def _table_from_product(A: AlgebraStructure, product, name: str) -> AlgebraStructure:
     constants = [
-        [list(product(A.basis_element(i + 1), A.basis_element(j + 1)).coords) for j in range(A.dim)]
+        [product(A.basis_element(i + 1), A.basis_element(j + 1)) for j in range(A.dim)]
         for i in range(A.dim)
     ]
     return AlgebraStructure(name, A.dim, constants, A.parameters, A.basis)
 
 
-def mutation(A: AlgebraStructure, p: Element, q: Element) -> AlgebraStructure:
+def mutation(A: AlgebraStructure, p, q) -> AlgebraStructure:
     """(p,q)-mutation: x*y = (xp)y - (yq)x."""
 
     def star(x, y):
@@ -506,7 +496,7 @@ def mutation(A: AlgebraStructure, p: Element, q: Element) -> AlgebraStructure:
     return _table_from_product(A, star, f"mut({A.name})")
 
 
-def kantor_square(A: AlgebraStructure, p: Element) -> AlgebraStructure:
+def kantor_square(A: AlgebraStructure, p) -> AlgebraStructure:
     """p-Kantor square: x*y = p(xy) - (px)y - x(py)."""
 
     def star(x, y):

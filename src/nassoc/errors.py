@@ -56,7 +56,7 @@ class ParametricNotSupported(NassocError):
 
 
 class NotIdempotent(NassocError):
-    """Element passed as an idempotent does not satisfy e*e = e."""
+    """An element passed as an idempotent does not satisfy e*e = e."""
 
 
 class NonSplitOperator(NassocError):

@@ -138,7 +138,8 @@ class RatFunT:
 
     @staticmethod
     def const(c) -> "RatFunT":
-        return RatFunT([Fraction(c)])
+        """The constant c, a rational; a float raises TypeError."""
+        return RatFunT(c)
 
     @staticmethod
     def t() -> "RatFunT":

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import TruncationMismatch
-from .poly import signed_sum
+from .poly import as_fraction, signed_sum
 
 
 class SeriesQ:
@@ -14,7 +14,8 @@ class SeriesQ:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        """Raises TypeError on a coefficient that is not rational, a float say."""
+        coeffs = tuple(map(as_fraction, coeffs))
         if len(coeffs) != order:
             raise ValueError(f"expected {order} coefficients, got {len(coeffs)}")
         self.order = order

@@ -298,7 +298,7 @@ def pencil_invariant(A: AlgebraStructure) -> Fraction:
     v = A.basis_element(comp[1] + 1)
 
     def coeff(x, y):
-        prod = A.mul(x, y).coords
+        prod = A.mul(x, y)
         lam = Fraction(prod[pivot], z[pivot])  # int / int would be a float
         if any(prod[i] != lam * z[i] for i in range(3)):
             raise ShapeMismatch("products leave the one-dimensional square")

@@ -100,7 +100,7 @@ def sas_family_entries():
 def find_table_idempotent(A):
     for i in range(1, A.dim + 1):
         e = A.basis_element(i)
-        if A.equal_elements(A.mul(e, e), e):
+        if A.mul(e, e) == e:
             return i
     return None
 
@@ -331,7 +331,7 @@ def rows_structure():
             ok = split.a_half_zero and split.a0_ideal and split.a1_ideal and split.cross_products_zero
             rows.append(Row("structure", f"{name}: Peirce split at e{idx} ({S.name})", ok, f"dims {split.dims()}"))
             commutes = all(
-                S.equal_elements(S.mul(e, S.basis_element(j)), S.mul(S.basis_element(j), e))
+                S.mul(e, S.basis_element(j)) == S.mul(S.basis_element(j), e)
                 for j in range(1, S.dim + 1)
             )
             rows.append(Row("structure", f"{name}: idempotent commutes with everything ({S.name})", commutes))

@@ -32,10 +32,10 @@ setting, every split is post-verified and the flags are part of the result.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 
-from .algebras import AlgebraStructure, Element, check_identity
+from .algebras import AlgebraStructure, _word_value, check_identity
 from .errors import (
     NonSplitOperator,
     NotIdempotent,
@@ -45,7 +45,7 @@ from .errors import (
 from .exact.linalg import express, nullspace, solve_right, span
 from .exact.poly import PolyQ, as_fraction, canonical, ratio
 from .systems import builtin_system
-from .terms import shapes
+from .terms import build_word, shapes
 
 
 # ---------------------------------------------------------------------------
@@ -61,15 +61,15 @@ def _rref_rows(acc):
     return [[row.get(i, 0) for i in range(acc.ncols)] for row in acc.basis()]
 
 
-def _monomial_parts(A: AlgebraStructure, x: Element):
+def _monomial_parts(A: AlgebraStructure, x):
     """(monomial, rational vector) pairs that sum to x as monomial * vector.
 
     A parameter-free x is the single pair (1, x); a family element has one
     pair per parameter monomial that occurs in its coordinates.
     """
     if not A.parameters:
-        return [(1, list(x.coords))]
-    coords = [c.on_vars(A.parameters) for c in x.coords]
+        return [(1, list(x))]
+    coords = [c.on_vars(A.parameters) for c in x]
     monomials = sorted({e for c in coords for e in c.terms})
     return [
         (PolyQ(A.parameters, {mono: 1}), [c.terms.get(mono, 0) for c in coords])
@@ -77,22 +77,13 @@ def _monomial_parts(A: AlgebraStructure, x: Element):
     ]
 
 
-def monomial_coefficient_vectors(A: AlgebraStructure, x: Element):
-    """Rational coefficient vectors of x, one per parameter monomial.
+def product_span_vectors(A: AlgebraStructure, S1, S2):
+    """Rational vectors, one per parameter monomial of each product u v.
 
-    The span of these vectors contains the specialization of x at every
+    Their span contains the specialization of every product at every
     parameter value, which is the right hull for family-uniform chains.
     """
-    return [vec for _, vec in _monomial_parts(A, x)]
-
-
-def product_span_vectors(A: AlgebraStructure, S1, S2):
-    vecs = []
-    for u in S1:
-        for v in S2:
-            z = A.mul(A.element(u), A.element(v))
-            vecs.extend(monomial_coefficient_vectors(A, z))
-    return vecs
+    return [vec for u in S1 for v in S2 for _, vec in _monomial_parts(A, A.mul(u, v))]
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +106,30 @@ class PowersReport:
         )
 
 
-def power_subspaces(A: AlgebraStructure, limit: int | None = None) -> list[list]:
-    """[A^1, A^2, ...] as RREF row lists until the chain stabilizes (or hits zero)."""
+def _descending_chain(A: AlgebraStructure, next_vectors, limit: int | None = None) -> list[list]:
+    """[S_1 = A, S_2, ...] as RREF row lists, S_{k+1} the span of next_vectors(chain).
+
+    The chain stops at a member of dimension 0 or of the dimension of the
+    one before, or at limit members.  Each member lies in the one before,
+    so without a limit it stops within dim + 1 members.
+    """
     chain = [_identity_rows(A.dim)]
-    limit = limit if limit is not None else 2 * A.dim + 2
-    while len(chain) < limit:
-        k = len(chain) + 1
-        vecs = []
-        for i in range(1, k):
-            vecs.extend(product_span_vectors(A, chain[i - 1], chain[k - i - 1]))
-        nxt = _rref_rows(span(vecs, A.dim))
+    while limit is None or len(chain) < limit:
+        nxt = _rref_rows(span(next_vectors(chain), A.dim))
         chain.append(nxt)
         if not nxt or len(nxt) == len(chain[-2]):
             break
     return chain
+
+
+def power_subspaces(A: AlgebraStructure, limit: int | None = None) -> list[list]:
+    """[A^1, A^2, ...] as RREF row lists, A^k the span of every A^i A^(k-i)."""
+
+    def next_power(chain):
+        k = len(chain) + 1
+        return [vec for i in range(1, k) for vec in product_span_vectors(A, chain[i - 1], chain[k - i - 1])]
+
+    return _descending_chain(A, next_power, limit)
 
 
 def powers_and_nilpotency(A: AlgebraStructure) -> PowersReport:
@@ -138,12 +139,7 @@ def powers_and_nilpotency(A: AlgebraStructure) -> PowersReport:
     ncls = None
     if nilpotent:
         ncls = max(k for k, s in enumerate(chain, start=1) if s) if power_dims[0] > 0 else 0
-    derived = [_identity_rows(A.dim)]
-    for _ in range(2 * A.dim + 2):
-        nxt = _rref_rows(span(product_span_vectors(A, derived[-1], derived[-1]), A.dim))
-        derived.append(nxt)
-        if not nxt or len(nxt) == len(derived[-2]):
-            break
+    derived = _descending_chain(A, lambda chain: product_span_vectors(A, chain[-1], chain[-1]))
     solvable = not derived[-1]
     return PowersReport(power_dims, [len(s) for s in derived], nilpotent, solvable, ncls)
 
@@ -159,9 +155,8 @@ def restrict_to_subspace(A: AlgebraStructure, sub, name: str) -> AlgebraStructur
     constants = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(r):
-            z = A.mul(A.element(sub[i]), A.element(sub[j]))
             coords = [0] * r
-            for mono, vec in _monomial_parts(A, z):
+            for mono, vec in _monomial_parts(A, A.mul(sub[i], sub[j])):
                 if not acc.contains(dict(enumerate(vec))):
                     raise VerificationFailed(
                         f"subspace of {A.name} is not closed under multiplication"
@@ -236,25 +231,15 @@ def derivation_algebra(A: AlgebraStructure) -> DerivationAlgebra:
     return DerivationAlgebra(len(mats), mats)
 
 
-def apply_matrix(A: AlgebraStructure, M, x: Element) -> Element:
+def apply_matrix(A: AlgebraStructure, M, x) -> tuple:
     out = []
     for k in range(A.dim):
         acc = 0
         for i in range(A.dim):
             if M[k][i]:
-                acc = acc + x.coords[i] * M[k][i]
+                acc = acc + x[i] * M[k][i]
         out.append(A.lift(acc))
-    return Element(tuple(out))
-
-
-def _eval_bracketing(A: AlgebraStructure, shape, elements, state):
-    if shape == 0:
-        e = elements[state[0]]
-        state[0] += 1
-        return e
-    left = _eval_bracketing(A, shape[0], elements, state)
-    right = _eval_bracketing(A, shape[1], elements, state)
-    return A.mul(left, right)
+    return tuple(out)
 
 
 def is_leibniz_derivation(A: AlgebraStructure, M, n: int, bracketing="all") -> bool:
@@ -266,15 +251,16 @@ def is_leibniz_derivation(A: AlgebraStructure, M, n: int, bracketing="all") -> b
         raise ValueError(f"Leibniz order must be at least 1, got {n}")
     shape_list = shapes(n) if bracketing == "all" else (bracketing,)
     for shape in shape_list:
+        word = build_word(shape, range(n))
         for combo in itertools.product(range(1, A.dim + 1), repeat=n):
             elements = [A.basis_element(i) for i in combo]
-            lhs = apply_matrix(A, M, _eval_bracketing(A, shape, elements, [0]))
+            lhs = apply_matrix(A, M, _word_value(A, word, dict(enumerate(elements))))
             rhs = A.zero_element()
             for pos in range(n):
-                modified = list(elements)
+                modified = dict(enumerate(elements))
                 modified[pos] = apply_matrix(A, M, elements[pos])
-                rhs = A.add(rhs, _eval_bracketing(A, shape, modified, [0]))
-            if not A.equal_elements(lhs, rhs):
+                rhs = A.add(rhs, _word_value(A, word, modified))
+            if lhs != rhs:
                 return False
     return True
 
@@ -298,14 +284,14 @@ class PeirceSplit:
         return (len(self.a0), len(self.a_half), len(self.a1))
 
 
-def _lplus_matrix(A: AlgebraStructure, z: Element):
+def _lplus_matrix(A: AlgebraStructure, z):
     """Matrix of x -> (zx + xz)/2; column m is the image of e_{m+1}."""
     n = A.dim
     half = Fraction(1, 2)
     cols = []
     for m in range(1, n + 1):
         b = A.basis_element(m)
-        cols.append(A.scale(half, A.add(A.mul(z, b), A.mul(b, z))).coords)
+        cols.append(A.scale(half, A.add(A.mul(z, b), A.mul(b, z))))
     return [[cols[m][k] for m in range(n)] for k in range(n)]
 
 
@@ -314,23 +300,21 @@ def _is_ideal(A: AlgebraStructure, vectors) -> bool:
     with every basis element on either side."""
     prods = []
     for u in vectors:
-        x = A.element(u)
         for i in range(1, A.dim + 1):
             b = A.basis_element(i)
-            for prod in (A.mul(x, b), A.mul(b, x)):
-                prods.append(list(prod.coords))
+            prods += [A.mul(u, b), A.mul(b, u)]
     return span(list(vectors) + prods, A.dim).rank == len(vectors)
 
 
-def peirce(A: AlgebraStructure, e: Element) -> PeirceSplit:
-    """Eigenspace split of x -> (xe + ex)/2 at an exact idempotent e."""
+def peirce(A: AlgebraStructure, e) -> PeirceSplit:
+    """Eigenspace split of x -> (xe + ex)/2 at an exact idempotent e, given by its coordinates."""
     if A.is_parametric():
         raise ParametricNotSupported(f"specialize {A.name} before the Peirce split")
     try:
-        e = A.element(e.coords)
+        e = A.element(e)
     except ValueError:
         raise ParametricNotSupported("element must have rational coordinates") from None
-    if not A.equal_elements(A.mul(e, e), e):
+    if A.mul(e, e) != e:
         raise NotIdempotent("e*e differs from e")
     n = A.dim
     L = _lplus_matrix(A, e)
@@ -348,9 +332,8 @@ def peirce(A: AlgebraStructure, e: Element) -> PeirceSplit:
     cross_zero = True
     for u in a0:
         for v in a1:
-            for prod in (A.mul(A.element(u), A.element(v)), A.mul(A.element(v), A.element(u))):
-                if not A.is_zero_element(prod):
-                    cross_zero = False
+            if any(A.mul(u, v)) or any(A.mul(v, u)):
+                cross_zero = False
     return PeirceSplit(
         a0=a0,
         a_half=a_half,
@@ -533,25 +516,21 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
     qconsts = [[None] * s_dim for _ in range(s_dim)]
     for a in range(s_dim):
         for b in range(s_dim):
-            prod = A.mul(A.element(free_units[a]), A.element(free_units[b]))
-            qconsts[a][b] = project(list(prod.coords))
+            qconsts[a][b] = project(A.mul(free_units[a], free_units[b]))
     Q = AlgebraStructure(f"{A.name}/rad", s_dim, qconsts)
     if not check_identity(Q, builtin_system("com-as")).holds:
         raise VerificationFailed(f"quotient of {A.name} by the trace kernel is not commutative associative")
 
-    def qmul(u, v):
-        return list(Q.mul(Q.element(u), Q.element(v)).coords)
-
     # unit of the quotient: sum_j unit_j e_j e_i = e_i for every i
     q_eye = _identity_rows(s_dim)
     unit = express(
-        [[x for ei in q_eye for x in qmul(ej, ei)] for ej in q_eye],
+        [[x for ei in q_eye for x in Q.mul(ej, ei)] for ej in q_eye],
         [x for ei in q_eye for x in ei],
     )
     if unit is None:
         raise VerificationFailed(f"quotient of {A.name} has no unit; trace kernel is not the radical")
 
-    prim = _primitive_idempotents(qmul, q_eye, unit, A.name)
+    prim = _primitive_idempotents(Q.mul, q_eye, unit, A.name)
 
     # lift the idempotents into shrinking Peirce-zero ideals
     lifted = []
@@ -560,27 +539,21 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
         sol = express([project(v) for v in ideal], qbar)
         if sol is None:
             raise VerificationFailed("idempotent has no preimage in the Peirce ideal")
-        x = [sum(sol[t] * ideal[t][i] for t in range(len(ideal))) for i in range(n)]
+        x = tuple(A.lift(sum(sol[t] * ideal[t][i] for t in range(len(ideal)))) for i in range(n))
         for _ in range(2 * n + 4):
-            xe = A.element(x)
-            sq = A.mul(xe, xe)
-            if A.equal_elements(sq, xe):
+            sq = A.mul(x, x)
+            if sq == x:
                 break
-            cube_l = A.mul(sq, xe)
-            cube_r = A.mul(xe, sq)
-            if not A.equal_elements(cube_l, cube_r):
+            cube_l = A.mul(sq, x)
+            cube_r = A.mul(x, sq)
+            if cube_l != cube_r:
                 raise VerificationFailed("cubic idempotent iteration left the associative subalgebra")
-            nxt = A.add(A.scale(3, sq), A.scale(-2, cube_l))
-            x = list(nxt.coords)
+            x = A.add(A.scale(3, sq), A.scale(-2, cube_l))
         else:
             raise VerificationFailed("idempotent lifting did not converge")
-        lifted.append(x)
+        lifted.append(list(x))
         # shrink to the joint Peirce-zero ideal
-        e_elem = A.element(x)
-        rows = []
-        for v in ideal:
-            w = A.add(A.mul(A.element(v), e_elem), A.mul(e_elem, A.element(v)))
-            rows.append(list(w.coords))
+        rows = [A.add(A.mul(v, x), A.mul(x, v)) for v in ideal]
         columns = [[rows[t][i] for t in range(len(ideal))] for i in range(n)]
         kern = nullspace(columns, ncols=len(ideal)) if ideal else []
         ideal = _rref_rows(
@@ -591,9 +564,7 @@ def wedderburn(A: AlgebraStructure) -> WedderburnSplit:
     ortho = True
     for i, u in enumerate(lifted):
         for j, v in enumerate(lifted):
-            prod = A.mul(A.element(u), A.element(v))
-            expected = A.element(u) if i == j else A.zero_element()
-            if not A.equal_elements(prod, expected):
+            if A.mul(u, v) != (tuple(u) if i == j else A.zero_element()):
                 ortho = False
     flags["idempotents_orthonormal"] = ortho
     flags["sum_is_direct"] = len(radical) + len(lifted) == n == span(radical + lifted, n).rank
@@ -666,19 +637,7 @@ class Fingerprint:
     cyclic_associative: bool
 
     def as_tuple(self):
-        return (
-            self.dim,
-            self.dim_a2,
-            self.dim_a3,
-            self.dim_annihilator,
-            self.dim_der,
-            self.dim_der_plus,
-            self.nilpotency_class,
-            self.commutative,
-            self.associative,
-            self.shift_associative,
-            self.cyclic_associative,
-        )
+        return astuple(self)
 
 
 def annihilator_dim(A: AlgebraStructure) -> int:

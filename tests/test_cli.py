@@ -404,8 +404,11 @@ def test_reproduce_json_deterministic(capsys):
 
 
 def test_demo_scripts_run():
-    for script in sorted(pathlib.Path("demos").glob("*.py")):
-        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    scripts = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+    assert [s.name for s in scripts] == ["classification_walkthrough.py", "operad_walkthrough.py"]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nassoc.__file__).parent.parent)}
+    for script in scripts:
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
 

@@ -116,8 +116,8 @@ def test_tables_hold_fractions_and_families_hold_polynomials():
         half = A.element([Fraction(1, 2)] * A.dim)
         elements = [*basis, half, A.add(half, half), A.scale(Fraction(2), half)]
         scalars = [c for row in A.constants for vec in row for c in vec]
-        scalars += [c for x in elements for c in x.coords]
-        scalars += [c for x in elements for y in elements for c in A.mul(x, y).coords]
+        scalars += [c for x in elements for c in x]
+        scalars += [c for x in elements for y in elements for c in A.mul(x, y)]
         assert all(isinstance(c, PolyQ) == A.is_parametric() for c in scalars), name
         assert all(map(_canonical, scalars)), name
 

@@ -230,6 +230,15 @@ def test_ratfun_constant_hashes_like_its_fraction():
     assert len({RatFunT(0), 0}) == 1
 
 
+def test_floats_are_refused_in_t_and_in_series():
+    """A float would enter as its binary expansion, 0.1 as 3602879701896397/2^55."""
+    for build in (RatFunT, RatFunT.const, lambda c: SeriesQ(2, [Q(1, 2), c])):
+        with pytest.raises(TypeError):
+            build(0.1)
+    assert str(RatFunT.const(Q(1, 10))) == "1/10"
+    assert str(SeriesQ(2, [Q(1, 2), Q(1, 10)])) == "1/2*t + 1/10*t^2"
+
+
 # ---------------------------------------------------------------------------
 # truncated series
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nassoc.corpus import corpus_names, load_algebra, load_certificate, load_closed_set, run_certificate
 from nassoc.algebras import AlgebraStructure
-from nassoc.errors import NassocError, ParametricNotSupported, ShapeMismatch, SingularForAllT
+from nassoc.errors import NassocError, NonSplitOperator, ParametricNotSupported, ShapeMismatch, SingularForAllT
 from nassoc.exact.poly import PolyQ
 from nassoc.exact.ratfun import RatFunT
 from nassoc.moduli import (
@@ -388,8 +388,8 @@ def test_generic_derivation_dim_against_specializations():
 
 
 def _floats(x):
-    """Every float reachable from x through containers, dataclasses (Element
-    and the result records), PolyQ coefficients and RatFunT coefficients."""
+    """Every float reachable from x through containers (elements are tuples),
+    dataclasses (the result records), PolyQ coefficients and RatFunT coefficients."""
     if isinstance(x, float):
         yield x
     elif isinstance(x, (list, tuple, set)):
@@ -447,7 +447,11 @@ def test_structure_and_transform_results_hold_no_float(data):
     else:
         results.append(split)
         idempotents += [A.element(e) for e in split.s_basis]
-    results += [peirce(A, e) for e in idempotents]
+    for e in idempotents:
+        try:
+            results.append(peirce(A, e))
+        except NonSplitOperator:
+            pass  # a typed refusal: see test_peirce_refuses_a_wedderburn_idempotent_off_the_spectrum
     t = RatFunT.t()
     m = data.draw(_matrices(A.dim))
     powers = [data.draw(st.integers(0, 2)) for _ in range(A.dim)]
@@ -458,6 +462,18 @@ def test_structure_and_transform_results_hold_no_float(data):
     columns = [[RatFunT(int(r == i)) * t ** (i % 2) for r in range(family.dim)] for i in range(family.dim)]
     results.append(transform(family, ParamBasis(columns, {"alpha": alpha})))
     assert not list(_floats(results))
+
+
+def test_peirce_refuses_a_wedderburn_idempotent_off_the_spectrum():
+    """On e2 e1 = e1, e2 e2 = -e2 the split is verified at the idempotent -e2,
+    but L+ of -e2 has the eigenvalue -1/2 on e1, so the Peirce split refuses it."""
+    A = AlgebraStructure("t", 2, [[[0, 0], [0, 0]], [[1, 0], [0, -1]]])
+    split = wedderburn(A)
+    assert split.s_basis == [[0, -1]] and split.r_basis == [[1, 0]]
+    assert split.all_ok
+    with pytest.raises(NonSplitOperator, match="caught 1 of 2"):
+        peirce(A, split.s_basis[0])
+    assert not list(_floats([derivation_algebra(A), split]))
 
 
 @settings(max_examples=60, deadline=None)
