@@ -117,10 +117,10 @@ class AlgebraStructure:
 
         Raises ValueError when their number is not the dimension.
         """
-        coords = tuple(self.lift(c) for c in coords)
+        coords = tuple(coords)
         if len(coords) != self.dim:
             raise ValueError("coordinate vector has the wrong length")
-        return coords
+        return tuple(map(self.lift, coords))
 
     def add(self, x, y) -> tuple:
         return tuple(self.lift(a + b) for a, b in zip(x, y))

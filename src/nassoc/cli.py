@@ -418,10 +418,7 @@ def cmd_cocycle(args, report, L):
     entries = {}
     for key, vec in data["entries"].items():
         i, j = (int(x) for x in key.split(","))
-        entries[(i, j)] = tuple(
-            exprparse.evaluate(s, env, PolyQ.const) if isinstance(s, str) else PolyQ.const(s)
-            for s in vec
-        )
+        entries[(i, j)] = tuple(exprparse.evaluate(s, env, PolyQ.const) for s in vec)
     return _construction(args, report, algebra_from_cocycle(L, CocycleSpec(L.dim, entries), args.name))
 
 

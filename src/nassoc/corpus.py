@@ -79,7 +79,8 @@ def run_certificate(cert: dict, sample=None):
     Plain certificates: {"from", "subst"?, "basis", "to"}.  Family
     certificates add "family_parameter" and "samples" (rational strings);
     `sample` picks one value, defaulting to each listed sample in turn (a
-    list of results is returned in that case).
+    list of results is returned in that case).  A sample for a plain
+    certificate is a ValueError.
     """
     from .moduli import family_degeneration_check
 
@@ -96,4 +97,6 @@ def run_certificate(cert: dict, sample=None):
             env = {cert["family_parameter"]: rational(s, "certificate samples")}
             results.append(family_degeneration_check(source, columns, subst, target, env))
         return results
+    if sample is not None:
+        raise ValueError(f"certificate {cert['from']} -> {cert['to']} has no family_parameter to sample")
     return family_degeneration_check(source, columns, subst, target, None)

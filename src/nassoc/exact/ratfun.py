@@ -1,7 +1,8 @@
 """Univariate rational functions of t over the rationals.
 
-Stored as a reduced numerator/denominator pair of dense coefficient lists
-(little-endian).  Reduction divides by the polynomial gcd and scales so the
+Stored as a reduced numerator/denominator pair of `PolyQ` polynomials in
+the variables ("t",), so PolyQ does all the coefficient arithmetic and
+printing.  Reduction divides by the polynomial gcd and scales so the
 denominator is monic, which makes evaluation at t = 0 well defined exactly
 when the reduced denominator has a nonzero constant term.
 """
@@ -11,83 +12,48 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import PoleAtZero
-from .poly import PolyQ, signed_sum
+from .poly import PolyQ, as_fraction, ratio
 
-UPoly = list  # list[Fraction], coefficient of t^i at index i
-
-
-def _trim(p: UPoly) -> UPoly:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+T = ("t",)
+ONE = PolyQ.const(1, T)
 
 
-def _add(a: UPoly, b: UPoly) -> UPoly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
+def _poly(p) -> PolyQ:
+    """p, a PolyQ in t, a coefficient list c0, c1, ... or a rational, as a
+    polynomial on ("t",); a float raises TypeError."""
+    if isinstance(p, PolyQ):
+        if p.used_vars() not in ((), T):
+            raise ValueError("rational function must be univariate in t")
+        return p.on_vars(T)
+    if isinstance(p, (list, tuple)):
+        return PolyQ(T, (((i,), c) for i, c in enumerate(p)))
+    return PolyQ.const(p, T)
 
 
-def _neg(a: UPoly) -> UPoly:
-    return [-c for c in a]
+def _lead(p: PolyQ) -> tuple[int, Fraction | int]:
+    """Degree and leading coefficient of a nonzero polynomial in t."""
+    top = max(p.terms)
+    return top[0], p.terms[top]
 
 
-def _mul(a: UPoly, b: UPoly) -> UPoly:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
+def _divmod(a: PolyQ, b: PolyQ) -> tuple[PolyQ, PolyQ]:
+    """Quotient and remainder of a by a nonzero b."""
+    db, cb = _lead(b)
+    q = PolyQ.zero(T)
+    while a:
+        da, ca = _lead(a)
+        if da < db:
+            break
+        m = PolyQ(T, {(da - db,): ratio(ca, cb)})
+        q, a = q + m, a - m * b
+    return q, a
 
 
-def _divmod(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i, cb in enumerate(b):
-            a[d + i] -= c * cb
-        _trim(a)
-    return _trim(q), a
-
-
-def _gcd(a: UPoly, b: UPoly) -> UPoly:
-    a, b = list(a), list(b)
+def _gcd(a: PolyQ, b: PolyQ) -> PolyQ:
+    """A gcd of a and b, up to a rational factor."""
     while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        a, b = b, _divmod(a, b)[1]
     return a
-
-
-def _upoly_str(p: UPoly) -> str:
-    parts = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if c == 0:
-            continue
-        if i == 0:
-            body = str(abs(c))
-        else:
-            power = "t" if i == 1 else f"t^{i}"
-            body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-        parts.append(("-" if c < 0 else "+", body))
-    return signed_sum(parts)
 
 
 class RatFunT:
@@ -96,43 +62,22 @@ class RatFunT:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = self._coerce_poly(num)
-        den = [Fraction(1)] if den is None else self._coerce_poly(den)
+        """num and den: PolyQs in t, coefficient lists c0, c1, ... or rationals."""
+        num = _poly(num)
+        den = ONE if den is None else _poly(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num:
+        if not num:
+            den = ONE
+        elif num.total_degree() and den.total_degree():
             g = _gcd(num, den)
-            if len(g) > 1:
-                num, _ = _divmod(num, g)
-                den, _ = _divmod(den, g)
-        else:
-            den = [Fraction(1)]
-        lead = den[-1]
+            if g.total_degree():
+                num, den = _divmod(num, g)[0], _divmod(den, g)[0]
+        lead = _lead(den)[1]
         if lead != 1:
-            num = [c / lead for c in num]
-            den = [c / lead for c in den]
+            num, den = num / lead, den / lead
         self.num = num
         self.den = den
-
-    @staticmethod
-    def _coerce_poly(p) -> UPoly:
-        if isinstance(p, (int, Fraction)):
-            c = Fraction(p)
-            return [c] if c != 0 else []
-        if isinstance(p, PolyQ):
-            if p.is_zero():
-                return []
-            if p.used_vars() not in ((), ("t",)):
-                raise ValueError("rational function must be univariate in t")
-            q = p.on_vars(("t",))
-            out = [Fraction(0)] * (q.total_degree() + 1)
-            for (e,), c in q.terms.items():
-                out[e] = Fraction(c)  # PolyQ keeps integral coefficients as int
-            return _trim(out)
-        if isinstance(p, (list, tuple)):
-            # the lists of RatFunT arithmetic hold Fractions already
-            return _trim([c if c.__class__ is Fraction else Fraction(c) for c in p])
-        raise TypeError(f"cannot build polynomial in t from {type(p).__name__}")
 
     # -- constructors ------------------------------------------------------
 
@@ -143,7 +88,7 @@ class RatFunT:
 
     @staticmethod
     def t() -> "RatFunT":
-        return RatFunT([Fraction(0), Fraction(1)])
+        return RatFunT([0, 1])
 
     # -- predicates ---------------------------------------------------------
 
@@ -151,12 +96,12 @@ class RatFunT:
         return not self.num
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
+        return self.num.is_constant() and self.den.is_constant()
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.num[0] / self.den[0] if self.num else Fraction(0)
+        return as_fraction(self.num.constant_value())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -168,12 +113,12 @@ class RatFunT:
 
     def __add__(self, other):
         o = self._lift(other)
-        return RatFunT(_add(_mul(self.num, o.den), _mul(o.num, self.den)), _mul(self.den, o.den))
+        return RatFunT(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunT(_neg(self.num), self.den)
+        return RatFunT(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -183,7 +128,7 @@ class RatFunT:
 
     def __mul__(self, other):
         o = self._lift(other)
-        return RatFunT(_mul(self.num, o.num), _mul(self.den, o.den))
+        return RatFunT(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -191,7 +136,7 @@ class RatFunT:
         o = self._lift(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunT(_mul(self.num, o.den), _mul(self.den, o.num))
+        return RatFunT(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
@@ -199,10 +144,7 @@ class RatFunT:
     def __pow__(self, n: int):
         if n < 0:
             return RatFunT(self.den, self.num) ** (-n)
-        out = RatFunT.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return RatFunT(self.num**n, self.den**n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -212,10 +154,8 @@ class RatFunT:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self.is_constant():
-            # a constant equals its Fraction, so it must hash like one
-            return hash(self.constant_value())
-        return hash((tuple(self.num), tuple(self.den)))
+        # over the denominator 1 a constant numerator hashes like its Fraction, as it must
+        return hash(self.num) if self.den.is_constant() else hash((self.num, self.den))
 
     def __bool__(self):
         return bool(self.num)
@@ -223,26 +163,24 @@ class RatFunT:
     # -- evaluation -----------------------------------------------------------
 
     def eval_at(self, value) -> Fraction:
-        v = Fraction(value)
-        den = sum(c * v**i for i, c in enumerate(self.den))
+        env = {"t": as_fraction(value)}
+        den = self.den.eval(env)
         if den == 0:
-            raise ZeroDivisionError(f"pole of {self} at t = {v}")
-        num = sum(c * v**i for i, c in enumerate(self.num))
-        return num / den
+            raise ZeroDivisionError(f"pole of {self} at t = {env['t']}")
+        return self.num.eval(env) / den
 
     def value_at_zero(self) -> Fraction:
-        if not self.den or self.den[0] == 0:
+        if not self.den.terms.get((0,)):
             raise PoleAtZero(f"{self} has a pole at t = 0")
-        return (self.num[0] if self.num else Fraction(0)) / self.den[0]
+        return self.eval_at(0)
 
     def __str__(self):
-        if self.den == [Fraction(1)]:
-            return _upoly_str(self.num)
-        num = _upoly_str(self.num)
-        den = _upoly_str(self.den)
-        if len(self.num) > 1 or (self.num and self.num[0] < 0):
+        if self.den == ONE:
+            return str(self.num)
+        num, den = str(self.num), str(self.den)
+        if self.num.total_degree() or _lead(self.num)[1] < 0:
             num = f"({num})"
-        if len(self.den) > 1:
+        if self.den.total_degree():
             den = f"({den})"
         return f"{num}/{den}"
 

@@ -1,11 +1,17 @@
-"""Truncated power series with zero constant term, over the rationals."""
+"""Truncated power series with zero constant term, over the rationals.
+
+A series keeps its coefficients c_1..c_N as a tuple of Fractions;
+composition multiplies them as PolyQ polynomials in t, truncated at t^N.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from ..errors import TruncationMismatch
-from .poly import as_fraction, signed_sum
+from .poly import PolyQ, as_fraction, signed_sum
+
+T = ("t",)
 
 
 class SeriesQ:
@@ -70,30 +76,15 @@ def compose_series(f: SeriesQ, g: SeriesQ) -> SeriesQ:
     """Coefficients of f(g(t)) modulo t^{N+1}.
 
     Both series must share the truncation order N; having no constant term is
-    built into the representation, so the composition is well defined.
+    built into the representation, so the composition is well defined.  The
+    sum of c_k g^k runs on PolyQ, each power truncated past degree N.
     """
     if f.order != g.order:
         raise TruncationMismatch(f"orders {f.order} and {g.order} differ")
     n = f.order
-    # dense polynomial arithmetic truncated at degree n; index i = coeff of t^i
-    def mul(a, b):
-        out = [Fraction(0)] * (n + 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if i + j > n:
-                    break
-                out[i + j] += ca * cb
-        return out
-
-    gp = [Fraction(0)] + list(g.coeffs)  # g as dense poly
-    power = [Fraction(1)] + [Fraction(0)] * n  # g^0
-    acc = [Fraction(0)] * (n + 1)
-    for k in range(1, n + 1):
-        power = mul(power, gp)
-        ck = f.coeffs[k - 1]
-        if ck != 0:
-            for i in range(n + 1):
-                acc[i] += ck * power[i]
-    return SeriesQ(n, acc[1:])
+    gp = PolyQ(T, (((i,), c) for i, c in enumerate(g.coeffs, start=1)))
+    power, acc = PolyQ.const(1, T), PolyQ.zero(T)
+    for ck in f.coeffs:
+        power = PolyQ(T, {e: c for e, c in (power * gp).terms.items() if e[0] <= n})
+        acc = acc + ck * power
+    return SeriesQ(n, [acc.terms.get((i,), 0) for i in range(1, n + 1)])

@@ -173,9 +173,18 @@ def rational(text, source: str) -> Fraction:
         raise ParseError(f"{source} expects a rational number, got {text!r}") from None
 
 
-def evaluate(text: str, env, const):
+def evaluate(text: str | int, env, const):
     """The value of text, with env mapping names to domain values and const
-    lifting a Fraction; a syntax or evaluation error is a ParseError."""
+    lifting a Fraction; a syntax or evaluation error is a ParseError.
+
+    This reads every coefficient field of the file formats: an int, as JSON
+    gives an integer, is taken as its value, and anything but a str or an
+    int (a float or a bool say) is a ParseError.
+    """
+    if text.__class__ is int:
+        return const(Fraction(text))
+    if not isinstance(text, str):
+        raise ParseError(f"expected a coefficient string or an integer, got {type(text).__name__} {text!r}")
     parser = _Parser(tokenize(text), text, env, const)
     value = parser.parse_expr()
     kind, _, at = parser.peek()

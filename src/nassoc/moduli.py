@@ -342,31 +342,16 @@ def monomial_certificate_search(A: AlgebraStructure, B: AlgebraStructure, max_ex
     if B.dim != n:
         raise ValueError("dimension mismatch")
     cA, cB = A.constants, B.constants
-    found = []
-    for ks in itertools.product(range(max_exp + 1), repeat=n):
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    a = cA[i][j][k]
-                    b = cB[i][j][k]
-                    if a == 0:
-                        if b != 0:
-                            ok = False
-                    else:
-                        d = ks[i] + ks[j] - ks[k]
-                        if d < 0:
-                            ok = False
-                        elif d == 0:
-                            ok = a == b
-                        else:
-                            ok = b == 0
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(ks)
-    return found
+
+    def fits(a, b, d):
+        # t^d a tends to b: d > 0 sends a to 0, d = 0 keeps it, d < 0 is a pole
+        if a == 0:
+            return b == 0
+        return d > 0 and b == 0 or d == 0 and a == b
+
+    cells = list(itertools.product(range(n), repeat=3))
+    return [
+        ks
+        for ks in itertools.product(range(max_exp + 1), repeat=n)
+        if all(fits(cA[i][j][k], cB[i][j][k], ks[i] + ks[j] - ks[k]) for i, j, k in cells)
+    ]

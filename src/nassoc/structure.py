@@ -310,9 +310,12 @@ def peirce(A: AlgebraStructure, e) -> PeirceSplit:
     """Eigenspace split of x -> (xe + ex)/2 at an exact idempotent e, given by its coordinates."""
     if A.is_parametric():
         raise ParametricNotSupported(f"specialize {A.name} before the Peirce split")
+    e = tuple(e)
     try:
         e = A.element(e)
     except ValueError:
+        if len(e) != A.dim:
+            raise
         raise ParametricNotSupported("element must have rational coordinates") from None
     if A.mul(e, e) != e:
         raise NotIdempotent("e*e differs from e")

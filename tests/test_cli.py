@@ -11,6 +11,9 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
+
+import pytest
 
 import nassoc
 from nassoc import corpus
@@ -329,6 +332,49 @@ def test_malformed_algebra_json_names_the_fault(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check-identity", "--algebra", _algebra_file(tmp_path, ["e1", "e2"], [e1e1]),
                            "--system", "sas")
     assert code == 0 and out.strip() == "holds"
+
+
+def test_numeric_coefficient_fields(capsys, tmp_path):
+    """An integer coefficient reads as its string form; a float or a bool is
+    a usage error, in algebra files, certificate bases and cocycle entries.
+    Each of these used to exit 1 with a TypeError traceback."""
+    bad = "error: expected a coefficient string or an integer, got "
+
+    def algebra(coeff):
+        e1e1 = {"left": "e1", "right": "e1", "value": [[coeff, "e2"]]}
+        return _algebra_file(tmp_path, ["e1", "e2"], [e1e1])
+
+    assert corpus.load_algebra(algebra(-2)).to_json_dict() == corpus.load_algebra(algebra("-2")).to_json_dict()
+    for coeff, shown in ((0.5, "float 0.5"), (True, "bool True")):
+        code, out, err = run_cli(capsys, "check-identity", "--algebra", algebra(coeff), "--system", "sas")
+        assert code == 2 and not out
+        assert err == f"{bad}{shown}\n"
+
+    cert = corpus.load_certificate("a13_to_a14")
+    path = tmp_path / "cert.json"
+    outputs = []
+    for zero in ("0", 0, 0.5):
+        path.write_text(json.dumps({**cert, "basis": [[zero if x == "0" else x for x in col] for col in cert["basis"]]}))
+        outputs.append(run_cli(capsys, "degenerate", "--cert", str(path), "--json"))
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+    assert outputs[2] == (2, "", f"{bad}float 0.5\n")
+
+    theta = tmp_path / "theta.json"
+    outputs = []
+    for one in ("1", 1, 0.5):
+        theta.write_text(json.dumps({"parameters": ["alpha"], "entries": {"1,1": ["0", "0", one], "2,2": ["0", 0, "alpha"]}}))
+        outputs.append(run_cli(capsys, "cocycle", "--lie", "L1", "--theta", str(theta), "--check-system", "sas"))
+    assert outputs[0][0] == 0 and "(alpha)*e3" in outputs[0][1] and outputs[1] == outputs[0]
+    assert outputs[2] == (2, "", f"{bad}float 0.5\n")
+
+
+def test_sample_of_a_plain_certificate_is_a_usage_error(capsys):
+    # the sample used to be ignored, and the certificate reported as verified
+    code, out, err = run_cli(capsys, "degenerate", "--cert", "a12_0_to_a11", "--sample", "5")
+    assert code == 2 and not out
+    assert err == "error: certificate a12 -> a11 has no family_parameter to sample\n"
+    with pytest.raises(ValueError, match="no family_parameter"):
+        corpus.run_certificate(corpus.load_certificate("a13_to_a14"), sample=Fraction(1))
 
 
 def test_symbolic_check_refuses_a_parameter_named_like_a_coordinate(capsys, tmp_path):

@@ -206,8 +206,8 @@ def test_ratfun_field():
 
 def test_ratfun_monic_denominator():
     f = RatFunT([2], [0, 4])  # 2/(4t) -> (1/2)/t
-    assert f.den == [Q(0), Q(1)]
-    assert f.num == [Q(1, 2)]
+    assert f.den == PolyQ.var("t")
+    assert f.num == PolyQ.const(Q(1, 2))
 
 
 def test_ratfun_eval():
@@ -216,11 +216,12 @@ def test_ratfun_eval():
 
 
 def test_ratfun_from_polyq_keeps_fraction_coefficients():
-    # PolyQ stores 1 and 2 as int; copied raw, c / lead divided two ints
+    # PolyQ stores 1 and 2 as int; dividing by the leading 2 must not make a float
     t = PolyQ.var("t")
     f = RatFunT(PolyQ.const(1) + t, 2 * t + 4)
     assert str(f) == "(1/2*t + 1/2)/(t + 2)"
-    assert all(type(c) is Q for c in f.num + f.den)
+    coeffs = [*f.num.terms.values(), *f.den.terms.values()]
+    assert all(type(c) is int or (type(c) is Q and c.denominator != 1) for c in coeffs)
 
 
 def test_ratfun_constant_hashes_like_its_fraction():
@@ -237,6 +238,89 @@ def test_floats_are_refused_in_t_and_in_series():
             build(0.1)
     assert str(RatFunT.const(Q(1, 10))) == "1/10"
     assert str(SeriesQ(2, [Q(1, 2), Q(1, 10)])) == "1/2*t + 1/10*t^2"
+
+
+@pytest.mark.parametrize(
+    "f, text",
+    [
+        (RatFunT([0, 1], [1, 1]), "(t)/(t + 1)"),
+        (RatFunT([-1], [0, 1]), "(-1)/(t)"),
+        (RatFunT(PolyQ.const(1) + PolyQ.var("t"), 2 * PolyQ.var("t") + 4), "(1/2*t + 1/2)/(t + 2)"),
+        (RatFunT.const(Q(1, 10)), "1/10"),
+        (RatFunT([1, 0, -2], [3, 1]), "(-2*t^2 + 1)/(t + 3)"),
+        (RatFunT([Q(-1, 2), 0, 0, -3]), "-3*t^3 - 1/2"),
+        (RatFunT([3], [0, 0, 6]), "1/2/(t^2)"),
+        (RatFunT([-3], [2, 4]), "(-3/4)/(t + 1/2)"),
+        (RatFunT([0, 2], [0, 0, 4]), "1/2/(t)"),
+        (RatFunT(0, [0, 5]), "0"),
+    ],
+)
+def test_ratfun_printing_is_pinned(f, text):
+    """A numerator is parenthesized when it has positive degree or is a
+    negative constant; a denominator when it has positive degree."""
+    assert str(f) == text
+
+
+def _coeffs(p):
+    """The coefficients c0, c1, ... of a numerator or denominator of a RatFunT."""
+    return [p.terms.get((i,), 0) for i in range(p.total_degree() + 1)] if p else []
+
+
+def _coprime(a, b) -> bool:
+    """gcd(a, b) has degree 0, read off the Sylvester matrix: it is
+    nonsingular exactly when a and b share no root."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return bareiss_rank(rows) == m + n
+
+
+SMALL_Q = st.sampled_from([0, 0, 1, -1, 2, -3, Q(1, 2), Q(-2, 3)])
+
+
+@st.composite
+def _small_ratfun(draw):
+    num = draw(st.lists(SMALL_Q, max_size=3))
+    den = draw(st.lists(SMALL_Q, min_size=1, max_size=3).filter(any))
+    return RatFunT(num, den)
+
+
+def _assert_reduced(f):
+    num, den = _coeffs(f.num), _coeffs(f.den)
+    assert den and den[-1] == 1
+    assert _coprime(num, den) if num else den == [1]
+    if den[0] != 0:
+        assert f.value_at_zero() == f.eval_at(0)
+    else:
+        with pytest.raises(PoleAtZero):
+            f.value_at_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_ratfun(), _small_ratfun(), st.integers(-2, 3), st.lists(SMALL_Q, min_size=1, max_size=4))
+def test_ratfun_arithmetic_agrees_with_evaluation(f, g, k, points):
+    """+, -, *, / and ** commute with evaluation at points away from poles,
+    and every result is reduced with a monic denominator."""
+    results = {"+": f + g, "-": f - g, "*": f * g, "**": None, "/": None}
+    if g:
+        results["/"] = f / g
+    if f or k >= 0:
+        results["**"] = f**k
+    for h in [f, g, *results.values()]:
+        if h is not None:
+            _assert_reduced(h)
+    for x in points:
+        try:
+            fx, gx = f.eval_at(x), g.eval_at(x)
+        except ZeroDivisionError:
+            continue
+        assert results["+"].eval_at(x) == fx + gx
+        assert results["-"].eval_at(x) == fx - gx
+        assert results["*"].eval_at(x) == fx * gx
+        if gx:
+            assert results["/"].eval_at(x) == fx / gx
+        if fx or k >= 0:
+            assert results["**"].eval_at(x) == fx**k
 
 
 # ---------------------------------------------------------------------------

@@ -400,7 +400,7 @@ def _floats(x):
     elif isinstance(x, PolyQ):
         yield from _floats(list(x.terms.values()))
     elif isinstance(x, RatFunT):
-        yield from _floats(x.num + x.den)
+        yield from _floats([x.num, x.den])
     elif dataclasses.is_dataclass(x):
         yield from _floats([getattr(x, f.name) for f in dataclasses.fields(x)])
 

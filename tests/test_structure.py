@@ -236,6 +236,16 @@ def test_peirce_rejects_non_idempotent():
         peirce(A, A.element([2, 0, 0, 0]))
 
 
+def test_peirce_reads_its_element_like_a_element():
+    # a wrong coordinate count used to be reported as a parameter problem
+    A = load_algebra("A10")
+    with pytest.raises(ValueError, match="coordinate vector has the wrong length"):
+        peirce(A, (1, 0))
+    with pytest.raises(ParametricNotSupported, match="rational coordinates"):
+        peirce(A, (PolyQ.var("x"), 0, 0))
+    assert peirce(A, (1, 0, 0)).dims() == peirce(A, A.basis_element(1)).dims()
+
+
 def test_peirce_non_split_operator():
     # e1 idempotent with e1 e2 = 3 e2 = e2 e1: the averaged operator has
     # eigenvalue 3, outside {0, 1/2, 1}
