@@ -20,36 +20,42 @@ any infinite field and also covers non-multilinear identities directly.
 
 Both modes reach their verdict compiled once per call, without forming an
 element: the constants become a sparse table of the nonzero (k, c) of each
-product e_i e_j, each word becomes its tree shape and leaf labels, and the
-value of a shape on a tuple of basis indices is computed once and shared by
-every word, tuple and identity of the call.  Multilinear mode scans tuples and
-coordinates in lexicographic order, so the first counterexample is the same
-as that of a plain evaluation of every word.  Symbolic mode runs each word
-on every tuple of basis indices at its leaves and adds the value into the
-coefficient of the monomial, the product of the g{v}_i at the leaves, so
-each coordinate of the generic value is a dict from monomial to coefficient
-(int or Fraction, PolyQ for a family).  The identity holds when every such
-dict is empty.  The first nonzero coordinate is then printed from a second,
-plain evaluation of the identity: generic elements from `generic_element`,
-words through `mul`, `add` and `scale` in PolyQ arithmetic, so the order of
-the variables in a printed value is PolyQ's alone.
+product e_i e_j, and each word becomes its tree shape and leaf labels.  The
+values of a shape are built sparsely, once per call and shared by every word
+and identity of it: a dict from each tuple of basis indices at its leaves
+where the bracketed product is nonzero to that product, which is formed only
+from two nonzero factors.  Multilinear mode builds the values of the two
+factors of each word, and visits only the tuples where some word has both
+factors nonzero, in lexicographic order; at every other tuple each word is
+zero.  There it forms each word's top product, adds the words in order and
+stops at the first nonzero coordinate, so the first counterexample, printed
+value included, is the same as that of a plain evaluation of every word on
+every tuple.  A top product is kept only for a shape that two or more words
+of the checked system share.  Symbolic mode adds the value of each word on
+each tuple where it is nonzero into the coefficient of the monomial, the
+product of the g{v}_i at the leaves, so each coordinate of the generic value
+is a dict from monomial to coefficient (int or Fraction, PolyQ for a
+family).  The identity holds when every such dict is empty.  The first
+nonzero coordinate is then printed from a second, plain evaluation of the
+identity: generic elements from `generic_element`, words through `mul`,
+`add` and `scale` in PolyQ arithmetic, so the order of the variables in a
+printed value is PolyQ's alone.
 Both modes raise DegreeTooLarge, before any evaluation, for a request past
 MAX_CHECK_EVALUATIONS.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import itemgetter
 
 from . import exprparse
 from .errors import DegreeTooLarge, ParameterClash
 from .exact.poly import PolyQ, as_fraction, canonical
-from .terms import Identity, IdentitySystem, degree, leaves, multilinearize, shape_and_leaves, shape_of
+from .terms import Identity, IdentitySystem, degree, multilinearize, shape_and_leaves, shape_of
 
 # check_identity refuses a request of more word evaluations than this (words
 # times the basis tuples at their leaves), as dim ** degree grows fast
@@ -67,6 +73,34 @@ def _rational(c) -> int | Fraction:
     return canonical(as_fraction(c))
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def _json_kind(value) -> str:
+    return _JSON_KINDS.get(value.__class__, "null")
+
+
+def _json_field(data: dict, key: str, kind, where: str, default=None):
+    """data[key] when it is of the JSON type kind, else default when absent; ValueError names the field."""
+    if key not in data:
+        if default is None:
+            raise ValueError(f"{where} has no field {key!r}")
+        return default
+    value = data[key]
+    if value.__class__ is not kind:
+        raise ValueError(f"field {key!r} of {where} must be {_JSON_KINDS[kind]}, got {_json_kind(value)}")
+    return value
+
+
+def _json_strings(data: dict, key: str, where: str) -> list:
+    """The optional list of strings data[key], empty when absent."""
+    values = _json_field(data, key, list, where, [])
+    for v in values:
+        if v.__class__ is not str:
+            raise ValueError(f"field {key!r} of {where} must list strings, got {_json_kind(v)}")
+    return values
+
+
 class AlgebraStructure:
     """Algebra on an ordered basis with structure constants in Q or Q[parameters]."""
 
@@ -75,13 +109,17 @@ class AlgebraStructure:
 
         Scalars are rationals when there are no parameters, an int when
         integral and a Fraction otherwise, and PolyQ when there are; self.lift
-        turns a rational or polynomial input into one.
+        turns a rational or polynomial input into one.  Raises ValueError on
+        a repeated parameter name.
         """
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.name = name
         self.dim = dim
         self.parameters = tuple(parameters)
+        if len(set(self.parameters)) != len(self.parameters):
+            repeated = next(p for p in self.parameters if self.parameters.count(p) > 1)
+            raise ValueError(f"parameter {repeated!r} is repeated")
         self.basis = tuple(basis) if basis else tuple(f"e{i+1}" for i in range(dim))
         if len(self.basis) != dim:
             raise ValueError("basis label count does not match the dimension")
@@ -240,10 +278,17 @@ class AlgebraStructure:
 
     @staticmethod
     def from_json_dict(data: dict) -> "AlgebraStructure":
-        """Raises ValueError on a repeated basis label, an unknown label or a product given twice."""
-        dim = data["dim"]
-        basis = data.get("basis") or [f"e{i+1}" for i in range(dim)]
-        params = tuple(data.get("parameters", ()))
+        """Raises ValueError, naming the field, on a document of the wrong shape,
+        a repeated basis label or parameter, an unknown label or a product given twice."""
+        if data.__class__ is not dict:
+            raise ValueError(f"an algebra must be a JSON object, got {_json_kind(data)}")
+        dim = _json_field(data, "dim", int, "the algebra")
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
+        basis = _json_strings(data, "basis", "the algebra") or [f"e{i+1}" for i in range(dim)]
+        if len(basis) != dim:
+            raise ValueError("basis label count does not match the dimension")
+        params = tuple(_json_strings(data, "parameters", "the algebra"))
         index = {}
         for i, label in enumerate(basis):
             if label in index:
@@ -258,15 +303,22 @@ class AlgebraStructure:
         env = {p: PolyQ.var(p) for p in params}
         constants = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         given = set()
-        for prod in data.get("products", ()):
-            pair = (at(prod["left"]), at(prod["right"]))
+        for n, prod in enumerate(_json_field(data, "products", list, "the algebra", []), 1):
+            where = f"product {n}"
+            if prod.__class__ is not dict:
+                raise ValueError(f"{where} must be a JSON object, got {_json_kind(prod)}")
+            left, right = (_json_field(prod, side, str, where) for side in ("left", "right"))
+            pair = (at(left), at(right))
             if pair in given:
-                raise ValueError(f"product {prod['left']} {prod['right']} is given twice")
+                raise ValueError(f"product {left} {right} is given twice")
             given.add(pair)
             vec = constants[pair[0]][pair[1]] = [0] * dim
-            for coeff_str, label in prod["value"]:
-                vec[at(label)] += exprparse.evaluate(coeff_str, env, PolyQ.const)
-        return AlgebraStructure(data.get("name", "algebra"), dim, constants, params, basis)
+            for term in _json_field(prod, "value", list, where):
+                if term.__class__ is not list or len(term) != 2 or term[1].__class__ is not str:
+                    raise ValueError(f"field 'value' of {where} must list [coefficient, label] pairs, got {json.dumps(term)}")
+                vec[at(term[1])] += exprparse.evaluate(term[0], env, PolyQ.const)
+        name = _json_field(data, "name", str, "the algebra", "algebra")
+        return AlgebraStructure(name, dim, constants, params, basis)
 
     @staticmethod
     def from_json(text: str) -> "AlgebraStructure":
@@ -304,55 +356,86 @@ def _product_table(A: AlgebraStructure):
     return [[tuple((k, c) for k, c in enumerate(vec) if c) for vec in row] for row in A.constants]
 
 
-@lru_cache(maxsize=None)
-def _left_degree(shape) -> int:
-    """The number of leaves of the left factor of a product shape."""
-    return degree(shape[0])
+def _product(left, right, table) -> tuple:
+    """The nonzero (k, c), k ascending, of the product of two such values.
 
-
-def _shape_value(shape, idx, table, memo):
-    """The nonzero (k, c), k ascending, of the product of basis vectors idx bracketed as shape.
-
-    The memo key is (shape, idx), so every word of one shape shares it.  The
-    additions run in the order of a dense product (left index, right index,
-    output coordinate), which keeps the variable order of PolyQ sums, and
-    with it every printed value, independent of the memo.
+    The additions run in the order of a dense product (left index, right
+    index, output coordinate), which keeps the variable order of PolyQ sums,
+    and with it every printed value, independent of which products are skipped.
     """
-    key = (shape, idx)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if shape == 0:
-        got = ((idx[0], 1),)
-    else:
-        split = _left_degree(shape)
-        left = _shape_value(shape[0], idx[:split], table, memo)
-        right = _shape_value(shape[1], idx[split:], table, memo)
-        out = {}
-        for a, ca in left:
-            row = table[a]
-            for b, cb in right:
-                coef = ca * cb
-                for k, c in row[b]:
-                    out[k] = out.get(k, 0) + coef * c
-        got = tuple(sorted((k, v) for k, v in out.items() if v))
-    memo[key] = got
+    out = {}
+    for a, ca in left:
+        row = table[a]
+        for b, cb in right:
+            coef = ca * cb
+            for k, c in row[b]:
+                out[k] = out.get(k, 0) + coef * c
+    return tuple(sorted((k, v) for k, v in out.items() if v))
+
+
+def _shape_values(shape, table, dim: int, values: dict) -> dict:
+    """{idx: nonzero (k, c)} of the product of basis vectors idx bracketed as shape.
+
+    Only the leaf-index tuples idx where the product is nonzero are keys, in
+    itertools.product order, and a product is formed only from two nonzero
+    factors.  values caches the result by shape for the whole call.
+    """
+    got = values.get(shape)
+    if got is None:
+        if shape == 0:
+            got = {(i,): ((i, 1),) for i in range(dim)}
+        else:
+            right = _shape_values(shape[1], table, dim, values).items()
+            got = {}
+            for li, lv in _shape_values(shape[0], table, dim, values).items():
+                for ri, rv in right:
+                    prod = _product(lv, rv, table)
+                    if prod:
+                        got[li + ri] = prod
+        values[shape] = got
     return got
 
 
-def _check_multilinear_identity(A: AlgebraStructure, ident: Identity, table, memo) -> Counterexample | None:
-    """Evaluate ident on every basis tuple, in itertools.product order."""
+def _check_multilinear_identity(A: AlgebraStructure, ident: Identity, table, values, tops) -> Counterexample | None:
+    """Evaluate ident on the basis tuples where some word has two nonzero factors, in itertools.product order.
+
+    At every other tuple each word is zero, so the first counterexample is
+    the one of a scan of all tuples.  A word's top product is formed at each
+    such tuple from the sparse values of its factors, and kept in tops only
+    for a shape that several words of the call share.
+    """
     n = A.dim
-    # pick(combo) is the tuple of basis indices at the leaves; itemgetter of a
-    # single index would return a bare int, and a 1-tuple is its own pick
-    words = [
-        (c, shape_of(w), itemgetter(*[v - 1 for v in leaves(w)]) if ident.nvars > 1 else tuple)
-        for w, c in ident.expr.sorted_terms()
-    ]
-    for combo in itertools.product(range(n), repeat=ident.nvars):
+    words, candidates = [], set()
+    for w, coef in ident.expr.sorted_terms():
+        shape, labels = shape_and_leaves(w)
+        # pick(combo) is the tuple of basis indices at the leaves and unpick
+        # its inverse, as each variable is at one leaf; itemgetter of a single
+        # index would return a bare int, and a 1-tuple is its own pick
+        if ident.nvars > 1:
+            pick = itemgetter(*[v - 1 for v in labels])
+            unpick = itemgetter(*sorted(range(len(labels)), key=labels.__getitem__))
+        else:
+            pick = unpick = tuple
+        if shape == 0:  # a bare variable has no factors; its values hold every tuple
+            leaf = _shape_values(0, table, n, values)
+            candidates.update(leaf)
+            words.append((coef, pick, 1, None, None, leaf))
+            continue
+        left = _shape_values(shape[0], table, n, values)
+        right = _shape_values(shape[1], table, n, values)
+        candidates.update(unpick(li + ri) for li in left for ri in right)
+        words.append((coef, pick, degree(shape[0]), left, right, tops.get(shape)))
+    for combo in sorted(candidates):
         acc = [0] * n
-        for coef, shape, pick in words:
-            for k, c in _shape_value(shape, pick(combo), table, memo):
+        for coef, pick, split, left, right, memo in words:
+            idx = pick(combo)
+            value = memo.get(idx) if memo is not None else None
+            if value is None:
+                lv, rv = left.get(idx[:split]), right.get(idx[split:])
+                value = _product(lv, rv, table) if lv and rv else ()
+                if memo is not None:
+                    memo[idx] = value
+            for k, c in value:
                 acc[k] = acc[k] + coef * c
         for k in range(n):
             if acc[k]:
@@ -366,20 +449,20 @@ def _check_multilinear_identity(A: AlgebraStructure, ident: Identity, table, mem
     return None
 
 
-def _generic_coords(words, table, dim: int, memo) -> list[dict]:
+def _generic_coords(words, table, dim: int, values) -> list[dict]:
     """Coordinates of sum c * w over words [(c, w)] at generic elements g{v} = sum_i g{v}_i e_i.
 
     Coordinate k is a dict from monomial, the sorted tuple of the (variable,
     basis index) pairs at the leaves, to its nonzero coefficient: the sum
-    over leaf tuples idx of c times the value of the word's shape on idx,
-    read through the _shape_value memo.
+    over the leaf tuples idx where the word's shape is nonzero, read from
+    _shape_values, of c times that value.
     """
     acc = [{} for _ in range(dim)]
     for c, w in words:
         shape, labels = shape_and_leaves(w)
-        for idx in itertools.product(range(dim), repeat=len(labels)):
+        for idx, value in _shape_values(shape, table, dim, values).items():
             mono = tuple(sorted(zip(labels, idx)))
-            for k, v in _shape_value(shape, idx, table, memo):
+            for k, v in value:
                 total = acc[k]
                 total[mono] = total.get(mono, 0) + c * v
     return [{m: a for m, a in total.items() if a} for total in acc]
@@ -404,12 +487,12 @@ def _generic_value(A: AlgebraStructure, ident: Identity, k: int) -> PolyQ:
     return acc[k]
 
 
-def _check_symbolic_identity(A: AlgebraStructure, ident: Identity, table, memo) -> Counterexample | None:
+def _check_symbolic_identity(A: AlgebraStructure, ident: Identity, table, values) -> Counterexample | None:
     """Expand ident at generic elements g1..g{nvars}; only a failing coordinate is evaluated as a PolyQ."""
     for v in range(1, ident.nvars + 1):
         A.generic_names(f"g{v}")  # raises ParameterClash on a parameter named g{v}_i
     words = [(c, w) for w, c in ident.expr.sorted_terms()]
-    for k, total in enumerate(_generic_coords(words, table, A.dim, memo)):
+    for k, total in enumerate(_generic_coords(words, table, A.dim, values)):
         if total:
             return Counterexample(
                 identity=str(ident),
@@ -429,33 +512,34 @@ def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multil
     Symbolic mode expands each identity at generic elements g1, g2, ... and
     reports its first nonzero coordinate, a polynomial evaluated in PolyQ
     arithmetic (see the module docstring).  Both run on one product table
-    and one memo of products for the whole call.
+    and one set of sparse shape values for the whole call.
 
-    Raises DegreeTooLarge, before evaluating anything, when the check would
+    Raises DegreeTooLarge, before evaluating anything, when the check could
     make more than MAX_CHECK_EVALUATIONS word evaluations: each word of a
     multilinear part on dim ** nvars basis tuples, or each word of an
     identity on the dim ** degree basis tuples at its leaves in symbolic
-    mode.  Raises ParameterClash when a generated coordinate g{v}_i is a
+    mode.  The count takes every tuple, so it bounds the work from above;
+    tuples where a word is zero are skipped.  Raises ParameterClash when a generated coordinate g{v}_i is a
     parameter of A.
     """
     if mode == "multilinear":
         parts = [lin for ident in sys.identities for lin in multilinearize(ident)]
         count = sum(A.dim**lin.nvars * len(lin.expr.terms) for lin in parts)
-        check = _check_multilinear_identity
     elif mode == "symbolic":
         parts = sys.identities
         count = sum(A.dim ** max(i.expr.degrees()) * len(i.expr.terms) for i in parts)
-        check = _check_symbolic_identity
     else:
         raise ValueError("mode must be 'multilinear' or 'symbolic'")
     _refuse_above(A, sys, mode, count)
-    table = _product_table(A)
-    memo: dict = {}
-    for ident in parts:
-        ce = check(A, ident, table, memo)
-        if ce is not None:
-            return CheckResult(False, ce)
-    return CheckResult(True)
+    table, values = _product_table(A), {}
+    if mode == "multilinear":
+        shared = Counter(shape_of(w) for lin in parts for w in lin.expr.terms)
+        tops = {shape: {} for shape, words in shared.items() if words > 1}
+        found = (_check_multilinear_identity(A, lin, table, values, tops) for lin in parts)
+    else:
+        found = (_check_symbolic_identity(A, ident, table, values) for ident in parts)
+    ce = next(filter(None, found), None)
+    return CheckResult(ce is None, ce)
 
 
 def _refuse_above(A: AlgebraStructure, sys: IdentitySystem, mode: str, count: int):

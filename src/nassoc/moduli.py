@@ -49,6 +49,16 @@ class ParamBasis:
 
     @staticmethod
     def from_strings(columns, subst=None, env=None) -> "ParamBasis":
+        """The basis from a list of columns, each a list of coefficient strings
+        in t, and subst, an object from parameter names to such strings.
+
+        Raises ValueError when columns is not a list of lists or subst is not
+        an object, as a string would otherwise be read character by character.
+        """
+        if columns.__class__ is not list or any(col.__class__ is not list for col in columns):
+            raise ValueError(f"a basis is a list of columns, each a list of entries, got {columns!r}")
+        if subst is not None and subst.__class__ is not dict:
+            raise ValueError(f"a substitution is an object from parameter names to values, got {subst!r}")
         base_env = {"t": RatFunT.t()}
         if env:
             base_env.update(env)

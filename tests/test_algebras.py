@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -347,6 +348,70 @@ def test_rational_tables_agree_with_their_polynomial_twins(data):
                 assert str(got.counterexample) == str(want.counterexample), (sys.name, mode)
 
 
+def test_counterexample_where_several_words_add_is_pinned():
+    """All four words are nonzero at the failing tuple, so its value is a sum
+    whose printed order of p and q is the order of the additions."""
+    p, q = PolyQ.var("p"), PolyQ.var("q")
+    A = AlgebraStructure("pq", 2, [[[0, 0], [p, 0]], [[q, 0], [0, p]]], ("p", "q"))
+    four = parse_system("four", "(((x1 x2) x3) x4) + ((x2 x1) (x4 x3)) - (x1 (x2 (x3 x4))) - ((x4 x3) (x1 x2)) = 0")
+    ident = str(four.identities[0])
+    multi = check_identity(A, four).counterexample
+    assert str(multi) == f"{ident} fails at (e2, e1, e2, e2): coefficient of e1 is -q^2*p + p^3"
+    assignment = {1: 2, 2: 1, 3: 2, 4: 2}
+    assert all(_oracle_word(A, w, assignment, {})[0] for w in four.identities[0].expr.terms)
+    symbolic = check_identity(A, four, "symbolic").counterexample
+    assert str(symbolic) == (
+        f"{ident} fails at (g1, g2, g3, g4): coefficient of e1 is -g2_2*p^3*g1_2*g3_2*g4_1"
+        " + 2*g2_2*p^2*g1_2*q*g3_2*g4_1 - g2_2*g1_2*q^3*g3_2*g4_1 + p^3*g1_2*g2_1*g3_2*g4_2"
+        " - p*g1_2*g2_1*q^2*g3_2*g4_2"
+    )
+    assert not assert_matches_oracle(A, four)
+    assert not assert_symbolic_matches_oracle(A, four)
+    # inside one product the additions run by left index, then right index:
+    # (e1 + e2)(e1 + e2) adds 1, q, p and -1 to e1 in that order
+    B = AlgebraStructure("qp", 2, [[[1, 1], [q, 1]], [[p, 0], [-1, 0]]], ("p", "q"))
+    square = parse_system("square", "((x1 x2) (x3 x4)) = 0")
+    assert check_identity(B, square).counterexample.value == "q + p"
+    assert not assert_matches_oracle(B, square)
+
+
+def test_dense_failing_table_matches_the_oracle():
+    """A table with every constant drawn, most of them nonzero, fails two-step
+    associativity at its first tuple; the check returns the oracle's counterexample."""
+    rng, n = random.Random(5), 5
+    constants = [
+        [[Q(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)] for _ in range(n)] for _ in range(n)
+    ]
+    A = AlgebraStructure("dense5", n, constants)
+    assert not assert_matches_oracle(A, parse_system("two-step", reproduce.TWO_STEP_SYSTEM))
+
+
+SPARSE_SCALARS = st.sampled_from([0] * 20 + [1, -1, 2, Q(1, 2), Q(-3, 2)])
+SPARSE_SYSTEMS = (
+    *(parse_system(name, text) for name, text in (
+        ("two-step", reproduce.TWO_STEP_SYSTEM),
+        ("right-nested-5", reproduce.RIGHT_NESTED_FIVE),
+        ("swap", reproduce.SWAP_SYSTEM),
+        ("bare-variable", "x1 = 0"),  # a word without factors
+    )),
+    *map(builtin_system, ORACLE_SYSTEMS),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sparse_tables_match_the_oracles(data):
+    """Tables with about 80 % zero constants, where most basis tuples have a
+    zero factor in every word: both modes against their oracles, on the table
+    and on its twin with an unused parameter z."""
+    n = data.draw(st.integers(1, 4))
+    constants = [[[data.draw(SPARSE_SCALARS) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    A = AlgebraStructure("sparse", n, constants)
+    sys = data.draw(st.sampled_from(SPARSE_SYSTEMS))
+    for table in (A, A.with_parameters(("z",))):
+        assert assert_matches_oracle(table, sys) == assert_symbolic_matches_oracle(table, sys)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_basis_change_keeps_fingerprint_and_orbit_dim(data):
@@ -389,6 +454,8 @@ def test_parameter_clash():
     # sas has three variables, so the third generic element clashes too
     with pytest.raises(ParameterClash, match="'g3_2'"):
         check_identity(zero_algebra(2).with_parameters(["g3_2"]), builtin_system("sas"), "symbolic")
+    with pytest.raises(ValueError, match="^parameter 'a' is repeated$"):
+        AlgebraStructure("twice", 1, [[[PolyQ.var("a")]]], ("a", "b", "a"))
 
 
 # ---------------------------------------------------------------------------

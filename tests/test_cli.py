@@ -332,6 +332,54 @@ def test_malformed_algebra_json_names_the_fault(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check-identity", "--algebra", _algebra_file(tmp_path, ["e1", "e2"], [e1e1]),
                            "--system", "sas")
     assert code == 0 and out.strip() == "holds"
+    # the first three used to exit 1 with a TypeError traceback, a missing dim
+    # printed `error: 'dim'`, a parameter string became one parameter per
+    # letter, a repeated parameter was accepted, and a basis longer than dim
+    # exited 1 with an IndexError traceback
+    e1e1 = {**e1e1, "value": [["alpha", "e2"]]}
+    good = {"name": "bad", "dim": 2, "parameters": ["alpha"], "products": [e1e1]}
+    cases = [
+        ({**good, "dim": "2"}, "field 'dim' of the algebra must be an integer, got a string"),
+        ([good], "an algebra must be a JSON object, got a list"),
+        ({**good, "products": {"e1 e1": e1e1}}, "field 'products' of the algebra must be a list, got an object"),
+        ({k: v for k, v in good.items() if k != "dim"}, "the algebra has no field 'dim'"),
+        ({**good, "parameters": "alpha"}, "field 'parameters' of the algebra must be a list, got a string"),
+        ({**good, "parameters": ["alpha", "alpha"]}, "parameter 'alpha' is repeated"),
+        ({**good, "basis": ["e1", "e2", "e3"]}, "basis label count does not match the dimension"),
+        ({**good, "products": [{"left": "e1", "value": []}]}, "product 1 has no field 'right'"),
+        ({**good, "products": [{**e1e1, "value": [["1", "e2", "e1"]]}]},
+         "field 'value' of product 1 must list [coefficient, label] pairs, got [\"1\", \"e2\", \"e1\"]"),
+    ]
+    path = tmp_path / "alg.json"
+    for data, message in cases:
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-identity", "--system", "sas", "--algebra", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), data
+    path.write_text(json.dumps(good))
+    assert run_cli(capsys, "check-identity", "--system", "sas", "--algebra", str(path))[:2] == (0, "holds\n")
+
+
+def test_transform_reads_a_list_of_lists_and_an_object(capsys, tmp_path):
+    """A list of strings used to be read digit by digit into the identity
+    basis (exit 0), a list substitution to fail with an AttributeError
+    traceback, and an object basis to print `unknown variable 'a'`."""
+    identity = '[["1","0","0"],["0","1","0"],["0","0","1"]]'
+    basis_error = "error: a basis is a list of columns, each a list of entries, got "
+    for argv, err_want in (
+        (["--basis", '["100","010","001"]'], basis_error + "['100', '010', '001']\n"),
+        (["--basis", identity, "--subst", "[1]"],
+         "error: a substitution is an object from parameter names to values, got [1]\n"),
+        (["--basis", '{"a": 1}'], basis_error + "{'a': 1}\n"),
+    ):
+        assert run_cli(capsys, "transform", "--algebra", "A05", *argv) == (2, "", err_want), argv
+    code, out, _ = run_cli(capsys, "transform", "--algebra", "A05", "--basis", identity)
+    assert code == 0 and out
+    cert = corpus.load_certificate("a12_0_to_a11")
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({**cert, "basis": ["1000", *cert["basis"][1:]]}))
+    for argv in (["degenerate", "--cert", str(path)], ["transform", "--algebra", "a12", "--cert", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out and err.startswith(basis_error), argv
 
 
 def test_numeric_coefficient_fields(capsys, tmp_path):
