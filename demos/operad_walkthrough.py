@@ -26,7 +26,7 @@ print(f"Multilinear dimensions, degrees 1..5: {dims}")
 print(f"Signed exponential series:            {hilbert(sas, 5)}")
 print()
 
-print("Koszul dual, computed by expanding the Jacobi sum on tensor products")
+print("Koszul dual, the orthogonal complement of the relations under the Ginzburg-Kapranov pairing")
 pres = OperadPresentation.of_system(sas)
 dual = koszul_dual(pres)
 print(f"  dual relation space dimension: {dual.dim}")

@@ -410,16 +410,9 @@ def cmd_wedderburn(args, report, A):
          flag("--theta", required=True, help="JSON file of symmetric entries"),
          flag("--name"), CHECK_SYSTEM, algebra="--lie")
 def cmd_cocycle(args, report, L):
-    from . import exprparse
-
     with open(args.theta) as fh:
-        data = json.load(fh)
-    env = {p: PolyQ.var(p) for p in data.get("parameters", ())}
-    entries = {}
-    for key, vec in data["entries"].items():
-        i, j = (int(x) for x in key.split(","))
-        entries[(i, j)] = tuple(exprparse.evaluate(s, env, PolyQ.const) for s in vec)
-    return _construction(args, report, algebra_from_cocycle(L, CocycleSpec(L.dim, entries), args.name))
+        theta = CocycleSpec.from_json_dict(L.dim, json.load(fh))
+    return _construction(args, report, algebra_from_cocycle(L, theta, args.name))
 
 
 @command("fingerprint", "basis-change invariants", algebra="--algebra")
@@ -438,8 +431,7 @@ def cmd_transform(args, report, A):
     from .moduli import ParamBasis, transform
 
     if args.cert:
-        cert = corpus.load_certificate(args.cert)
-        basis = ParamBasis.from_strings(cert["basis"], cert.get("subst"))
+        basis = ParamBasis.from_strings(*corpus.certificate_basis(corpus.load_certificate(args.cert)))
     elif args.basis:
         basis = ParamBasis.from_strings(json.loads(args.basis), json.loads(args.subst) if args.subst else None)
     else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .algebras import AlgebraStructure
+from .algebras import AlgebraStructure, _json_field, _json_kind
 from .exprparse import rational
 from .moduli import ClosedSetSpec
 
@@ -73,6 +73,15 @@ def load_closed_set(name: str) -> ClosedSetSpec:
     return ClosedSetSpec.from_dict(json.loads(_read(name, CLOSED_SETS, _data_root() / "closed_sets")))
 
 
+def certificate_basis(cert) -> tuple[list, dict]:
+    """The "basis" columns and the "subst" object ({} when absent) of a
+    certificate; ValueError names a malformed field."""
+    if cert.__class__ is not dict:
+        raise ValueError(f"a certificate must be a JSON object, got {_json_kind(cert)}")
+    where = "the certificate"
+    return _json_field(cert, "basis", list, where), _json_field(cert, "subst", dict, where, {})
+
+
 def run_certificate(cert: dict, sample=None):
     """Execute a certificate dict against the corpus.
 
@@ -84,17 +93,16 @@ def run_certificate(cert: dict, sample=None):
     """
     from .moduli import family_degeneration_check
 
-    source = load_algebra(cert["from"])
-    target = load_algebra(cert["to"])
-    columns = cert["basis"]
-    subst = cert.get("subst", {})
+    columns, subst = certificate_basis(cert)
+    source = load_algebra(_json_field(cert, "from", str, "the certificate"))
+    target = load_algebra(_json_field(cert, "to", str, "the certificate"))
     if "family_parameter" in cert:
+        param = _json_field(cert, "family_parameter", str, "the certificate")
         if sample is not None:
-            env = {cert["family_parameter"]: rational(sample, "sample")}
-            return family_degeneration_check(source, columns, subst, target, env)
+            return family_degeneration_check(source, columns, subst, target, {param: rational(sample, "sample")})
         results = []
-        for s in cert["samples"]:
-            env = {cert["family_parameter"]: rational(s, "certificate samples")}
+        for s in _json_field(cert, "samples", list, "the certificate"):
+            env = {param: rational(s, "certificate samples")}
             results.append(family_degeneration_check(source, columns, subst, target, env))
         return results
     if sample is not None:

@@ -36,7 +36,9 @@ class TruncationMismatch(NassocError):
 
 
 class DegreeTooLarge(NassocError):
-    """Requested degree exceeds the configured cap."""
+    """A request refused for its size before any work: a degree above the
+    cap, a build larger than this machine's memory, or more word
+    evaluations, polarized words or basis labels than their limits."""
 
 
 class NotMultilinear(NassocError):

@@ -35,7 +35,9 @@ from .operads import HARD_DEGREE_CAP, ConsequenceSpace, consequences, resolve_de
 from .systems import builtin_system
 from .terms import (
     Expr,
+    circle,
     degree as word_degree,
+    formal_expand,
     leaves,
     multihomogeneous_components,
     polarize,
@@ -82,13 +84,8 @@ class CircleWord:
 
     @property
     def expr(self) -> Expr:
-        """The 2^(n-1) words that take both orders of every product, each
-        with coefficient 1/2^(n-1): a o w = 1/2 (a w) + 1/2 (w a), expanded."""
-        words = [self.indices[-1]]
-        for i in reversed(self.indices[:-1]):
-            words = [(i, w) for w in words] + [(w, i) for w in words]
-        c = Fraction(1, len(words))
-        return Expr((w, c) for w in words)
+        """The word expanded into raw products, a o w = 1/2 (a w) + 1/2 (w a)."""
+        return formal_expand(right_normed_word(self.indices), circle)
 
     def __str__(self):
         text = f"x{self.indices[-1]}"

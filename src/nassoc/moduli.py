@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exprparse
-from .algebras import AlgebraStructure
+from .algebras import AlgebraStructure, _json_kind, _json_strings
 from .errors import ParametricNotSupported, PoleAtZero, ShapeMismatch, SingularForAllT
 from .exact.linalg import span
 from .exact.ratfun import RatFunT
@@ -232,17 +233,23 @@ class ClosedSetSpec:
     equations: list[str] = field(default_factory=list)
 
     @staticmethod
-    def from_dict(data: dict) -> "ClosedSetSpec":
-        return ClosedSetSpec(list(data.get("contain", ())), list(data.get("equations", ())))
+    def from_dict(data) -> "ClosedSetSpec":
+        """The spec of a JSON object with optional string lists "contain" and
+        "equations"; ValueError names a malformed field."""
+        if data.__class__ is not dict:
+            raise ValueError(f"a closed set must be a JSON object, got {_json_kind(data)}")
+        containments = _json_strings(data, "contain", "the closed set")
+        for text in containments:
+            _parse_containment(text)
+        return ClosedSetSpec(containments, _json_strings(data, "equations", "the closed set"))
 
 
 def _parse_containment(text: str):
-    # "Ap*Aq<=Ar" with A_i the span of e_i..e_n
-    compact = text.replace(" ", "")
-    left, right = compact.split("<=")
-    r = int(right[1:])
-    p_str, q_str = left.split("*")
-    return int(p_str[1:]), int(q_str[1:]), r
+    # "Ap*Aq<=Ar" with A_i the span of e_i..e_n, i >= 1
+    match = re.fullmatch(r"A([1-9]\d*)\*A([1-9]\d*)<=A([1-9]\d*)", text.replace(" ", ""), re.ASCII)
+    if not match:
+        raise ValueError(f"field 'contain' of the closed set must list containments Ap*Aq<=Ar, got {text!r}")
+    return tuple(int(g) for g in match.groups())
 
 
 def closed_set_membership(spec: ClosedSetSpec, A: AlgebraStructure) -> bool:

@@ -45,6 +45,7 @@ reduces to exact linear algebra on these spaces.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from array import array
@@ -61,7 +62,10 @@ from .terms import (
     Expr,
     Identity,
     IdentitySystem,
+    bracket,
     build_word,
+    circle,
+    formal_expand,
     multihomogeneous_components,
     polarize,
     relabel_word,
@@ -99,8 +103,6 @@ def free_magma_dim(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _perms_lex(n: int):
-    import itertools
-
     return tuple(itertools.permutations(range(1, n + 1)))
 
 
@@ -597,18 +599,18 @@ def koszulity_residual(sysP: IdentitySystem, sysQ: IdentitySystem, order: int, c
 class OperadPresentation:
     """Binary quadratic presentation: an S3-stable relation subspace in degree 3."""
 
-    def __init__(self, rref: SparseRREF, name: str = "presentation", check_stable: bool = True):
+    def __init__(self, rref: SparseRREF, name: str = "presentation"):
         self.name = name
         self.space = MultilinearSpace(3)
         self.rref = rref
-        if check_stable and not self._is_s3_stable():
+        if not self._is_s3_stable():
             raise NotQuadratic(f"relation space of {name!r} is not S3-stable")
 
     @staticmethod
     def of_system(sys: IdentitySystem, cap: int | None = None) -> "OperadPresentation":
         _check_quadratic(sys)
         cons = consequences(sys, 3, cap)
-        return OperadPresentation(cons.rref, sys.name, check_stable=False)
+        return OperadPresentation(cons.rref, sys.name)
 
     def _is_s3_stable(self) -> bool:
         return all(
@@ -637,42 +639,23 @@ class OperadPresentation:
         return f"OperadPresentation({self.name!r}, dim={self.dim})"
 
 
-def koszul_dual(pres: OperadPresentation | IdentitySystem) -> OperadPresentation:
-    """Dual presentation via the Lie-admissibility expansion on tensor products.
+def koszul_dual(pres: OperadPresentation) -> OperadPresentation:
+    """Dual presentation: the orthogonal complement of the relations under
+    the Ginzburg-Kapranov pairing (Ginzburg-Kapranov, "Koszul duality for
+    operads", Duke Math. J. 76, 1994; Loday-Vallette, "Algebraic Operads",
+    2012, section 7.6).
 
-    With (x (x) u)(y (x) v) := xy (x) uv, expand the Jacobi cyclic sum
-    J = [[a(x)u, b(x)v], c(x)w] + [[b(x)v, c(x)w], a(x)u] + [[c(x)w, a(x)u], b(x)v],
-    reduce each first-factor word modulo the relation space, and collect
-    J = sum_beta beta (x) E_beta over a basis beta of the quotient.  The dual's
-    relation space is the span of the E_beta.  The unhalved commutator is used;
-    the halving constants only rescale each E_beta.
+    The pairing on the twelve degree-3 monomials is diagonal, <e_k, e_k> =
+    eps * sgn: eps is +1 on the shape ((x x) x) and -1 on (x (x x)), and sgn
+    is the sign of the leaf permutation.  A vector v is orthogonal to the
+    relations exactly when k -> eps * sgn * v[k] is a functional vanishing on
+    them, so the dual's relations are the kernel of the RREF, sign-twisted.
     """
-    if isinstance(pres, IdentitySystem):
-        pres = OperadPresentation.of_system(pres)
-    space = pres.space
-
-    def pair_terms(x, y, z, u, v, w):
-        # [[x⊗u, y⊗v], z⊗w] expanded: four signed (S-word, U-word) pairs
-        return [
-            (1, ((x, y), z), ((u, v), w)),
-            (-1, ((y, x), z), ((v, u), w)),
-            (-1, (z, (x, y)), (w, (u, v))),
-            (1, (z, (y, x)), (w, (v, u))),
-        ]
-
-    collected: dict[int, dict] = {}
-    cycles = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
-    for x, y, z in cycles:
-        for sign, sword, uword in pair_terms(x, y, z, x, y, z):
-            svec = {space.index_of_word(sword): sign}
-            residual = pres.rref.reduce(svec)
-            uidx = space.index_of_word(uword)
-            for beta, lam in residual.items():
-                bucket = collected.setdefault(beta, {})
-                bucket[uidx] = bucket.get(uidx, 0) + lam
-    acc = SparseRREF(space.dim)
-    for beta in sorted(collected):
-        acc.insert(collected[beta])
+    sgn = [(-1) ** sum(a > b for a, b in itertools.combinations(p, 2)) for p in _perms_lex(3)]
+    sign = [eps * s for eps in (1, -1) for s in sgn]  # by index: shape rank * 6 + permutation rank
+    acc = SparseRREF(pres.space.dim)
+    for phi in pres.rref.kernel():
+        acc.insert({k: sign[k] * c for k, c in phi.items()})
     return OperadPresentation(acc, f"dual({pres.name})")
 
 
@@ -709,13 +692,6 @@ def prove_zero(expr: Expr, sys: IdentitySystem, cap: int | None = None) -> bool:
     return True
 
 
-def _formal_expand(word, combine) -> Expr:
-    """A word in the polarized operation combine, expanded into raw products."""
-    if isinstance(word, int):
-        return Expr.var(word)
-    return combine(_formal_expand(word[0], combine), _formal_expand(word[1], combine))
-
-
 def polarized_identity_dim(sys: IdentitySystem, op: str, n: int, cap: int | None = None) -> int:
     """Dimension of the degree-n identity space of the polarized operation.
 
@@ -726,8 +702,6 @@ def polarized_identity_dim(sys: IdentitySystem, op: str, n: int, cap: int | None
     trivial identities coming from (anti)commutativity of the operation
     itself, so it is a reporting aid rather than a minimal presentation.
     """
-    from .terms import bracket, circle
-
     if op not in ("circle", "bracket"):
         raise ValueError("op must be 'circle' or 'bracket'")
     combine = circle if op == "circle" else bracket
@@ -735,7 +709,7 @@ def polarized_identity_dim(sys: IdentitySystem, op: str, n: int, cap: int | None
     space = cons.space
     images = SparseRREF(space.dim)
     for idx in range(space.dim):
-        images.insert(cons.reduce_vec(space.expr_to_vec(_formal_expand(space.word_at(idx), combine))))
+        images.insert(cons.reduce_vec(space.expr_to_vec(formal_expand(space.word_at(idx), combine))))
     return space.dim - images.rank
 
 

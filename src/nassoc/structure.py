@@ -32,10 +32,12 @@ setting, every split is post-verified and the flags are part of the result.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 
-from .algebras import AlgebraStructure, _word_value, check_identity
+from . import exprparse
+from .algebras import AlgebraStructure, _json_field, _json_kind, _json_strings, _word_value, check_identity
 from .errors import (
     NonSplitOperator,
     NotIdempotent,
@@ -274,7 +276,6 @@ class PeirceSplit:
     a0: list
     a_half: list
     a1: list
-    spans: bool
     a_half_zero: bool
     a0_ideal: bool
     a1_ideal: bool
@@ -341,7 +342,6 @@ def peirce(A: AlgebraStructure, e) -> PeirceSplit:
         a0=a0,
         a_half=a_half,
         a1=a1,
-        spans=True,
         a_half_zero=not a_half,
         a0_ideal=_is_ideal(A, a0),
         a1_ideal=_is_ideal(A, a1),
@@ -592,6 +592,27 @@ class CocycleSpec:
 
     def value(self, i: int, j: int):
         return self.entries.get((i, j) if i <= j else (j, i))
+
+    @staticmethod
+    def from_json_dict(dim: int, data) -> "CocycleSpec":
+        """The map of a theta file: an object whose "entries" send keys "i,j"
+        (1 <= i <= j <= dim) to lists of dim coefficients, and whose optional
+        "parameters" list the names they may use.  ValueError names a
+        malformed field."""
+        where = "the theta file"
+        if data.__class__ is not dict:
+            raise ValueError(f"{where} must be a JSON object, got {_json_kind(data)}")
+        env = {p: PolyQ.var(p) for p in _json_strings(data, "parameters", where)}
+        entries = {}
+        for key, vec in _json_field(data, "entries", dict, where).items():
+            match = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", key, re.ASCII)
+            if not (match and 1 <= int(match[1]) <= int(match[2]) <= dim):
+                raise ValueError(f"key {key!r} of field 'entries' of {where} must read i,j with 1 <= i <= j <= {dim}")
+            if vec.__class__ is not list or len(vec) != dim:
+                got = f"a list of {len(vec)}" if vec.__class__ is list else _json_kind(vec)
+                raise ValueError(f"entry {key!r} of {where} must be a list of {dim} coefficients, got {got}")
+            entries[(int(match[1]), int(match[2]))] = tuple(exprparse.evaluate(s, env, PolyQ.const) for s in vec)
+        return CocycleSpec(dim, entries)
 
 
 def algebra_from_cocycle(L: AlgebraStructure, theta: CocycleSpec, name: str | None = None) -> AlgebraStructure:

@@ -263,6 +263,14 @@ def circle(a: Expr, b: Expr) -> Expr:
     return (a * b + b * a).scale(Fraction(1, 2))
 
 
+def formal_expand(word, combine) -> Expr:
+    """A word in the polarized operation combine (circle or bracket),
+    expanded into raw products."""
+    if isinstance(word, int):
+        return Expr.var(word)
+    return combine(formal_expand(word[0], combine), formal_expand(word[1], combine))
+
+
 def associator(a: Expr, b: Expr, c: Expr) -> Expr:
     return (a * b) * c - a * (b * c)
 

@@ -382,6 +382,54 @@ def test_transform_reads_a_list_of_lists_and_an_object(capsys, tmp_path):
         assert code == 2 and not out and err.startswith(basis_error), argv
 
 
+_CERT = corpus.load_certificate("a12_0_to_a11")
+_THETA = {"parameters": ["alpha"], "entries": {"1,1": ["0", "0", "1"], "2,2": ["0", "0", "alpha"]}}
+
+
+# each of these used to exit 1 with a traceback or print an error that did
+# not name the field: an AttributeError or TypeError traceback for a list
+# document or list entries, `not enough values to unpack` for a string
+# containment or a key "1", `invalid literal for int()` for "A1*A2<=",
+# `unknown variable 'alpha'` for a string parameter, an IndexError traceback
+# for a short entry, `'to'` for a missing target; a key "2,1" was ignored
+@pytest.mark.parametrize("argv, data, message", [
+    ("closed-set --algebra A05 --spec", [{"contain": []}], "a closed set must be a JSON object, got a list"),
+    ("closed-set --algebra A05 --spec", {"contain": "A1*A2<=A3"},
+     "field 'contain' of the closed set must be a list, got a string"),
+    ("closed-set --algebra A05 --spec", {"contain": ["A1*A2<="]},
+     "field 'contain' of the closed set must list containments Ap*Aq<=Ar, got 'A1*A2<='"),
+    ("closed-set --algebra A05 --spec", {"contain": ["A0*A1<=A2"]},
+     "field 'contain' of the closed set must list containments Ap*Aq<=Ar, got 'A0*A1<=A2'"),
+    ("cocycle --lie L1 --theta", [_THETA], "the theta file must be a JSON object, got a list"),
+    ("cocycle --lie L1 --theta", {"entries": [[1, 2]]}, "field 'entries' of the theta file must be an object, got a list"),
+    ("cocycle --lie L1 --theta", {**_THETA, "parameters": "alpha"},
+     "field 'parameters' of the theta file must be a list, got a string"),
+    ("cocycle --lie L1 --theta", {"entries": {"1": ["0", "0", "1"]}},
+     "key '1' of field 'entries' of the theta file must read i,j with 1 <= i <= j <= 3"),
+    ("cocycle --lie L1 --theta", {"entries": {"2,1": ["0", "0", "1"]}},
+     "key '2,1' of field 'entries' of the theta file must read i,j with 1 <= i <= j <= 3"),
+    ("cocycle --lie L1 --theta", {"entries": {"1,1": ["0", "1"]}},
+     "entry '1,1' of the theta file must be a list of 3 coefficients, got a list of 2"),
+    ("degenerate --cert", [_CERT], "a certificate must be a JSON object, got a list"),
+    ("transform --algebra a12 --cert", [_CERT], "a certificate must be a JSON object, got a list"),
+    ("degenerate --cert", {k: v for k, v in _CERT.items() if k != "to"}, "the certificate has no field 'to'"),
+    ("transform --algebra a12 --cert", {**_CERT, "subst": [1]},
+     "field 'subst' of the certificate must be an object, got a list"),
+], ids=["spec-list", "contain-string", "contain-text", "contain-zero", "theta-list", "entries-list", "parameters-string",
+        "entry-key", "entry-order", "entry-short", "cert-list", "transform-cert-list", "cert-no-to", "transform-subst-list"])
+def test_malformed_json_file_names_the_field(capsys, tmp_path, argv, data, message):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, *argv.split(), str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_spaced_containment_still_reads(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"contain": ["A1 * A1 <= A3"]}))
+    argv = ["closed-set", "--algebra", "a12", "--set", "alpha=1", "--spec", str(path)]
+    assert run_cli(capsys, *argv) == (0, "member\n", "")
+
+
 def test_numeric_coefficient_fields(capsys, tmp_path):
     """An integer coefficient reads as its string form; a float or a bool is
     a usage error, in algebra files, certificate bases and cocycle entries.

@@ -636,6 +636,66 @@ def test_dual_involution_on_random_presentations(pres):
     assert koszul_dual(dual).same_space(pres)
 
 
+def _jacobi_dual(pres):
+    """The dual's relation space through the Lie-admissibility expansion on
+    tensor products, an independent path to `koszul_dual`.
+
+    With (x (x) u)(y (x) v) := xy (x) uv, expand the Jacobi cyclic sum
+    J = [[a(x)u, b(x)v], c(x)w] + [[b(x)v, c(x)w], a(x)u] + [[c(x)w, a(x)u], b(x)v],
+    reduce each first-factor word modulo the relation space, and collect
+    J = sum_beta beta (x) E_beta over a basis beta of the quotient.  The dual's
+    relation space is the span of the E_beta, returned as its `SparseRREF`.
+    """
+    space = pres.space
+    collected: dict[int, dict] = {}
+    for x, y, z in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
+        # [[x(x)x, y(x)y], z(x)z] expanded: four signed (S-word, U-word) pairs
+        for sign, sword, uword in [
+            (1, ((x, y), z), ((x, y), z)),
+            (-1, ((y, x), z), ((y, x), z)),
+            (-1, (z, (x, y)), (z, (x, y))),
+            (1, (z, (y, x)), (z, (y, x))),
+        ]:
+            residual = pres.rref.reduce({space.index_of_word(sword): sign})
+            uidx = space.index_of_word(uword)
+            for beta, lam in residual.items():
+                bucket = collected.setdefault(beta, {})
+                bucket[uidx] = bucket.get(uidx, 0) + lam
+    acc = SparseRREF(space.dim)
+    for beta in sorted(collected):
+        acc.insert(collected[beta])
+    return acc
+
+
+QUADRATIC_BUILTINS = [name for name in BUILTIN_SYSTEM_NAMES if name != "com-as"]
+# the built-ins of one identity (x1 x2) x3 = w, whose anti_system reads (x1 x2) x3 = -w
+ASSOCIATIVE_TYPE_BUILTINS = ("sas", "as", "a12", "a13", "a23", "a123", "a132")
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [builtin_system(name) for name in QUADRATIC_BUILTINS] + [anti_system(name) for name in ASSOCIATIVE_TYPE_BUILTINS],
+    ids=lambda sys: sys.name,
+)
+def test_dual_matches_the_jacobi_expansion(sys):
+    pres = OperadPresentation.of_system(sys)
+    assert koszul_dual(pres).rref.rows == _jacobi_dual(pres).rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(s3_stable_presentations())
+def test_dual_matches_the_jacobi_expansion_on_random_presentations(pres):
+    assert koszul_dual(pres).rref.rows == _jacobi_dual(pres).rows
+
+
+def test_presentation_refuses_a_span_that_is_not_s3_stable():
+    space = MultilinearSpace(3)
+    rref = SparseRREF(space.dim)
+    rref.insert(space.expr_to_vec(parse_expr("((x1 x2) x3) - (x1 (x2 x3))")))
+    with pytest.raises(NotQuadratic, match="not S3-stable"):
+        OperadPresentation(rref, "one associator")
+
+
 def test_dual_sas_explicit_identity():
     dual = koszul_dual(OperadPresentation.of_system(builtin_system("sas")))
     rel = parse_expr("((x1 x2) x3) - (x2 (x3 x1))")
