@@ -18,9 +18,13 @@ in characteristic zero; "symbolic" substitutes generic elements
 g{v} = sum_i g{v}_i e_i and checks polynomial vanishing, which is valid over
 any infinite field and also covers non-multilinear identities directly.
 
+Every product of the package runs through one routine, `_product`, on one
+sparse table per algebra, built with it: the nonzero (k, c) of each product
+e_i e_j.  `mul`, both identity-check modes, Leibniz checks and the basis
+change `structure.constants_in_basis` use it.
+
 Both modes reach their verdict compiled once per call, without forming an
-element: the constants become a sparse table of the nonzero (k, c) of each
-product e_i e_j, and each word becomes its tree shape and leaf labels.  The
+element: each word becomes its tree shape and leaf labels.  The
 values of a shape are built sparsely, once per call and shared by every word
 and identity of it: a dict from each tuple of basis indices at its leaves
 where the bracketed product is nonzero to that product, which is formed only
@@ -138,6 +142,10 @@ class AlgebraStructure:
                     for v in p.used_vars():
                         if v not in self.parameters:
                             raise ValueError(f"undeclared parameter {v!r} in constants")
+        # table[i][j] lists the nonzero (k, c) of e_i e_j, k ascending, all indices 0-based
+        self.table = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row) for row in self.constants
+        )
 
     # -- elements ---------------------------------------------------------
 
@@ -167,21 +175,10 @@ class AlgebraStructure:
         return tuple(self.lift(c * a) for a in x)
 
     def mul(self, x, y) -> tuple:
-        """The product of two coordinate sequences of length dim, lifted into canonical form."""
-        n = self.dim
-        out = [self.lift(0)] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                cij = self.constants[i][j]
-                coef = xi * yj
-                for k in range(n):
-                    if cij[k]:
-                        out[k] = out[k] + coef * cij[k]
-        return tuple(map(self.lift, out))
+        """The product of two coordinate sequences of length dim, lifted into canonical form;
+        a coordinate that `_product` reaches keeps its sum, also when it cancels."""
+        out = _product(_sparse(x), _sparse(y), self.table)
+        return tuple(self.lift(out.get(k, 0)) for k in range(self.dim))
 
     # -- parameters ---------------------------------------------------------
 
@@ -234,23 +231,13 @@ class AlgebraStructure:
     # -- display -------------------------------------------------------------
 
     def products_str(self):
-        lines = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                vec = self.constants[i][j]
-                if not any(vec):
-                    continue
-                parts = []
-                for k in range(self.dim):
-                    p = vec[k]
-                    if not p:
-                        continue
-                    if p == 1:
-                        parts.append(self.basis[k])
-                    else:
-                        parts.append(f"({p})*{self.basis[k]}")
-                lines.append(f"{self.basis[i]} {self.basis[j]} = " + " + ".join(parts))
-        return lines
+        b = self.basis
+        return [
+            f"{b[i]} {b[j]} = " + " + ".join(b[k] if c == 1 else f"({c})*{b[k]}" for k, c in terms)
+            for i, row in enumerate(self.table)
+            for j, terms in enumerate(row)
+            if terms
+        ]
 
     def __repr__(self):
         return f"AlgebraStructure({self.name!r}, dim={self.dim}, params={list(self.parameters)})"
@@ -258,13 +245,13 @@ class AlgebraStructure:
     # -- JSON interchange -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        products = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                vec = self.constants[i][j]
-                value = [[str(vec[k]), self.basis[k]] for k in range(self.dim) if vec[k]]
-                if value:
-                    products.append({"left": self.basis[i], "right": self.basis[j], "value": value})
+        b = self.basis
+        products = [
+            {"left": b[i], "right": b[j], "value": [[str(c), b[k]] for k, c in terms]}
+            for i, row in enumerate(self.table)
+            for j, terms in enumerate(row)
+            if terms
+        ]
         return {
             "name": self.name,
             "dim": self.dim,
@@ -351,17 +338,19 @@ class CheckResult:
         return self.holds
 
 
-def _product_table(A: AlgebraStructure):
-    """table[i][j] lists the nonzero (k, c) of e_i e_j, k ascending, all indices 0-based."""
-    return [[tuple((k, c) for k, c in enumerate(vec) if c) for vec in row] for row in A.constants]
+def _sparse(x) -> list:
+    """The nonzero (i, c) of a coordinate sequence, i ascending."""
+    return [(i, c) for i, c in enumerate(x) if c]
 
 
-def _product(left, right, table) -> tuple:
-    """The nonzero (k, c), k ascending, of the product of two such values.
+def _product(left, right, table) -> dict:
+    """{k: sum} of the product of two sparse values, lists of nonzero (i, c) with i ascending.
 
     The additions run in the order of a dense product (left index, right
     index, output coordinate), which keeps the variable order of PolyQ sums,
-    and with it every printed value, independent of which products are skipped.
+    and with it every printed value, independent of which products are
+    skipped.  Every coordinate that a term reaches is a key, also when its
+    sum cancels (a cancelled PolyQ sum keeps its variable tuple).
     """
     out = {}
     for a, ca in left:
@@ -370,6 +359,11 @@ def _product(left, right, table) -> tuple:
             coef = ca * cb
             for k, c in row[b]:
                 out[k] = out.get(k, 0) + coef * c
+    return out
+
+
+def _nonzero(out: dict) -> tuple:
+    """The nonzero (k, c) of a _product, k ascending: the sparse value of a word."""
     return tuple(sorted((k, v) for k, v in out.items() if v))
 
 
@@ -389,7 +383,7 @@ def _shape_values(shape, table, dim: int, values: dict) -> dict:
             got = {}
             for li, lv in _shape_values(shape[0], table, dim, values).items():
                 for ri, rv in right:
-                    prod = _product(lv, rv, table)
+                    prod = _nonzero(_product(lv, rv, table))
                     if prod:
                         got[li + ri] = prod
         values[shape] = got
@@ -432,7 +426,7 @@ def _check_multilinear_identity(A: AlgebraStructure, ident: Identity, table, val
             value = memo.get(idx) if memo is not None else None
             if value is None:
                 lv, rv = left.get(idx[:split]), right.get(idx[split:])
-                value = _product(lv, rv, table) if lv and rv else ()
+                value = _nonzero(_product(lv, rv, table)) if lv and rv else ()
                 if memo is not None:
                     memo[idx] = value
             for k, c in value:
@@ -511,8 +505,8 @@ def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multil
     and reports the first nonzero coordinate at the first failing tuple.
     Symbolic mode expands each identity at generic elements g1, g2, ... and
     reports its first nonzero coordinate, a polynomial evaluated in PolyQ
-    arithmetic (see the module docstring).  Both run on one product table
-    and one set of sparse shape values for the whole call.
+    arithmetic (see the module docstring).  Both run on the algebra's
+    product table and one set of sparse shape values for the whole call.
 
     Raises DegreeTooLarge, before evaluating anything, when the check could
     make more than MAX_CHECK_EVALUATIONS word evaluations: each word of a
@@ -530,8 +524,8 @@ def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multil
         count = sum(A.dim ** max(i.expr.degrees()) * len(i.expr.terms) for i in parts)
     else:
         raise ValueError("mode must be 'multilinear' or 'symbolic'")
-    _refuse_above(A, sys, mode, count)
-    table, values = _product_table(A), {}
+    _refuse_above(f"{mode} check of {sys.name} on {A.name}", count)
+    table, values = A.table, {}
     if mode == "multilinear":
         shared = Counter(shape_of(w) for lin in parts for w in lin.expr.terms)
         tops = {shape: {} for shape, words in shared.items() if words > 1}
@@ -542,11 +536,10 @@ def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multil
     return CheckResult(ce is None, ce)
 
 
-def _refuse_above(A: AlgebraStructure, sys: IdentitySystem, mode: str, count: int):
+def _refuse_above(what: str, count: int):
+    """Raise DegreeTooLarge when what, a check, needs more than MAX_CHECK_EVALUATIONS word evaluations."""
     if count > MAX_CHECK_EVALUATIONS:
-        raise DegreeTooLarge(
-            f"{mode} check of {sys.name} on {A.name} needs {count} word evaluations, more than {MAX_CHECK_EVALUATIONS}"
-        )
+        raise DegreeTooLarge(f"{what} needs {count} word evaluations, more than {MAX_CHECK_EVALUATIONS}")
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = Report(args.command)
     try:
+        if args.cap is not None and args.cap < 1:
+            raise ParseError(f"--cap must be at least 1, got {args.cap}")
         if args.algebra_dest:
             code = args.fn(args, report, _load_algebra(getattr(args, args.algebra_dest), args.set))
         else:

@@ -90,11 +90,11 @@ def transform(A: AlgebraStructure, basis: ParamBasis):
             raise ParametricNotSupported(f"no substitution supplied for parameter {p!r}")
     # rational entries enter Q(t) here, so the constants come back as RatFunT; a float is refused
     columns = [[c if isinstance(c, RatFunT) else RatFunT(c) for c in col] for col in basis.columns]
-    consts = A.constants
+    table = A.table
     if A.parameters:
-        consts = [[[c.eval(basis.subst) for c in vec] for vec in row] for row in consts]
+        table = [[[(k, v) for k, c in terms if (v := c.eval(basis.subst))] for terms in row] for row in table]
     try:
-        return constants_in_basis(consts, columns)
+        return constants_in_basis(table, columns)
     except ValueError:
         raise SingularForAllT("parametrized basis matrix is singular for every t") from None
 

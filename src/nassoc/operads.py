@@ -78,13 +78,18 @@ HARD_DEGREE_CAP = 8
 
 
 def resolve_degree_cap(cap: int | None = None) -> int:
-    """Effective degree cap: explicit argument, else NASSOC_DEGREE_CAP, else 6."""
+    """Effective degree cap: explicit argument, else NASSOC_DEGREE_CAP, else 6,
+    at most HARD_DEGREE_CAP.  Raises ValueError, naming the source, on a cap below 1."""
     if cap is None:
         env = os.environ.get("NASSOC_DEGREE_CAP")
         try:
             cap = int(env) if env else DEFAULT_DEGREE_CAP
         except ValueError:
             raise ValueError(f"NASSOC_DEGREE_CAP must be an integer, got {env!r}") from None
+        if cap < 1:
+            raise ValueError(f"NASSOC_DEGREE_CAP must be at least 1, got {env!r}")
+    elif cap < 1:
+        raise ValueError(f"the degree cap must be at least 1, got {cap}")
     return min(cap, HARD_DEGREE_CAP)
 
 
@@ -369,7 +374,10 @@ def _step_maps(m: int) -> list[list[array]]:
 # Peak memory of a primal consequence build per ambient column.  It was
 # measured on the degree-7 sas build when rows held only Fractions (364 MiB
 # over 665,280 columns); with integer rows that build peaks at 293 MiB
-# (about 462 bytes per column), so the constant is kept as a safe upper bound.
+# (about 462 bytes per column).  Both constants were measured on builds whose
+# rows stay sparse.  They are not a bound for a build whose rows fill in:
+# cas-dual, whose degree-5 rows are dense, is estimated at 17 MB for degree 6
+# (30,240 columns) and passed 900 MiB there without finishing.
 BYTES_PER_COLUMN = 573
 # The same for a congruence step: the first-hit array, the pairs set, the
 # step maps, the union-find and the two output arrays.  Whole-process peaks
@@ -381,7 +389,8 @@ CONGRUENCE_BYTES_PER_COLUMN = 192
 
 
 def consequence_memory_estimate(n: int, congruence: bool) -> int:
-    """Estimated peak bytes of building degree n as a congruence or primal."""
+    """Estimated peak bytes of building degree n as a congruence or primal, from
+    sparse builds: a primal build whose rows fill in can need many times more."""
     return free_magma_dim(n) * (CONGRUENCE_BYTES_PER_COLUMN if congruence else BYTES_PER_COLUMN)
 
 
@@ -391,6 +400,8 @@ _consequence_cache: dict[tuple, ConsequenceSpace] = {}
 def consequences(sys: IdentitySystem, n: int, cap: int | None = None) -> ConsequenceSpace:
     """Degree-n component of the operadic ideal generated by the system."""
     cap = resolve_degree_cap(cap)
+    if n > HARD_DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {n} exceeds the hard cap {HARD_DEGREE_CAP}, which cannot be raised")
     if n > cap:
         raise DegreeTooLarge(
             f"degree {n} exceeds the cap {cap}; raise it explicitly or via NASSOC_DEGREE_CAP"

@@ -32,12 +32,14 @@ setting, every split is post-verified and the flags are part of the result.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 
 from . import exprparse
-from .algebras import AlgebraStructure, _json_field, _json_kind, _json_strings, _word_value, check_identity
+from .algebras import AlgebraStructure, _json_field, _json_kind, _json_strings, check_identity
+from .algebras import _product, _refuse_above, _shape_values, _sparse
 from .errors import (
     NonSplitOperator,
     NotIdempotent,
@@ -47,7 +49,7 @@ from .errors import (
 from .exact.linalg import express, nullspace, solve_right, span
 from .exact.poly import PolyQ, as_fraction, canonical, ratio
 from .systems import builtin_system
-from .terms import build_word, shapes
+from .terms import shapes
 
 
 # ---------------------------------------------------------------------------
@@ -233,36 +235,37 @@ def derivation_algebra(A: AlgebraStructure) -> DerivationAlgebra:
     return DerivationAlgebra(len(mats), mats)
 
 
-def apply_matrix(A: AlgebraStructure, M, x) -> tuple:
-    out = []
-    for k in range(A.dim):
-        acc = 0
-        for i in range(A.dim):
-            if M[k][i]:
-                acc = acc + x[i] * M[k][i]
-        out.append(A.lift(acc))
-    return tuple(out)
-
-
 def is_leibniz_derivation(A: AlgebraStructure, M, n: int, bracketing="all") -> bool:
     """Check D(prod_f(a_1..a_n)) = sum_i prod_f(a_1,..,D(a_i),..,a_n) on basis tuples.
 
-    bracketing: a tree shape with n leaves, or "all" for every arrangement.
+    bracketing: a tree shape with n leaves, or "all" for every arrangement;
+    D(e_i) = sum_k M[k][i] e_k.  With the values of a bracketing read off
+    `_shape_values`, the left side at the tuple idx is the sum of c D(e_m)
+    over the nonzero (m, c) of its value, and the right side the sum over
+    positions p and the nonzero M[j][idx[p]] of M[j][idx[p]] times the value
+    at idx with j at position p.  Raises DegreeTooLarge, before any work,
+    past MAX_CHECK_EVALUATIONS word evaluations: each bracketing on each of
+    the dim ** n basis tuples, once for the left side and once per position.
     """
     if n < 1:
         raise ValueError(f"Leibniz order must be at least 1, got {n}")
-    shape_list = shapes(n) if bracketing == "all" else (bracketing,)
-    for shape in shape_list:
-        word = build_word(shape, range(n))
-        for combo in itertools.product(range(1, A.dim + 1), repeat=n):
-            elements = [A.basis_element(i) for i in combo]
-            lhs = apply_matrix(A, M, _word_value(A, word, dict(enumerate(elements))))
-            rhs = A.zero_element()
-            for pos in range(n):
-                modified = dict(enumerate(elements))
-                modified[pos] = apply_matrix(A, M, elements[pos])
-                rhs = A.add(rhs, _word_value(A, word, modified))
-            if lhs != rhs:
+    bracketings = math.comb(2 * n - 2, n - 1) // n if bracketing == "all" else 1  # Catalan(n - 1)
+    _refuse_above(f"Leibniz check of order {n} on {A.name}", bracketings * A.dim**n * (n + 1))
+    # image[i] is D(e_i), sparse
+    image = [[(k, A.lift(M[k][i])) for k in range(A.dim) if M[k][i]] for i in range(A.dim)]
+    memo = {}
+    for shape in shapes(n) if bracketing == "all" else (bracketing,):
+        values = _shape_values(shape, A.table, A.dim, memo)
+        for idx in itertools.product(range(A.dim), repeat=n):
+            diff = {}
+            for m, c in values.get(idx, ()):
+                for k, d in image[m]:
+                    diff[k] = diff.get(k, 0) + c * d
+            for p, i in enumerate(idx):
+                for j, d in image[i]:
+                    for k, c in values.get(idx[:p] + (j,) + idx[p + 1 :], ()):
+                        diff[k] = diff.get(k, 0) - d * c
+            if any(diff.values()):
                 return False
     return True
 
@@ -685,12 +688,7 @@ def fingerprint(A: AlgebraStructure) -> Fingerprint:
     dims = powers.power_dims
     dim_a2 = dims[1]
     dim_a3 = dims[2] if len(dims) > 2 else dim_a2
-    commutative = all(
-        A.constants[i][j][k] == A.constants[j][i][k]
-        for i in range(A.dim)
-        for j in range(A.dim)
-        for k in range(A.dim)
-    )
+    commutative = A.table == tuple(zip(*A.table))  # e_i e_j = e_j e_i for all i, j
     return Fingerprint(
         dim=A.dim,
         dim_a2=dim_a2,
@@ -706,12 +704,13 @@ def fingerprint(A: AlgebraStructure) -> Fingerprint:
     )
 
 
-def constants_in_basis(constants, columns):
+def constants_in_basis(table, columns):
     """Structure constants in the basis E_i = sum_a columns[i][a] e_a.
 
-    The constants c[a][b][k] and the columns may lie in Q, Q[parameters]
+    table[a][b] lists the nonzero (k, c) of e_a e_b, as `AlgebraStructure.table`
+    does.  The constants and the columns may lie in Q, Q[parameters]
     (PolyQ constants) or Q(t) (RatFunT): the products E_i E_j are formed
-    from the constants, and their coordinates X in the new basis solve
+    by `_product`, and their coordinates X in the new basis solve
     M X = products, M the matrix whose columns are the E_i.  The rank of M
     is checked first, so that a PolyQ product is never taken as a pivot.
     Raises ValueError("matrix is singular") when the columns are dependent.
@@ -720,18 +719,12 @@ def constants_in_basis(constants, columns):
     matrix = [[col[r] for col in columns] for r in range(n)]
     if span(matrix, n).rank < n:
         raise ValueError("matrix is singular")
-    products = [[0] * n for _ in range(n * n)]
-    for a, row in enumerate(constants):
-        for b, vec in enumerate(row):
-            for k, c in enumerate(vec):
-                if not c:
-                    continue
-                for i, ci in enumerate(columns):
-                    if not ci[a]:
-                        continue
-                    for j, cj in enumerate(columns):
-                        if cj[b]:
-                            products[i * n + j][k] += ci[a] * cj[b] * c
+    sparse = [_sparse(col) for col in columns]
+    products = []
+    for ci in sparse:
+        for cj in sparse:
+            out = _product(ci, cj, table)
+            products.append([out.get(k, 0) for k in range(n)])
     solved = solve_right(matrix, products)
     return [solved[i * n : (i + 1) * n] for i in range(n)]
 
@@ -743,5 +736,5 @@ def change_basis(A: AlgebraStructure, matrix) -> AlgebraStructure:
     """
     n = A.dim
     columns = [[canonical(as_fraction(matrix[r][i])) for r in range(n)] for i in range(n)]
-    constants = constants_in_basis(A.constants, columns)
+    constants = constants_in_basis(A.table, columns)
     return AlgebraStructure(f"{A.name}~", n, constants, A.parameters, A.basis)

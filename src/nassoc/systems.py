@@ -8,7 +8,7 @@ shift associativity (xy)z = y(zx), "cas" the cyclic associative pair, and
 
 from __future__ import annotations
 
-from .terms import IdentitySystem, parse_system
+from .terms import Expr, Identity, IdentitySystem, parse_system
 
 _DEFINITIONS: dict[str, str] = {
     "sas": "((x1 x2) x3) = (x2 (x3 x1))",
@@ -37,7 +37,10 @@ def builtin_system(name: str) -> IdentitySystem:
 
 
 def anti_system(name: str) -> IdentitySystem:
-    """Sign-flipped variant (ab)c = -x(yz) of a single-identity builtin."""
-    base = _DEFINITIONS[name]
-    lhs, rhs = base.split("=")
-    return parse_system(f"{name}-anti", f"{lhs.strip()} + {rhs.strip()} = 0")
+    """Sign-flipped variant (ab)c = -x(yz) of a builtin system of one identity w1 = w2,
+    its right-hand word negated.  Raises ValueError naming any other system."""
+    system = builtin_system(name) if name in _DEFINITIONS else None
+    if system is None or len(system.identities) != 1 or len(system.identities[0].expr.terms) != 2:
+        raise ValueError(f"no sign-flipped variant of {name!r}: it is not a builtin system of one identity w1 = w2")
+    (lhs, a), (rhs, b) = system.identities[0].expr.terms.items()
+    return IdentitySystem(f"{name}-anti", [Identity(Expr({lhs: a, rhs: -b}))])

@@ -2,7 +2,7 @@
 
 A Word is a full binary tree over generators x1, x2, ...; nested tuples
 (left, right) are internal nodes and plain ints are leaves.  An Expr is a
-rational (or polynomial) linear combination of Words.  Identities are Exprs
+rational linear combination of Words.  Identities are Exprs
 normalized to "= 0" form with contiguously numbered variables.
 
 Expr's constructor is the one place where sums of words are collected:
@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .errors import DegreeTooLarge, IndexOutOfRange, NotHomogeneous, ParseError, UnbalancedParens
-from .exact.poly import PolyQ, canonical, signed_sum
+from .exact.poly import canonical, signed_sum
 
 Word = object  # int leaf or (Word, Word) pair
 
@@ -133,7 +133,7 @@ def word_str(word) -> str:
 
 
 class Expr:
-    """Formal linear combination of Words with rational or PolyQ coefficients.
+    """Formal linear combination of Words with rational coefficients.
 
     Built from a dict or an iterable of (word, coefficient) pairs: repeated
     words are summed, zero sums dropped, and words keep the order in which
@@ -235,10 +235,6 @@ class Expr:
     def __str__(self):
         parts = []
         for w, c in self.sorted_terms():
-            if isinstance(c, PolyQ):
-                body = f"({c}) * {word_str(w)}"
-                parts.append(("+", body))
-                continue
             body = word_str(w) if abs(c) == 1 else f"{abs(c)} * {word_str(w)}"
             parts.append(("-" if c < 0 else "+", body))
         return signed_sum(parts)

@@ -122,6 +122,27 @@ def test_leibniz_order_zero_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and not out
 
 
+def test_leibniz_check_too_large_is_refused(capsys, tmp_path):
+    # 1430 bracketings on 3^9 tuples, each evaluated 10 times
+    code, out, err = _leibniz(capsys, tmp_path, LEIBNIZ_MATRIX, "--order", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: Leibniz check of order 9 on a1 needs 281466900 word evaluations, more than 1000000\n"
+
+
+def test_degree_caps_are_named_truthfully(capsys, monkeypatch):
+    monkeypatch.delenv("NASSOC_DEGREE_CAP", raising=False)
+    dims = ("dims", "--system", "sas", "--max-degree")
+    code, out, err = run_cli(capsys, *dims, "9", "--cap", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: degree 9 exceeds the hard cap 8, which cannot be raised\n"
+    code, _, err = run_cli(capsys, *dims, "7")
+    assert code == 2 and err == "error: degree 7 exceeds the cap 6; raise it explicitly or via NASSOC_DEGREE_CAP\n"
+    for cap in ("0", "-1"):
+        assert run_cli(capsys, *dims, "3", "--cap", cap) == (2, "", f"error: --cap must be at least 1, got {cap}\n")
+    monkeypatch.setenv("NASSOC_DEGREE_CAP", "0")
+    assert run_cli(capsys, *dims, "3") == (2, "", "error: NASSOC_DEGREE_CAP must be at least 1, got '0'\n")
+
+
 def test_set_of_an_unknown_parameter_is_a_usage_error(capsys):
     # a1 has no parameters: --set gamma=7 used to be dropped and "holds" printed
     code, out, err = run_cli(capsys, "check-identity", "--algebra", "a1", "--set", "gamma=7", "--system", "sas")

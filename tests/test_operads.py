@@ -31,7 +31,7 @@ from nassoc.operads import (
     prove_zero,
     resolve_degree_cap,
 )
-from nassoc.systems import BUILTIN_SYSTEM_NAMES, anti_system, builtin_system
+from nassoc.systems import _DEFINITIONS, BUILTIN_SYSTEM_NAMES, anti_system, builtin_system
 from nassoc.terms import Expr, parse_expr, parse_system, relabel_word
 
 Q = Fraction
@@ -560,6 +560,41 @@ def test_degree_cap():
         del os.environ["NASSOC_DEGREE_CAP"]
     assert resolve_degree_cap(None) == 6
     assert resolve_degree_cap(9) == 8
+
+
+def test_degree_cap_errors_name_their_source(monkeypatch):
+    monkeypatch.delenv("NASSOC_DEGREE_CAP", raising=False)
+    with pytest.raises(DegreeTooLarge, match="^degree 9 exceeds the hard cap 8, which cannot be raised$"):
+        consequences(builtin_system("sas"), 9, cap=9)
+    with pytest.raises(DegreeTooLarge, match="^degree 7 exceeds the cap 6; raise it"):
+        consequences(builtin_system("sas"), 7)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match=f"^the degree cap must be at least 1, got {cap}$"):
+            resolve_degree_cap(cap)
+        with pytest.raises(ValueError, match="degree cap must be at least 1"):
+            consequences(builtin_system("sas"), 1, cap=cap)
+    monkeypatch.setenv("NASSOC_DEGREE_CAP", "0")
+    with pytest.raises(ValueError, match="^NASSOC_DEGREE_CAP must be at least 1, got '0'$"):
+        resolve_degree_cap(None)
+
+
+def test_anti_system_flips_exactly_the_single_binomial_builtins():
+    """Every builtin name either flips as its definition text w1 = w2 read
+    as w1 + w2 = 0, or is refused with a ValueError that names it."""
+    flipped = []
+    for name in BUILTIN_SYSTEM_NAMES:
+        try:
+            anti = anti_system(name)
+        except ValueError as exc:
+            assert str(exc).startswith(f"no sign-flipped variant of {name!r}"), exc
+            continue
+        lhs, rhs = _DEFINITIONS[name].split("=")
+        assert anti == parse_system(f"{name}-anti", f"{lhs.strip()} + {rhs.strip()} = 0"), name
+        assert anti.name == f"{name}-anti"
+        flipped.append(name)
+    assert flipped == list(ASSOCIATIVE_TYPE_BUILTINS)
+    with pytest.raises(ValueError, match="^no sign-flipped variant of 'nope'"):
+        anti_system("nope")
 
 
 # ---------------------------------------------------------------------------
