@@ -23,43 +23,38 @@ sparse table per algebra, built with it: the nonzero (k, c) of each product
 e_i e_j.  `mul`, both identity-check modes, Leibniz checks and the basis
 change `structure.constants_in_basis` use it.
 
-Both modes reach their verdict compiled once per call, without forming an
-element: each word becomes its tree shape and leaf labels.  The
-values of a shape are built sparsely, once per call and shared by every word
-and identity of it: a dict from each tuple of basis indices at its leaves
-where the bracketed product is nonzero to that product, which is formed only
-from two nonzero factors.  Multilinear mode builds the values of the two
-factors of each word, and visits only the tuples where some word has both
-factors nonzero, in lexicographic order; at every other tuple each word is
-zero.  There it forms each word's top product, adds the words in order and
+Both modes run one scan, `_scan`, compiled once per call without forming
+an element: each word becomes its tree shape and leaf labels.  The values
+of a shape are built sparsely, once per call and shared by every word and
+identity of it: a dict from each tuple of basis indices at its leaves where
+the bracketed product is nonzero to that product, which is formed only from
+two nonzero factors.  The scan visits in ascending order the monomials (the
+products of the g{v}_i at the leaves; the basis tuples, for a multilinear
+identity) where some word has two nonzero factors, and adds the words in
+order there; at every other tuple each word is zero.  Multilinear mode
 stops at the first nonzero coordinate, so the first counterexample, printed
-value included, is the same as that of a plain evaluation of every word on
-every tuple.  A top product is kept only for a shape that two or more words
-of the checked system share.  Symbolic mode adds the value of each word on
-each tuple where it is nonzero into the coefficient of the monomial, the
-product of the g{v}_i at the leaves, so each coordinate of the generic value
-is a dict from monomial to coefficient (int or Fraction, PolyQ for a
-family).  The identity holds when every such dict is empty.  The first
-nonzero coordinate is then printed from a second, plain evaluation of the
-identity: generic elements from `generic_element`, words through `mul`,
-`add` and `scale` in PolyQ arithmetic, so the order of the variables in a
-printed value is PolyQ's alone.
-Both modes raise DegreeTooLarge, before any evaluation, for a request past
+value included, is that of a plain evaluation of every word on every tuple.
+Symbolic mode takes the least nonzero coordinate over all monomials and
+prints it from a second, plain evaluation of the identity: generic elements
+from `generic_element`, words through `mul`, `add` and `scale` in PolyQ
+arithmetic, so the order of the variables in a printed value is PolyQ's
+alone.  The mode chooses only the parts scanned and the report.  Both modes
+raise DegreeTooLarge, before any evaluation, for a request past
 MAX_CHECK_EVALUATIONS.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import add
 
 from . import exprparse
 from .errors import DegreeTooLarge, ParameterClash
 from .exact.poly import PolyQ, as_fraction, canonical
-from .terms import Identity, IdentitySystem, degree, multilinearize, shape_and_leaves, shape_of
+from .terms import Identity, IdentitySystem, multilinearize, shape_and_leaves, shape_of
 
 # check_identity refuses a request of more word evaluations than this (words
 # times the basis tuples at their leaves), as dim ** degree grows fast
@@ -390,76 +385,54 @@ def _shape_values(shape, table, dim: int, values: dict) -> dict:
     return got
 
 
-def _check_multilinear_identity(A: AlgebraStructure, ident: Identity, table, values, tops) -> Counterexample | None:
-    """Evaluate ident on the basis tuples where some word has two nonzero factors, in itertools.product order.
+def _scan(A: AlgebraStructure, ident: Identity, values: dict, tops: dict, first: bool) -> tuple | None:
+    """(monomial, k, sum) of the least nonzero coordinate k of ident, or None when it holds on A.
 
-    At every other tuple each word is zero, so the first counterexample is
-    the one of a scan of all tuples.  A word's top product is formed at each
-    such tuple from the sparse values of its factors, and kept in tops only
-    for a shape that several words of the call share.
+    With first, k is taken at the first failing monomial, else over all.  A
+    monomial is encoded as the sorted tuple of (v - 1) * dim + i over the
+    leaves of a word, variable v at basis index i, which sorts as the
+    (v, i) pairs do: for a multilinear identity it lists a basis tuple, in
+    itertools.product order.  Each word is keyed by monomial at the leaf
+    tuples where both its factors are nonzero, or, for a bare variable or a
+    shape whose values are built as a factor, where it is nonzero.  At each
+    monomial, in ascending order, the words add in sorted order, and a top
+    product is formed there, kept in tops for a shape that several words of
+    the call share.
     """
-    n = A.dim
-    words, candidates = [], set()
+    table, n = A.table, A.dim
+    by_mono = defaultdict(list)
     for w, coef in ident.expr.sorted_terms():
         shape, labels = shape_and_leaves(w)
-        # pick(combo) is the tuple of basis indices at the leaves and unpick
-        # its inverse, as each variable is at one leaf; itemgetter of a single
-        # index would return a bare int, and a 1-tuple is its own pick
-        if ident.nvars > 1:
-            pick = itemgetter(*[v - 1 for v in labels])
-            unpick = itemgetter(*sorted(range(len(labels)), key=labels.__getitem__))
+        if shape == 0 or shape in values:  # read the word off its own values
+            left, right = _shape_values(shape, table, n, values), {(): None}
         else:
-            pick = unpick = tuple
-        if shape == 0:  # a bare variable has no factors; its values hold every tuple
-            leaf = _shape_values(0, table, n, values)
-            candidates.update(leaf)
-            words.append((coef, pick, 1, None, None, leaf))
-            continue
-        left = _shape_values(shape[0], table, n, values)
-        right = _shape_values(shape[1], table, n, values)
-        candidates.update(unpick(li + ri) for li in left for ri in right)
-        words.append((coef, pick, degree(shape[0]), left, right, tops.get(shape)))
-    for combo in sorted(candidates):
-        acc = [0] * n
-        for coef, pick, split, left, right, memo in words:
-            idx = pick(combo)
-            value = memo.get(idx) if memo is not None else None
-            if value is None:
-                lv, rv = left.get(idx[:split]), right.get(idx[split:])
-                value = _nonzero(_product(lv, rv, table)) if lv and rv else ()
-                if memo is not None:
-                    memo[idx] = value
+            left, right = (_shape_values(s, table, n, values) for s in shape)
+        memo, right, offsets = tops.get(shape), right.items(), [(v - 1) * n for v in labels]
+        for li, lv in left.items():
+            for ri, rv in right:
+                idx = li + ri
+                key = tuple(sorted(map(add, offsets, idx)))
+                by_mono[key].append((coef, lv, rv, memo, None if memo is None else idx))
+    least, found = n, None
+    for mono in sorted(by_mono):
+        acc = {}
+        for coef, lv, rv, memo, idx in by_mono[mono]:
+            if rv is None:
+                value = lv
+            elif memo is None:
+                value = _nonzero(_product(lv, rv, table))
+            else:
+                value = memo.get(idx)
+                if value is None:
+                    value = memo[idx] = _nonzero(_product(lv, rv, table))
             for k, c in value:
-                acc[k] = acc[k] + coef * c
-        for k in range(n):
-            if acc[k]:
-                return Counterexample(
-                    identity=str(ident),
-                    tuple_labels=tuple(A.basis[i] for i in combo),
-                    coordinate=A.basis[k],
-                    value=str(A.lift(acc[k])),
-                    mode="multilinear",
-                )
-    return None
-
-
-def _generic_coords(words, table, dim: int, values) -> list[dict]:
-    """Coordinates of sum c * w over words [(c, w)] at generic elements g{v} = sum_i g{v}_i e_i.
-
-    Coordinate k is a dict from monomial, the sorted tuple of the (variable,
-    basis index) pairs at the leaves, to its nonzero coefficient: the sum
-    over the leaf tuples idx where the word's shape is nonzero, read from
-    _shape_values, of c times that value.
-    """
-    acc = [{} for _ in range(dim)]
-    for c, w in words:
-        shape, labels = shape_and_leaves(w)
-        for idx, value in _shape_values(shape, table, dim, values).items():
-            mono = tuple(sorted(zip(labels, idx)))
-            for k, v in value:
-                total = acc[k]
-                total[mono] = total.get(mono, 0) + c * v
-    return [{m: a for m, a in total.items() if a} for total in acc]
+                acc[k] = acc.get(k, 0) + coef * c
+        for k, total in acc.items():
+            if k < least and total:
+                least, found = k, (mono, k, total)
+        if found and (first or least == 0):
+            break
+    return found
 
 
 def _word_value(A: AlgebraStructure, word, values) -> tuple:
@@ -481,59 +454,54 @@ def _generic_value(A: AlgebraStructure, ident: Identity, k: int) -> PolyQ:
     return acc[k]
 
 
-def _check_symbolic_identity(A: AlgebraStructure, ident: Identity, table, values) -> Counterexample | None:
-    """Expand ident at generic elements g1..g{nvars}; only a failing coordinate is evaluated as a PolyQ."""
-    for v in range(1, ident.nvars + 1):
-        A.generic_names(f"g{v}")  # raises ParameterClash on a parameter named g{v}_i
-    words = [(c, w) for w, c in ident.expr.sorted_terms()]
-    for k, total in enumerate(_generic_coords(words, table, A.dim, values)):
-        if total:
-            return Counterexample(
-                identity=str(ident),
-                tuple_labels=tuple(f"g{v}" for v in range(1, ident.nvars + 1)),
-                coordinate=A.basis[k],
-                value=str(_generic_value(A, ident, k)),
-                mode="symbolic",
-            )
-    return None
-
-
 def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multilinear") -> CheckResult:
     """Check every identity of the system on A; parameters stay symbolic.
 
-    Multilinear mode evaluates each multilinear part on every basis tuple
-    and reports the first nonzero coordinate at the first failing tuple.
-    Symbolic mode expands each identity at generic elements g1, g2, ... and
-    reports its first nonzero coordinate, a polynomial evaluated in PolyQ
-    arithmetic (see the module docstring).  Both run on the algebra's
-    product table and one set of sparse shape values for the whole call.
+    Multilinear mode scans the multilinear parts of each identity and
+    reports the first nonzero coordinate at the first failing basis tuple.
+    Symbolic mode scans each identity as given, at generic elements g1, g2,
+    ..., and reports its least nonzero coordinate, a polynomial evaluated in
+    PolyQ arithmetic.  Both run `_scan` on the algebra's product table, with
+    one set of sparse shape values and top products for the whole call (see
+    the module docstring).
 
     Raises DegreeTooLarge, before evaluating anything, when the check could
-    make more than MAX_CHECK_EVALUATIONS word evaluations: each word of a
-    multilinear part on dim ** nvars basis tuples, or each word of an
-    identity on the dim ** degree basis tuples at its leaves in symbolic
-    mode.  The count takes every tuple, so it bounds the work from above;
-    tuples where a word is zero are skipped.  Raises ParameterClash when a generated coordinate g{v}_i is a
-    parameter of A.
+    make more than MAX_CHECK_EVALUATIONS word evaluations, dim ** degree for
+    each word of each part: the count takes every basis tuple at the leaves,
+    so it bounds the work from above.  Raises ParameterClash when a generated
+    coordinate g{v}_i is a parameter of A.
     """
     if mode == "multilinear":
         parts = [lin for ident in sys.identities for lin in multilinearize(ident)]
-        count = sum(A.dim**lin.nvars * len(lin.expr.terms) for lin in parts)
     elif mode == "symbolic":
         parts = sys.identities
-        count = sum(A.dim ** max(i.expr.degrees()) * len(i.expr.terms) for i in parts)
     else:
         raise ValueError("mode must be 'multilinear' or 'symbolic'")
-    _refuse_above(f"{mode} check of {sys.name} on {A.name}", count)
-    table, values = A.table, {}
-    if mode == "multilinear":
-        shared = Counter(shape_of(w) for lin in parts for w in lin.expr.terms)
-        tops = {shape: {} for shape, words in shared.items() if words > 1}
-        found = (_check_multilinear_identity(A, lin, table, values, tops) for lin in parts)
-    else:
-        found = (_check_symbolic_identity(A, ident, table, values) for ident in parts)
-    ce = next(filter(None, found), None)
-    return CheckResult(ce is None, ce)
+    _refuse_above(
+        f"{mode} check of {sys.name} on {A.name}",
+        sum(A.dim ** max(part.expr.degrees()) * len(part.expr.terms) for part in parts),
+    )
+    # the factor values of every word come first, so a word whose shape is
+    # also a factor reads them instead of forming its top products again
+    values, shared = {}, Counter(shape_of(w) for part in parts for w in part.expr.terms)
+    for shape in shared:
+        for factor in shape or ():  # a bare variable, shape 0, has none
+            _shape_values(factor, A.table, A.dim, values)
+    tops = {shape: {} for shape, words in shared.items() if words > 1 and shape not in values}
+    for part in parts:
+        generic = tuple(f"g{v}" for v in range(1, part.nvars + 1))
+        if mode == "symbolic":
+            for g in generic:
+                A.generic_names(g)  # raises ParameterClash on a parameter named g{v}_i
+        found = _scan(A, part, values, tops, mode == "multilinear")
+        if found:
+            mono, k, total = found
+            if mode == "multilinear":
+                at, value = tuple(A.basis[e % A.dim] for e in mono), A.lift(total)
+            else:
+                at, value = generic, _generic_value(A, part, k)
+            return CheckResult(False, Counterexample(str(part), at, A.basis[k], str(value), mode))
+    return CheckResult(True)
 
 
 def _refuse_above(what: str, count: int):

@@ -37,6 +37,7 @@ from .operads import (
     multilinear_dim,
     nice_index,
     prove_zero,
+    refuse_degree,
 )
 from .structure import (
     CocycleSpec,
@@ -49,7 +50,7 @@ from .structure import (
     wedderburn,
 )
 from .systems import BUILTIN_SYSTEM_NAMES, builtin_system
-from .terms import multilinearize, parse_expr, parse_identity, parse_system, shapes
+from .terms import catalan, multilinearize, parse_expr, parse_identity, parse_system, shape_at
 
 
 class Report:
@@ -153,6 +154,7 @@ VARIETY = flag("--variety", choices=("sas", "cas"), default="sas")
 def cmd_dims(args, report):
     if args.max_degree < 1:
         raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
+    refuse_degree(args.max_degree, args.cap)
     sys_ = _load_system(args.system)
     dims = [multilinear_dim(sys_, n, args.cap) for n in range(1, args.max_degree + 1)]
     report.data["dims"] = dims
@@ -173,6 +175,7 @@ def cmd_hilbert(args, report):
          flag("--dual", help="second system; defaults to the computed dual"),
          flag("--order", type=int, default=5))
 def cmd_koszulity(args, report):
+    refuse_degree(args.order, args.cap)  # before the dual is built
     sys_p = _load_system(args.system)
     sys_q = _load_system(args.dual) if args.dual else koszul_dual(
         OperadPresentation.of_system(sys_p)
@@ -348,11 +351,15 @@ def cmd_leibniz(args, report, A):
         raise ParseError(f"--matrix must be {A.dim}x{A.dim} for {A.name}")
     M = [[rational(x, "--matrix") for x in row] for row in rows]
     bracketing = "all"
-    if args.bracketing != "all":
-        shape_list, k = shapes(args.order), int(args.bracketing)
-        if not 0 <= k < len(shape_list):
-            raise ParseError(f"--bracketing must be 'all' or 0..{len(shape_list) - 1} at order {args.order}")
-        bracketing = shape_list[k]
+    if args.bracketing != "all" and args.order >= 1:  # is_leibniz_derivation refuses a lower order
+        count = catalan(args.order - 1)
+        try:
+            k = int(args.bracketing)
+        except ValueError:
+            k = -1
+        if not 0 <= k < count:
+            raise ParseError(f"--bracketing must be 'all' or 0..{count - 1} at order {args.order}")
+        bracketing = shape_at(args.order, k)
     ok = is_leibniz_derivation(A, M, args.order, bracketing)
     report.verdict = ok
     report.line("Leibniz derivation" if ok else "not a Leibniz derivation")

@@ -64,6 +64,7 @@ from .terms import (
     IdentitySystem,
     bracket,
     build_word,
+    catalan,
     circle,
     formal_expand,
     multihomogeneous_components,
@@ -93,8 +94,15 @@ def resolve_degree_cap(cap: int | None = None) -> int:
     return min(cap, HARD_DEGREE_CAP)
 
 
-def catalan(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
+def refuse_degree(n: int, cap: int | None = None):
+    """Raise DegreeTooLarge when degree n exceeds HARD_DEGREE_CAP or the effective cap.
+
+    A caller that builds every degree up to n calls it first, so a refusal comes before any build."""
+    cap = resolve_degree_cap(cap)
+    if n > HARD_DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {n} exceeds the hard cap {HARD_DEGREE_CAP}, which cannot be raised")
+    if n > cap:
+        raise DegreeTooLarge(f"degree {n} exceeds the cap {cap}; raise it explicitly or via NASSOC_DEGREE_CAP")
 
 
 def free_magma_dim(n: int) -> int:
@@ -399,13 +407,7 @@ _consequence_cache: dict[tuple, ConsequenceSpace] = {}
 
 def consequences(sys: IdentitySystem, n: int, cap: int | None = None) -> ConsequenceSpace:
     """Degree-n component of the operadic ideal generated by the system."""
-    cap = resolve_degree_cap(cap)
-    if n > HARD_DEGREE_CAP:
-        raise DegreeTooLarge(f"degree {n} exceeds the hard cap {HARD_DEGREE_CAP}, which cannot be raised")
-    if n > cap:
-        raise DegreeTooLarge(
-            f"degree {n} exceeds the cap {cap}; raise it explicitly or via NASSOC_DEGREE_CAP"
-        )
+    refuse_degree(n, cap)
     if n < 1:
         raise ValueError("degree must be positive")
     if not sys.is_multilinear():
@@ -581,6 +583,7 @@ def hilbert(sys: IdentitySystem, order: int, cap: int | None = None) -> SeriesQ:
     """Signed exponential series: coefficient of t^n is (-1)^n dim(n)/n!."""
     if order < 1:
         raise ValueError(f"series order must be at least 1, got {order}")
+    refuse_degree(order, cap)
     coeffs = []
     for n in range(1, order + 1):
         d = multilinear_dim(sys, n, cap)

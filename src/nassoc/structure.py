@@ -32,7 +32,6 @@ setting, every split is post-verified and the flags are part of the result.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
@@ -49,7 +48,7 @@ from .errors import (
 from .exact.linalg import express, nullspace, solve_right, span
 from .exact.poly import PolyQ, as_fraction, canonical, ratio
 from .systems import builtin_system
-from .terms import shapes
+from .terms import catalan, shapes
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,7 @@ def is_leibniz_derivation(A: AlgebraStructure, M, n: int, bracketing="all") -> b
     """
     if n < 1:
         raise ValueError(f"Leibniz order must be at least 1, got {n}")
-    bracketings = math.comb(2 * n - 2, n - 1) // n if bracketing == "all" else 1  # Catalan(n - 1)
+    bracketings = catalan(n - 1) if bracketing == "all" else 1
     _refuse_above(f"Leibniz check of order {n} on {A.name}", bracketings * A.dim**n * (n + 1))
     # image[i] is D(e_i), sparse
     image = [[(k, A.lift(M[k][i])) for k in range(A.dim) if M[k][i]] for i in range(A.dim)]

@@ -25,7 +25,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .errors import DegreeTooLarge, IndexOutOfRange, NotHomogeneous, ParseError, UnbalancedParens
 from .exact.poly import canonical, signed_sum
@@ -100,6 +100,24 @@ def shapes(n: int) -> tuple:
             for rs in shapes(n - left_size):
                 out.append((ls, rs))
     return tuple(out)
+
+
+def catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
+
+
+def shape_at(n: int, k: int):
+    """shapes(n)[k], unranked without listing shapes(n); IndexError unless 0 <= k < catalan(n - 1)."""
+    if not 0 <= k < catalan(n - 1):
+        raise IndexError(f"no shape {k} with {n} leaves")
+    if n == 1:
+        return 0
+    for left_size in range(n - 1, 0, -1):
+        rights = catalan(n - left_size - 1)
+        block = catalan(left_size - 1) * rights
+        if k < block:
+            return (shape_at(left_size, k // rights), shape_at(n - left_size, k % rights))
+        k -= block
 
 
 @lru_cache(maxsize=None)

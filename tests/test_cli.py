@@ -103,10 +103,30 @@ def _leibniz(capsys, tmp_path, matrix, *extra):
 def test_leibniz_bracketing_out_of_range(capsys, tmp_path):
     # order 2 has a single bracketing, index 0
     assert _leibniz(capsys, tmp_path, LEIBNIZ_MATRIX, "--order", "2", "--bracketing", "0")[0] == 1
-    for index in ("5", "-1"):
+    for index in ("5", "-1", "x"):
         code, out, err = _leibniz(capsys, tmp_path, LEIBNIZ_MATRIX, "--order", "2", "--bracketing", index)
-        assert code == 2 and not out
-        assert "--bracketing" in err
+        assert (code, out) == (2, "")
+        assert err == "error: --bracketing must be 'all' or 0..0 at order 2\n"
+    code, out, err = _leibniz(capsys, tmp_path, LEIBNIZ_MATRIX, "--order", "0", "--bracketing", "0")
+    assert (code, out, err) == (2, "", "error: Leibniz order must be at least 1, got 0\n")
+
+
+def test_leibniz_bracketing_is_unranked_without_listing_the_shapes(capsys, tmp_path, monkeypatch):
+    """Order 16 has Catalan(15) = 9694845 bracketings; picking one must not list them."""
+    from nassoc import structure, terms
+
+    def refuse(n):
+        raise AssertionError(f"shapes({n}) listed")
+
+    monkeypatch.setattr(terms, "shapes", refuse)
+    monkeypatch.setattr(structure, "shapes", refuse)
+    one = tmp_path / "one.json"
+    one.write_text('{"name": "one", "dim": 1, "products": [{"left": "e1", "right": "e1", "value": [["1", "e1"]]}]}')
+    matrix = tmp_path / "D.json"
+    for entry, code, verdict in (("0", 0, "Leibniz derivation\n"), ("1", 1, "not a Leibniz derivation\n")):
+        matrix.write_text(f"[[{entry}]]")
+        argv = ("leibniz", "--algebra", str(one), "--matrix", str(matrix), "--order", "16", "--bracketing", "9694844")
+        assert run_cli(capsys, *argv) == (code, verdict, "")
 
 
 def test_leibniz_matrix_of_the_wrong_size(capsys, tmp_path):
@@ -130,13 +150,24 @@ def test_leibniz_check_too_large_is_refused(capsys, tmp_path):
 
 
 def test_degree_caps_are_named_truthfully(capsys, monkeypatch):
+    """A degree past a cap is refused before any degree is built."""
+    from nassoc import operads
+
+    def refuse(*args):
+        raise AssertionError("a degree was built before the refusal")
+
+    monkeypatch.setattr(operads, "_consequence_cache", {})
+    monkeypatch.setattr(operads, "_primal_step", refuse)
+    monkeypatch.setattr(operads, "_congruence_step", refuse)
     monkeypatch.delenv("NASSOC_DEGREE_CAP", raising=False)
     dims = ("dims", "--system", "sas", "--max-degree")
-    code, out, err = run_cli(capsys, *dims, "9", "--cap", "9")
-    assert (code, out) == (2, "")
-    assert err == "error: degree 9 exceeds the hard cap 8, which cannot be raised\n"
-    code, _, err = run_cli(capsys, *dims, "7")
-    assert code == 2 and err == "error: degree 7 exceeds the cap 6; raise it explicitly or via NASSOC_DEGREE_CAP\n"
+    for command in (dims, ("hilbert", "--system", "sas", "--order"), ("koszulity", "--system", "sas", "--order")):
+        code, out, err = run_cli(capsys, *command, "9", "--cap", "9")
+        assert (code, out) == (2, ""), command
+        assert err == "error: degree 9 exceeds the hard cap 8, which cannot be raised\n", command
+        code, out, err = run_cli(capsys, *command, "7")
+        assert (code, out) == (2, ""), command
+        assert err == "error: degree 7 exceeds the cap 6; raise it explicitly or via NASSOC_DEGREE_CAP\n", command
     for cap in ("0", "-1"):
         assert run_cli(capsys, *dims, "3", "--cap", cap) == (2, "", f"error: --cap must be at least 1, got {cap}\n")
     monkeypatch.setenv("NASSOC_DEGREE_CAP", "0")

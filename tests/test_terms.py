@@ -11,11 +11,13 @@ from nassoc.terms import (
     Expr,
     Identity,
     build_word,
+    catalan,
     leaves,
     multilinearize,
     parse_expr,
     parse_identity,
     shape_and_leaves,
+    shape_at,
     shape_of,
     shapes,
     word_key,
@@ -252,3 +254,13 @@ def test_shape_and_leaves_walks_once_for_both():
         for shape in shapes(n):
             word = build_word(shape, range(n, 0, -1))
             assert shape_and_leaves(word) == (shape_of(word), leaves(word)) == (shape, tuple(range(n, 0, -1)))
+
+
+def test_shape_at_unranks_the_listed_shapes():
+    for n in range(1, 10):
+        listed = shapes(n)
+        assert len(listed) == catalan(n - 1)
+        assert [shape_at(n, k) for k in range(len(listed))] == list(listed)
+        for k in (-1, len(listed)):
+            with pytest.raises(IndexError):
+                shape_at(n, k)
