@@ -2,45 +2,50 @@
 
 The degree-n multilinear component of the free magma has dimension
 n! * Catalan(n-1); monomials are indexed by (tree shape, permutation) with
-shapes in Catalan order and permutations lexicographic.  The consequence
-space of an identity system is generated inductively: the degree-(m+1)
+shapes in Catalan order and permutations lexicographic.  Each degree n of
+the consequence space I(n) of an identity system is built in one of two
+ways, with the same answers.
+
+A primal degree is built by elimination (`_primal_step`).  The degree-(m+1)
 component is spanned by left/right multiplications by a fresh variable and
 by substitutions x_i -> (x_i x_{m+1}) applied to the degree-m component,
-closed under relabeling.  Because the degree-m space is already stable under
-S_m, closing under the transpositions (j, m+1) suffices.
-
-Each generator followed by each transposition sends a monomial to a single
+closed under relabeling.  Because the degree-m space is already stable
+under S_m, closing under the transpositions (j, m+1) suffices.  Each
+generator followed by each transposition sends a monomial to a single
 monomial, injectively, so it is an integer map from degree-m indices to
 degree-(m+1) indices.  `_step_maps` builds these maps from shape and
 permutation ranks, and the image of a relation row is the row with its
-indices looked up: no word trees, expressions or new coefficients are made.
-Identities are lifted over S_m the same way, through `relabel_vec`.
+indices looked up.  The images of the rows of I(m), then the lifted
+identities of degree m+1 (relabeled through `relabel_vec`), go into a
+`SparseRREF`, so the cost grows with the rank of I(m).
 
-Each degree is held in one of two representations, with the same answers.
-A primal degree is built by elimination (`_primal_step`): it inserts the
-images of the degree-(m-1) rows under every step map, then the lifted
-identities, into a `SparseRREF`, so its cost grows with the rank of
-I(m-1).  A congruence (`Congruence`) is a weighted partition of the
-monomials: each monomial is +-1 (in general a nonzero rational) times the
-element of its class in the quotient P(m), or zero there.  Binomial
-systems, whose identities all read w1 = +-w2 (the algebras of associative
-type sigma, nine of the ten built-ins), give congruences at every degree,
-because a step map sends a monomial to one monomial.
+A graph degree (`_shape_graph`) serves binomial systems, whose identities
+all read w1 = +-w2: the algebras of associative type sigma, nine of the ten
+built-ins.  When every row of the RREF of the highest primal degree m below
+n has at most two entries, each row is a pattern P(sigma) = x Q(tau), or a
+monomial P(sigma) = 0.  I(n) is the closure of I(m) under the step maps,
+so it is spanned by the patterns applied at the nodes of degree-n shapes,
+with subtrees bound to their leaves.  Such a rewrite moves leaf positions
+by a permutation that depends on the shape and the node alone, not on the
+labels, so I(n) is a graph on the Catalan(n-1) shapes whose components
+each contribute n!/|H| classes to the quotient P(n), or none: see
+`ShapeGraph`.  The graph gives `dim` without touching the n! * Catalan(n-1)
+monomials, and `multilinear_dim`, `hilbert` and `nice_index` read nothing
+else.  Degree n does not need degree n - 1 built.
 
-The rule: a degree with no identities of its own is stepped as a
-congruence (`_congruence_step`, a union-find with ratios over the images
-of the classes) whenever the degree below is one; every other degree is
-built primal, and afterwards is read as a congruence when every row of its
-RREF has at most two entries.  The check runs on the space, not on the
-identities, so a recombined or rescaled binomial presentation qualifies.
-A quotient of dimension d <= 1 always is a congruence: for d = 0 every
-monomial is zero, and for d = 1 the one functional f vanishing on I(m)
-spans the annihilator, so the RREF row of each pivot p is e_p - f(p) e_f
-at the one free position f.
+The rule: a degree with identities of its own is primal, and so is a degree
+whose highest primal degree below is not binomial; every other degree is a
+graph degree.  The check runs on the space, not on the identities, so a
+recombined or rescaled binomial presentation qualifies.  A quotient of
+dimension d <= 1 always is binomial: for d = 0 every monomial is zero, and
+for d = 1 the one functional f vanishing on I(m) spans the annihilator, so
+the RREF row of each pivot p is e_p - f(p) e_f at the one free position f.
 
-Everything downstream (dimensions, Hilbert series, Koszulity residuals,
-Koszul duals, implication between systems, membership proofs, k-niceness)
-reduces to exact linear algebra on these spaces.
+Per-monomial answers (residuals, free positions, kernels, the RREF) read a
+`Congruence`, a class and a weight for each monomial, which a graph degree
+derives on first use.  Everything downstream (dimensions, Hilbert series,
+Koszulity residuals, Koszul duals, implication between systems, membership
+proofs, k-niceness) reduces to exact linear algebra on these spaces.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import os
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DegreeTooLarge, NotMultilinear, NotQuadratic
@@ -201,29 +206,40 @@ class ConsequenceSpace:
     """Degree-n component I(n) of the operadic ideal of a system.
 
     It holds I(n) in one of two forms, and answers the same from either.  A
-    primal space holds the `SparseRREF` of I(n).  A `Congruence` holds two
-    arrays over the monomials, a class and a weight each; a primal space
-    whose RREF rows all have at most two entries gets them too.  The unique
-    RREF of a congruence has the last members of the classes as its free
-    positions and the row e_p - w[p] e_f for any other member p of the
-    class of f, e_p for a monomial in I(n).
+    primal space holds the `SparseRREF` of I(n).  A graph space holds the
+    `ShapeGraph` of a binomial system, and `dim` is read off it.  Both give
+    their per-monomial answers through a `Congruence`, two arrays over the
+    monomials, a class and a weight each: a graph space derives them on
+    first use, and a primal space whose RREF rows all have at most two
+    entries reads them off its rows.  The unique RREF of a congruence has
+    the last members of the classes as its free positions and the row
+    e_p - w[p] e_f for any other member p of the class of f, e_p for a
+    monomial in I(n).
 
-    `dim`, `reduce_vec`, `contains_vec`, `free`, `kernel` and `basis` read
-    the arrays when there are any, and each gives what `SparseRREF` would,
+    `reduce_vec`, `contains_vec`, `free`, `kernel` and `basis` read the
+    arrays when there are any, and each gives what `SparseRREF` would,
     every rational in the form of `exact.poly.canonical`: the weights are
     kept in that form, so only a residual, a sum, needs normalizing.
-    `rref` builds the `SparseRREF` of a congruence on first use, its rows
-    and `where` filled in without elimination.
+    `rref` builds the `SparseRREF` of a graph space on first use, its rows
+    and `where` filled in from the arrays without elimination.
     """
 
-    def __init__(
-        self, system_name: str, degree: int, rref: SparseRREF | None = None, congruence: Congruence | None = None
-    ):
+    def __init__(self, system_name: str, degree: int, rref: SparseRREF | None = None, graph: ShapeGraph | None = None):
         self.system_name = system_name
         self.degree = degree
         self.space = MultilinearSpace(degree)
         self._rref = rref
-        self.congruence = congruence if rref is None else _congruence_of(rref)
+        self.graph = graph
+        self._congruence = None if rref is None else _congruence_of(rref)
+
+    @property
+    def congruence(self) -> Congruence | None:
+        """The arrays, derived from the graph on first use; None for a primal
+        space whose RREF has a row of three or more entries."""
+        if self._congruence is None and self.graph is not None:
+            _refuse_memory(self.degree, consequence_memory_estimate(self.degree, congruence=True))
+            self._congruence = self.graph.congruence()
+        return self._congruence
 
     def _congruence_rows(self):
         """(pivot, row) of the RREF of a congruence, by pivot, entries canonical."""
@@ -248,9 +264,9 @@ class ConsequenceSpace:
 
     @property
     def dim(self) -> int:
-        if self.congruence is None:
-            return self.rref.rank
-        return self.space.dim - len(self.congruence.free)
+        if self.graph is not None:
+            return self.space.dim - self.graph.classes()
+        return self.rref.rank
 
     def reduce_vec(self, vec) -> dict:
         """Residual of vec modulo I(n), on the free positions."""
@@ -379,6 +395,302 @@ def _step_maps(m: int) -> list[list[array]]:
     return maps
 
 
+# ---------------------------------------------------------------------------
+# binomial degrees on the shape graph
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The permutation a . b of positions: (a . b)[i] = a[b[i]]."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _inverse(p: tuple) -> tuple:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def _picker(g: tuple):
+    """The map pi -> pi . g on label tuples: (pi . g)[j] = pi[g[j]]."""
+    return itemgetter(*g) if len(g) > 1 else tuple
+
+
+class _Chain:
+    """A permutation group on the points 0..N-1, held as a stabilizer chain
+    with base 0, 1, ..., N-1 and grown by Knuth's incremental Schreier-Sims
+    ("Efficient representation of perm groups", Combinatorica 11, 1991).
+
+    Level k holds the generators added there, which generate the group of
+    level k, and a transversal: for each point j of the orbit of k under that
+    group, an element mapping k to j, with its inverse.  The group of level
+    k + 1 is the stabilizer of k in the group of level k.
+    """
+
+    def __init__(self, npoints: int):
+        ident = tuple(range(npoints))
+        self.gens: list[list[tuple]] = [[] for _ in range(npoints)]
+        self.trans = [{k: (ident, ident)} for k in range(npoints)]
+
+    def _sifts(self, p: tuple, k: int) -> bool:
+        """Whether p, which fixes 0..k-1, lies in the group of level k."""
+        for level in range(k, len(self.trans)):
+            got = self.trans[level].get(p[level])
+            if got is None:
+                return False
+            p = _compose(got[1], p)
+        return True
+
+    def add(self, p: tuple, k: int = 0):
+        """Grow the group of level k (and of every level above) by p."""
+        if self._sifts(p, k):
+            return
+        self.gens[k].append(p)
+        for u, _ in list(self.trans[k].values()):
+            self._reach(_compose(p, u), k)
+
+    def _reach(self, p: tuple, k: int):
+        # p lies in the group of level k: a new orbit point, or a Schreier
+        # generator for the level above
+        got = self.trans[k].get(p[k])
+        if got is None:
+            self.trans[k][p[k]] = (p, _inverse(p))
+            for s in self.gens[k]:
+                self._reach(_compose(s, p), k)
+        else:
+            self.add(_compose(got[1], p), k + 1)
+
+    def order(self, levels: int) -> int:
+        """The order of the projection onto the first `levels` base points'
+        orbits: the product of those transversal sizes."""
+        return math.prod(len(t) for t in self.trans[:levels])
+
+    def elements(self) -> list[tuple]:
+        """Every element, as the products u_0 . u_1 . ... of one transversal
+        element per level."""
+        out = [tuple(range(len(self.trans)))]
+        for level in reversed(self.trans):
+            out = [_compose(u, e) for u, _ in level.values() for e in out]
+        return out
+
+
+class _Component(NamedTuple):
+    """A connected component of a shape graph.
+
+    root is the rank of its highest shape.  members holds (s, g, e) for each
+    of its shapes, root first, with (s, pi) = e (root, pi . g) for every
+    labelling pi.  group is K, on the n positions and two sign points, or
+    None when the component is zero in P(n).  unit says every loop has
+    ratio +1.
+    """
+
+    root: int
+    members: list
+    group: _Chain | None
+    unit: bool
+
+
+class ShapeGraph(NamedTuple):
+    """I(n) of a binomial system as a graph on the degree-n tree shapes.
+
+    The patterns are (P, Q, k, x): the relation P(sigma) = x Q(tau) of
+    degree m, where leaf j of Q carries the label of leaf k[j] of P; Q is
+    None for a monomial P(sigma) = 0.  Matched at a node of a shape s, with
+    subtrees bound to the leaves of P, a pattern rewrites s to a shape t and
+    moves the leaf positions by rho, so that (s, pi) = x (t, pi . rho) for
+    every labelling pi.  A depth-first search from the highest shape of
+    each component gives every shape a transport (g, e), and every edge off
+    the search tree a loop (h, y) = (g_s^-1 . rho . g_t, x e_t / e_s): the
+    relation (r, sigma) = y (r, sigma . h) on the root r.  The loops
+    generate K in S_n x Q^*; with every |y| = 1 it is kept as a `_Chain` on
+    n + 2 points, the sign -1 swapping the last two.  H is the projection of
+    K to S_n, and chi(h) the sign K pairs with h.
+
+    A component is zero in P(n) when a monomial pattern matches one of its
+    shapes, a loop has |y| != 1, or (id, -1) is in K.  Otherwise its classes
+    are the cosets sigma H of root labellings, n!/|H| of them, and
+    (s, pi) = e_s chi(h) (r, sigma) when pi . g_s = sigma . h.
+
+    components are by root, ascending.
+    """
+
+    degree: int
+    components: list[_Component]
+
+    def classes(self) -> int:
+        """The dimension of P(n): n!/|H| for each component that is not zero."""
+        nf = math.factorial(self.degree)
+        return sum(nf // c.group.order(self.degree) for c in self.components if c.group is not None)
+
+    def is_nice(self) -> bool:
+        """Every degree-n monomial is +1 times every other in P(n), which is
+        not zero: one component, with H = S_n, chi = 1 and every transport
+        +1."""
+        if len(self.components) != 1:
+            return False
+        (comp,) = self.components
+        return (
+            comp.group is not None
+            and comp.unit
+            and comp.group.order(self.degree) == math.factorial(self.degree)
+            and all(e == 1 for _, _, e in comp.members)
+        )
+
+    def congruence(self) -> Congruence:
+        """The arrays of the `Congruence` of I(n).
+
+        The classes are numbered by their last members.  Those all lie in
+        the root of their component, the highest shape there, so the
+        components are visited by root, and in each the root labellings in
+        descending lex order: the first one not yet in a class is the last
+        member of a new class, of weight 1, and its H-images fill the rest
+        of that class.  Each shape then reads its classes and weights
+        through its transport.
+        """
+        n = self.degree
+        nf = math.factorial(n)
+        perms, rank = _perms_lex(n), _perm_rank_map(n)
+        live = [c for c in self.components if c.group is not None]
+        units = all(e in (1, -1) for c in live for _, _, e in c.members)
+        cls = array("i", [-1]) * (nf * len(MultilinearSpace(n).shapes))
+        w = array("b", bytes(len(cls))) if units else [0] * len(cls)
+        free: list[int] = []
+        for comp in live:
+            elements = [(_picker(h[:n]), -1 if h[n] > n else 1) for h in comp.group.elements()]
+            number = array("i", [-1]) * nf
+            sign = array("b", bytes(nf))
+            lasts: list[int] = []
+            for q in range(nf - 1, -1, -1):
+                if number[q] < 0:
+                    pi, c = perms[q], len(lasts)
+                    for take, chi in elements:
+                        r = rank[take(pi)]
+                        number[r], sign[r] = c, chi
+                    lasts.append(q)
+            top = len(free) + len(lasts) - 1  # the c-th class found is class top - c
+            free.extend(comp.root * nf + q for q in reversed(lasts))
+            ids = array("i", [top - c for c in number])
+            for s, g, e in comp.members:
+                qs = list(map(rank.__getitem__, map(_picker(g), perms)))
+                cls[s * nf : (s + 1) * nf] = array("i", map(ids.__getitem__, qs))
+                ws = map(e.__mul__, map(sign.__getitem__, qs))
+                w[s * nf : (s + 1) * nf] = array("b", ws) if units else list(ws)
+        return Congruence(cls, w, free)
+
+
+def _loop_group(n: int, loops, transport) -> tuple[_Chain | None, bool]:
+    """K from the loops (s, t, rho, x) of a component, or None when it makes
+    the component zero; and whether every loop has ratio +1."""
+    group = _Chain(n + 2)
+    seen = set()
+    unit = True
+    for s, t, rho, x in loops:
+        (gs, es), (gt, et) = transport[s], transport[t]
+        y = ratio(x * et, es)
+        if y not in (1, -1):
+            return None, False
+        unit = unit and y == 1
+        h = _compose(_inverse(gs), _compose(rho, gt)) + ((n, n + 1) if y == 1 else (n + 1, n))
+        if h not in seen:
+            seen.add(h)
+            group.add(h)
+            if len(group.trans[n]) == 2:  # (id, -1) is in K
+                return None, False
+    return group, unit
+
+
+def _patterns(source: ConsequenceSpace) -> list[tuple]:
+    """The patterns (P, Q, k, x) of the rows of a binomial RREF, distinct,
+    in pivot order (see `ShapeGraph`)."""
+    space, perms = source.space, _perms_lex(source.degree)
+    rows = source.rref.rows
+    out = {}
+    for p in sorted(rows):
+        row = rows[p]
+        ps, sigma = divmod(p, space.nperms)
+        f = max(row)
+        if f == p:
+            out[space.shapes[ps], None, None, 0] = None
+            continue
+        qs, tau = divmod(f, space.nperms)
+        leaf = {label: i for i, label in enumerate(perms[sigma])}
+        out[space.shapes[ps], space.shapes[qs], tuple(leaf[label] for label in perms[tau]), -row[f]] = None
+    return list(out)
+
+
+def _bind(pattern, word, out: list) -> bool:
+    """Whether the shape pattern is a prefix of word; appends the subwords
+    of word at the leaves of pattern, left to right, to out."""
+    if pattern == 0:
+        out.append(word)
+        return True
+    return not isinstance(word, int) and _bind(pattern[0], word[0], out) and _bind(pattern[1], word[1], out)
+
+
+def _rewrite(word, patterns):
+    """(w, x) for every pattern applied at every node of word, which is x w
+    modulo the pattern; w is None for a monomial pattern."""
+    for p, q, k, x in patterns:
+        bound: list = []
+        if _bind(p, word, bound):
+            yield (None if q is None else build_word(q, [bound[i] for i in k])), x
+    if not isinstance(word, int):
+        left, right = word
+        for w, x in _rewrite(left, patterns):
+            yield (None if w is None else (w, right)), x
+        for w, x in _rewrite(right, patterns):
+            yield (None if w is None else (left, w)), x
+
+
+def _shape_graph(n: int, patterns) -> ShapeGraph:
+    """The shape graph of degree n from the patterns of a binomial degree
+    below it (see `ShapeGraph`).  Its cost grows with the number of shapes
+    and the loops sifted, not with n!."""
+    space = MultilinearSpace(n)
+    adj: list[list[int]] = [[] for _ in space.shapes]
+    edges = []  # (s, t, rho, x): (s, pi) = x (t, pi . rho) for every labelling pi
+    zero = bytearray(len(space.shapes))  # shapes a monomial pattern matches
+    for s, shape in enumerate(space.shapes):
+        # the leaves carry their positions, so a rewritten word's leaves are rho
+        for w, x in _rewrite(build_word(shape, range(n)), patterns):
+            if w is None:
+                zero[s] = 1
+            else:
+                t, rho = shape_and_leaves(w)
+                t = space._shape_rank[t]
+                adj[s].append(len(edges))
+                adj[t].append(len(edges))
+                edges.append((s, t, rho, x))
+    ident = tuple(range(n))
+    transport: list = [None] * len(space.shapes)
+    components = []
+    for root in range(len(space.shapes) - 1, -1, -1):
+        if transport[root] is not None:
+            continue
+        transport[root] = (ident, 1)
+        members, tree, stack = [root], set(), [root]
+        while stack:
+            u = stack.pop()
+            g, e = transport[u]
+            for i in adj[u]:
+                s, t, rho, x = edges[i]
+                v = t if u == s else s
+                if transport[v] is None:
+                    if u == s:
+                        transport[v] = (_compose(_inverse(rho), g), ratio(e, x))
+                    else:
+                        transport[v] = (_compose(rho, g), canonical(x * e))
+                    tree.add(i)
+                    members.append(v)
+                    stack.append(v)
+        group, unit = None, False
+        if not any(zero[s] for s in members):
+            loops = sorted({i for u in members for i in adj[u]} - tree)
+            group, unit = _loop_group(n, [edges[i] for i in loops], transport)
+        components.append(_Component(root, [(s, *transport[s]) for s in members], group, unit))
+    return ShapeGraph(n, components[::-1])
+
+
 # Peak memory of a primal consequence build per ambient column.  It was
 # measured on the degree-7 sas build when rows held only Fractions (364 MiB
 # over 665,280 columns); with integer rows that build peaks at 293 MiB
@@ -387,26 +699,39 @@ def _step_maps(m: int) -> list[list[array]]:
 # cas-dual, whose degree-5 rows are dense, is estimated at 17 MB for degree 6
 # (30,240 columns) and passed 900 MiB there without finishing.
 BYTES_PER_COLUMN = 573
-# The same for a congruence step: the first-hit array, the pairs set, the
-# step maps, the union-find and the two output arrays.  Whole-process peaks
-# of the degree-7 builds (Python 3.11.7) were 35.1 MiB for sas, 35.7 for
-# a12, 46.2 for as, 62.5 for a13, 77.9 for a132 and 86.1 for a13-anti, the
-# largest: 136 bytes per column.  With a margin of about 40 %, 192.  At
-# degree 8 the same builds peak at 27-73 bytes per column.
-CONGRUENCE_BYTES_PER_COLUMN = 192
+# The same for deriving the `Congruence` arrays of a graph degree, an int
+# class and a byte weight per column.  Deriving them grew the peak by 5.7-8.5
+# bytes per column on the binomial built-ins at degree 7 and by 6.3-7.2 at
+# degree 8 (Python 3.11.7); with a margin, 16.  The graph build itself is not
+# charged: it grows with the Catalan(n-1) shapes, not with the columns.
+ARRAY_BYTES_PER_COLUMN = 16
 
 
 def consequence_memory_estimate(n: int, congruence: bool) -> int:
-    """Estimated peak bytes of building degree n as a congruence or primal, from
-    sparse builds: a primal build whose rows fill in can need many times more."""
-    return free_magma_dim(n) * (CONGRUENCE_BYTES_PER_COLUMN if congruence else BYTES_PER_COLUMN)
+    """Estimated peak bytes of the arrays of a graph degree n, or of a primal
+    build of degree n, from sparse builds: a primal build whose rows fill in
+    can need many times more."""
+    return free_magma_dim(n) * (ARRAY_BYTES_PER_COLUMN if congruence else BYTES_PER_COLUMN)
+
+
+def _refuse_memory(n: int, need: int):
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise DegreeTooLarge(f"degree {n} needs about {need / 2**30:.1f} GiB; this machine has {have / 2**30:.1f} GiB")
 
 
 _consequence_cache: dict[tuple, ConsequenceSpace] = {}
 
 
 def consequences(sys: IdentitySystem, n: int, cap: int | None = None) -> ConsequenceSpace:
-    """Degree-n component of the operadic ideal generated by the system."""
+    """Degree-n component of the operadic ideal generated by the system.
+
+    Degree n is primal when it has identities of its own, or when the
+    highest primal degree below it has an RREF row of three or more
+    entries.  Any other degree is a graph degree, its patterns read off the
+    RREF of the highest primal degree below it (none when there is none):
+    that degree's rows span it, and their images under the step maps span
+    every degree up to the next one with identities."""
     refuse_degree(n, cap)
     if n < 1:
         raise ValueError("degree must be positive")
@@ -417,37 +742,31 @@ def consequences(sys: IdentitySystem, n: int, cap: int | None = None) -> Consequ
     key = (sys.key(), n)
     if key in _consequence_cache:
         return _consequence_cache[key]
+    idents = [ident for ident in sys.identities if ident.degree == n]
+    below = None if idents else _primal_below(sys, n, cap)
+    if not idents and (below is None or below.congruence is not None):
+        space = ConsequenceSpace(sys.name, n, graph=_shape_graph(n, _patterns(below) if below else ()))
+    else:
+        prev = consequences(sys, n - 1, cap) if n > 1 else None
+        _refuse_memory(n, consequence_memory_estimate(n, congruence=False))
+        acc = _primal_step(prev.rref if prev is not None else None, n, _lifted(idents, n))
+        space = ConsequenceSpace(sys.name, n, rref=acc)
+    _consequence_cache[key] = space
+    return space
 
-    by_degree: dict[int, list[Identity]] = {}
-    for ident in sys.identities:
-        by_degree.setdefault(ident.degree, []).append(ident)
 
-    start = 1
-    prev: ConsequenceSpace | None = None
-    # reuse the highest cached lower degree
-    for m in range(n - 1, 0, -1):
-        got = _consequence_cache.get((sys.key(), m))
-        if got is not None:
-            prev = got
-            start = m + 1
-            break
-
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    for m in range(start, n + 1):
-        idents = by_degree.get(m, ())
-        congruence = prev is not None and prev.congruence is not None and not idents
-        need = consequence_memory_estimate(m, congruence)
-        if need > have:
-            raise DegreeTooLarge(
-                f"degree {m} needs about {need / 2**30:.1f} GiB; this machine has {have / 2**30:.1f} GiB"
-            )
-        if congruence:
-            prev = ConsequenceSpace(sys.name, m, congruence=_congruence_step(prev.congruence, m))
-        else:
-            acc = _primal_step(prev.rref if prev is not None else None, m, _lifted(idents, m))
-            prev = ConsequenceSpace(sys.name, m, rref=acc)
-        _consequence_cache[(sys.key(), m)] = prev
-    return prev
+def _primal_below(sys: IdentitySystem, n: int, cap: int | None) -> ConsequenceSpace | None:
+    """The highest primal degree below n, or None when there is none: the
+    highest degree with identities, or above it the first degree whose RREF
+    has rows of at most two entries, or n - 1."""
+    m = max((ident.degree for ident in sys.identities if ident.degree < n), default=None)
+    if m is None:
+        return None
+    space = consequences(sys, m, cap)
+    while space.congruence is None and m < n - 1:
+        m += 1
+        space = consequences(sys, m, cap)
+    return space
 
 
 def _lifted(idents, m: int):
@@ -473,105 +792,6 @@ def _primal_step(prev: SparseRREF | None, m: int, lifted) -> SparseRREF:
     for vec in lifted:
         acc.insert(vec)
     return acc
-
-
-def _first_hits(maps, cid: list[int], ncols: int):
-    """Every hit of the step maps on the ncols degree-m monomials, as the key
-    g * ncid + cid[k] of map g and source column k, where the column ids
-    cid are 0..ncid-1.
-
-    Returns the key of each monomial's first hit, in map order, and the
-    distinct pairs (first key a, key b of a later hit), each as the int
-    a * nkeys + b with nkeys = len(maps) * ncid: an int takes half the
-    memory of a tuple.  Maps are injective, so a hit with the first key is
-    the first hit itself, and is left out.
-    """
-    ncid = max(cid) + 1
-    nkeys = len(maps) * ncid
-    first = array("q", [-1]) * ncols
-    # later maps write first, so each monomial keeps its first hit; map()
-    # runs the writes without a Python-level loop, and any() drains it
-    for g in range(len(maps) - 1, -1, -1):
-        any(map(first.__setitem__, maps[g], map((g * ncid).__add__, cid)))
-    if min(first) < 0:
-        raise AssertionError(f"the step maps miss {first.count(-1)} of {ncols} monomials")
-    pairs = set()
-    for g, mp in enumerate(maps):
-        pairs.update(map(add, map(nkeys.__mul__, map(first.__getitem__, mp)), map((g * ncid).__add__, cid)))
-    pairs.difference_update(a * (nkeys + 1) for a in set(first))
-    return first, pairs
-
-
-def _congruence_step(prev: Congruence, m: int) -> Congruence:
-    """I(m), spanned by the images of I(m-1) = prev under the step maps.
-
-    Map g sends the class element a_c of degree m-1 to a node (g, c) of
-    the quotient P(m), so the degree-m monomial j = g(k) is w[k] (g, cls[k])
-    there, and is 0 when k is.  Two hits on j equate their two values.  A
-    union-find over the nodes, each node a ratio times its root, solves
-    these relations; a root is 0 when two paths give it different ratios or
-    a zero hit reaches it.  Each monomial takes the root and ratio of its
-    first hit.  A functional vanishes on I(m) exactly when its values on the
-    nodes satisfy these relations, so the roots that are not 0 give a basis
-    of P(m), found without elimination.
-    """
-    nclasses = len(prev.free)
-    ids: dict[tuple, int] = {}
-    cid = [ids.setdefault(pair, len(ids)) for pair in zip(prev.cls, prev.w)]
-    maps = [mp for per_tau in _step_maps(m - 1) for mp in per_tau]
-    first, pairs = _first_hits(maps, cid, MultilinearSpace(m).dim)
-    # the node (-1 for a zero hit) and the weight of each hit key
-    key_node = [g * nclasses + c if c >= 0 else -1 for g in range(len(maps)) for c, _ in ids]
-    key_w = [x for _ in maps for _, x in ids]
-
-    parent = list(range(len(maps) * nclasses))
-    ratios = [1] * len(parent)  # node x is ratios[x] times node parent[x]
-    zero = bytearray(len(parent))
-
-    def find(x):
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        r = 1
-        for y in reversed(path):
-            r = ratios[y] * r
-            parent[y], ratios[y] = x, r
-        return x, r
-
-    for pair in pairs:
-        a, b = divmod(pair, len(key_node))
-        na, nb = key_node[a], key_node[b]
-        if na < 0 or nb < 0:
-            if na >= 0 or nb >= 0:
-                zero[find(max(na, nb))[0]] = 1
-            continue
-        (ra, ya), (rb, yb) = find(na), find(nb)
-        u, v = key_w[a] * ya, key_w[b] * yb  # the monomial is u ra = v rb
-        if ra == rb:
-            if u != v:
-                zero[ra] = 1
-        else:
-            parent[ra], ratios[ra] = rb, ratio(v, u)
-            zero[rb] |= zero[ra]
-
-    # the root (-1 when zero) and the weight against it of each first key
-    key_root = [-1] * len(key_node)
-    for key in set(first):
-        if (n := key_node[key]) >= 0:
-            r, y = find(n)
-            if not zero[r]:
-                key_root[key], key_w[key] = r, key_w[key] * y
-    # number the classes by their last members and give those weight 1
-    last = dict(zip(map(key_root.__getitem__, first), range(len(first))))
-    last.pop(-1, None)
-    order = sorted(last, key=last.__getitem__)
-    number = {r: c for c, r in enumerate(order)}
-    scale = {r: key_w[first[last[r]]] for r in order}
-    key_cls = [number[r] if r >= 0 else -1 for r in key_root]
-    key_w = [ratio(x, scale[r]) if r >= 0 else 0 for r, x in zip(key_root, key_w)]
-    cls = array("i", map(key_cls.__getitem__, first))
-    return Congruence(cls, _gather(key_w, first), [last[r] for r in order])
 
 
 def multilinear_dim(sys: IdentitySystem, n: int, cap: int | None = None) -> int:
@@ -736,6 +956,10 @@ def nice_index(sys: IdentitySystem, kmax: int, cap: int | None = None) -> int | 
         raise ValueError(f"kmax must be at least 3, where the search starts, got {kmax}")
     for k in range(3, kmax + 1):
         cons = consequences(sys, k, cap)
+        if cons.graph is not None:
+            if cons.graph.is_nice():
+                return k
+            continue
         if cons.space.dim - cons.dim != 1:
             continue
         # the one functional vanishing on the consequences takes the same

@@ -45,7 +45,7 @@ def test_traced_attributes_exist():
     space = consequences(builtin_system("sas"), 3)
     assert (space.system_name, space.degree, space.dim) == ("sas", 3, 6)
     assert sum(len(row) for row in space.rref.rows.values()) > 0
-    # degree 6 of sas is built as a congruence; it reads as a primal build
+    # degree 6 of sas is built on the shape graph; it reads as a primal build
     sas = builtin_system("sas")
     dual_built = consequences(sas, 6)
     primal = _primal_step(consequences(sas, 5).rref, 6, ())

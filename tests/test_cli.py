@@ -158,7 +158,7 @@ def test_degree_caps_are_named_truthfully(capsys, monkeypatch):
 
     monkeypatch.setattr(operads, "_consequence_cache", {})
     monkeypatch.setattr(operads, "_primal_step", refuse)
-    monkeypatch.setattr(operads, "_congruence_step", refuse)
+    monkeypatch.setattr(operads, "_shape_graph", refuse)
     monkeypatch.delenv("NASSOC_DEGREE_CAP", raising=False)
     dims = ("dims", "--system", "sas", "--max-degree")
     for command in (dims, ("hilbert", "--system", "sas", "--order"), ("koszulity", "--system", "sas", "--order")):

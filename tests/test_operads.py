@@ -1,5 +1,6 @@
 """Tests for consequence spaces, dimensions, duals, and membership proofs."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -318,19 +319,30 @@ def _nonempty(where: dict) -> dict:
 
 
 def _spy_paths(monkeypatch) -> list:
-    """Record (degree, step) for every step that consequences takes, from an
-    empty cache."""
+    """Record (degree, build) for every degree that consequences builds, from
+    an empty cache."""
     paths = []
-    for name in ("_primal_step", "_congruence_step"):
-        real = getattr(operads, name)
+    real_primal, real_graph = operads._primal_step, operads._shape_graph
 
-        def step(prev, m, *rest, real=real, name=name):
-            paths.append((m, name))
-            return real(prev, m, *rest)
+    def primal(prev, m, lifted):
+        paths.append((m, "_primal_step"))
+        return real_primal(prev, m, lifted)
 
-        monkeypatch.setattr(operads, name, step)
+    def graph(n, patterns):
+        paths.append((n, "_shape_graph"))
+        return real_graph(n, patterns)
+
+    monkeypatch.setattr(operads, "_primal_step", primal)
+    monkeypatch.setattr(operads, "_shape_graph", graph)
     monkeypatch.setattr(operads, "_consequence_cache", {})
     return paths
+
+
+def _graph_space(sys, m: int) -> ConsequenceSpace:
+    """Degree m built on the shape graph from the patterns of the highest
+    primal degree below it."""
+    below = operads._primal_below(sys, m, None)
+    return ConsequenceSpace("graph", m, graph=operads._shape_graph(m, operads._patterns(below) if below else ()))
 
 
 @pytest.mark.parametrize(
@@ -338,8 +350,8 @@ def _spy_paths(monkeypatch) -> list:
     [
         (builtin_system("sas"), 5),  # d_4 = 12
         (builtin_system("a12"), 5),  # d_4 = 12
-        (builtin_system("cas-dual"), 4),  # d_3 = 10, no congruence
-        (_FRACTIONAL, 4),  # d_3 = 7, denominators up to 56, no congruence
+        (builtin_system("cas-dual"), 4),  # d_3 = 10, not binomial
+        (_FRACTIONAL, 4),  # d_3 = 7, denominators up to 56, not binomial
         (_SEEDED_CAS, 3),  # identities of its own
         (_SEEDED_CAS, 4),
         (_SEEDED_CAS, 5),
@@ -349,53 +361,57 @@ def _spy_paths(monkeypatch) -> list:
     ids=lambda v: getattr(v, "name", str(v)),
 )
 def test_dual_step_matches_primal(sys, m, monkeypatch):
-    """The congruence step, which solves the constraints on the functionals
-    that vanish on I(m) by union-find, leaves the primal build's RREF, entry
-    for entry.  Where degree m has
-    identities of its own, or the degree below is no congruence, the
-    primal path is taken."""
+    """The shape graph, which solves the constraints on the functionals
+    that vanish on I(m) by transports and a permutation group, leaves the
+    primal build's RREF, entry for entry.  Where degree m has identities of
+    its own, or the degree below is not binomial, the primal path is
+    taken."""
     idents = [i for i in sys.identities if i.degree == m]
     prev = consequences(sys, m - 1)
     primal = operads._primal_step(prev.rref, m, operads._lifted(idents, m))
     congruent = prev.congruence is not None and not idents
     assert congruent == (sys is not _FRACTIONAL and sys.name != "cas-dual" and m != 3)
     if congruent:
-        stepped = ConsequenceSpace("stepped", m, congruence=operads._congruence_step(prev.congruence, m)).rref
-        assert stepped.rows == primal.rows
-        assert stepped.where == _nonempty(primal.where)
+        graph = _graph_space(sys, m)
+        assert graph.dim == primal.rank
+        assert graph.rref.rows == primal.rows
+        assert graph.rref.where == _nonempty(primal.where)
     paths = _spy_paths(monkeypatch)
     assert consequences(sys, m).rref.rows == primal.rows
-    assert paths[-1] == (m, "_congruence_step" if congruent else "_primal_step")
+    assert paths[-1] == (m, "_shape_graph" if congruent else "_primal_step")
     if sys is _FRACTIONAL:
         assert max(Q(c).denominator for row in primal.rows.values() for c in row.values()) == 56
 
 
 def test_representation_rule(monkeypatch):
-    """A degree with no identities of its own is stepped as a congruence
-    exactly when the degree below is one.  The check runs on the space, so
-    the recombined and rescaled seeded cas qualifies and cas-dual does not."""
+    """A degree with no identities of its own is built on the shape graph
+    exactly when the highest primal degree below it is binomial, and it
+    builds only that degree, not the ones in between.  The check runs on the
+    space, so the recombined and rescaled seeded cas qualifies and cas-dual
+    does not."""
     paths = _spy_paths(monkeypatch)
     for sys, top in ((builtin_system("sas"), 6), (_SEEDED_CAS, 5), (builtin_system("cas-dual"), 4)):
         del paths[:]
         consequences(sys, top)
-        primal = (1, 3, 4) if sys.name == "cas-dual" else (1, 3)
-        assert paths == [(m, "_primal_step" if m in primal else "_congruence_step") for m in range(1, top + 1)]
+        primal = (3, 4) if sys.name == "cas-dual" else (3,)
+        assert paths == [(2, "_shape_graph"), (3, "_primal_step"), (top, "_primal_step" if top in primal else "_shape_graph")]
+        graphs = [consequences(sys, m).graph is not None for m in range(1, top + 1)]
+        assert graphs == [m not in primal for m in range(1, top + 1)]
         congruences = [consequences(sys, m).congruence is not None for m in range(1, top + 1)]
         assert congruences == [sys.name != "cas-dual" or m < 3 for m in range(1, top + 1)]
 
 
 def _assert_congruence_steps(cons, prev):
-    """A degree-3 congruence rebuilds its RREF, and its steps to degrees 4
-    and 5 leave the primal rows and `where`."""
-    assert ConsequenceSpace("rebuilt", 3, congruence=cons.congruence).rref.rows == prev.rows
-    congruence = cons.congruence
+    """A degree-3 congruence gives back its RREF rows, and the shape graphs
+    of degrees 4 and 5 on its patterns leave the primal rows and `where`."""
+    assert cons.basis() == prev.basis()
+    patterns = operads._patterns(cons)
     for m in (4, 5):
         primal = operads._primal_step(prev, m, ())
-        congruence = operads._congruence_step(congruence, m)
-        stepped = ConsequenceSpace("stepped", m, congruence=congruence)
-        assert stepped.rref.rows == primal.rows, m
-        assert stepped.rref.where == _nonempty(primal.where), m
-        assert stepped.dim == primal.rank
+        graph = ConsequenceSpace("graph", m, graph=operads._shape_graph(m, patterns))
+        assert graph.dim == primal.rank
+        assert graph.rref.rows == primal.rows, m
+        assert graph.rref.where == _nonempty(primal.where), m
         prev = primal
 
 
@@ -414,8 +430,8 @@ def degree3_relations(draw):
 @given(degree3_relations())
 def test_dual_step_on_random_presentations(relations):
     """Random presentations are congruences exactly when every row of their
-    degree-3 RREF has at most two entries, and then step to the primal RREF
-    at degrees 4 and 5."""
+    degree-3 RREF has at most two entries, and then their shape graphs
+    give the primal RREF at degrees 4 and 5."""
     space = MultilinearSpace(3)
     lifted = [space.relabel_vec(vec, perm) for vec in relations for perm in _perms_lex(3)]
     prev = operads._primal_step(SparseRREF(2), 3, lifted)
@@ -445,7 +461,7 @@ def binomial_presentations(draw):
 @given(binomial_presentations())
 def test_congruence_steps_on_binomial_presentations(lifted):
     """A span of binomials is a congruence, whatever its signs and scales,
-    and its steps leave the primal RREF."""
+    and its shape graphs leave the primal RREF."""
     prev = operads._primal_step(SparseRREF(2), 3, lifted)
     cons = ConsequenceSpace("binomial", 3, rref=prev)
     assert cons.congruence is not None
@@ -454,16 +470,20 @@ def test_congruence_steps_on_binomial_presentations(lifted):
 
 def test_a_corrupted_sign_changes_the_step():
     """a12 and a12-anti partition degree 4 alike and differ only in signs;
-    from degree 5 on their dimensions differ, so the step reads the signs."""
+    from degree 5 on their dimensions differ, so the graph reads the signs."""
     a12, anti = builtin_system("a12"), anti_system("a12")
     assert [multilinear_dim(a12, n) for n in range(1, 7)] == [1, 2, 6, 12, 20, 30]
     assert [multilinear_dim(anti, n) for n in range(1, 7)] == [1, 2, 6, 12, 0, 0]
     plus, minus = consequences(a12, 4).congruence, consequences(anti, 4).congruence
     assert plus.cls == minus.cls and plus.free == minus.free and plus.w != minus.w
-    # a12's partition with the signs of a12-anti steps to a12-anti's degree 5
-    swapped = operads._congruence_step(operads.Congruence(plus.cls, minus.w, plus.free), 5)
-    assert swapped == consequences(anti, 5).congruence
-    assert swapped != consequences(a12, 5).congruence
+    # a12's patterns with their ratios negated are a12-anti's, and give its degree 5
+    patterns = operads._patterns(consequences(a12, 3))
+    swapped = [(p, q, k, -x) for p, q, k, x in patterns]
+    assert swapped == operads._patterns(consequences(anti, 3))
+    graph = ConsequenceSpace("swapped", 5, graph=operads._shape_graph(5, swapped))
+    assert graph.dim == consequences(anti, 5).dim != consequences(a12, 5).dim
+    assert graph.congruence == consequences(anti, 5).congruence
+    assert graph.congruence != consequences(a12, 5).congruence
 
 
 @pytest.mark.parametrize("name, dim", [("sas", 1), ("a12", 42)])
@@ -471,13 +491,80 @@ def test_degree7_dimensions(name, dim):
     assert multilinear_dim(builtin_system(name), 7, cap=7) == dim
 
 
+@pytest.mark.parametrize(
+    "name, dim",
+    [("sas", 1), ("as", 40320), ("cas", 1), ("a12", 56), ("a13", 270270), ("a132", 670320),
+     ("a12-anti", 0), ("a13-anti", 270270)],
+)
+def test_degree8_dimensions(name, dim):
+    """Degree-8 dimensions of the binomial built-ins, as monomial congruences,
+    an independent path, computed them."""
+    sys = anti_system(name.removesuffix("-anti")) if name.endswith("-anti") else builtin_system(name)
+    assert multilinear_dim(sys, 8, cap=8) == dim
+
+
+def test_a12_dimensions_are_n_times_n_minus_1():
+    a12 = builtin_system("a12")
+    assert [multilinear_dim(a12, n, cap=8) for n in range(2, 9)] == [n * (n - 1) for n in range(2, 9)]
+
+
+@pytest.mark.parametrize(
+    "text, dims",
+    [
+        ("((x1 x2) x3) = 0", [24, 120]),  # only the right comb survives
+        ("((x1 x2) x3) = (x1 (x2 x3))\n(x1 x2) = -(x2 x1)", [0, 0]),  # d_3 = 0: every degree-3 row is a monomial
+    ],
+)
+def test_a_monomial_identity_kills_its_components(text, dims):
+    """A one-entry row matched at a node of a shape makes its whole
+    component zero; checked against the primal build at degrees 4 and 5."""
+    sys = parse_system("monomial", text)
+    for m, dim in zip((4, 5), dims):
+        primal = operads._primal_step(consequences(sys, m - 1).rref, m, ())
+        graph = _graph_space(sys, m)
+        assert graph.space.dim - graph.dim == dim
+        assert any(comp.group is None for comp in graph.graph.components)
+        assert graph.rref.rows == primal.rows, m
+        assert graph.rref.where == _nonempty(primal.where), m
+
+
+def _closure(gens, npoints):
+    """The group generated by gens, by breadth-first search."""
+    ident = tuple(range(npoints))
+    seen, todo = {ident}, [ident]
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = operads._compose(g, p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=4))))
+def test_schreier_sims_matches_the_closure(case):
+    """The stabilizer chain holds the group the added elements generate:
+    the same order, the same elements, and membership by sifting."""
+    n, gens = case
+    chain = operads._Chain(n)
+    for g in gens:
+        chain.add(tuple(g))
+    group = _closure([tuple(g) for g in gens], n)
+    assert chain.order(n) == len(group)
+    assert set(chain.elements()) == group
+    assert all(chain._sifts(p, 0) == (p in group) for p in map(tuple, itertools.permutations(range(n))))
+
+
 def test_large_step_maps_are_not_kept():
-    """The maps of the steps past the default cap are built per call, so a
-    degree-7 build leaves only those of m < DEFAULT_DEGREE_CAP cached."""
-    consequences(builtin_system("sas"), 7, cap=7)
-    cached = set(operads._step_maps_cache)
-    assert operads.DEFAULT_DEGREE_CAP - 1 in cached
-    assert max(cached) < operads.DEFAULT_DEGREE_CAP
+    """The maps of the steps past the default cap are built per call, and
+    only those of m < DEFAULT_DEGREE_CAP stay cached."""
+    below = operads.DEFAULT_DEGREE_CAP - 1
+    assert _step_maps(below) is _step_maps(below)
+    _step_maps(operads.DEFAULT_DEGREE_CAP)
+    assert below in operads._step_maps_cache
+    assert max(operads._step_maps_cache) < operads.DEFAULT_DEGREE_CAP
 
 
 def test_positions_outside_the_space_are_rejected():
@@ -505,7 +592,8 @@ def test_positions_outside_the_space_are_rejected():
 def test_congruence_readers_match_the_rref(sys, n):
     """Every reader of a congruence gives what its SparseRREF gives."""
     cons = consequences(sys, n)
-    rref = ConsequenceSpace("rebuilt", n, congruence=cons.congruence).rref
+    assert cons.graph is not None
+    rref = cons.rref
     assert cons.free() == rref.free()
     assert cons.kernel() == rref.kernel()
     assert cons.basis() == rref.basis()
@@ -521,25 +609,28 @@ def test_congruence_readers_match_the_rref(sys, n):
 def test_memory_estimate():
     assert consequence_memory_estimate(8, congruence=False) > 8 * 2**30
     assert 0.37e9 / 2 < consequence_memory_estimate(7, congruence=False) < 0.37e9 * 2
-    # a congruence keeps two arrays per column, not rows: at degree 7 the
-    # binomial built-ins peak at 35-86 MiB
-    assert 86 * 2**20 < consequence_memory_estimate(7, congruence=True) < 0.37e9 / 2
+    # the arrays of a graph degree: a class and a weight per column, whose
+    # derivation at degrees 7 and 8 grows the peak by 6-9 bytes per column
+    assert 9 * 17_297_280 < consequence_memory_estimate(8, congruence=True) < consequence_memory_estimate(8, False) / 20
 
 
 def test_memory_estimate_follows_the_path(monkeypatch):
-    """Each degree is charged the constant of the path that builds it."""
+    """A primal degree is charged before it is built, a graph degree before
+    its arrays are derived, and the graph build itself is not charged."""
     sas, casd = builtin_system("sas"), builtin_system("cas-dual")
     monkeypatch.setattr(operads, "_consequence_cache", {})
     consequences(sas, 3)
     consequences(casd, 3)
     monkeypatch.setattr(operads, "BYTES_PER_COLUMN", 2**40)
-    assert consequences(sas, 5).dim == 1679  # degrees 4 and 5 are congruences
+    assert consequences(sas, 5).dim == 1679  # degrees 4 and 5 are graph degrees
+    assert consequences(sas, 5).free() == [1679]
     with pytest.raises(DegreeTooLarge, match="degree 4 needs about"):
         consequences(casd, 4)
     monkeypatch.setattr(operads, "BYTES_PER_COLUMN", 573)
-    monkeypatch.setattr(operads, "CONGRUENCE_BYTES_PER_COLUMN", 2**40)
+    monkeypatch.setattr(operads, "ARRAY_BYTES_PER_COLUMN", 2**40)
+    assert consequences(sas, 6).dim == 30239
     with pytest.raises(DegreeTooLarge, match="degree 6 needs about"):
-        consequences(sas, 6)
+        consequences(sas, 6).free()
     assert consequences(casd, 4).dim == 120 - 81
 
 
@@ -812,3 +903,22 @@ def test_nice_index_needs_coefficient_one():
     (phi,) = consequences(sys, 4).rref.kernel()
     assert len(phi) == 120 and set(phi.values()) == {1, -1}
     assert nice_index(sys, 6) is None
+
+
+@pytest.mark.parametrize(
+    "sys",
+    # cas-dual, not binomial from degree 3 on, has no graph degree to check
+    [builtin_system(name) for name in BUILTIN_SYSTEM_NAMES if name != "cas-dual"]
+    + [anti_system(name) for name in ASSOCIATIVE_TYPE_BUILTINS] + [_SIGNED, _SEEDED_CAS],
+    ids=lambda sys: sys.name,
+)
+def test_graph_niceness_matches_the_kernel_rule(sys):
+    """`ShapeGraph.is_nice` agrees with the rule on the one functional that
+    vanishes on I(n), wherever degree n is a graph degree."""
+    for n in range(3, 7):
+        cons = consequences(sys, n)
+        if cons.graph is None:
+            continue
+        kernel = cons.kernel()
+        by_kernel = len(kernel) == 1 and len(kernel[0]) == cons.space.dim and set(kernel[0].values()) == {1}
+        assert cons.graph.is_nice() == by_kernel, n
