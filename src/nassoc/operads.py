@@ -34,18 +34,19 @@ monomials, and `multilinear_dim`, `hilbert` and `nice_index` read nothing
 else.  Degree n does not need degree n - 1 built.
 
 The rule: a degree with identities of its own is primal, and so is a degree
-whose highest primal degree below is not binomial; every other degree is a
-graph degree.  The check runs on the space, not on the identities, so a
-recombined or rescaled binomial presentation qualifies.  A quotient of
-dimension d <= 1 always is binomial: for d = 0 every monomial is zero, and
-for d = 1 the one functional f vanishing on I(m) spans the annihilator, so
-the RREF row of each pivot p is e_p - f(p) e_f at the one free position f.
+whose highest primal degree below is not binomial (has an RREF row of three
+or more entries); every other degree is a graph degree.  The check runs on
+the space, so a recombined or rescaled binomial presentation qualifies.  A
+quotient of dimension d <= 1 always is binomial: for d = 0 every monomial is
+zero, and for d = 1 the one functional f vanishing on I(m) spans the
+annihilator, so the RREF row of each pivot p is e_p - f(p) e_f.
 
-Per-monomial answers (residuals, free positions, kernels, the RREF) read a
-`Congruence`, a class and a weight for each monomial, which a graph degree
-derives on first use.  Everything downstream (dimensions, Hilbert series,
-Koszulity residuals, Koszul duals, implication between systems, membership
-proofs, k-niceness) reduces to exact linear algebra on these spaces.
+Per-monomial answers (residuals, free positions, kernels, the RREF) read
+the `SparseRREF` of a primal degree, and the `Congruence` of a graph degree,
+a class and a weight for each monomial, derived on first use.  Everything
+downstream (dimensions, Hilbert series, Koszulity residuals, Koszul duals,
+implication between systems, membership proofs, k-niceness) reduces to
+exact linear algebra on these spaces.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ class MultilinearSpace:
 
 
 class Congruence(NamedTuple):
-    """A consequence degree as a weighted partition of its monomials.
+    """A graph degree as a weighted partition of its monomials.
 
     Monomial k is w[k] times the class element a_cls[k] of the quotient, or
     zero there when cls[k] == -1 (and then w[k] == 0).  free[c] is the last
@@ -206,22 +207,15 @@ class ConsequenceSpace:
     """Degree-n component I(n) of the operadic ideal of a system.
 
     It holds I(n) in one of two forms, and answers the same from either.  A
-    primal space holds the `SparseRREF` of I(n).  A graph space holds the
-    `ShapeGraph` of a binomial system, and `dim` is read off it.  Both give
-    their per-monomial answers through a `Congruence`, two arrays over the
-    monomials, a class and a weight each: a graph space derives them on
-    first use, and a primal space whose RREF rows all have at most two
-    entries reads them off its rows.  The unique RREF of a congruence has
-    the last members of the classes as its free positions and the row
-    e_p - w[p] e_f for any other member p of the class of f, e_p for a
-    monomial in I(n).
-
-    `reduce_vec`, `contains_vec`, `free`, `kernel` and `basis` read the
-    arrays when there are any, and each gives what `SparseRREF` would,
-    every rational in the form of `exact.poly.canonical`: the weights are
-    kept in that form, so only a residual, a sum, needs normalizing.
-    `rref` builds the `SparseRREF` of a graph space on first use, its rows
-    and `where` filled in from the arrays without elimination.
+    primal space holds the `SparseRREF` of I(n) and answers from it.  A
+    graph space holds the `ShapeGraph` of a binomial system, reads `dim` off
+    it, and gives its per-monomial answers through its `Congruence`, derived
+    on first use.  The unique RREF of a congruence has the last members of
+    the classes as its free positions and the row e_p - w[p] e_f for any
+    other member p of the class of f, e_p for a monomial in I(n); `rref`,
+    `basis` and `kernel` of a graph space build a dict per monomial, so
+    they are charged at `BYTES_PER_COLUMN` first.  Every answer gives each
+    rational in the form of `exact.poly.canonical`.
     """
 
     def __init__(self, system_name: str, degree: int, rref: SparseRREF | None = None, graph: ShapeGraph | None = None):
@@ -230,19 +224,23 @@ class ConsequenceSpace:
         self.space = MultilinearSpace(degree)
         self._rref = rref
         self.graph = graph
-        self._congruence = None if rref is None else _congruence_of(rref)
+        self._congruence = None
 
     @property
     def congruence(self) -> Congruence | None:
-        """The arrays, derived from the graph on first use; None for a primal
-        space whose RREF has a row of three or more entries."""
+        """The arrays of a graph space, derived on first use; None for a
+        primal space."""
         if self._congruence is None and self.graph is not None:
             _refuse_memory(self.degree, consequence_memory_estimate(self.degree, congruence=True))
             self._congruence = self.graph.congruence()
         return self._congruence
 
-    def _congruence_rows(self):
-        """(pivot, row) of the RREF of a congruence, by pivot, entries canonical."""
+    def _refuse_rows(self):
+        # the dict rows of a graph space; the arrays are charged on their own
+        _refuse_memory(self.degree, consequence_memory_estimate(self.degree, congruence=False))
+
+    def _graph_rows(self):
+        """(pivot, row) of the RREF of a graph space, by pivot, one at a time."""
         cls, w, free = self.congruence
         for p, (c, x) in enumerate(zip(cls, w)):
             if c < 0:
@@ -253,8 +251,9 @@ class ConsequenceSpace:
     @property
     def rref(self) -> SparseRREF:
         if self._rref is None:
+            self._refuse_rows()
             acc = SparseRREF(self.space.dim)
-            for p, row in self._congruence_rows():
+            for p, row in self._graph_rows():
                 acc.rows[p] = row
                 for f in row:
                     if f != p:
@@ -270,7 +269,7 @@ class ConsequenceSpace:
 
     def reduce_vec(self, vec) -> dict:
         """Residual of vec modulo I(n), on the free positions."""
-        if self.congruence is None:
+        if self.graph is None:
             return self.rref.reduce(vec)
         check_positions(vec, self.space.dim)
         cls, w, free = self.congruence
@@ -288,14 +287,15 @@ class ConsequenceSpace:
 
     def free(self) -> list[int]:
         """The free positions of the RREF, ascending."""
-        return list(self.congruence.free) if self.congruence is not None else self.rref.free()
+        return self.rref.free() if self.graph is None else list(self.congruence.free)
 
     def kernel(self) -> list[dict]:
         """The functionals that vanish on I(n), one per free position f,
-        ascending, each 1 at f (as `SparseRREF.kernel`).  For a congruence,
+        ascending, each 1 at f (as `SparseRREF.kernel`).  On a graph space,
         the functional of a class is its weights."""
-        if self.congruence is None:
+        if self.graph is None:
             return self.rref.kernel()
+        self._refuse_rows()
         cls, w, free = self.congruence
         out: list[dict] = [{} for _ in free]
         for k, c in enumerate(cls):
@@ -305,40 +305,13 @@ class ConsequenceSpace:
 
     def basis(self) -> list[dict]:
         """The RREF rows, by pivot (as `SparseRREF.basis`)."""
-        if self.congruence is None:
+        if self.graph is None:
             return self.rref.basis()
-        return [row for _, row in self._congruence_rows()]
+        self._refuse_rows()
+        return [row for _, row in self._graph_rows()]
 
     def __repr__(self):
         return f"ConsequenceSpace({self.system_name!r}, degree={self.degree}, dim={self.dim})"
-
-
-def _gather(values: list, index) -> array | list:
-    """[values[i] for i in index], as bytes when every value is 0 or +-1 (the
-    weights of every built-in system), else as a list."""
-    picked = map(values.__getitem__, index)
-    return array("b", picked) if all(x in (-1, 0, 1) for x in values) else list(picked)
-
-
-def _congruence_of(rref: SparseRREF) -> Congruence | None:
-    """The congruence of a subspace whose RREF rows have at most two
-    entries, else None."""
-    rows = rref.rows
-    if any(len(row) > 2 for row in rows.values()):
-        return None
-    free = rref.free()
-    cls = array("i", [-1]) * rref.ncols
-    w = [0] * rref.ncols
-    for c, f in enumerate(free):
-        cls[f], w[f] = c, 1
-    for p, row in rows.items():
-        for f, x in row.items():
-            if f != p:
-                cls[p], w[p] = cls[f], -x
-    return Congruence(cls, _gather(w, range(rref.ncols)), free)
-
-
-_step_maps_cache: dict[int, list[list[array]]] = {}
 
 
 def _step_maps(m: int) -> list[list[array]]:
@@ -348,14 +321,7 @@ def _step_maps(m: int) -> list[list[array]]:
     generators g are, in order, w -> w x_{m+1}, w -> x_{m+1} w and
     x_i -> x_i x_{m+1} for i = 1..m; tau_j swaps the labels j and m+1
     (tau_{m+1} is the identity).  Every map is injective.
-
-    The maps depend on m alone.  Those below the default cap (m <
-    DEFAULT_DEGREE_CAP, 0.3 MB in all) are built once per process and
-    shared, so callers must not mutate them; larger ones (192 MB at m = 7)
-    are built per call, so they do not stay resident.
     """
-    if m in _step_maps_cache:
-        return _step_maps_cache[m]
     new = m + 1
     src, dst = MultilinearSpace(m), MultilinearSpace(new)
     rank, nperms = _perm_rank_map(new), dst.nperms
@@ -390,8 +356,6 @@ def _step_maps(m: int) -> list[list[array]]:
                 array("i", [row[a] * nperms + r for row in table for a, r in zip(keys, pranks)])
             )
         maps.append(per_tau)
-    if m < DEFAULT_DEGREE_CAP:
-        _step_maps_cache[m] = maps
     return maps
 
 
@@ -697,7 +661,10 @@ def _shape_graph(n: int, patterns) -> ShapeGraph:
 # (about 462 bytes per column).  Both constants were measured on builds whose
 # rows stay sparse.  They are not a bound for a build whose rows fill in:
 # cas-dual, whose degree-5 rows are dense, is estimated at 17 MB for degree 6
-# (30,240 columns) and passed 900 MiB there without finishing.
+# (30,240 columns) and passed 900 MiB there without finishing.  It also
+# charges the dict rows of a graph degree: at degree 7 on sas, a13 and as,
+# `rref` grew the peak by 347-350 bytes per column, `basis` by 257-263 and
+# `kernel` by 63-68.
 BYTES_PER_COLUMN = 573
 # The same for deriving the `Congruence` arrays of a graph degree, an int
 # class and a byte weight per column.  Deriving them grew the peak by 5.7-8.5
@@ -744,7 +711,7 @@ def consequences(sys: IdentitySystem, n: int, cap: int | None = None) -> Consequ
         return _consequence_cache[key]
     idents = [ident for ident in sys.identities if ident.degree == n]
     below = None if idents else _primal_below(sys, n, cap)
-    if not idents and (below is None or below.congruence is not None):
+    if not idents and (below is None or _binomial(below.rref)):
         space = ConsequenceSpace(sys.name, n, graph=_shape_graph(n, _patterns(below) if below else ()))
     else:
         prev = consequences(sys, n - 1, cap) if n > 1 else None
@@ -763,10 +730,16 @@ def _primal_below(sys: IdentitySystem, n: int, cap: int | None) -> ConsequenceSp
     if m is None:
         return None
     space = consequences(sys, m, cap)
-    while space.congruence is None and m < n - 1:
+    while not _binomial(space.rref) and m < n - 1:
         m += 1
         space = consequences(sys, m, cap)
     return space
+
+
+def _binomial(rref: SparseRREF) -> bool:
+    """Whether every RREF row has at most two entries: the test that a
+    primal degree is binomial."""
+    return all(len(row) <= 2 for row in rref.rows.values())
 
 
 def _lifted(idents, m: int):
@@ -904,7 +877,8 @@ def implies(sysA: IdentitySystem, sysB: IdentitySystem, n: int, cap: int | None 
     consB = consequences(sysB, n, cap)
     if consB.dim > consA.dim:
         return False
-    return all(consA.contains_vec(row) for row in consB.basis())
+    rows = consB.rref.basis() if consB.graph is None else (row for _, row in consB._graph_rows())
+    return all(consA.contains_vec(row) for row in rows)
 
 
 def prove_zero(expr: Expr, sys: IdentitySystem, cap: int | None = None) -> bool:

@@ -369,7 +369,7 @@ def test_dual_step_matches_primal(sys, m, monkeypatch):
     idents = [i for i in sys.identities if i.degree == m]
     prev = consequences(sys, m - 1)
     primal = operads._primal_step(prev.rref, m, operads._lifted(idents, m))
-    congruent = prev.congruence is not None and not idents
+    congruent = operads._binomial(prev.rref) and not idents
     assert congruent == (sys is not _FRACTIONAL and sys.name != "cas-dual" and m != 3)
     if congruent:
         graph = _graph_space(sys, m)
@@ -388,7 +388,7 @@ def test_representation_rule(monkeypatch):
     exactly when the highest primal degree below it is binomial, and it
     builds only that degree, not the ones in between.  The check runs on the
     space, so the recombined and rescaled seeded cas qualifies and cas-dual
-    does not."""
+    does not.  Only a graph degree holds congruence arrays."""
     paths = _spy_paths(monkeypatch)
     for sys, top in ((builtin_system("sas"), 6), (_SEEDED_CAS, 5), (builtin_system("cas-dual"), 4)):
         del paths[:]
@@ -398,12 +398,13 @@ def test_representation_rule(monkeypatch):
         graphs = [consequences(sys, m).graph is not None for m in range(1, top + 1)]
         assert graphs == [m not in primal for m in range(1, top + 1)]
         congruences = [consequences(sys, m).congruence is not None for m in range(1, top + 1)]
-        assert congruences == [sys.name != "cas-dual" or m < 3 for m in range(1, top + 1)]
+        assert congruences == graphs
+        assert [operads._binomial(consequences(sys, m).rref) for m in primal] == [sys.name != "cas-dual"] * len(primal)
 
 
 def _assert_congruence_steps(cons, prev):
-    """A degree-3 congruence gives back its RREF rows, and the shape graphs
-    of degrees 4 and 5 on its patterns leave the primal rows and `where`."""
+    """A binomial degree 3 gives back its RREF rows, and the shape graphs of
+    degrees 4 and 5 on its patterns leave the primal rows and `where`."""
     assert cons.basis() == prev.basis()
     patterns = operads._patterns(cons)
     for m in (4, 5):
@@ -429,15 +430,15 @@ def degree3_relations(draw):
 @settings(max_examples=30, deadline=None)
 @given(degree3_relations())
 def test_dual_step_on_random_presentations(relations):
-    """Random presentations are congruences exactly when every row of their
-    degree-3 RREF has at most two entries, and then their shape graphs
-    give the primal RREF at degrees 4 and 5."""
+    """Random presentations whose degree-3 RREF rows all have at most two
+    entries give the primal RREF at degrees 4 and 5 on their shape graphs;
+    their degree 3 holds no congruence arrays either way."""
     space = MultilinearSpace(3)
     lifted = [space.relabel_vec(vec, perm) for vec in relations for perm in _perms_lex(3)]
     prev = operads._primal_step(SparseRREF(2), 3, lifted)
     cons = ConsequenceSpace("random", 3, rref=prev)
-    assert (cons.congruence is not None) == all(len(row) <= 2 for row in prev.rows.values())
-    if cons.congruence is not None:
+    assert cons.congruence is None
+    if operads._binomial(prev):
         _assert_congruence_steps(cons, prev)
 
 
@@ -460,11 +461,11 @@ def binomial_presentations(draw):
 @settings(max_examples=40, deadline=None)
 @given(binomial_presentations())
 def test_congruence_steps_on_binomial_presentations(lifted):
-    """A span of binomials is a congruence, whatever its signs and scales,
-    and its shape graphs leave the primal RREF."""
+    """A span of binomials has RREF rows of at most two entries, whatever
+    its signs and scales, and its shape graphs leave the primal RREF."""
     prev = operads._primal_step(SparseRREF(2), 3, lifted)
     cons = ConsequenceSpace("binomial", 3, rref=prev)
-    assert cons.congruence is not None
+    assert operads._binomial(prev)
     _assert_congruence_steps(cons, prev)
 
 
@@ -557,22 +558,12 @@ def test_schreier_sims_matches_the_closure(case):
     assert all(chain._sifts(p, 0) == (p in group) for p in map(tuple, itertools.permutations(range(n))))
 
 
-def test_large_step_maps_are_not_kept():
-    """The maps of the steps past the default cap are built per call, and
-    only those of m < DEFAULT_DEGREE_CAP stay cached."""
-    below = operads.DEFAULT_DEGREE_CAP - 1
-    assert _step_maps(below) is _step_maps(below)
-    _step_maps(operads.DEFAULT_DEGREE_CAP)
-    assert below in operads._step_maps_cache
-    assert max(operads._step_maps_cache) < operads.DEFAULT_DEGREE_CAP
-
-
 def test_positions_outside_the_space_are_rejected():
-    """The same errors from the SparseRREF of a primal build, from the
-    arrays of that degree and from a congruence-built degree."""
+    """The same errors from the SparseRREF of a binomial primal build, from
+    that degree's readers and from a graph degree's arrays."""
     sas = builtin_system("sas")
     primal = consequences(sas, 3)
-    assert primal.space.dim == 12 and primal.congruence is not None
+    assert primal.space.dim == 12 and operads._binomial(primal.rref) and primal.congruence is None
     stepped = consequences(sas, 4)
     assert stepped.space.dim == 120
     for reduce_vec, contains_vec, ncols in (
@@ -587,13 +578,23 @@ def test_positions_outside_the_space_are_rejected():
         assert contains_vec({}) and reduce_vec({ncols - 1: 0}) == {}
 
 
-@pytest.mark.parametrize("sys, n", [(builtin_system("sas"), 5), (builtin_system("a12"), 5), (anti_system("a12"), 4)],
-                         ids=lambda v: getattr(v, "name", str(v)))
+# a binomial identity of degree 4 whose degree-5 weights are 1, 1/2 and 1/4
+_WEIGHTED = parse_system("weighted", "((x1 x2) (x3 x4)) = 2 * (((x1 x2) x3) x4)")
+
+
+@pytest.mark.parametrize(
+    "sys, n",
+    [(builtin_system("sas"), 5), (builtin_system("a12"), 5), (anti_system("a12"), 4), (_WEIGHTED, 5)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
 def test_congruence_readers_match_the_rref(sys, n):
-    """Every reader of a congruence gives what its SparseRREF gives."""
+    """Every reader of a congruence gives what its SparseRREF gives, with
+    byte weights and with rational ones."""
     cons = consequences(sys, n)
     assert cons.graph is not None
+    assert isinstance(cons.congruence.w, list) == (sys is _WEIGHTED)
     rref = cons.rref
+    assert rref.rows == operads._primal_step(consequences(sys, n - 1).rref, n, ()).rows
     assert cons.free() == rref.free()
     assert cons.kernel() == rref.kernel()
     assert cons.basis() == rref.basis()
@@ -632,6 +633,21 @@ def test_memory_estimate_follows_the_path(monkeypatch):
     with pytest.raises(DegreeTooLarge, match="degree 6 needs about"):
         consequences(sas, 6).free()
     assert consequences(casd, 4).dim == 120 - 81
+
+
+def test_graph_rows_are_charged_and_implies_streams(monkeypatch):
+    """The dict rows of a graph degree are charged at BYTES_PER_COLUMN
+    before they are built, while `implies` reads rows off the arrays one at
+    a time and so builds none."""
+    sas, cas = builtin_system("sas"), builtin_system("cas")
+    monkeypatch.setattr(operads, "_consequence_cache", {})
+    consequences(sas, 3)
+    consequences(cas, 3)
+    monkeypatch.setattr(operads, "BYTES_PER_COLUMN", 2**40)
+    for read in (lambda cons: cons.rref, lambda cons: cons.basis(), lambda cons: cons.kernel()):
+        with pytest.raises(DegreeTooLarge, match="degree 5 needs about"):
+            read(consequences(sas, 5))
+    assert implies(cas, sas, 5)
 
 
 def test_build_beyond_memory_is_refused(monkeypatch):
