@@ -42,11 +42,14 @@ zero, and for d = 1 the one functional f vanishing on I(m) spans the
 annihilator, so the RREF row of each pivot p is e_p - f(p) e_f.
 
 Per-monomial answers (residuals, free positions, kernels, the RREF) read
-the `SparseRREF` of a primal degree, and the `Congruence` of a graph degree,
-a class and a weight for each monomial, derived on first use.  Everything
-downstream (dimensions, Hilbert series, Koszulity residuals, Koszul duals,
-implication between systems, membership proofs, k-niceness) reduces to
-exact linear algebra on these spaces.
+the `SparseRREF` of a primal degree.  A graph degree reads them off its
+graph through two tables, each derived on first use: for each component
+that is not zero, the class and sign of each labelling of its root; for
+each shape, the root labelling of each of its labellings.  They hold n!
+entries per root and per shape read, so a residual touches only the shapes
+of its monomials.  Everything downstream (dimensions, Hilbert series,
+Koszulity residuals, Koszul duals, implication between systems, membership
+proofs, k-niceness) reduces to exact linear algebra on these spaces.
 """
 
 from __future__ import annotations
@@ -188,34 +191,19 @@ class MultilinearSpace:
 # consequence spaces
 
 
-class Congruence(NamedTuple):
-    """A graph degree as a weighted partition of its monomials.
-
-    Monomial k is w[k] times the class element a_cls[k] of the quotient, or
-    zero there when cls[k] == -1 (and then w[k] == 0).  free[c] is the last
-    (largest) member of class c, ascending in c, and w[free[c]] == 1, so a_c
-    is that monomial.  w is an array of bytes when every weight is 0 or +-1,
-    else a list of canonical rationals.
-    """
-
-    cls: array
-    w: array | list
-    free: list[int]
-
-
 class ConsequenceSpace:
     """Degree-n component I(n) of the operadic ideal of a system.
 
     It holds I(n) in one of two forms, and answers the same from either.  A
     primal space holds the `SparseRREF` of I(n) and answers from it.  A
-    graph space holds the `ShapeGraph` of a binomial system, reads `dim` off
-    it, and gives its per-monomial answers through its `Congruence`, derived
-    on first use.  The unique RREF of a congruence has the last members of
-    the classes as its free positions and the row e_p - w[p] e_f for any
-    other member p of the class of f, e_p for a monomial in I(n); `rref`,
-    `basis` and `kernel` of a graph space build a dict per monomial, so
-    they are charged at `BYTES_PER_COLUMN` first.  Every answer gives each
-    rational in the form of `exact.poly.canonical`.
+    graph space holds the `ShapeGraph` of a binomial system and answers from
+    it: `dim` from its groups, and per monomial from tables it derives on
+    first use for the shapes asked about.  The unique RREF of a graph space
+    has the last members of the classes as its free positions, and the row
+    e_p - w e_f for any other member p = w f of the class of f, e_p for a
+    monomial in I(n).  `rref`, `basis` and `kernel` of a graph space build a
+    dict per monomial, so they are charged at `BYTES_PER_COLUMN` first.
+    Every answer gives each rational in the form of `exact.poly.canonical`.
     """
 
     def __init__(self, system_name: str, degree: int, rref: SparseRREF | None = None, graph: ShapeGraph | None = None):
@@ -224,36 +212,13 @@ class ConsequenceSpace:
         self.space = MultilinearSpace(degree)
         self._rref = rref
         self.graph = graph
-        self._congruence = None
-
-    @property
-    def congruence(self) -> Congruence | None:
-        """The arrays of a graph space, derived on first use; None for a
-        primal space."""
-        if self._congruence is None and self.graph is not None:
-            _refuse_memory(self.degree, consequence_memory_estimate(self.degree, congruence=True))
-            self._congruence = self.graph.congruence()
-        return self._congruence
-
-    def _refuse_rows(self):
-        # the dict rows of a graph space; the arrays are charged on their own
-        _refuse_memory(self.degree, consequence_memory_estimate(self.degree, congruence=False))
-
-    def _graph_rows(self):
-        """(pivot, row) of the RREF of a graph space, by pivot, one at a time."""
-        cls, w, free = self.congruence
-        for p, (c, x) in enumerate(zip(cls, w)):
-            if c < 0:
-                yield p, {p: 1}
-            elif free[c] != p:
-                yield p, {p: 1, free[c]: -x}
 
     @property
     def rref(self) -> SparseRREF:
         if self._rref is None:
-            self._refuse_rows()
+            _refuse_memory(self.degree)
             acc = SparseRREF(self.space.dim)
-            for p, row in self._graph_rows():
+            for p, row in self.graph.rows():
                 acc.rows[p] = row
                 for f in row:
                     if f != p:
@@ -272,12 +237,7 @@ class ConsequenceSpace:
         if self.graph is None:
             return self.rref.reduce(vec)
         check_positions(vec, self.space.dim)
-        cls, w, free = self.congruence
-        out: dict = {}
-        for k, c in vec.items():
-            if (cl := cls[k]) >= 0 and c:
-                out[free[cl]] = out.get(free[cl], 0) + c * w[k]
-        return {f: canonical(c) for f, c in out.items() if c}
+        return self.graph.reduce(vec)
 
     def contains_vec(self, vec) -> bool:
         return not self.reduce_vec(vec)
@@ -287,28 +247,28 @@ class ConsequenceSpace:
 
     def free(self) -> list[int]:
         """The free positions of the RREF, ascending."""
-        return self.rref.free() if self.graph is None else list(self.congruence.free)
+        return self.rref.free() if self.graph is None else self.graph.free()
 
     def kernel(self) -> list[dict]:
         """The functionals that vanish on I(n), one per free position f,
         ascending, each 1 at f (as `SparseRREF.kernel`).  On a graph space,
-        the functional of a class is its weights."""
+        the functional of a class is the weight of each of its members."""
         if self.graph is None:
             return self.rref.kernel()
-        self._refuse_rows()
-        cls, w, free = self.congruence
-        out: list[dict] = [{} for _ in free]
-        for k, c in enumerate(cls):
-            if c >= 0:
-                out[c][k] = w[k]
-        return out
+        _refuse_memory(self.degree)
+        out = {f: {f: 1} for f in self.free()}
+        for p, row in self.graph.rows():
+            for f, w in row.items():
+                if f != p:
+                    out[f][p] = -w
+        return list(out.values())
 
     def basis(self) -> list[dict]:
         """The RREF rows, by pivot (as `SparseRREF.basis`)."""
         if self.graph is None:
             return self.rref.basis()
-        self._refuse_rows()
-        return [row for _, row in self._graph_rows()]
+        _refuse_memory(self.degree)
+        return [row for _, row in self.graph.rows()]
 
     def __repr__(self):
         return f"ConsequenceSpace({self.system_name!r}, degree={self.degree}, dim={self.dim})"
@@ -454,7 +414,7 @@ class _Component(NamedTuple):
     unit: bool
 
 
-class ShapeGraph(NamedTuple):
+class ShapeGraph:
     """I(n) of a binomial system as a graph on the degree-n tree shapes.
 
     The patterns are (P, Q, k, x): the relation P(sigma) = x Q(tau) of
@@ -475,11 +435,17 @@ class ShapeGraph(NamedTuple):
     are the cosets sigma H of root labellings, n!/|H| of them, and
     (s, pi) = e_s chi(h) (r, sigma) when pi . g_s = sigma . h.
 
-    components are by root, ascending.
+    components are by root, ascending.  Per-monomial answers read two
+    tables, each derived on first use: a root table per component that is
+    not zero (`_root_table`) and a label map per shape (`_table`).
     """
 
-    degree: int
-    components: list[_Component]
+    def __init__(self, degree: int, components: list[_Component]):
+        self.degree = degree
+        self.components = components
+        self._home = {s: (comp, g, e) for comp in components for s, g, e in comp.members}
+        self._tables: dict[int, tuple | None] = {}
+        self._roots: dict[int, tuple[array, array]] = {}
 
     def classes(self) -> int:
         """The dimension of P(n): n!/|H| for each component that is not zero."""
@@ -500,46 +466,80 @@ class ShapeGraph(NamedTuple):
             and all(e == 1 for _, _, e in comp.members)
         )
 
-    def congruence(self) -> Congruence:
-        """The arrays of the `Congruence` of I(n).
+    def _root_table(self, comp: _Component) -> tuple[array, array]:
+        """(last, sign) of a component that is not zero, derived on first
+        use: for each root labelling q, by rank, the rank last[q] of the last
+        member of its class and the sign with (r, q) = sign[q] (r, last[q]).
 
-        The classes are numbered by their last members.  Those all lie in
-        the root of their component, the highest shape there, so the
-        components are visited by root, and in each the root labellings in
+        The last members of the classes all lie in the root, the highest
+        shape of the component.  The root labellings are visited in
         descending lex order: the first one not yet in a class is the last
-        member of a new class, of weight 1, and its H-images fill the rest
-        of that class.  Each shape then reads its classes and weights
-        through its transport.
+        member of a new class, and its H-images fill the rest of that class.
         """
-        n = self.degree
-        nf = math.factorial(n)
-        perms, rank = _perms_lex(n), _perm_rank_map(n)
-        live = [c for c in self.components if c.group is not None]
-        units = all(e in (1, -1) for c in live for _, _, e in c.members)
-        cls = array("i", [-1]) * (nf * len(MultilinearSpace(n).shapes))
-        w = array("b", bytes(len(cls))) if units else [0] * len(cls)
-        free: list[int] = []
-        for comp in live:
+        if comp.root not in self._roots:
+            n = self.degree
+            perms, rank = _perms_lex(n), _perm_rank_map(n)
             elements = [(_picker(h[:n]), -1 if h[n] > n else 1) for h in comp.group.elements()]
-            number = array("i", [-1]) * nf
-            sign = array("b", bytes(nf))
-            lasts: list[int] = []
-            for q in range(nf - 1, -1, -1):
-                if number[q] < 0:
-                    pi, c = perms[q], len(lasts)
+            last = array("i", [-1]) * len(perms)
+            sign = array("b", bytes(len(perms)))
+            for q in range(len(perms) - 1, -1, -1):
+                if last[q] < 0:
+                    pi = perms[q]
                     for take, chi in elements:
                         r = rank[take(pi)]
-                        number[r], sign[r] = c, chi
-                    lasts.append(q)
-            top = len(free) + len(lasts) - 1  # the c-th class found is class top - c
-            free.extend(comp.root * nf + q for q in reversed(lasts))
-            ids = array("i", [top - c for c in number])
-            for s, g, e in comp.members:
-                qs = list(map(rank.__getitem__, map(_picker(g), perms)))
-                cls[s * nf : (s + 1) * nf] = array("i", map(ids.__getitem__, qs))
-                ws = map(e.__mul__, map(sign.__getitem__, qs))
-                w[s * nf : (s + 1) * nf] = array("b", ws) if units else list(ws)
-        return Congruence(cls, w, free)
+                        last[r], sign[r] = q, chi
+            self._roots[comp.root] = last, sign
+        return self._roots[comp.root]
+
+    def _table(self, s: int) -> tuple | None:
+        """(labels, e, base, last, sign) of shape s, derived on first use, or
+        None when its component is zero in P(n).  labels[q] is the rank of
+        pi_q . g_s, e the transport's ratio, base the index of the root's
+        first monomial and (last, sign) the root table: monomial q of s is
+        e * sign[r] times monomial base + last[r], with r = labels[q]."""
+        if s not in self._tables:
+            comp, g, e = self._home[s]
+            if comp.group is None:
+                self._tables[s] = None
+            else:
+                n = self.degree
+                labels = array("i", map(_perm_rank_map(n).__getitem__, map(_picker(g), _perms_lex(n))))
+                self._tables[s] = (labels, e, comp.root * len(labels), *self._root_table(comp))
+        return self._tables[s]
+
+    def free(self) -> list[int]:
+        """The last members of the classes, ascending: the fixed points of
+        the root tables."""
+        nf = math.factorial(self.degree)
+        live = (c for c in self.components if c.group is not None)
+        return [c.root * nf + q for c in live for q, r in enumerate(self._root_table(c)[0]) if r == q]
+
+    def rows(self):
+        """(pivot, row) of the RREF of I(n), by pivot, one at a time."""
+        nf = math.factorial(self.degree)
+        for s in range(len(self._home)):
+            table = self._table(s)
+            if table is None:
+                for p in range(s * nf, (s + 1) * nf):
+                    yield p, {p: 1}
+                continue
+            labels, e, base, last, sign = table
+            for p, r in enumerate(labels, s * nf):
+                if (f := base + last[r]) != p:
+                    yield p, {p: 1, f: -(e * sign[r])}
+
+    def reduce(self, vec) -> dict:
+        """The residual of vec modulo I(n), on the free positions."""
+        nf, tables = math.factorial(self.degree), self._tables
+        out: dict = {}
+        for k, c in vec.items():
+            s, q = divmod(k, nf)
+            if c and (got := tables.get(s) or self._table(s)):
+                labels, e, base, last, sign = got
+                r = labels[q]
+                f = base + last[r]
+                out[f] = out.get(f, 0) + c * (e * sign[r])  # e * sign first: one Fraction product
+        return {f: canonical(c) for f, c in out.items() if c}
 
 
 def _loop_group(n: int, loops, transport) -> tuple[_Chain | None, bool]:
@@ -664,24 +664,21 @@ def _shape_graph(n: int, patterns) -> ShapeGraph:
 # (30,240 columns) and passed 900 MiB there without finishing.  It also
 # charges the dict rows of a graph degree: at degree 7 on sas, a13 and as,
 # `rref` grew the peak by 347-350 bytes per column, `basis` by 257-263 and
-# `kernel` by 63-68.
+# `kernel` by 63-68.  The graph build and its tables are not charged: the
+# build grows with the Catalan(n-1) shapes, and the tables hold at most 4
+# bytes per column of the shapes a query reads and 5 per root labelling.
 BYTES_PER_COLUMN = 573
-# The same for deriving the `Congruence` arrays of a graph degree, an int
-# class and a byte weight per column.  Deriving them grew the peak by 5.7-8.5
-# bytes per column on the binomial built-ins at degree 7 and by 6.3-7.2 at
-# degree 8 (Python 3.11.7); with a margin, 16.  The graph build itself is not
-# charged: it grows with the Catalan(n-1) shapes, not with the columns.
-ARRAY_BYTES_PER_COLUMN = 16
 
 
-def consequence_memory_estimate(n: int, congruence: bool) -> int:
-    """Estimated peak bytes of the arrays of a graph degree n, or of a primal
-    build of degree n, from sparse builds: a primal build whose rows fill in
-    can need many times more."""
-    return free_magma_dim(n) * (ARRAY_BYTES_PER_COLUMN if congruence else BYTES_PER_COLUMN)
+def consequence_memory_estimate(n: int) -> int:
+    """Estimated peak bytes of a primal build of degree n, or of the dict
+    rows of a graph degree n, from sparse builds: a primal build whose rows
+    fill in can need many times more."""
+    return free_magma_dim(n) * BYTES_PER_COLUMN
 
 
-def _refuse_memory(n: int, need: int):
+def _refuse_memory(n: int):
+    need = consequence_memory_estimate(n)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise DegreeTooLarge(f"degree {n} needs about {need / 2**30:.1f} GiB; this machine has {have / 2**30:.1f} GiB")
@@ -715,7 +712,7 @@ def consequences(sys: IdentitySystem, n: int, cap: int | None = None) -> Consequ
         space = ConsequenceSpace(sys.name, n, graph=_shape_graph(n, _patterns(below) if below else ()))
     else:
         prev = consequences(sys, n - 1, cap) if n > 1 else None
-        _refuse_memory(n, consequence_memory_estimate(n, congruence=False))
+        _refuse_memory(n)
         acc = _primal_step(prev.rref if prev is not None else None, n, _lifted(idents, n))
         space = ConsequenceSpace(sys.name, n, rref=acc)
     _consequence_cache[key] = space
@@ -877,7 +874,7 @@ def implies(sysA: IdentitySystem, sysB: IdentitySystem, n: int, cap: int | None 
     consB = consequences(sysB, n, cap)
     if consB.dim > consA.dim:
         return False
-    rows = consB.rref.basis() if consB.graph is None else (row for _, row in consB._graph_rows())
+    rows = consB.rref.basis() if consB.graph is None else (row for _, row in consB.graph.rows())
     return all(consA.contains_vec(row) for row in rows)
 
 

@@ -149,7 +149,7 @@ def test_exact_core_returns_canonical_rationals():
     values = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 2), 1, -2)
     for system, n in (("cas-dual", 4), ("sas", 5)):
         cons = consequences(builtin_system(system), n)
-        assert (cons.congruence is None) == (system == "cas-dual")
+        assert (cons.graph is None) == (system == "cas-dual")
         scalars = [c for vec in cons.kernel() + cons.basis() for c in vec.values()]
         for _ in range(40):
             vec = {rng.randrange(cons.space.dim): rng.choice(values) for _ in range(6)}

@@ -388,7 +388,8 @@ def test_representation_rule(monkeypatch):
     exactly when the highest primal degree below it is binomial, and it
     builds only that degree, not the ones in between.  The check runs on the
     space, so the recombined and rescaled seeded cas qualifies and cas-dual
-    does not.  Only a graph degree holds congruence arrays."""
+    does not.  A graph degree holds no RREF until one is asked for: the
+    top degree's `dim` builds none."""
     paths = _spy_paths(monkeypatch)
     for sys, top in ((builtin_system("sas"), 6), (_SEEDED_CAS, 5), (builtin_system("cas-dual"), 4)):
         del paths[:]
@@ -397,20 +398,27 @@ def test_representation_rule(monkeypatch):
         assert paths == [(2, "_shape_graph"), (3, "_primal_step"), (top, "_primal_step" if top in primal else "_shape_graph")]
         graphs = [consequences(sys, m).graph is not None for m in range(1, top + 1)]
         assert graphs == [m not in primal for m in range(1, top + 1)]
-        congruences = [consequences(sys, m).congruence is not None for m in range(1, top + 1)]
-        assert congruences == graphs
+        assert (consequences(sys, top)._rref is None) == graphs[-1]
         assert [operads._binomial(consequences(sys, m).rref) for m in primal] == [sys.name != "cas-dual"] * len(primal)
 
 
 def _assert_congruence_steps(cons, prev):
     """A binomial degree 3 gives back its RREF rows, and the shape graphs of
-    degrees 4 and 5 on its patterns leave the primal rows and `where`."""
+    degrees 4 and 5 on its patterns leave the primal rows and `where`, free
+    positions, kernel and residuals."""
     assert cons.basis() == prev.basis()
     patterns = operads._patterns(cons)
+    rng = random.Random(len(patterns))
     for m in (4, 5):
         primal = operads._primal_step(prev, m, ())
         graph = ConsequenceSpace("graph", m, graph=operads._shape_graph(m, patterns))
         assert graph.dim == primal.rank
+        # the per-monomial readers first, before `rref` builds the rows
+        for _ in range(3):
+            vec = {rng.randrange(primal.ncols): Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)}
+            assert graph.reduce_vec(vec) == primal.reduce(vec), m
+        assert graph.free() == primal.free(), m
+        assert graph.kernel() == primal.kernel(), m
         assert graph.rref.rows == primal.rows, m
         assert graph.rref.where == _nonempty(primal.where), m
         prev = primal
@@ -432,12 +440,12 @@ def degree3_relations(draw):
 def test_dual_step_on_random_presentations(relations):
     """Random presentations whose degree-3 RREF rows all have at most two
     entries give the primal RREF at degrees 4 and 5 on their shape graphs;
-    their degree 3 holds no congruence arrays either way."""
+    their degree 3 holds no shape graph either way."""
     space = MultilinearSpace(3)
     lifted = [space.relabel_vec(vec, perm) for vec in relations for perm in _perms_lex(3)]
     prev = operads._primal_step(SparseRREF(2), 3, lifted)
     cons = ConsequenceSpace("random", 3, rref=prev)
-    assert cons.congruence is None
+    assert cons.graph is None
     if operads._binomial(prev):
         _assert_congruence_steps(cons, prev)
 
@@ -475,16 +483,17 @@ def test_a_corrupted_sign_changes_the_step():
     a12, anti = builtin_system("a12"), anti_system("a12")
     assert [multilinear_dim(a12, n) for n in range(1, 7)] == [1, 2, 6, 12, 20, 30]
     assert [multilinear_dim(anti, n) for n in range(1, 7)] == [1, 2, 6, 12, 0, 0]
-    plus, minus = consequences(a12, 4).congruence, consequences(anti, 4).congruence
-    assert plus.cls == minus.cls and plus.free == minus.free and plus.w != minus.w
+    plus, minus = consequences(a12, 4), consequences(anti, 4)
+    assert plus.free() == minus.free() and plus.basis() != minus.basis()
+    assert [row.keys() for row in plus.basis()] == [row.keys() for row in minus.basis()]
     # a12's patterns with their ratios negated are a12-anti's, and give its degree 5
     patterns = operads._patterns(consequences(a12, 3))
     swapped = [(p, q, k, -x) for p, q, k, x in patterns]
     assert swapped == operads._patterns(consequences(anti, 3))
     graph = ConsequenceSpace("swapped", 5, graph=operads._shape_graph(5, swapped))
     assert graph.dim == consequences(anti, 5).dim != consequences(a12, 5).dim
-    assert graph.congruence == consequences(anti, 5).congruence
-    assert graph.congruence != consequences(a12, 5).congruence
+    assert graph.free() == consequences(anti, 5).free() != consequences(a12, 5).free()
+    assert graph.basis() == consequences(anti, 5).basis() != consequences(a12, 5).basis()
 
 
 @pytest.mark.parametrize("name, dim", [("sas", 1), ("a12", 42)])
@@ -560,10 +569,10 @@ def test_schreier_sims_matches_the_closure(case):
 
 def test_positions_outside_the_space_are_rejected():
     """The same errors from the SparseRREF of a binomial primal build, from
-    that degree's readers and from a graph degree's arrays."""
+    that degree's readers and from a graph degree's tables."""
     sas = builtin_system("sas")
     primal = consequences(sas, 3)
-    assert primal.space.dim == 12 and operads._binomial(primal.rref) and primal.congruence is None
+    assert primal.space.dim == 12 and operads._binomial(primal.rref) and primal.graph is None
     stepped = consequences(sas, 4)
     assert stepped.space.dim == 120
     for reduce_vec, contains_vec, ncols in (
@@ -588,11 +597,10 @@ _WEIGHTED = parse_system("weighted", "((x1 x2) (x3 x4)) = 2 * (((x1 x2) x3) x4)"
     ids=lambda v: getattr(v, "name", str(v)),
 )
 def test_congruence_readers_match_the_rref(sys, n):
-    """Every reader of a congruence gives what its SparseRREF gives, with
-    byte weights and with rational ones."""
+    """Every reader of a graph degree gives what its SparseRREF gives, with
+    weights +-1 and with rational ones."""
     cons = consequences(sys, n)
     assert cons.graph is not None
-    assert isinstance(cons.congruence.w, list) == (sys is _WEIGHTED)
     rref = cons.rref
     assert rref.rows == operads._primal_step(consequences(sys, n - 1).rref, n, ()).rows
     assert cons.free() == rref.free()
@@ -608,16 +616,14 @@ def test_congruence_readers_match_the_rref(sys, n):
 
 
 def test_memory_estimate():
-    assert consequence_memory_estimate(8, congruence=False) > 8 * 2**30
-    assert 0.37e9 / 2 < consequence_memory_estimate(7, congruence=False) < 0.37e9 * 2
-    # the arrays of a graph degree: a class and a weight per column, whose
-    # derivation at degrees 7 and 8 grows the peak by 6-9 bytes per column
-    assert 9 * 17_297_280 < consequence_memory_estimate(8, congruence=True) < consequence_memory_estimate(8, False) / 20
+    assert consequence_memory_estimate(8) > 8 * 2**30
+    assert 0.37e9 / 2 < consequence_memory_estimate(7) < 0.37e9 * 2
 
 
 def test_memory_estimate_follows_the_path(monkeypatch):
-    """A primal degree is charged before it is built, a graph degree before
-    its arrays are derived, and the graph build itself is not charged."""
+    """A primal degree is charged before it is built, and a graph degree
+    before its dict rows are built.  The graph build is not charged, nor are
+    the tables its free positions and residuals are read from."""
     sas, casd = builtin_system("sas"), builtin_system("cas-dual")
     monkeypatch.setattr(operads, "_consequence_cache", {})
     consequences(sas, 3)
@@ -627,18 +633,21 @@ def test_memory_estimate_follows_the_path(monkeypatch):
     assert consequences(sas, 5).free() == [1679]
     with pytest.raises(DegreeTooLarge, match="degree 4 needs about"):
         consequences(casd, 4)
-    monkeypatch.setattr(operads, "BYTES_PER_COLUMN", 573)
-    monkeypatch.setattr(operads, "ARRAY_BYTES_PER_COLUMN", 2**40)
-    assert consequences(sas, 6).dim == 30239
+    sas6 = consequences(sas, 6)
+    assert sas6.dim == 30239
+    assert sas6.free() == [30239]
+    assert sas6.reduce_vec({0: 1, 1: 1, 777: 3, 30239: 1}) == {30239: 6}
+    assert sas6.contains_vec({0: 1, 30239: -1})
     with pytest.raises(DegreeTooLarge, match="degree 6 needs about"):
-        consequences(sas, 6).free()
+        sas6.basis()
+    monkeypatch.setattr(operads, "BYTES_PER_COLUMN", 573)
     assert consequences(casd, 4).dim == 120 - 81
 
 
 def test_graph_rows_are_charged_and_implies_streams(monkeypatch):
     """The dict rows of a graph degree are charged at BYTES_PER_COLUMN
-    before they are built, while `implies` reads rows off the arrays one at
-    a time and so builds none."""
+    before they are built, while `implies` reads rows off the graph one at a
+    time and so builds none."""
     sas, cas = builtin_system("sas"), builtin_system("cas")
     monkeypatch.setattr(operads, "_consequence_cache", {})
     consequences(sas, 3)
@@ -871,6 +880,16 @@ def test_prove_zero_examples():
         parse_expr("(x1 o (x2 o (x3 o (x4 o x5)))) - (x1 o (x2 o (x4 o (x3 o x5))))"), sas
     )
     assert not prove_zero(parse_expr("[[x1,x2],x3]"), sas)
+
+
+def test_prove_zero_at_degree_8():
+    """Degree-8 membership on the shape graph of sas reads the tables of the
+    two shapes it touches, not all 17,297,280 monomials."""
+    sas = builtin_system("sas")
+    w1 = parse_expr("(((((((x1 x2) x3) x4) x5) x6) x7) x8)")
+    w2 = parse_expr("(x8 (x7 (x6 (x5 (x4 (x3 (x2 x1)))))))")
+    assert prove_zero(w1 - w2, sas, cap=8)
+    assert not prove_zero(w1, sas, cap=8)
 
 
 def test_prove_zero_monotone():
