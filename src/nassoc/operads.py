@@ -41,15 +41,15 @@ quotient of dimension d <= 1 always is binomial: for d = 0 every monomial is
 zero, and for d = 1 the one functional f vanishing on I(m) spans the
 annihilator, so the RREF row of each pivot p is e_p - f(p) e_f.
 
-Per-monomial answers (residuals, free positions, kernels, the RREF) read
-the `SparseRREF` of a primal degree.  A graph degree reads them off its
-graph through two tables, each derived on first use: for each component
-that is not zero, the class and sign of each labelling of its root; for
-each shape, the root labelling of each of its labellings.  They hold n!
-entries per root and per shape read, so a residual touches only the shapes
-of its monomials.  Everything downstream (dimensions, Hilbert series,
-Koszulity residuals, Koszul duals, implication between systems, membership
-proofs, k-niceness) reduces to exact linear algebra on these spaces.
+Per-monomial answers (residuals, free positions, the RREF rows) read the
+`SparseRREF` of a primal degree.  A graph degree reads them off its graph
+through one table per shape, derived on first use: the free position and
+sign of each of its labellings.  A shape's table is read off its root's,
+so a residual touches only the shapes of its monomials and their roots.
+Only a graph degree's `rref`, a dict per monomial, is charged for memory.
+Everything downstream (dimensions, Hilbert series, Koszulity residuals,
+Koszul duals, implication between systems, membership proofs, k-niceness)
+reduces to exact linear algebra on these spaces.
 """
 
 from __future__ import annotations
@@ -197,12 +197,12 @@ class ConsequenceSpace:
     It holds I(n) in one of two forms, and answers the same from either.  A
     primal space holds the `SparseRREF` of I(n) and answers from it.  A
     graph space holds the `ShapeGraph` of a binomial system and answers from
-    it: `dim` from its groups, and per monomial from tables it derives on
-    first use for the shapes asked about.  The unique RREF of a graph space
+    it: `dim` from its groups, and per monomial from a table per shape
+    asked about, derived on first use.  The unique RREF of a graph space
     has the last members of the classes as its free positions, and the row
     e_p - w e_f for any other member p = w f of the class of f, e_p for a
-    monomial in I(n).  `rref`, `basis` and `kernel` of a graph space build a
-    dict per monomial, so they are charged at `BYTES_PER_COLUMN` first.
+    monomial in I(n).  `rref` of a graph space builds a dict per monomial,
+    so it is charged at `BYTES_PER_COLUMN` first; `rows` builds none.
     Every answer gives each rational in the form of `exact.poly.canonical`.
     """
 
@@ -218,7 +218,7 @@ class ConsequenceSpace:
         if self._rref is None:
             _refuse_memory(self.degree)
             acc = SparseRREF(self.space.dim)
-            for p, row in self.graph.rows():
+            for p, row in self.rows():
                 acc.rows[p] = row
                 for f in row:
                     if f != p:
@@ -249,26 +249,12 @@ class ConsequenceSpace:
         """The free positions of the RREF, ascending."""
         return self.rref.free() if self.graph is None else self.graph.free()
 
-    def kernel(self) -> list[dict]:
-        """The functionals that vanish on I(n), one per free position f,
-        ascending, each 1 at f (as `SparseRREF.kernel`).  On a graph space,
-        the functional of a class is the weight of each of its members."""
+    def rows(self):
+        """(pivot, row) of the RREF of I(n), by pivot, one at a time."""
         if self.graph is None:
-            return self.rref.kernel()
-        _refuse_memory(self.degree)
-        out = {f: {f: 1} for f in self.free()}
-        for p, row in self.graph.rows():
-            for f, w in row.items():
-                if f != p:
-                    out[f][p] = -w
-        return list(out.values())
-
-    def basis(self) -> list[dict]:
-        """The RREF rows, by pivot (as `SparseRREF.basis`)."""
-        if self.graph is None:
-            return self.rref.basis()
-        _refuse_memory(self.degree)
-        return [row for _, row in self.graph.rows()]
+            rows = self.rref.rows
+            return ((p, rows[p]) for p in sorted(rows))
+        return self.graph.rows()
 
     def __repr__(self):
         return f"ConsequenceSpace({self.system_name!r}, degree={self.degree}, dim={self.dim})"
@@ -404,14 +390,12 @@ class _Component(NamedTuple):
     root is the rank of its highest shape.  members holds (s, g, e) for each
     of its shapes, root first, with (s, pi) = e (root, pi . g) for every
     labelling pi.  group is K, on the n positions and two sign points, or
-    None when the component is zero in P(n).  unit says every loop has
-    ratio +1.
+    None when the component is zero in P(n).
     """
 
     root: int
     members: list
     group: _Chain | None
-    unit: bool
 
 
 class ShapeGraph:
@@ -435,9 +419,10 @@ class ShapeGraph:
     are the cosets sigma H of root labellings, n!/|H| of them, and
     (s, pi) = e_s chi(h) (r, sigma) when pi . g_s = sigma . h.
 
-    components are by root, ascending.  Per-monomial answers read two
-    tables, each derived on first use: a root table per component that is
-    not zero (`_root_table`) and a label map per shape (`_table`).
+    components are by root, ascending.  Per-monomial answers read one table
+    per shape, derived on first use (`_table`).  The tables hold 5 bytes per
+    labelling and are not charged for memory; of a graph degree, only
+    `ConsequenceSpace.rref` is.
     """
 
     def __init__(self, degree: int, components: list[_Component]):
@@ -445,7 +430,6 @@ class ShapeGraph:
         self.components = components
         self._home = {s: (comp, g, e) for comp in components for s, g, e in comp.members}
         self._tables: dict[int, tuple | None] = {}
-        self._roots: dict[int, tuple[array, array]] = {}
 
     def classes(self) -> int:
         """The dimension of P(n): n!/|H| for each component that is not zero."""
@@ -454,57 +438,52 @@ class ShapeGraph:
 
     def is_nice(self) -> bool:
         """Every degree-n monomial is +1 times every other in P(n), which is
-        not zero: one component, with H = S_n, chi = 1 and every transport
-        +1."""
+        not zero: one component, with H = S_n, chi = 1 (every generator of K
+        fixes the sign points) and every transport +1."""
         if len(self.components) != 1:
             return False
         (comp,) = self.components
+        n = self.degree
         return (
             comp.group is not None
-            and comp.unit
-            and comp.group.order(self.degree) == math.factorial(self.degree)
+            and all(h[n] == n for level in comp.group.gens for h in level)
+            and comp.group.order(n) == math.factorial(n)
             and all(e == 1 for _, _, e in comp.members)
         )
 
-    def _root_table(self, comp: _Component) -> tuple[array, array]:
-        """(last, sign) of a component that is not zero, derived on first
-        use: for each root labelling q, by rank, the rank last[q] of the last
-        member of its class and the sign with (r, q) = sign[q] (r, last[q]).
+    def _table(self, s: int) -> tuple | None:
+        """(free, e, sign) of shape s, derived on first use, or None when its
+        component is zero in P(n): labelling q of s, by rank, is e * sign[q]
+        times the monomial free[q], the last member of its class.
 
         The last members of the classes all lie in the root, the highest
-        shape of the component.  The root labellings are visited in
+        shape of the component.  The root's table visits its labellings in
         descending lex order: the first one not yet in a class is the last
         member of a new class, and its H-images fill the rest of that class.
+        Any other shape reads the root's table at pi_q . g_s.
         """
-        if comp.root not in self._roots:
-            n = self.degree
-            perms, rank = _perms_lex(n), _perm_rank_map(n)
-            elements = [(_picker(h[:n]), -1 if h[n] > n else 1) for h in comp.group.elements()]
-            last = array("i", [-1]) * len(perms)
-            sign = array("b", bytes(len(perms)))
-            for q in range(len(perms) - 1, -1, -1):
-                if last[q] < 0:
-                    pi = perms[q]
-                    for take, chi in elements:
-                        r = rank[take(pi)]
-                        last[r], sign[r] = q, chi
-            self._roots[comp.root] = last, sign
-        return self._roots[comp.root]
-
-    def _table(self, s: int) -> tuple | None:
-        """(labels, e, base, last, sign) of shape s, derived on first use, or
-        None when its component is zero in P(n).  labels[q] is the rank of
-        pi_q . g_s, e the transport's ratio, base the index of the root's
-        first monomial and (last, sign) the root table: monomial q of s is
-        e * sign[r] times monomial base + last[r], with r = labels[q]."""
         if s not in self._tables:
             comp, g, e = self._home[s]
+            n = self.degree
+            perms, rank = _perms_lex(n), _perm_rank_map(n)
             if comp.group is None:
                 self._tables[s] = None
+            elif s == comp.root:
+                elements = [(_picker(h[:n]), -1 if h[n] > n else 1) for h in comp.group.elements()]
+                free = array("i", [-1]) * len(perms)
+                sign = array("b", bytes(len(perms)))
+                for q in range(len(perms) - 1, -1, -1):
+                    if free[q] < 0:
+                        pi = perms[q]
+                        for take, chi in elements:
+                            r = rank[take(pi)]
+                            free[r], sign[r] = s * len(perms) + q, chi
+                self._tables[s] = free, 1, sign
             else:
-                n = self.degree
-                labels = array("i", map(_perm_rank_map(n).__getitem__, map(_picker(g), _perms_lex(n))))
-                self._tables[s] = (labels, e, comp.root * len(labels), *self._root_table(comp))
+                free, _, sign = self._table(comp.root)
+                labels = list(map(rank.__getitem__, map(_picker(g), perms)))
+                free = array("i", map(free.__getitem__, labels))
+                self._tables[s] = free, e, array("b", map(sign.__getitem__, labels))
         return self._tables[s]
 
     def free(self) -> list[int]:
@@ -512,7 +491,7 @@ class ShapeGraph:
         the root tables."""
         nf = math.factorial(self.degree)
         live = (c for c in self.components if c.group is not None)
-        return [c.root * nf + q for c in live for q, r in enumerate(self._root_table(c)[0]) if r == q]
+        return [f for c in live for p, f in enumerate(self._table(c.root)[0], c.root * nf) if f == p]
 
     def rows(self):
         """(pivot, row) of the RREF of I(n), by pivot, one at a time."""
@@ -523,10 +502,10 @@ class ShapeGraph:
                 for p in range(s * nf, (s + 1) * nf):
                     yield p, {p: 1}
                 continue
-            labels, e, base, last, sign = table
-            for p, r in enumerate(labels, s * nf):
-                if (f := base + last[r]) != p:
-                    yield p, {p: 1, f: -(e * sign[r])}
+            free, e, sign = table
+            for p, (f, x) in enumerate(zip(free, sign), s * nf):
+                if f != p:
+                    yield p, {p: 1, f: -(e * x)}
 
     def reduce(self, vec) -> dict:
         """The residual of vec modulo I(n), on the free positions."""
@@ -535,32 +514,29 @@ class ShapeGraph:
         for k, c in vec.items():
             s, q = divmod(k, nf)
             if c and (got := tables.get(s) or self._table(s)):
-                labels, e, base, last, sign = got
-                r = labels[q]
-                f = base + last[r]
-                out[f] = out.get(f, 0) + c * (e * sign[r])  # e * sign first: one Fraction product
+                free, e, sign = got
+                f = free[q]
+                out[f] = out.get(f, 0) + c * (e * sign[q])  # e * sign first: one Fraction product
         return {f: canonical(c) for f, c in out.items() if c}
 
 
-def _loop_group(n: int, loops, transport) -> tuple[_Chain | None, bool]:
+def _loop_group(n: int, loops, transport) -> _Chain | None:
     """K from the loops (s, t, rho, x) of a component, or None when it makes
-    the component zero; and whether every loop has ratio +1."""
+    the component zero."""
     group = _Chain(n + 2)
     seen = set()
-    unit = True
     for s, t, rho, x in loops:
         (gs, es), (gt, et) = transport[s], transport[t]
         y = ratio(x * et, es)
         if y not in (1, -1):
-            return None, False
-        unit = unit and y == 1
+            return None
         h = _compose(_inverse(gs), _compose(rho, gt)) + ((n, n + 1) if y == 1 else (n + 1, n))
         if h not in seen:
             seen.add(h)
             group.add(h)
             if len(group.trans[n]) == 2:  # (id, -1) is in K
-                return None, False
-    return group, unit
+                return None
+    return group
 
 
 def _patterns(source: ConsequenceSpace) -> list[tuple]:
@@ -647,11 +623,11 @@ def _shape_graph(n: int, patterns) -> ShapeGraph:
                     tree.add(i)
                     members.append(v)
                     stack.append(v)
-        group, unit = None, False
+        group = None
         if not any(zero[s] for s in members):
             loops = sorted({i for u in members for i in adj[u]} - tree)
-            group, unit = _loop_group(n, [edges[i] for i in loops], transport)
-        components.append(_Component(root, [(s, *transport[s]) for s in members], group, unit))
+            group = _loop_group(n, [edges[i] for i in loops], transport)
+        components.append(_Component(root, [(s, *transport[s]) for s in members], group))
     return ShapeGraph(n, components[::-1])
 
 
@@ -662,11 +638,11 @@ def _shape_graph(n: int, patterns) -> ShapeGraph:
 # rows stay sparse.  They are not a bound for a build whose rows fill in:
 # cas-dual, whose degree-5 rows are dense, is estimated at 17 MB for degree 6
 # (30,240 columns) and passed 900 MiB there without finishing.  It also
-# charges the dict rows of a graph degree: at degree 7 on sas, a13 and as,
-# `rref` grew the peak by 347-350 bytes per column, `basis` by 257-263 and
-# `kernel` by 63-68.  The graph build and its tables are not charged: the
-# build grows with the Catalan(n-1) shapes, and the tables hold at most 4
-# bytes per column of the shapes a query reads and 5 per root labelling.
+# charges the one reader that builds dict rows on a graph degree, `rref`,
+# which grew the peak by 347-350 bytes per column at degree 7 on sas, a13
+# and as.  The graph build and its tables are not charged: the build grows
+# with the Catalan(n-1) shapes, and a table holds 5 bytes per labelling of
+# each shape a query reads and of its root.
 BYTES_PER_COLUMN = 573
 
 
@@ -874,8 +850,7 @@ def implies(sysA: IdentitySystem, sysB: IdentitySystem, n: int, cap: int | None 
     consB = consequences(sysB, n, cap)
     if consB.dim > consA.dim:
         return False
-    rows = consB.rref.basis() if consB.graph is None else (row for _, row in consB.graph.rows())
-    return all(consA.contains_vec(row) for row in rows)
+    return all(consA.contains_vec(row) for _, row in consB.rows())
 
 
 def prove_zero(expr: Expr, sys: IdentitySystem, cap: int | None = None) -> bool:
@@ -936,7 +911,7 @@ def nice_index(sys: IdentitySystem, kmax: int, cap: int | None = None) -> int | 
         # the one functional vanishing on the consequences takes the same
         # value on every monomial exactly when all monomials are congruent,
         # and that value is its 1 at the free position
-        (phi,) = cons.kernel()
+        (phi,) = cons.rref.kernel()
         if len(phi) == cons.space.dim and all(x == 1 for x in phi.values()):
             return k
     return None

@@ -150,7 +150,7 @@ def test_exact_core_returns_canonical_rationals():
     for system, n in (("cas-dual", 4), ("sas", 5)):
         cons = consequences(builtin_system(system), n)
         assert (cons.graph is None) == (system == "cas-dual")
-        scalars = [c for vec in cons.kernel() + cons.basis() for c in vec.values()]
+        scalars = [c for vec in cons.rref.kernel() + cons.rref.basis() for c in vec.values()]
         for _ in range(40):
             vec = {rng.randrange(cons.space.dim): rng.choice(values) for _ in range(6)}
             scalars += cons.reduce_vec(vec).values()

@@ -402,11 +402,19 @@ def test_representation_rule(monkeypatch):
         assert [operads._binomial(consequences(sys, m).rref) for m in primal] == [sys.name != "cas-dual"] * len(primal)
 
 
+def _nice_by_kernel(cons) -> bool:
+    """The rule on the functionals that vanish on I(n): there is one, and it
+    is 1 on every monomial."""
+    kernel = cons.rref.kernel()
+    return len(kernel) == 1 and len(kernel[0]) == cons.space.dim and set(kernel[0].values()) == {1}
+
+
 def _assert_congruence_steps(cons, prev):
     """A binomial degree 3 gives back its RREF rows, and the shape graphs of
     degrees 4 and 5 on its patterns leave the primal rows and `where`, free
-    positions, kernel and residuals."""
-    assert cons.basis() == prev.basis()
+    positions, kernel and residuals, and are nice exactly when the kernel
+    rule says so."""
+    assert [row for _, row in cons.rows()] == prev.basis()
     patterns = operads._patterns(cons)
     rng = random.Random(len(patterns))
     for m in (4, 5):
@@ -418,9 +426,10 @@ def _assert_congruence_steps(cons, prev):
             vec = {rng.randrange(primal.ncols): Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)}
             assert graph.reduce_vec(vec) == primal.reduce(vec), m
         assert graph.free() == primal.free(), m
-        assert graph.kernel() == primal.kernel(), m
+        assert graph.rref.kernel() == primal.kernel(), m
         assert graph.rref.rows == primal.rows, m
         assert graph.rref.where == _nonempty(primal.where), m
+        assert graph.graph.is_nice() == _nice_by_kernel(graph), m
         prev = primal
 
 
@@ -484,8 +493,8 @@ def test_a_corrupted_sign_changes_the_step():
     assert [multilinear_dim(a12, n) for n in range(1, 7)] == [1, 2, 6, 12, 20, 30]
     assert [multilinear_dim(anti, n) for n in range(1, 7)] == [1, 2, 6, 12, 0, 0]
     plus, minus = consequences(a12, 4), consequences(anti, 4)
-    assert plus.free() == minus.free() and plus.basis() != minus.basis()
-    assert [row.keys() for row in plus.basis()] == [row.keys() for row in minus.basis()]
+    assert plus.free() == minus.free() and plus.rref.basis() != minus.rref.basis()
+    assert [row.keys() for row in plus.rref.basis()] == [row.keys() for row in minus.rref.basis()]
     # a12's patterns with their ratios negated are a12-anti's, and give its degree 5
     patterns = operads._patterns(consequences(a12, 3))
     swapped = [(p, q, k, -x) for p, q, k, x in patterns]
@@ -493,7 +502,7 @@ def test_a_corrupted_sign_changes_the_step():
     graph = ConsequenceSpace("swapped", 5, graph=operads._shape_graph(5, swapped))
     assert graph.dim == consequences(anti, 5).dim != consequences(a12, 5).dim
     assert graph.free() == consequences(anti, 5).free() != consequences(a12, 5).free()
-    assert graph.basis() == consequences(anti, 5).basis() != consequences(a12, 5).basis()
+    assert graph.rref.basis() == consequences(anti, 5).rref.basis() != consequences(a12, 5).rref.basis()
 
 
 @pytest.mark.parametrize("name, dim", [("sas", 1), ("a12", 42)])
@@ -604,8 +613,8 @@ def test_congruence_readers_match_the_rref(sys, n):
     rref = cons.rref
     assert rref.rows == operads._primal_step(consequences(sys, n - 1).rref, n, ()).rows
     assert cons.free() == rref.free()
-    assert cons.kernel() == rref.kernel()
-    assert cons.basis() == rref.basis()
+    assert cons.rref.kernel() == rref.kernel()
+    assert [row for _, row in cons.rows()] == rref.basis()
     assert cons.dim == rref.rank
     rng = random.Random(n)
     for _ in range(20):
@@ -613,6 +622,24 @@ def test_congruence_readers_match_the_rref(sys, n):
         assert cons.reduce_vec(vec) == rref.reduce(vec)
         assert cons.contains_vec(vec) == rref.contains(vec)
         assert all(type(c) is int or (type(c) is Q and c.denominator != 1) for c in cons.reduce_vec(vec).values())
+
+
+def test_graph_tables_are_read_per_shape(monkeypatch):
+    """A graph degree derives a shape's table only when a query reads that
+    shape: `dim` reads none, a residual on one monomial reads its shape and
+    that shape's root, and `free` adds only the roots of live components."""
+    monkeypatch.setattr(operads, "_consequence_cache", {})
+    cons = consequences(builtin_system("a13"), 7, cap=7)
+    graph = cons.graph
+    assert cons.dim == cons.space.dim - 20790 and graph._tables == {}
+    comp = next(c for c in graph.components if c.group is not None and len(c.members) > 1)
+    s = comp.members[1][0]
+    assert s != comp.root
+    cons.reduce_vec({s * cons.space.nperms + 17: 1})
+    assert set(graph._tables) == {s, comp.root}
+    roots = {c.root for c in graph.components if c.group is not None}
+    assert len(cons.free()) == 20790
+    assert set(graph._tables) == {s} | roots
 
 
 def test_memory_estimate():
@@ -639,7 +666,7 @@ def test_memory_estimate_follows_the_path(monkeypatch):
     assert sas6.reduce_vec({0: 1, 1: 1, 777: 3, 30239: 1}) == {30239: 6}
     assert sas6.contains_vec({0: 1, 30239: -1})
     with pytest.raises(DegreeTooLarge, match="degree 6 needs about"):
-        sas6.basis()
+        sas6.rref
     monkeypatch.setattr(operads, "BYTES_PER_COLUMN", 573)
     assert consequences(casd, 4).dim == 120 - 81
 
@@ -653,9 +680,8 @@ def test_graph_rows_are_charged_and_implies_streams(monkeypatch):
     consequences(sas, 3)
     consequences(cas, 3)
     monkeypatch.setattr(operads, "BYTES_PER_COLUMN", 2**40)
-    for read in (lambda cons: cons.rref, lambda cons: cons.basis(), lambda cons: cons.kernel()):
-        with pytest.raises(DegreeTooLarge, match="degree 5 needs about"):
-            read(consequences(sas, 5))
+    with pytest.raises(DegreeTooLarge, match="degree 5 needs about"):
+        consequences(sas, 5).rref
     assert implies(cas, sas, 5)
 
 
@@ -954,6 +980,4 @@ def test_graph_niceness_matches_the_kernel_rule(sys):
         cons = consequences(sys, n)
         if cons.graph is None:
             continue
-        kernel = cons.kernel()
-        by_kernel = len(kernel) == 1 and len(kernel[0]) == cons.space.dim and set(kernel[0].values()) == {1}
-        assert cons.graph.is_nice() == by_kernel, n
+        assert cons.graph.is_nice() == _nice_by_kernel(cons), n

@@ -1,6 +1,8 @@
 """Tests for the reproduction matrix: determinism and mutation sensitivity."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,17 @@ def test_sections_are_deterministic():
     assert [(r.name, r.passed, r.detail) for r in first] == [
         (r.name, r.passed, r.detail) for r in second
     ]
+
+
+def test_every_row_matches_the_recorded_answers():
+    """All rows (section, name, passed, detail) of the reproduction, in order,
+    are the ones bench/record_expected.py recorded; a change that adds rows
+    re-records them there."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "expected" / "reproduce.json"
+    expected = json.loads(path.read_text())["rows"]
+    rows, _ = run_reproduction(seed=0)
+    assert len(expected) == 326
+    assert [[r.section, r.name, r.passed, r.detail] for r in rows] == expected
 
 
 def test_unknown_section_rejected():
