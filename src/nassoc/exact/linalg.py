@@ -16,6 +16,10 @@ from the RREF of [M | B] (B = I for the inverse).  Pivoting is always
 "first nonzero in column order", and the reduced form is unique, so
 results are deterministic.
 
+Other modules read a `SparseRREF` through its methods, never its `rows` or
+`where`; `rank`, `reduce`, `free` and `pivot_rows` are the readers that an
+`operads.ShapeGraph` answers as well.
+
 The dense `rref` and `det`, over either field, and `bareiss_rank`, a
 fraction-free integer rank, share no code with `SparseRREF` and no other
 module calls them: `rref` and `bareiss_rank` are the tests' independent
@@ -201,9 +205,9 @@ class SparseRREF:
 
     Every value is put in the form of `exact.poly.canonical` once, as it
     enters `reduce`, `contains` or `insert`, and is stored and returned in
-    that form; `rows` is internal.  `reduce` and `contains` reject a
-    position outside [0, ncols) with ValueError; `insert` does not check,
-    because its callers build their vectors in range.
+    that form.  `reduce` and `contains` reject a position outside
+    [0, ncols) with ValueError; `insert` does not check, because its
+    callers build their vectors in range.
     """
 
     def __init__(self, ncols: int):
@@ -281,9 +285,13 @@ class SparseRREF:
                 self.where.setdefault(q, set()).add(lead)
         return True
 
+    def pivot_rows(self):
+        """(pivot, row) by pivot, one at a time: the stored rows, not copies."""
+        return ((p, self.rows[p]) for p in sorted(self.rows))
+
     def basis(self) -> list[dict]:
         """Rows as vectors, sorted by pivot position."""
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
+        return [dict(row) for _, row in self.pivot_rows()]
 
     def free(self) -> list[int]:
         """The non-pivot positions, ascending."""

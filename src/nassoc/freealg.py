@@ -31,7 +31,7 @@ from fractions import Fraction
 from .errors import DegreeTooLarge
 from .exact.linalg import inverse
 from .exact.poly import canonical, ratio, signed_sum
-from .operads import HARD_DEGREE_CAP, ConsequenceSpace, consequences, resolve_degree_cap
+from .operads import HARD_DEGREE_CAP, ConsequenceSpace, consequences, refuse_degree
 from .systems import builtin_system
 from .terms import (
     Expr,
@@ -276,12 +276,9 @@ def normal_form(expr: Expr, variety: str, cap: int | None = None) -> NormalForm:
     """Normal form in the free-algebra basis of the given variety."""
     if variety not in ("sas", "cas"):
         raise ValueError("variety must be 'sas' or 'cas'")
-    cap_val = resolve_degree_cap(cap)
-    for w in expr.terms:
-        if word_degree(w) > cap_val:
-            raise DegreeTooLarge(f"word of degree {word_degree(w)} exceeds the cap {cap_val}")
-        if not isinstance(expr.terms[w], (int, Fraction)):
-            raise TypeError("normal forms require rational coefficients")
+    refuse_degree(max(map(word_degree, expr.terms), default=0), cap)
+    if not all(isinstance(c, (int, Fraction)) for c in expr.terms.values()):
+        raise TypeError("normal forms require rational coefficients")
     # components have distinct multidegrees, so their labels never collide
     terms: list = []
     for comp in multihomogeneous_components(expr):

@@ -41,12 +41,13 @@ quotient of dimension d <= 1 always is binomial: for d = 0 every monomial is
 zero, and for d = 1 the one functional f vanishing on I(m) spans the
 annihilator, so the RREF row of each pivot p is e_p - f(p) e_f.
 
-Per-monomial answers (residuals, free positions, the RREF rows) read the
-`SparseRREF` of a primal degree.  A graph degree reads them off its graph
-through one table per shape, derived on first use: the free position and
-sign of each of its labellings.  A shape's table is read off its root's,
-so a residual touches only the shapes of its monomials and their roots.
-Only a graph degree's `rref`, a dict per monomial, is charged for memory.
+A `ConsequenceSpace` holds each degree as one ideal, the `SparseRREF` of a
+primal degree or the `ShapeGraph` of a graph degree; both answer `rank`,
+`reduce`, `free` and `pivot_rows` (the unique RREF's rows, by pivot).  A
+graph degree answers per monomial through one table per shape, derived on
+first use from its root's: the free position and sign of each labelling.
+Its RREF, a dict per monomial, is built only on request and is all that is
+charged for memory; a primal degree above it streams its rows instead.
 Everything downstream (dimensions, Hilbert series, Koszulity residuals,
 Koszul duals, implication between systems, membership proofs, k-niceness)
 reduces to exact linear algebra on these spaces.
@@ -194,50 +195,42 @@ class MultilinearSpace:
 class ConsequenceSpace:
     """Degree-n component I(n) of the operadic ideal of a system.
 
-    It holds I(n) in one of two forms, and answers the same from either.  A
-    primal space holds the `SparseRREF` of I(n) and answers from it.  A
-    graph space holds the `ShapeGraph` of a binomial system and answers from
-    it: `dim` from its groups, and per monomial from a table per shape
-    asked about, derived on first use.  The unique RREF of a graph space
-    has the last members of the classes as its free positions, and the row
-    e_p - w e_f for any other member p = w f of the class of f, e_p for a
-    monomial in I(n).  `rref` of a graph space builds a dict per monomial,
-    so it is charged at `BYTES_PER_COLUMN` first; `rows` builds none.
-    Every answer gives each rational in the form of `exact.poly.canonical`.
+    It holds I(n) as one `ideal`, the `SparseRREF` of a primal degree or
+    the `ShapeGraph` of a graph degree (then also its `graph`, else None),
+    and every reader forwards to the four both answer: `rank`, `reduce`,
+    `free` and `pivot_rows`.  The unique RREF of a graph degree has the last
+    members of the classes as its free positions, and the row e_p - w e_f
+    for any other member p = w f of the class of f, e_p for a monomial in
+    I(n).  `rref` of a graph degree inserts those rows into a `SparseRREF`,
+    a dict per monomial, so it is charged at `BYTES_PER_COLUMN` first;
+    `rows` streams them.  Every answer is in the form of `exact.poly.canonical`.
     """
 
-    def __init__(self, system_name: str, degree: int, rref: SparseRREF | None = None, graph: ShapeGraph | None = None):
+    def __init__(self, system_name: str, degree: int, ideal: SparseRREF | ShapeGraph):
         self.system_name = system_name
         self.degree = degree
         self.space = MultilinearSpace(degree)
-        self._rref = rref
-        self.graph = graph
+        self.ideal = ideal
+        self.graph = ideal if isinstance(ideal, ShapeGraph) else None
+        self._rref = None if self.graph is not None else ideal
 
     @property
     def rref(self) -> SparseRREF:
         if self._rref is None:
             _refuse_memory(self.degree)
             acc = SparseRREF(self.space.dim)
-            for p, row in self.rows():
-                acc.rows[p] = row
-                for f in row:
-                    if f != p:
-                        acc.where.setdefault(f, set()).add(p)
+            for _, row in self.rows():
+                acc.insert(row)
             self._rref = acc
         return self._rref
 
     @property
     def dim(self) -> int:
-        if self.graph is not None:
-            return self.space.dim - self.graph.classes()
-        return self.rref.rank
+        return self.ideal.rank
 
     def reduce_vec(self, vec) -> dict:
         """Residual of vec modulo I(n), on the free positions."""
-        if self.graph is None:
-            return self.rref.reduce(vec)
-        check_positions(vec, self.space.dim)
-        return self.graph.reduce(vec)
+        return self.ideal.reduce(vec)
 
     def contains_vec(self, vec) -> bool:
         return not self.reduce_vec(vec)
@@ -247,14 +240,11 @@ class ConsequenceSpace:
 
     def free(self) -> list[int]:
         """The free positions of the RREF, ascending."""
-        return self.rref.free() if self.graph is None else self.graph.free()
+        return self.ideal.free()
 
     def rows(self):
         """(pivot, row) of the RREF of I(n), by pivot, one at a time."""
-        if self.graph is None:
-            rows = self.rref.rows
-            return ((p, rows[p]) for p in sorted(rows))
-        return self.graph.rows()
+        return self.ideal.pivot_rows()
 
     def __repr__(self):
         return f"ConsequenceSpace({self.system_name!r}, degree={self.degree}, dim={self.dim})"
@@ -419,10 +409,10 @@ class ShapeGraph:
     are the cosets sigma H of root labellings, n!/|H| of them, and
     (s, pi) = e_s chi(h) (r, sigma) when pi . g_s = sigma . h.
 
-    components are by root, ascending.  Per-monomial answers read one table
-    per shape, derived on first use (`_table`).  The tables hold 5 bytes per
-    labelling and are not charged for memory; of a graph degree, only
-    `ConsequenceSpace.rref` is.
+    components are by root, ascending.  It answers the readers of a
+    `SparseRREF`, without building one, per monomial from one table per
+    shape derived on first use (`_table`): 5 bytes per labelling, not
+    charged for memory; of a graph degree, only `ConsequenceSpace.rref` is.
     """
 
     def __init__(self, degree: int, components: list[_Component]):
@@ -430,11 +420,13 @@ class ShapeGraph:
         self.components = components
         self._home = {s: (comp, g, e) for comp in components for s, g, e in comp.members}
         self._tables: dict[int, tuple | None] = {}
+        self.ncols = len(self._home) * math.factorial(degree)
 
-    def classes(self) -> int:
-        """The dimension of P(n): n!/|H| for each component that is not zero."""
+    @property
+    def rank(self) -> int:
+        """The dimension of I(n): all but n!/|H| monomials per live component."""
         nf = math.factorial(self.degree)
-        return sum(nf // c.group.order(self.degree) for c in self.components if c.group is not None)
+        return self.ncols - sum(nf // c.group.order(self.degree) for c in self.components if c.group is not None)
 
     def is_nice(self) -> bool:
         """Every degree-n monomial is +1 times every other in P(n), which is
@@ -493,7 +485,7 @@ class ShapeGraph:
         live = (c for c in self.components if c.group is not None)
         return [f for c in live for p, f in enumerate(self._table(c.root)[0], c.root * nf) if f == p]
 
-    def rows(self):
+    def pivot_rows(self):
         """(pivot, row) of the RREF of I(n), by pivot, one at a time."""
         nf = math.factorial(self.degree)
         for s in range(len(self._home)):
@@ -509,6 +501,7 @@ class ShapeGraph:
 
     def reduce(self, vec) -> dict:
         """The residual of vec modulo I(n), on the free positions."""
+        check_positions(vec, self.ncols)
         nf, tables = math.factorial(self.degree), self._tables
         out: dict = {}
         for k, c in vec.items():
@@ -543,10 +536,8 @@ def _patterns(source: ConsequenceSpace) -> list[tuple]:
     """The patterns (P, Q, k, x) of the rows of a binomial RREF, distinct,
     in pivot order (see `ShapeGraph`)."""
     space, perms = source.space, _perms_lex(source.degree)
-    rows = source.rref.rows
     out = {}
-    for p in sorted(rows):
-        row = rows[p]
+    for p, row in source.rows():
         ps, sigma = divmod(p, space.nperms)
         f = max(row)
         if f == p:
@@ -684,13 +675,12 @@ def consequences(sys: IdentitySystem, n: int, cap: int | None = None) -> Consequ
         return _consequence_cache[key]
     idents = [ident for ident in sys.identities if ident.degree == n]
     below = None if idents else _primal_below(sys, n, cap)
-    if not idents and (below is None or _binomial(below.rref)):
-        space = ConsequenceSpace(sys.name, n, graph=_shape_graph(n, _patterns(below) if below else ()))
+    if not idents and (below is None or _binomial(below.ideal)):
+        space = ConsequenceSpace(sys.name, n, _shape_graph(n, _patterns(below) if below else ()))
     else:
-        prev = consequences(sys, n - 1, cap) if n > 1 else None
+        prev = consequences(sys, n - 1, cap).ideal if n > 1 else None
         _refuse_memory(n)
-        acc = _primal_step(prev.rref if prev is not None else None, n, _lifted(idents, n))
-        space = ConsequenceSpace(sys.name, n, rref=acc)
+        space = ConsequenceSpace(sys.name, n, _primal_step(prev, n, _lifted(idents, n)))
     _consequence_cache[key] = space
     return space
 
@@ -703,16 +693,16 @@ def _primal_below(sys: IdentitySystem, n: int, cap: int | None) -> ConsequenceSp
     if m is None:
         return None
     space = consequences(sys, m, cap)
-    while not _binomial(space.rref) and m < n - 1:
+    while not _binomial(space.ideal) and m < n - 1:
         m += 1
         space = consequences(sys, m, cap)
     return space
 
 
-def _binomial(rref: SparseRREF) -> bool:
+def _binomial(ideal: SparseRREF | ShapeGraph) -> bool:
     """Whether every RREF row has at most two entries: the test that a
     primal degree is binomial."""
-    return all(len(row) <= 2 for row in rref.rows.values())
+    return all(len(row) <= 2 for _, row in ideal.pivot_rows())
 
 
 def _lifted(idents, m: int):
@@ -724,14 +714,13 @@ def _lifted(idents, m: int):
             yield space.relabel_vec(vec, perm)
 
 
-def _primal_step(prev: SparseRREF | None, m: int, lifted) -> SparseRREF:
-    """I(m) by elimination: the images of prev's rows under the step maps,
-    then the lifted identities."""
+def _primal_step(prev: SparseRREF | ShapeGraph | None, m: int, lifted) -> SparseRREF:
+    """I(m) by elimination: the images of the rows of I(m-1), streamed from
+    prev in pivot order, under the step maps, then the lifted identities."""
     acc = SparseRREF(MultilinearSpace(m).dim)
     if prev is not None and prev.rank:
         maps = _step_maps(m - 1)
-        rows = prev.rows  # read in pivot order, as basis() would, without copying
-        for row in (rows[p] for p in sorted(rows)):
+        for _, row in prev.pivot_rows():
             for per_tau in maps:
                 for mp in per_tau:
                     acc.insert({mp[k]: c for k, c in row.items()})
@@ -908,10 +897,10 @@ def nice_index(sys: IdentitySystem, kmax: int, cap: int | None = None) -> int | 
             continue
         if cons.space.dim - cons.dim != 1:
             continue
-        # the one functional vanishing on the consequences takes the same
-        # value on every monomial exactly when all monomials are congruent,
-        # and that value is its 1 at the free position
-        (phi,) = cons.rref.kernel()
-        if len(phi) == cons.space.dim and all(x == 1 for x in phi.values()):
+        # a one-dimensional quotient is binomial: every row is e_p - x e_f on
+        # the one free position f, and every monomial is +1 times every other
+        # exactly when every x is 1
+        (f,) = cons.free()
+        if all(row == {p: 1, f: -1} for p, row in cons.rows()):
             return k
     return None

@@ -154,7 +154,7 @@ def restrict_to_subspace(A: AlgebraStructure, sub, name: str) -> AlgebraStructur
     if r == 0:
         raise ValueError("cannot restrict to the zero subspace")
     acc = span(sub, A.dim)
-    pivots = sorted(acc.rows)
+    pivots = [p for p, _ in acc.pivot_rows()]
     constants = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(r):

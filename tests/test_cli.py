@@ -160,12 +160,24 @@ def test_degree_caps_are_named_truthfully(capsys, monkeypatch):
     monkeypatch.setattr(operads, "_primal_step", refuse)
     monkeypatch.setattr(operads, "_shape_graph", refuse)
     monkeypatch.delenv("NASSOC_DEGREE_CAP", raising=False)
+
+    def comb(d):
+        """The left comb ((x1 x2) ... xd) of degree d."""
+        return "(" * (d - 1) + "x1 " + " ".join(f"x{i})" for i in range(2, d + 1))
+
     dims = ("dims", "--system", "sas", "--max-degree")
-    for command in (dims, ("hilbert", "--system", "sas", "--order"), ("koszulity", "--system", "sas", "--order")):
-        code, out, err = run_cli(capsys, *command, "9", "--cap", "9")
+    commands = [
+        (dims, str),
+        (("hilbert", "--system", "sas", "--order"), str),
+        (("koszulity", "--system", "sas", "--order"), str),
+        (("normal-form", "--expr"), comb),
+        (("prove-zero", "--system", "sas", "--expr"), comb),
+    ]
+    for command, top in commands:
+        code, out, err = run_cli(capsys, *command, top(9), "--cap", "9")
         assert (code, out) == (2, ""), command
         assert err == "error: degree 9 exceeds the hard cap 8, which cannot be raised\n", command
-        code, out, err = run_cli(capsys, *command, "7")
+        code, out, err = run_cli(capsys, *command, top(7))
         assert (code, out) == (2, ""), command
         assert err == "error: degree 7 exceeds the cap 6; raise it explicitly or via NASSOC_DEGREE_CAP\n", command
     for cap in ("0", "-1"):
@@ -597,16 +609,6 @@ def test_reproduce_json_deterministic(capsys):
     assert d1 == d2
 
 
-def test_demo_scripts_run():
-    scripts = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
-    assert [s.name for s in scripts] == ["classification_walkthrough.py", "operad_walkthrough.py"]
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nassoc.__file__).parent.parent)}
-    for script in scripts:
-        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip()
-
-
 # ---------------------------------------------------------------------------
 # CLI contract: option snapshot and golden outputs, recorded once with
 # `python tests/test_cli.py --record` and compared on every run.
@@ -614,6 +616,7 @@ def test_demo_scripts_run():
 DATA = pathlib.Path(__file__).parent / "data"
 OPTIONS_FILE = DATA / "cli_options.json"
 GOLDEN_FILE = DATA / "cli_golden.json"
+DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 
 LEIBNIZ_MATRIX = '[["0","0","0"],["0","0","0"],["0","0","1"]]'
 COCYCLE_THETA = '{"parameters": ["alpha"], "entries": {"1,1": ["0","0","1"], "2,2": ["0","0","alpha"]}}'
@@ -720,6 +723,20 @@ def test_module_entry_point_subprocess():
     assert proc.stdout == "1 2 6 12 1\n"
 
 
+def _demo_output(script):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nassoc.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_demo_scripts_run():
+    """Each demo prints what was recorded in tests/data/<demo>.txt."""
+    assert [s.name for s in DEMOS] == ["classification_walkthrough.py", "operad_walkthrough.py"]
+    for script in DEMOS:
+        assert _demo_output(script) == (DATA / f"{script.stem}.txt").read_text(), script.name
+
+
 def _record():
     def run(argv):
         buf = io.StringIO()
@@ -739,6 +756,8 @@ def _record():
     with tempfile.TemporaryDirectory() as tmp:
         golden = _golden_outputs(pathlib.Path(tmp), run)
     GOLDEN_FILE.write_text(json.dumps(golden, indent=1) + "\n")
+    for script in DEMOS:
+        (DATA / f"{script.stem}.txt").write_text(_demo_output(script))
 
 
 if __name__ == "__main__":

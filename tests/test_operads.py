@@ -342,7 +342,7 @@ def _graph_space(sys, m: int) -> ConsequenceSpace:
     """Degree m built on the shape graph from the patterns of the highest
     primal degree below it."""
     below = operads._primal_below(sys, m, None)
-    return ConsequenceSpace("graph", m, graph=operads._shape_graph(m, operads._patterns(below) if below else ()))
+    return ConsequenceSpace("graph", m, operads._shape_graph(m, operads._patterns(below) if below else ()))
 
 
 @pytest.mark.parametrize(
@@ -402,6 +402,19 @@ def test_representation_rule(monkeypatch):
         assert [operads._binomial(consequences(sys, m).rref) for m in primal] == [sys.name != "cas-dual"] * len(primal)
 
 
+def test_a_primal_degree_streams_the_graph_below(monkeypatch):
+    """A degree with identities of its own above a graph degree reads the
+    graph's rows one at a time: the graph degree builds no RREF, and the
+    elimination equals the one on that RREF."""
+    sys = parse_system("as-5", "((x1 x2) x3) = (x1 (x2 x3))\n((((x1 x2) x3) x4) x5) = ((((x2 x1) x3) x4) x5)")
+    monkeypatch.setattr(operads, "_consequence_cache", {})
+    top = consequences(sys, 5)
+    below = consequences(sys, 4)
+    assert top.graph is None and below.graph is not None and below._rref is None
+    idents = [i for i in sys.identities if i.degree == 5]
+    assert top.rref.rows == operads._primal_step(below.rref, 5, operads._lifted(idents, 5)).rows
+
+
 def _nice_by_kernel(cons) -> bool:
     """The rule on the functionals that vanish on I(n): there is one, and it
     is 1 on every monomial."""
@@ -419,7 +432,7 @@ def _assert_congruence_steps(cons, prev):
     rng = random.Random(len(patterns))
     for m in (4, 5):
         primal = operads._primal_step(prev, m, ())
-        graph = ConsequenceSpace("graph", m, graph=operads._shape_graph(m, patterns))
+        graph = ConsequenceSpace("graph", m, operads._shape_graph(m, patterns))
         assert graph.dim == primal.rank
         # the per-monomial readers first, before `rref` builds the rows
         for _ in range(3):
@@ -453,7 +466,7 @@ def test_dual_step_on_random_presentations(relations):
     space = MultilinearSpace(3)
     lifted = [space.relabel_vec(vec, perm) for vec in relations for perm in _perms_lex(3)]
     prev = operads._primal_step(SparseRREF(2), 3, lifted)
-    cons = ConsequenceSpace("random", 3, rref=prev)
+    cons = ConsequenceSpace("random", 3, prev)
     assert cons.graph is None
     if operads._binomial(prev):
         _assert_congruence_steps(cons, prev)
@@ -481,7 +494,7 @@ def test_congruence_steps_on_binomial_presentations(lifted):
     """A span of binomials has RREF rows of at most two entries, whatever
     its signs and scales, and its shape graphs leave the primal RREF."""
     prev = operads._primal_step(SparseRREF(2), 3, lifted)
-    cons = ConsequenceSpace("binomial", 3, rref=prev)
+    cons = ConsequenceSpace("binomial", 3, prev)
     assert operads._binomial(prev)
     _assert_congruence_steps(cons, prev)
 
@@ -499,7 +512,7 @@ def test_a_corrupted_sign_changes_the_step():
     patterns = operads._patterns(consequences(a12, 3))
     swapped = [(p, q, k, -x) for p, q, k, x in patterns]
     assert swapped == operads._patterns(consequences(anti, 3))
-    graph = ConsequenceSpace("swapped", 5, graph=operads._shape_graph(5, swapped))
+    graph = ConsequenceSpace("swapped", 5, operads._shape_graph(5, swapped))
     assert graph.dim == consequences(anti, 5).dim != consequences(a12, 5).dim
     assert graph.free() == consequences(anti, 5).free() != consequences(a12, 5).free()
     assert graph.rref.basis() == consequences(anti, 5).rref.basis() != consequences(a12, 5).rref.basis()
@@ -981,3 +994,21 @@ def test_graph_niceness_matches_the_kernel_rule(sys):
         if cons.graph is None:
             continue
         assert cons.graph.is_nice() == _nice_by_kernel(cons), n
+
+
+def test_graph_niceness_needs_a_trivial_character():
+    """One component over both degree-3 shapes, every transport +1, and K
+    grown from the transpositions (1 2) and (2 3): H = S_3, so P(3) is one
+    class.  Paired with the sign -1, K has chi = sgn, the monomials are
+    congruent only up to sign, and the graph is not nice; with the sign
+    points fixed, chi = 1 and it is.  The kernel rule agrees on both."""
+    ident = (0, 1, 2)
+    for sign, nice in (((4, 3), False), ((3, 4), True)):
+        group = operads._Chain(5)
+        for h in ((1, 0, 2), (0, 2, 1)):
+            group.add(h + sign)
+        assert group.order(3) == 6
+        graph = operads.ShapeGraph(3, [operads._Component(1, [(1, ident, 1), (0, ident, 1)], group)])
+        assert graph.rank == 11
+        assert graph.is_nice() is nice
+        assert _nice_by_kernel(ConsequenceSpace("chi", 3, graph)) is nice
