@@ -23,13 +23,13 @@ A graph degree (`_shape_graph`) serves binomial systems, whose identities
 all read w1 = +-w2: the algebras of associative type sigma, nine of the ten
 built-ins.  When every row of the RREF of the highest primal degree m below
 n has at most two entries, each row is a pattern P(sigma) = x Q(tau), or a
-monomial P(sigma) = 0.  I(n) is the closure of I(m) under the step maps,
-so it is spanned by the patterns applied at the nodes of degree-n shapes,
-with subtrees bound to their leaves.  Such a rewrite moves leaf positions
-by a permutation that depends on the shape and the node alone, not on the
-labels, so I(n) is a graph on the Catalan(n-1) shapes whose components
-each contribute n!/|H| classes to the quotient P(n), or none: see
-`ShapeGraph`.  The graph gives `dim` without touching the n! * Catalan(n-1)
+monomial P(sigma) = 0.  Such a row relates shapes by a permutation of leaf
+positions that does not depend on the labels, and so does its image under
+a step map, which acts on shapes (`_shape_steps`).  I(n) is the closure of
+I(m) under the step maps, so it is a graph on the Catalan(n-1) shapes, its
+edges the patterns carried up one degree at a time, whose components each
+contribute n!/|H| classes to the quotient P(n), or none: see `ShapeGraph`.
+The graph gives `dim` without touching the n! * Catalan(n-1)
 monomials, and `multilinear_dim`, `hilbert` and `nice_index` read nothing
 else.  Degree n does not need degree n - 1 built.
 
@@ -72,14 +72,15 @@ from .terms import (
     Expr,
     Identity,
     IdentitySystem,
+    _shape_rank,
     bracket,
     build_word,
     catalan,
     circle,
+    degree,
     formal_expand,
     multihomogeneous_components,
     polarize,
-    relabel_word,
     shape_and_leaves,
     shapes,
 )
@@ -147,7 +148,7 @@ class MultilinearSpace:
         self.shapes = shapes(n)
         self.nperms = math.factorial(n)
         self.dim = len(self.shapes) * self.nperms
-        self._shape_rank = {s: i for i, s in enumerate(self.shapes)}
+        self._shape_rank = _shape_rank(n)
         cls._cache[n] = self
         return self
 
@@ -250,6 +251,23 @@ class ConsequenceSpace:
         return f"ConsequenceSpace({self.system_name!r}, degree={self.degree}, dim={self.dim})"
 
 
+def _grown(shape) -> list:
+    """shape with each of its leaves in turn, left to right, replaced by a product."""
+    if shape == 0:
+        return [(0, 0)]
+    left, right = shape
+    return [(g, right) for g in _grown(left)] + [(left, g) for g in _grown(right)]
+
+
+@lru_cache(maxsize=None)
+def _shape_steps(m: int) -> tuple:
+    """How the generators grow the degree-m shapes: per shape, by rank, the
+    degree-(m+1) shape ranks of w x, x w and of the shape with leaf a grown
+    into (a, new), for a = 0..m-1."""
+    rank = _shape_rank(m + 1)
+    return tuple((rank[s, 0], rank[0, s], *map(rank.__getitem__, _grown(s))) for s in shapes(m))
+
+
 def _step_maps(m: int) -> list[list[array]]:
     """Index maps from the degree-m to the degree-(m+1) multilinear basis.
 
@@ -259,37 +277,24 @@ def _step_maps(m: int) -> list[list[array]]:
     (tau_{m+1} is the identity).  Every map is injective.
     """
     new = m + 1
-    src, dst = MultilinearSpace(m), MultilinearSpace(new)
-    rank, nperms = _perm_rank_map(new), dst.nperms
+    rank, nperms = _perm_rank_map(new), math.factorial(new)
     perms = _perms_lex(m)
-    dshape = dst._shape_rank
-
-    def grown(s, pos):
-        # shape s with its pos-th leaf (left to right) replaced by a product
-        labels = {i: 0 for i in range(m)}
-        labels[pos] = (0, 0)
-        return dshape[relabel_word(build_word(s, range(m)), labels)]
-
-    # per generator: shape ranks of the images, indexed [source shape][key],
-    # and per source permutation the key and the image's labels
-    gens = [
-        ([[dshape[(s, 0)]] for s in src.shapes], [0] * len(perms), [p + (new,) for p in perms]),
-        ([[dshape[(0, s)]] for s in src.shapes], [0] * len(perms), [(new,) + p for p in perms]),
-    ]
-    grown_table = [[grown(s, pos) for pos in range(m)] for s in src.shapes]
+    # per generator: the column of `_shape_steps` of each source permutation,
+    # and the image's labels
+    gens = [([0] * len(perms), [p + (new,) for p in perms]), ([1] * len(perms), [(new,) + p for p in perms])]
     for i in range(1, m + 1):
-        keys = [p.index(i) for p in perms]
-        gens.append((grown_table, keys, [p[: a + 1] + (new,) + p[a + 1 :] for p, a in zip(perms, keys)]))
+        at = [p.index(i) for p in perms]
+        gens.append(([2 + a for a in at], [p[: a + 1] + (new,) + p[a + 1 :] for p, a in zip(perms, at)]))
 
-    maps = []
-    for table, keys, labels in gens:
+    steps, maps = _shape_steps(m), []
+    for keys, labels in gens:
         per_tau = []
         for j in range(1, new + 1):
             swap = {x: x for x in range(1, new + 1)}
             swap[j], swap[new] = new, j
             pranks = [rank[tuple([swap[x] for x in q])] for q in labels]
             per_tau.append(
-                array("i", [row[a] * nperms + r for row in table for a, r in zip(keys, pranks)])
+                array("i", [row[key] * nperms + r for row in steps for key, r in zip(keys, pranks)])
             )
         maps.append(per_tau)
     return maps
@@ -393,20 +398,21 @@ class ShapeGraph:
 
     The patterns are (P, Q, k, x): the relation P(sigma) = x Q(tau) of
     degree m, where leaf j of Q carries the label of leaf k[j] of P; Q is
-    None for a monomial P(sigma) = 0.  Matched at a node of a shape s, with
-    subtrees bound to the leaves of P, a pattern rewrites s to a shape t and
-    moves the leaf positions by rho, so that (s, pi) = x (t, pi . rho) for
-    every labelling pi.  A depth-first search from the highest shape of
-    each component gives every shape a transport (g, e), and every edge off
-    the search tree a loop (h, y) = (g_s^-1 . rho . g_t, x e_t / e_s): the
-    relation (r, sigma) = y (r, sigma . h) on the root r.  The loops
-    generate K in S_n x Q^*; with every |y| = 1 it is kept as a `_Chain` on
-    n + 2 points, the sign -1 swapping the last two.  H is the projection of
-    K to S_n, and chi(h) the sign K pairs with h.
+    None for a monomial P(sigma) = 0.  Each is an edge of degree m, or a
+    zero shape P, and the step maps carry the edges and zero shapes up to
+    degree n (`_step_edges`).  An edge (s, t, rho, x) states
+    (s, pi) = x (t, pi . rho) for every labelling pi.  A depth-first search
+    from the highest shape of each component gives every shape a transport
+    (g, e), and every edge off the search tree a loop
+    (h, y) = (g_s^-1 . rho . g_t, x e_t / e_s): the relation
+    (r, sigma) = y (r, sigma . h) on the root r.  The loops generate K in
+    S_n x Q^*; with every |y| = 1 it is kept as a `_Chain` on n + 2 points,
+    the sign -1 swapping the last two.  H is the projection of K to S_n, and
+    chi(h) the sign K pairs with h.
 
-    A component is zero in P(n) when a monomial pattern matches one of its
-    shapes, a loop has |y| != 1, or (id, -1) is in K.  Otherwise its classes
-    are the cosets sigma H of root labellings, n!/|H| of them, and
+    A component is zero in P(n) when one of its shapes is zero, a loop has
+    |y| != 1, or (id, -1) is in K.  Otherwise its classes are the cosets
+    sigma H of root labellings, n!/|H| of them, and
     (s, pi) = e_s chi(h) (r, sigma) when pi . g_s = sigma . h.
 
     components are by root, ascending.  It answers the readers of a
@@ -549,53 +555,43 @@ def _patterns(source: ConsequenceSpace) -> list[tuple]:
     return list(out)
 
 
-def _bind(pattern, word, out: list) -> bool:
-    """Whether the shape pattern is a prefix of word; appends the subwords
-    of word at the leaves of pattern, left to right, to out."""
-    if pattern == 0:
-        out.append(word)
-        return True
-    return not isinstance(word, int) and _bind(pattern[0], word[0], out) and _bind(pattern[1], word[1], out)
-
-
-def _rewrite(word, patterns):
-    """(w, x) for every pattern applied at every node of word, which is x w
-    modulo the pattern; w is None for a monomial pattern."""
-    for p, q, k, x in patterns:
-        bound: list = []
-        if _bind(p, word, bound):
-            yield (None if q is None else build_word(q, [bound[i] for i in k])), x
-    if not isinstance(word, int):
-        left, right = word
-        for w, x in _rewrite(left, patterns):
-            yield (None if w is None else (w, right)), x
-        for w, x in _rewrite(right, patterns):
-            yield (None if w is None else (left, w)), x
+def _step_edges(m: int, edges, zero) -> tuple[list, set]:
+    """The degree-(m+1) edges and zero shapes from those of degree m, under
+    the step maps.  A generator acts on a label: x_i -> x_i x_{m+1} grows
+    the leaf a of s that carries x_i and the leaf rho^-1(a) of t that
+    carries it too, and shifts rho past the new leaf."""
+    steps, out = _shape_steps(m), {}
+    for s, t, rho, x in edges:
+        ss, st = steps[s], steps[t]
+        out[ss[0], st[0], rho + (m,), x] = None
+        out[ss[1], st[1], (0, *[r + 1 for r in rho]), x] = None
+        for a, b in enumerate(_inverse(rho)):
+            shifted = [r + (r > a) for r in rho]
+            out[ss[2 + a], st[2 + b], (*shifted[: b + 1], a + 1, *shifted[b + 1 :]), x] = None
+    return list(out), {z for s in zero for z in steps[s]}
 
 
 def _shape_graph(n: int, patterns) -> ShapeGraph:
-    """The shape graph of degree n from the patterns of a binomial degree
-    below it (see `ShapeGraph`).  Its cost grows with the number of shapes
-    and the loops sifted, not with n!."""
-    space = MultilinearSpace(n)
-    adj: list[list[int]] = [[] for _ in space.shapes]
-    edges = []  # (s, t, rho, x): (s, pi) = x (t, pi . rho) for every labelling pi
-    zero = bytearray(len(space.shapes))  # shapes a monomial pattern matches
-    for s, shape in enumerate(space.shapes):
-        # the leaves carry their positions, so a rewritten word's leaves are rho
-        for w, x in _rewrite(build_word(shape, range(n)), patterns):
-            if w is None:
-                zero[s] = 1
-            else:
-                t, rho = shape_and_leaves(w)
-                t = space._shape_rank[t]
-                adj[s].append(len(edges))
-                adj[t].append(len(edges))
-                edges.append((s, t, rho, x))
+    """The shape graph of degree n from the patterns of a binomial degree m
+    below it (see `ShapeGraph`): their edges and zero shapes, carried up by
+    `_step_edges` one degree at a time.  Its cost grows with the number of
+    shapes and the loops sifted, not with n!."""
+    m = degree(patterns[0][0]) if patterns else n
+    rank = _shape_rank(m)
+    # (s, t, rho, x): (s, pi) = x (t, pi . rho) for every labelling pi
+    edges = [(rank[p], rank[q], k, x) for p, q, k, x in patterns if q is not None]
+    zero = {rank[p] for p, q, _, _ in patterns if q is None}
+    for d in range(m, n):
+        edges, zero = _step_edges(d, edges, zero)
+    nshapes = catalan(n - 1)
+    adj: list[list[int]] = [[] for _ in range(nshapes)]
+    for i, (s, t, _, _) in enumerate(edges):
+        adj[s].append(i)
+        adj[t].append(i)
     ident = tuple(range(n))
-    transport: list = [None] * len(space.shapes)
+    transport: list = [None] * nshapes
     components = []
-    for root in range(len(space.shapes) - 1, -1, -1):
+    for root in range(nshapes - 1, -1, -1):
         if transport[root] is not None:
             continue
         transport[root] = (ident, 1)
@@ -615,7 +611,7 @@ def _shape_graph(n: int, patterns) -> ShapeGraph:
                     members.append(v)
                     stack.append(v)
         group = None
-        if not any(zero[s] for s in members):
+        if zero.isdisjoint(members):
             loops = sorted({i for u in members for i in adj[u]} - tree)
             group = _loop_group(n, [edges[i] for i in loops], transport)
         components.append(_Component(root, [(s, *transport[s]) for s in members], group))

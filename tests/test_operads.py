@@ -33,7 +33,7 @@ from nassoc.operads import (
     resolve_degree_cap,
 )
 from nassoc.systems import _DEFINITIONS, BUILTIN_SYSTEM_NAMES, anti_system, builtin_system
-from nassoc.terms import Expr, parse_expr, parse_system, relabel_word
+from nassoc.terms import Expr, _shape_rank, build_word, parse_expr, parse_system, relabel_word, shape_and_leaves, shapes
 
 Q = Fraction
 
@@ -1012,3 +1012,76 @@ def test_graph_niceness_needs_a_trivial_character():
         assert graph.rank == 11
         assert graph.is_nice() is nice
         assert _nice_by_kernel(ConsequenceSpace("chi", 3, graph)) is nice
+
+
+# ---------------------------------------------------------------------------
+# the shape graph's edges against the pattern matcher on labelled words
+
+
+def _bind(pattern, word, out: list) -> bool:
+    """Whether the shape pattern is a prefix of word; appends the subwords
+    of word at the leaves of pattern, left to right, to out."""
+    if pattern == 0:
+        out.append(word)
+        return True
+    return not isinstance(word, int) and _bind(pattern[0], word[0], out) and _bind(pattern[1], word[1], out)
+
+
+def _rewrite(word, patterns):
+    """(w, x) for every pattern applied at every node of word, which is x w
+    modulo the pattern; w is None for a monomial pattern."""
+    for p, q, k, x in patterns:
+        bound: list = []
+        if _bind(p, word, bound):
+            yield (None if q is None else build_word(q, [bound[i] for i in k])), x
+    if not isinstance(word, int):
+        left, right = word
+        for w, x in _rewrite(left, patterns):
+            yield (None if w is None else (w, right)), x
+        for w, x in _rewrite(right, patterns):
+            yield (None if w is None else (left, w)), x
+
+
+def _edges_at_nodes(n: int, patterns) -> tuple[set, set]:
+    """The degree-n edges (s, t, rho, x) and zero shapes of every pattern
+    applied at every node of every shape, with subtrees bound to its leaves:
+    the shape's leaves carry their positions, so a rewritten word's leaves
+    are rho."""
+    edges, zero = set(), set()
+    for s, shape in enumerate(shapes(n)):
+        for w, x in _rewrite(build_word(shape, range(n)), patterns):
+            if w is None:
+                zero.add(s)
+            else:
+                t, rho = shape_and_leaves(w)
+                edges.add((s, _shape_rank(n)[t], rho, x))
+    return edges, zero
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [builtin_system(name) for name in BUILTIN_SYSTEM_NAMES if name != "cas-dual"]
+    + [anti_system(name) for name in ("a12", "a13", "a23")]
+    + [_WEIGHTED, parse_system("monomial", "((x1 x2) x3) = 0")],
+    ids=lambda sys: sys.name,
+)
+def test_step_edges_are_the_patterns_at_every_node(sys):
+    """The step maps carry the edges and zero shapes of the patterns' degree
+    up to exactly those of the patterns matched at every node, degree by
+    degree to 7, with no edge twice."""
+    below = operads._primal_below(sys, 8, None)
+    patterns = operads._patterns(below)
+    edges, zero = _edges_at_nodes(below.degree, patterns)
+    assert len(edges) + len(zero) == len(patterns)
+    for n in range(below.degree + 1, 8):
+        edges, zero = operads._step_edges(n - 1, edges, zero)
+        assert len(set(edges)) == len(edges), n
+        assert (set(edges), zero) == _edges_at_nodes(n, patterns), n
+
+
+def test_monomial_indices_fit_the_graph_tables():
+    """`ShapeGraph._table` stores absolute monomial indices in array("i"),
+    so every degree under the hard cap must index below 2**31."""
+    assert operads.free_magma_dim(operads.HARD_DEGREE_CAP) < 2**31, (
+        "ShapeGraph._table holds monomial indices in array('i'); widen it before raising HARD_DEGREE_CAP"
+    )
