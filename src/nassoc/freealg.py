@@ -15,10 +15,14 @@ coordinates in a basis are unique, so the rewriting is sound by
 construction (the difference always lies in the consequence ideal) and
 idempotent.
 
-The coordinate work is done on multilinear index vectors, once per degree:
-each degree's quotient keeps the index vector of every basis label, maps a
-vector to its label coordinates and expands coordinates back to a vector.
-`NormalForm.expr`, the expansion into raw words, is only for output.
+The coordinate work is done on integer multilinear index vectors, once per
+degree: each degree's quotient keeps the index vector of every basis label
+over one shared denominator (2^(n-1) where the labels are circle words),
+maps a vector over a denominator to its label coordinates and expands
+coordinates back to an integer vector and its denominator.  Past the
+one-off inverse that builds a quotient, Fractions appear only in the
+coordinates, each of which divides once.  `NormalForm.expr`, the expansion
+into raw words, is only for output.
 """
 
 from __future__ import annotations
@@ -189,38 +193,54 @@ class NormalForm:
         return signed_sum(parts)
 
 
+def _times(x, m: int) -> int:
+    """x * m as an int, for a rational x whose denominator divides m."""
+    return x.numerator * (m // x.denominator)
+
+
 @dataclass(frozen=True)
 class _Quotient:
     """Coordinates in the multilinear quotient of one degree.
 
-    `vecs` holds the multilinear index vector of each basis label, and `inv`
-    inverts the square matrix whose rows are the labels' residuals on the
-    free (non-pivot) columns of the consequence space, so a residual r has
-    the label coordinates sum over col of r[col] * inv[free[col]].
+    `vecs` holds the multilinear index vector of each basis label as an
+    integer vector over the one denominator `den`, the lcm of the labels'
+    denominators.  `inv` is an integer matrix over the denominator `inv_den`:
+    inv / inv_den inverts the square matrix whose rows are the labels'
+    residuals on the free (non-pivot) columns of the consequence space, so a
+    residual r has the label coordinates sum over col of
+    r[col] * inv[free[col]] / inv_den.
     """
 
     cons: ConsequenceSpace
     free: dict  # free column -> its position
     labels: list
     vecs: list
+    den: int
     inv: list
+    inv_den: int
 
-    def coords(self, vec) -> list:
-        """Label coordinates of a multilinear vector modulo the consequences."""
+    def coords(self, vec, den=1) -> list:
+        """Label coordinates of the multilinear vector vec / den modulo the
+        consequences; integer vec and den stay in int up to one division
+        per coordinate."""
         out = [0] * len(self.labels)
         for col, r in self.cons.reduce_vec(vec).items():
             for i, x in enumerate(self.inv[self.free[col]]):
                 out[i] += r * x
-        return [canonical(c) for c in out]
+        d = den * self.inv_den
+        return [ratio(canonical(c), d) for c in out]
 
-    def expand(self, coords) -> dict:
-        """The multilinear vector sum of coords[i] * vecs[i]."""
+    def expand(self, coords) -> tuple[dict, int]:
+        """(w, d): the integer vector w with w / d the multilinear vector sum
+        of coords[i] * vecs[i] / den, for rational coords."""
+        b = math.lcm(*(c.denominator for c in coords))
         out: dict = {}
         for c, vec in zip(coords, self.vecs):
             if c:
+                m = _times(c, b)
                 for k, x in vec.items():
-                    out[k] = out.get(k, 0) + c * x
-        return {k: canonical(x) for k, x in out.items() if x}
+                    out[k] = out.get(k, 0) + m * x
+        return {k: x for k, x in out.items() if x}, b * self.den
 
 
 _quotient_cache: dict[tuple[str, int], _Quotient] = {}
@@ -247,7 +267,17 @@ def _quotient(variety: str, n: int, cap) -> _Quotient:
         inv = inverse(matrix)
     except ValueError:
         raise AssertionError("basis monomials are not independent modulo consequences") from None
-    _quotient_cache[key] = _Quotient(cons, free, labels, vecs, inv)
+    den = math.lcm(*(x.denominator for vec in vecs for x in vec.values()))
+    inv_den = math.lcm(*(x.denominator for row in inv for x in row))
+    _quotient_cache[key] = _Quotient(
+        cons,
+        free,
+        labels,
+        vecs=[{k: _times(x, den) for k, x in vec.items()} for vec in vecs],
+        den=den,
+        inv=[[_times(x, inv_den) for x in row] for row in inv],
+        inv_den=inv_den,
+    )
     return _quotient_cache[key]
 
 

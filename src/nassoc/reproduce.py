@@ -168,10 +168,11 @@ def _nf_verdicts(q, idx, nf):
     c = [0] * len(q.labels)
     for coeff, label in nf.terms:
         c[q.labels.index(label)] = coeff
-    rewritten = q.expand(c)
-    diff = {k: -x for k, x in rewritten.items()}
-    diff[idx] = diff.get(idx, 0) + 1
-    return q.coords(rewritten) == c, q.cons.contains_vec(diff)
+    # the rewrite is w / d: d e_idx - w lies in I(n) iff e_idx - w / d does
+    w, d = q.expand(c)
+    diff = {k: -x for k, x in w.items()}
+    diff[idx] = diff.get(idx, 0) + d
+    return q.coords(w, d) == c, q.cons.contains_vec(diff)
 
 
 def rows_freealg(cap=None):

@@ -1,10 +1,13 @@
 """Tests for free-algebra bases and normal forms."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from nassoc.errors import DegreeTooLarge
+from nassoc.exact.linalg import inverse
+from nassoc.exact.poly import ratio
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,7 +155,9 @@ def test_nf_exhaustive(variety, n):
     space = MultilinearSpace(n)
     basis_labels = set(free_basis(variety, n, n, multilinear=True))
     q = _quotient(variety, n, None)
-    assert q.vecs == [space.expr_to_vec(label_expr(label)) for label in q.labels]
+    assert [{k: ratio(x, q.den) for k, x in vec.items()} for vec in q.vecs] == [
+        space.expr_to_vec(label_expr(label)) for label in q.labels
+    ]
     for idx in range(space.dim):
         e = space.vec_to_expr({idx: Q(1)})
         nf = normal_form(e, variety)
@@ -163,6 +168,57 @@ def test_nf_exhaustive(variety, n):
             idempotent = normal_form(cand.expr, variety).terms == cand.terms
             sound = cons.contains_expr(e - cand.expr)
             assert _nf_verdicts(q, idx, cand) == (idempotent, sound)
+
+
+def _fraction_coords(q, vec) -> list:
+    """The label coordinates of vec in Fraction arithmetic: its residual
+    times the inverse of the labels' residuals on the free columns."""
+    free = {col: j for j, col in enumerate(q.cons.free())}
+    matrix = [[Q(0)] * len(free) for _ in q.labels]
+    for row, label in zip(matrix, q.labels):
+        for col, c in q.cons.reduce_vec(q.cons.space.expr_to_vec(label_expr(label))).items():
+            row[free[col]] = Q(c)
+    inv = inverse(matrix)
+    out = [Q(0)] * len(q.labels)
+    for col, r in q.cons.reduce_vec(vec).items():
+        for i, x in enumerate(inv[free[col]]):
+            out[i] += Q(r) * x
+    return out
+
+
+def _canonical(x) -> bool:
+    return type(x) is int or (type(x) is Q and x.denominator != 1)
+
+
+@pytest.mark.parametrize("variety,n", [(v, n) for v in ("sas", "cas") for n in range(1, 6)])
+def test_integer_quotient_matches_fraction_arithmetic(variety, n):
+    """expand and coords, on integer vectors over one denominator, agree with
+    the same sums and coordinates taken in Fraction, and hand out canonical
+    values: random coordinates with zeros, negatives and non-unit fractions,
+    and random integer vectors over random denominators."""
+    rng = random.Random(10 * n + (variety == "cas"))
+    q = _quotient(variety, n, None)
+    space = q.cons.space
+    label_vecs = [space.expr_to_vec(label_expr(label)) for label in q.labels]
+    values = (0, 0, 1, -1, 3, Q(1, 2), Q(-2, 3), Q(5, 4), Q(-7, 6))
+    for _ in range(25):
+        c = [rng.choice(values) for _ in q.labels]
+        w, d = q.expand(c)
+        want: dict = {}
+        for ci, vec in zip(c, label_vecs):
+            for k, x in vec.items():
+                want[k] = want.get(k, Q(0)) + ci * x
+        assert {k: Q(x, d) for k, x in w.items()} == {k: x for k, x in want.items() if x}
+        assert all(type(x) is int for x in (d, *w.values()))
+        got = q.coords(w, d)
+        assert got == _fraction_coords(q, {k: Q(x, d) for k, x in w.items()}) == c
+        assert all(map(_canonical, got))
+
+        v = {rng.randrange(space.dim): rng.randint(-5, 5) for _ in range(4)}
+        den = rng.choice((1, -2, 3, 6, 16))
+        got = q.coords(v, den)
+        assert got == _fraction_coords(q, {k: Q(x, den) for k, x in v.items()})
+        assert all(map(_canonical, got))
 
 
 @st.composite

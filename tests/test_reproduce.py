@@ -87,3 +87,18 @@ def test_freealg_rows_detect_a_corrupted_quotient(monkeypatch, corrupt):
     counts, agree, idempotent, sound = rows_freealg()
     assert counts.passed and agree.passed
     assert not (idempotent.passed and sound.passed)
+
+
+@pytest.mark.parametrize("field", ["den", "inv_den"])
+def test_freealg_rows_detect_a_corrupted_denominator(monkeypatch, field):
+    """Doubling either denominator of the degree-4 quotient halves its label
+    vectors or its coordinates, which flips the index-vector normal-form rows,
+    and only them."""
+    clean = rows_freealg()
+    assert [r.passed for r in clean] == [True] * 4
+    q = _quotient("sas", 4, None)
+    # monkeypatch restores the real cache entry when the test ends
+    monkeypatch.setitem(_quotient_cache, ("sas", 4), dataclasses.replace(q, **{field: 2 * getattr(q, field)}))
+    counts, agree, idempotent, sound = rows_freealg()
+    assert counts.passed and agree.passed
+    assert not (idempotent.passed and sound.passed)
