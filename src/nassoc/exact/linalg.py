@@ -20,17 +20,16 @@ Other modules read a `SparseRREF` through its methods, never its `rows` or
 `where`; `rank`, `reduce`, `free` and `pivot_rows` are the readers that an
 `operads.ShapeGraph` answers as well.
 
-The dense `rref` and `det`, over either field, and `bareiss_rank`, a
-fraction-free integer rank, share no code with `SparseRREF` and no other
-module calls them: `rref` and `bareiss_rank` are the tests' independent
-oracles, and `det` stays because the benchmark's tracer names it.
+The dense `rref` and `det`, over either field, share no code with
+`SparseRREF` and no other module calls them.  `rref` is an independent
+oracle of the tests; both stay here only because the benchmark's tracer
+names them.  The tests' other oracles live with the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 
 from .poly import canonical, ratio
 
@@ -67,41 +66,6 @@ def rref(matrix):
         pivots.append(j)
         r += 1
     return pivots, rows[: len(pivots)]
-
-
-def bareiss_rank(matrix) -> int:
-    """Rank over Q by fraction-free elimination on a denominator-cleared copy."""
-    rows = []
-    for row in matrix:
-        fr = [Fraction(x) for x in row]
-        mult = 1
-        for x in fr:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        rows.append([int(x * mult) for x in fr])
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    prev = 1
-    r = 0
-    for j in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][j] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        p = rows[r][j]
-        for i in range(r + 1, nrows):
-            ri, rr = rows[i], rows[r]
-            ci = ri[j]
-            for k in range(j, ncols):
-                ri[k] = (p * ri[k] - ci * rr[k]) // prev
-        prev = p
-        r += 1
-    return r
 
 
 def nullspace(matrix, ncols=None):

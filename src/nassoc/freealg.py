@@ -8,9 +8,11 @@ case), and from there on a single sorted right-normed anticommutator word
 x_{i1} o (x_{i2} o (...)) per nondecreasing index tuple.
 
 Normal forms route every multihomogeneous component, of every degree,
-through exact linear algebra: polarize to the multilinear component, reduce
-modulo the consequence space, read off the coordinates of the residual in
-the basis of the quotient, and specialize the fresh variables back.  The
+through exact linear algebra: take its multilinear part from
+`terms.multilinear_parts` (the component itself when it is multilinear
+already, so no word is rebuilt), reduce modulo the consequence space, read
+off the coordinates of the residual in the basis of the quotient, and
+specialize the fresh variables back.  The
 coordinates in a basis are unique, so the rewriting is sound by
 construction (the difference always lies in the consequence ideal) and
 idempotent.
@@ -43,8 +45,7 @@ from .terms import (
     degree as word_degree,
     formal_expand,
     leaves,
-    multihomogeneous_components,
-    polarize,
+    multilinear_parts,
     relabel_word,
     word_key,
     word_str,
@@ -285,10 +286,10 @@ def _label_key(label):
     return label.indices if isinstance(label, CircleWord) else word_key(label)
 
 
-def _component_normal_form(variety: str, comp: Expr, cap) -> list:
-    n = next(iter(comp.degrees()))
-    q = _quotient(variety, n, cap)
-    lin, spec, factor = polarize(comp)
+def _component_normal_form(variety: str, lin: Expr, spec: dict, factor: int, cap) -> list:
+    """The normal form of one multihomogeneous component from its multilinear
+    part lin, specialization map spec and factor (`multilinear_parts`)."""
+    q = _quotient(variety, len(spec), cap)
     coords = q.coords(q.cons.space.expr_to_vec(lin))
     # specialize the slots back; distinct labels may land on the same word
     out: dict = {}
@@ -311,8 +312,8 @@ def normal_form(expr: Expr, variety: str, cap: int | None = None) -> NormalForm:
         raise TypeError("normal forms require rational coefficients")
     # components have distinct multidegrees, so their labels never collide
     terms: list = []
-    for comp in multihomogeneous_components(expr):
-        terms.extend(_component_normal_form(variety, comp, cap))
+    for lin, spec, factor in multilinear_parts(expr):
+        terms.extend(_component_normal_form(variety, lin, spec, factor, cap))
     return NormalForm(terms)
 
 

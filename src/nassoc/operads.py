@@ -16,8 +16,12 @@ monomial, injectively, so it is an integer map from degree-m indices to
 degree-(m+1) indices.  `_step_maps` builds these maps from shape and
 permutation ranks, and the image of a relation row is the row with its
 indices looked up.  The images of the rows of I(m), then the lifted
-identities of degree m+1 (relabeled through `relabel_vec`), go into a
-`SparseRREF`, so the cost grows with the rank of I(m).
+identities of degree m+1 (multilinearized through `terms.multilinear_parts`,
+then relabeled through `relabel_vec`), go into a `SparseRREF`, so the cost
+grows with the rank of I(m).  A system may hold any homogeneous identities:
+over Q an identity and its full linearization generate the same ideal, so
+the Jordan identity is read as its linearization.  `consequences` refuses a
+system with an identity that is not homogeneous, before it builds anything.
 
 A graph degree (`_shape_graph`) serves binomial systems, whose identities
 all read w1 = +-w2: the algebras of associative type sigma, nine of the ten
@@ -50,7 +54,8 @@ Its RREF, a dict per monomial, is built only on request and is all that is
 charged for memory; a primal degree above it streams its rows instead.
 Everything downstream (dimensions, Hilbert series, Koszulity residuals,
 Koszul duals, implication between systems, membership proofs, k-niceness)
-reduces to exact linear algebra on these spaces.
+reduces to exact linear algebra on these spaces; a membership proof reads
+the multilinear part of each multihomogeneous component of its expression.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import DegreeTooLarge, NotMultilinear, NotQuadratic
+from .errors import DegreeTooLarge, NotHomogeneous, NotMultilinear, NotQuadratic
 from .exact.linalg import SparseRREF, check_positions
 from .exact.poly import canonical, ratio
 from .exact.series import SeriesQ, compose_series
@@ -79,8 +84,8 @@ from .terms import (
     circle,
     degree,
     formal_expand,
-    multihomogeneous_components,
-    polarize,
+    multilinear_parts,
+    multilinearize,
     shape_and_leaves,
     shapes,
 )
@@ -658,14 +663,15 @@ def consequences(sys: IdentitySystem, n: int, cap: int | None = None) -> Consequ
     entries.  Any other degree is a graph degree, its patterns read off the
     RREF of the highest primal degree below it (none when there is none):
     that degree's rows span it, and their images under the step maps span
-    every degree up to the next one with identities."""
+    every degree up to the next one with identities.  Each identity is read
+    through its full linearization; NotHomogeneous refuses a system with an
+    identity that is not homogeneous, before any build."""
     refuse_degree(n, cap)
     if n < 1:
         raise ValueError("degree must be positive")
-    if not sys.is_multilinear():
-        raise NotMultilinear(
-            f"system {sys.name!r} has non-multilinear identities; multilinearize first"
-        )
+    for ident in sys.identities:
+        if ident.degree is None:
+            raise NotHomogeneous(f"identity {ident} of system {sys.name!r} is not homogeneous in total degree")
     key = (sys.key(), n)
     if key in _consequence_cache:
         return _consequence_cache[key]
@@ -702,12 +708,14 @@ def _binomial(ideal: SparseRREF | ShapeGraph) -> bool:
 
 
 def _lifted(idents, m: int):
-    """The degree-m identities under every relabeling, as index vectors."""
+    """The multilinearized degree-m identities under every relabeling, as
+    index vectors."""
     space = MultilinearSpace(m)
     for ident in idents:
-        vec = space.expr_to_vec(ident.expr)
-        for perm in _perms_lex(m):
-            yield space.relabel_vec(vec, perm)
+        for lin in multilinearize(ident):
+            vec = space.expr_to_vec(lin.expr)
+            for perm in _perms_lex(m):
+                yield space.relabel_vec(vec, perm)
 
 
 def _primal_step(prev: SparseRREF | ShapeGraph | None, m: int, lifted) -> SparseRREF:
@@ -839,20 +847,11 @@ def implies(sysA: IdentitySystem, sysB: IdentitySystem, n: int, cap: int | None 
 
 
 def prove_zero(expr: Expr, sys: IdentitySystem, cap: int | None = None) -> bool:
-    """True iff expr lies in the ideal of consequences of the system.
-
-    Multilinear expressions are reduced directly; otherwise each
-    multihomogeneous component is polarized first (equivalent over Q).
-    """
-    if expr.is_zero():
-        return True
-    if expr.is_multilinear():
-        pieces = [expr]
-    else:
-        pieces = [polarize(comp)[0] for comp in multihomogeneous_components(expr)]
-    for piece in pieces:
-        n = max(piece.degrees())
-        if not consequences(sys, n, cap).contains_expr(piece):
+    """True iff expr lies in the ideal of consequences of the system: iff
+    the multilinear part of each multihomogeneous component
+    (`multilinear_parts`, equivalent over Q) lies in its degree's space."""
+    for lin, spec, _ in multilinear_parts(expr):
+        if not consequences(sys, len(spec), cap).contains_expr(lin):
             return False
     return True
 

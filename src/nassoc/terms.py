@@ -7,8 +7,16 @@ normalized to "= 0" form with contiguously numbered variables.
 
 Expr's constructor is the one place where sums of words are collected:
 repeated words are added and zero sums dropped there, once, and every
-operation (sum, product, scaling, relabelling, substitution, polarization)
-only streams (word, coefficient) pairs into it.
+operation (sum, product, scaling, relabelling, polarization) only streams
+(word, coefficient) pairs into it.
+
+`multilinear_parts` is the one path from an expression to multilinear
+ones: it splits the expression by multidegree and fully polarizes each
+component, once it has checked that the words it writes stay within
+MAX_POLARIZED_TERMS.  Over Q a homogeneous identity and its full
+linearization generate the same T-ideal, so identity checks
+(`multilinearize`), consequence spaces, membership proofs and normal forms
+all read identities and expressions through it.
 
 The identity DSL is parsed here.  Products are explicitly parenthesized
 binary products; [a,b], (a o b) and the ternary associator (a,b,c) are sugar
@@ -22,7 +30,6 @@ that expands immediately into raw products:
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -32,7 +39,7 @@ from .exact.poly import canonical, signed_sum
 
 Word = object  # int leaf or (Word, Word) pair
 
-# multilinearize refuses identities whose polarization writes more words than this
+# multilinear_parts refuses expressions whose polarization writes more words than this
 MAX_POLARIZED_TERMS = 10**6
 
 
@@ -239,14 +246,6 @@ class Expr:
     def relabel(self, mapping) -> "Expr":
         return Expr((relabel_word(w, mapping), c) for w, c in self.terms.items())
 
-    def subs_vars(self, mapping: dict[int, "Expr"]) -> "Expr":
-        """Substitute expressions for variables, expanding multilinearly."""
-        return Expr(
-            (sw, sc * c)
-            for w, c in self.terms.items()
-            for sw, sc in _subs_word(w, mapping).terms.items()
-        )
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
 
@@ -259,12 +258,6 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({self})"
-
-
-def _subs_word(word, mapping: dict[int, Expr]) -> Expr:
-    if isinstance(word, int):
-        return mapping.get(word, Expr.var(word))
-    return _subs_word(word[0], mapping) * _subs_word(word[1], mapping)
 
 
 def bracket(a: Expr, b: Expr) -> Expr:
@@ -306,7 +299,7 @@ class Identity:
             mapping = {v: i for i, v in enumerate(vs, start=1)}
             expr = expr.relabel(mapping)
         self.expr = expr
-        self.nvars = len(expr.variables())
+        self.nvars = len(vs)
         degs = expr.degrees()
         self.degree = degs.pop() if len(degs) == 1 else None
 
@@ -344,9 +337,6 @@ class IdentitySystem:
     def key(self):
         """Canonical cache key: the printed identities, sorted."""
         return tuple(sorted(str(i) for i in self.identities))
-
-    def is_multilinear(self) -> bool:
-        return all(i.is_multilinear() for i in self.identities)
 
     def __eq__(self, other):
         return isinstance(other, IdentitySystem) and self.key() == other.key()
@@ -550,80 +540,64 @@ def parse_system(name: str, text: str) -> IdentitySystem:
 # multilinearization
 
 
-def _polarize_words(expr: Expr, slot_map: dict[int, list[int]]):
-    """Replace each occurrence of var v by a distinct slot from slot_map[v]:
-    the (word, coefficient) pairs of every assignment, to be summed by Expr."""
+def multilinear_parts(expr: Expr) -> list[tuple[Expr, dict[int, int], int]]:
+    """Full polarization of each multihomogeneous component of expr.
+
+    The words are grouped by multidegree, and the components come in
+    ascending order of it.  In a component where x_v occurs m_v times, the
+    m_v slots after those of the smaller variables stand for x_v, and each
+    word becomes the m_1! m_2! ... words that give the occurrences of each
+    variable distinct slots.  A component comes back as (multilinear Expr on
+    slots 1..n, specialization map slot -> var, factor): putting each slot's
+    variable back recovers the component times the factor, the product of
+    the m_v!.  A component already multilinear in x1..xn comes back
+    unchanged, with the identity map and factor 1.
+
+    Raises DegreeTooLarge, before it writes any word, when the words written,
+    summed over every component, exceed MAX_POLARIZED_TERMS.
+    """
+    by_leaves: dict[tuple, list] = {}
     for w, c in expr.terms.items():
         shape, labs = shape_and_leaves(w)
-        positions: dict[int, list[int]] = {}
-        for pos, v in enumerate(labs):
-            positions.setdefault(v, []).append(pos)
-        vars_here = sorted(positions)
-        choices = []
-        for v in vars_here:
-            k = len(positions[v])
-            choices.append(list(itertools.permutations(slot_map[v][:k])))
-        for combo in itertools.product(*choices):
-            new_labs = list(labs)
-            for v, perm in zip(vars_here, combo):
-                for pos, slot in zip(positions[v], perm):
-                    new_labs[pos] = slot
-            yield build_word(shape, tuple(new_labs)), c
+        by_leaves.setdefault(tuple(sorted(labs)), []).append((w, shape, labs, c))
+    groups, count = {}, 0
+    for sorted_leaves, group in by_leaves.items():
+        multidegree = tuple((v, len(list(run))) for v, run in itertools.groupby(sorted_leaves))
+        groups[multidegree] = group
+        count += len(group) * prod(factorial(m) for _, m in multidegree)
+    if count > MAX_POLARIZED_TERMS:
+        raise DegreeTooLarge(f"polarizing {expr} writes {count} words, more than {MAX_POLARIZED_TERMS}")
+    return [_polarized(multidegree, group) for multidegree, group in sorted(groups.items())]
 
 
-def polarize(expr: Expr):
-    """Full polarization of a nonzero multihomogeneous expression.
+def _polarized(multidegree: tuple, group: list) -> tuple[Expr, dict[int, int], int]:
+    """One component of `multilinear_parts`: its (word, shape, leaves, coefficient)
+    entries, all of the multidegree ((v, m_v), ...)."""
+    slots, spec = {}, {}
+    for v, m in multidegree:
+        slots[v] = range(len(spec) + 1, len(spec) + m + 1)
+        spec.update(dict.fromkeys(slots[v], v))
+    if all(s == v for s, v in spec.items()):
+        return Expr((w, c) for w, _, _, c in group), spec, 1
 
-    The multidegree is read from the first word.  Returns (multilinear Expr
-    on slots 1..n, specialization map slot -> var, multiplicity factor).
-    Substituting each slot by its variable recovers the input times the
-    factor (the product of the multiplicities' factorials).
-    """
-    multidegree: dict[int, int] = {}
-    for leaf in leaves(next(iter(expr.terms))):
-        multidegree[leaf] = multidegree.get(leaf, 0) + 1
-    slot_map: dict[int, list[int]] = {}
-    spec: dict[int, int] = {}
-    nxt = 1
-    factor = 1
-    for v in sorted(multidegree):
-        m = multidegree[v]
-        slot_map[v] = list(range(nxt, nxt + m))
-        for s in slot_map[v]:
-            spec[s] = v
-        nxt += m
-        for i in range(2, m + 1):
-            factor *= i
-    return Expr(_polarize_words(expr, slot_map)), spec, factor
+    def words():
+        for _, shape, labs, c in group:
+            # the leaf positions of each variable, in the order its slots fill them
+            order = [p for v, _ in multidegree for p, u in enumerate(labs) if u == v]
+            for combo in itertools.product(*(itertools.permutations(slots[v]) for v, _ in multidegree)):
+                new = [0] * len(labs)
+                for p, s in zip(order, itertools.chain.from_iterable(combo)):
+                    new[p] = s
+                yield build_word(shape, new), c
 
-
-def multihomogeneous_components(expr: Expr) -> list[Expr]:
-    """Split into multihomogeneous pieces, deterministically ordered."""
-    groups: dict[tuple, dict] = {}
-    for w, c in expr.terms.items():
-        counts = {}
-        for leaf in leaves(w):
-            counts[leaf] = counts.get(leaf, 0) + 1
-        key = tuple(sorted(counts.items()))
-        groups.setdefault(key, {})[w] = c
-    return [Expr(groups[k]) for k in sorted(groups)]
+    return Expr(words()), spec, prod(factorial(m) for _, m in multidegree)
 
 
 def multilinearize(ident: Identity) -> list[Identity]:
-    """Full polarization of a homogeneous identity.
-
-    Each multihomogeneous component is polarized: every variable of
-    multiplicity m is replaced by a sum of m fresh variables and the
-    component of multidegree (1,...,1) is kept.  Over Q the output system is
-    equivalent to the input identity.  A word in which the variables occur
-    m_1, m_2, ... times polarizes into m_1! m_2! ... words; DegreeTooLarge is
-    raised before any polarization when their sum exceeds MAX_POLARIZED_TERMS.
-    """
+    """Full polarization of a homogeneous identity: the multilinear part of
+    each multihomogeneous component (`multilinear_parts`), which refuses one
+    that writes too many words.  Over Q the output system is equivalent to
+    the input identity, and a multilinear identity comes back as itself."""
     if ident.degree is None:
         raise NotHomogeneous(f"identity {ident} is not homogeneous in total degree")
-    if ident.is_multilinear():
-        return [ident]
-    count = sum(prod(map(factorial, Counter(leaves(w)).values())) for w in ident.expr.terms)
-    if count > MAX_POLARIZED_TERMS:
-        raise DegreeTooLarge(f"polarizing {ident} writes {count} words, more than {MAX_POLARIZED_TERMS}")
-    return [Identity(polarize(comp)[0]) for comp in multihomogeneous_components(ident.expr)]
+    return [Identity(lin) for lin, _, _ in multilinear_parts(ident.expr)]

@@ -1,5 +1,7 @@
-"""The dense eliminations of exact/linalg.py (`rref`, `det`, `bareiss_rank`)
-are test oracles: every elimination of the package runs on `SparseRREF`.
+"""The dense eliminations of exact/linalg.py (`rref`, `det`) and the helpers
+of tests/oracles.py (`bareiss_rank`, `subs_vars`) are test oracles: every
+elimination of the package runs on `SparseRREF`, and none of it substitutes
+expressions for variables.
 Parsing the sources keeps the oracles from drifting back into the runtime,
 where they would stop being independent of what they check."""
 
@@ -7,7 +9,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nassoc"
-ORACLES = {"rref", "det", "bareiss_rank"}
+ORACLES = {"rref", "det", "bareiss_rank", "subs_vars"}
 
 
 def _oracle_uses(tree):

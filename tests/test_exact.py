@@ -17,11 +17,12 @@ from nassoc.exact import (
     inverse,
     nullspace,
 )
-from nassoc.exact.linalg import bareiss_rank, rref, solve_right, span
+from nassoc.exact.linalg import rref, solve_right, span
 from nassoc.exact.poly import canonical
 from nassoc.moduli import ParamBasis, transform
 from nassoc.operads import MultilinearSpace, _perms_lex
 from nassoc.systems import builtin_system
+from oracles import bareiss_rank
 
 Q = Fraction
 

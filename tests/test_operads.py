@@ -34,6 +34,7 @@ from nassoc.operads import (
 )
 from nassoc.systems import _DEFINITIONS, BUILTIN_SYSTEM_NAMES, anti_system, builtin_system
 from nassoc.terms import Expr, _shape_rank, build_word, parse_expr, parse_system, relabel_word, shape_and_leaves, shapes
+from oracles import subs_vars
 
 Q = Fraction
 
@@ -142,7 +143,7 @@ def _degree_images(expr: Expr, m: int) -> list[Expr]:
     xm1 = Expr.var(m + 1)
     images = [expr * xm1, xm1 * expr]
     for i in range(1, m + 1):
-        images.append(expr.subs_vars({i: Expr.var(i) * xm1}))
+        images.append(subs_vars(expr, {i: Expr.var(i) * xm1}))
     return images
 
 
