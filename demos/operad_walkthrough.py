@@ -6,8 +6,8 @@ Everything here is exact; run with `python3 demos/operad_walkthrough.py`.
 """
 
 from nassoc import (
-    OperadPresentation,
     hilbert,
+    implies,
     koszul_dual,
     koszulity_residual,
     multilinear_dim,
@@ -27,10 +27,9 @@ print(f"Signed exponential series:            {hilbert(sas, 5)}")
 print()
 
 print("Koszul dual, the orthogonal complement of the relations under the Ginzburg-Kapranov pairing")
-pres = OperadPresentation.of_system(sas)
-dual = koszul_dual(pres)
-print(f"  dual relation space dimension: {dual.dim}")
-print(f"  equal to the original relations (self-dual): {dual.same_space(pres)}")
+dual = koszul_dual(sas)
+print(f"  dual relation space dimension: {len(dual.identities)}")
+print(f"  equal to the original relations (self-dual): {implies(sas, dual, 3) and implies(dual, sas, 3)}")
 print()
 
 res = koszulity_residual(sas, sas, 5)

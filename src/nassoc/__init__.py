@@ -42,7 +42,6 @@ from .moduli import (
 from .operads import (
     ConsequenceSpace,
     MultilinearSpace,
-    OperadPresentation,
     consequences,
     hilbert,
     implies,

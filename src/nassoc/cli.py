@@ -29,7 +29,6 @@ from .exact.poly import PolyQ
 from .exprparse import rational
 from .freealg import free_basis, label_str, normal_form
 from .operads import (
-    OperadPresentation,
     hilbert,
     implies,
     koszul_dual,
@@ -177,9 +176,7 @@ def cmd_hilbert(args, report):
 def cmd_koszulity(args, report):
     refuse_degree(args.order, args.cap)  # before the dual is built
     sys_p = _load_system(args.system)
-    sys_q = _load_system(args.dual) if args.dual else koszul_dual(
-        OperadPresentation.of_system(sys_p)
-    ).to_identity_system()
+    sys_q = _load_system(args.dual) if args.dual else koszul_dual(sys_p)
     res = koszulity_residual(sys_p, sys_q, args.order, args.cap)
     report.data["residual"] = str(res)
     report.data["zero"] = res.is_zero()
@@ -190,13 +187,12 @@ def cmd_koszulity(args, report):
 
 @command("dual", "Koszul dual presentation", SYSTEM)
 def cmd_dual(args, report):
-    pres = OperadPresentation.of_system(_load_system(args.system))
-    dual = koszul_dual(pres)
-    ids = dual.to_identity_system()
-    report.data["relations"] = [str(i) for i in ids.identities]
-    report.data["self_dual"] = dual.same_space(pres)
-    report.line(f"dual relation space (dim {dual.dim}):")
-    for ident in ids.identities:
+    sys_ = _load_system(args.system)
+    dual = koszul_dual(sys_)
+    report.data["relations"] = [str(i) for i in dual.identities]
+    report.data["self_dual"] = implies(sys_, dual, 3) and implies(dual, sys_, 3)
+    report.line(f"dual relation space (dim {len(dual.identities)}):")
+    for ident in dual.identities:
         report.line("  " + str(ident))
     report.line("self-dual" if report.data["self_dual"] else "not self-dual")
     return 0

@@ -43,7 +43,8 @@ or more entries); every other degree is a graph degree.  The check runs on
 the space, so a recombined or rescaled binomial presentation qualifies.  A
 quotient of dimension d <= 1 always is binomial: for d = 0 every monomial is
 zero, and for d = 1 the one functional f vanishing on I(m) spans the
-annihilator, so the RREF row of each pivot p is e_p - f(p) e_f.
+annihilator, so the RREF row of each pivot p is e_p - f(p) e_f; `nice_index`
+reads a primal degree of dimension 1 as a shape graph of its own patterns.
 
 A `ConsequenceSpace` holds each degree as one ideal, the `SparseRREF` of a
 primal degree or the `ShapeGraph` of a graph degree; both answer `rank`,
@@ -56,6 +57,8 @@ Everything downstream (dimensions, Hilbert series, Koszulity residuals,
 Koszul duals, implication between systems, membership proofs, k-niceness)
 reduces to exact linear algebra on these spaces; a membership proof reads
 the multilinear part of each multihomogeneous component of its expression.
+A Koszul dual is itself an identity system, and two presentations are the
+same operad when each `implies` the other at degree 3.
 """
 
 from __future__ import annotations
@@ -751,8 +754,10 @@ def hilbert(sys: IdentitySystem, order: int, cap: int | None = None) -> SeriesQ:
 
 
 def _check_quadratic(sys: IdentitySystem):
+    """Refuse an identity outside degree 3; `consequences` reads any other
+    through its linearization, a binary quadratic relation."""
     for ident in sys.identities:
-        if ident.degree != 3 or not ident.is_multilinear():
+        if ident.degree != 3:
             raise NotQuadratic(f"system {sys.name!r} is not binary quadratic")
 
 
@@ -766,70 +771,32 @@ def koszulity_residual(sysP: IdentitySystem, sysQ: IdentitySystem, order: int, c
 
 
 # ---------------------------------------------------------------------------
-# quadratic presentations and Koszul duals
+# Koszul duals
 
 
-class OperadPresentation:
-    """Binary quadratic presentation: an S3-stable relation subspace in degree 3."""
-
-    def __init__(self, rref: SparseRREF, name: str = "presentation"):
-        self.name = name
-        self.space = MultilinearSpace(3)
-        self.rref = rref
-        if not self._is_s3_stable():
-            raise NotQuadratic(f"relation space of {name!r} is not S3-stable")
-
-    @staticmethod
-    def of_system(sys: IdentitySystem, cap: int | None = None) -> "OperadPresentation":
-        _check_quadratic(sys)
-        cons = consequences(sys, 3, cap)
-        return OperadPresentation(cons.rref, sys.name)
-
-    def _is_s3_stable(self) -> bool:
-        return all(
-            self.rref.contains(self.space.relabel_vec(row, perm))
-            for row in self.rref.basis()
-            for perm in _perms_lex(3)
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.rref.rank
-
-    def to_identity_system(self, name: str | None = None) -> IdentitySystem:
-        rows = [self.space.vec_to_expr(row) for row in self.rref.basis()]
-        return IdentitySystem(name or self.name, [Identity(r) for r in rows])
-
-    def same_space(self, other: "OperadPresentation") -> bool:
-        if self.dim != other.dim:
-            return False
-        return all(other.rref.contains(row) for row in self.rref.basis())
-
-    def __eq__(self, other):
-        return isinstance(other, OperadPresentation) and self.same_space(other)
-
-    def __repr__(self):
-        return f"OperadPresentation({self.name!r}, dim={self.dim})"
-
-
-def koszul_dual(pres: OperadPresentation) -> OperadPresentation:
-    """Dual presentation: the orthogonal complement of the relations under
-    the Ginzburg-Kapranov pairing (Ginzburg-Kapranov, "Koszul duality for
-    operads", Duke Math. J. 76, 1994; Loday-Vallette, "Algebraic Operads",
-    2012, section 7.6).
+def koszul_dual(sys: IdentitySystem) -> IdentitySystem:
+    """The Koszul dual of a binary quadratic system, as the identity system
+    of its relations: the orthogonal complement of the degree-3 relations
+    under the Ginzburg-Kapranov pairing (Ginzburg-Kapranov, "Koszul duality
+    for operads", Duke Math. J. 76, 1994; Loday-Vallette, "Algebraic
+    Operads", 2012, section 7.6).
 
     The pairing on the twelve degree-3 monomials is diagonal, <e_k, e_k> =
     eps * sgn: eps is +1 on the shape ((x x) x) and -1 on (x (x x)), and sgn
     is the sign of the leaf permutation.  A vector v is orthogonal to the
     relations exactly when k -> eps * sgn * v[k] is a functional vanishing on
-    them, so the dual's relations are the kernel of the RREF, sign-twisted.
+    them, so the dual's relations are the kernel of the RREF, sign-twisted,
+    and its identities their RREF rows: none when the relations span all
+    twelve monomials, whose dual is the free operad.
     """
+    _check_quadratic(sys)
+    space = MultilinearSpace(3)
     sgn = [(-1) ** sum(a > b for a, b in itertools.combinations(p, 2)) for p in _perms_lex(3)]
     sign = [eps * s for eps in (1, -1) for s in sgn]  # by index: shape rank * 6 + permutation rank
-    acc = SparseRREF(pres.space.dim)
-    for phi in pres.rref.kernel():
+    acc = SparseRREF(space.dim)
+    for phi in consequences(sys, 3).rref.kernel():
         acc.insert({k: sign[k] * c for k, c in phi.items()})
-    return OperadPresentation(acc, f"dual({pres.name})")
+    return IdentitySystem(f"dual({sys.name})", [Identity(space.vec_to_expr(row)) for row in acc.basis()])
 
 
 # ---------------------------------------------------------------------------
@@ -886,16 +853,9 @@ def nice_index(sys: IdentitySystem, kmax: int, cap: int | None = None) -> int | 
         raise ValueError(f"kmax must be at least 3, where the search starts, got {kmax}")
     for k in range(3, kmax + 1):
         cons = consequences(sys, k, cap)
-        if cons.graph is not None:
-            if cons.graph.is_nice():
-                return k
-            continue
-        if cons.space.dim - cons.dim != 1:
-            continue
-        # a one-dimensional quotient is binomial: every row is e_p - x e_f on
-        # the one free position f, and every monomial is +1 times every other
-        # exactly when every x is 1
-        (f,) = cons.free()
-        if all(row == {p: 1, f: -1} for p, row in cons.rows()):
+        graph = cons.graph
+        if graph is None and cons.space.dim - cons.dim == 1:  # binomial
+            graph = _shape_graph(k, _patterns(cons))
+        if graph is not None and graph.is_nice():
             return k
     return None

@@ -25,7 +25,6 @@ from .algebras import (
 from .exact.series import SeriesQ
 from .freealg import _quotient, free_basis, sas_normal_form
 from .operads import (
-    OperadPresentation,
     implies,
     koszul_dual,
     koszulity_residual,
@@ -130,8 +129,7 @@ def rows_operads(cap=None):
     )
     for name in ("a23", "a12"):
         sysn = builtin_system(name)
-        dual_sys = koszul_dual(OperadPresentation.of_system(sysn)).to_identity_system()
-        r = koszulity_residual(sysn, dual_sys, 5, cap)
+        r = koszulity_residual(sysn, koszul_dual(sysn), 5, cap)
         rows.append(
             Row("operads", f"residual of {name} against its dual is 7/6 t^5", r == _series(5, [(5, Fraction(7, 6))]), str(r))
         )
@@ -146,19 +144,23 @@ def rows_operads(cap=None):
         "a12": ("anti", "a12"),
         "a13": ("anti", "a13"),
     }
+
+    def same(a, b):
+        return implies(a, b, 3) and implies(b, a, 3)
+
     for name, (kind, anti) in expectations.items():
-        pres = OperadPresentation.of_system(builtin_system(name))
-        dual = koszul_dual(pres)
+        sysn = builtin_system(name)
+        dual = koszul_dual(sysn)
         if kind == "self":
-            ok = dual.same_space(pres)
+            ok = same(dual, sysn)
             detail = "self-dual"
         else:
-            ok = dual.same_space(OperadPresentation.of_system(anti_system(anti))) and not dual.same_space(pres)
+            ok = same(dual, anti_system(anti)) and not same(dual, sysn)
             detail = "sign-flipped dual"
         rows.append(Row("operads", f"dual table row for {name}", ok, detail))
     for name in ("as", "sas", "a132"):
-        pres = OperadPresentation.of_system(builtin_system(name))
-        rows.append(Row("operads", f"dual involution on {name}", koszul_dual(koszul_dual(pres)).same_space(pres)))
+        sysn = builtin_system(name)
+        rows.append(Row("operads", f"dual involution on {name}", same(koszul_dual(koszul_dual(sysn)), sysn)))
     return rows
 
 

@@ -303,9 +303,6 @@ class Identity:
         degs = expr.degrees()
         self.degree = degs.pop() if len(degs) == 1 else None
 
-    def is_multilinear(self) -> bool:
-        return self.expr.is_multilinear()
-
     def __eq__(self, other):
         return isinstance(other, Identity) and self.expr == other.expr
 
@@ -320,14 +317,13 @@ class Identity:
 
 
 class IdentitySystem:
-    """Named finite set of identities defining a variety."""
+    """Named finite set of identities defining a variety; the empty system
+    defines every algebra, the free magma."""
 
     __slots__ = ("name", "identities")
 
     def __init__(self, name: str, identities):
         identities = tuple(identities)
-        if not identities:
-            raise ValueError("identity system must be nonempty")
         for ident in identities:
             if ident.degree is not None and ident.nvars > ident.degree:
                 raise ValueError("identity has more variables than its degree")
@@ -526,13 +522,16 @@ def parse_identity(text: str) -> Identity:
 
 
 def parse_system(name: str, text: str) -> IdentitySystem:
-    """Parse an identity-system file: one identity per line, '#' comments."""
+    """Parse an identity-system file: one identity per line, '#' comments;
+    ValueError for a file with none."""
     idents = []
     for line in text.splitlines():
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         idents.append(parse_identity(stripped))
+    if not idents:
+        raise ValueError("identity system must be nonempty")
     return IdentitySystem(name, idents)
 
 

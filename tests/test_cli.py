@@ -348,6 +348,44 @@ def test_dual_subcommand(capsys):
     assert code == 0 and "self-dual" in out
 
 
+def test_dual_and_koszulity_read_an_identity_through_its_linearization(capsys, tmp_path):
+    cube = tmp_path / "cube.ids"
+    cube.write_text("((x1 x1) x1) = (x1 (x1 x1))\n")
+    code, linear, _ = run_cli(capsys, "polarize", "--identity", "((x1 x1) x1) = (x1 (x1 x1))")
+    assert code == 0
+    polarized = tmp_path / "polarized.ids"
+    polarized.write_text(linear)
+    outs = []
+    for path in (cube, polarized):
+        code, dual, _ = run_cli(capsys, "dual", "--system", str(path), "--json")
+        assert code == 0
+        code, residual, _ = run_cli(capsys, "koszulity", "--system", str(path))
+        assert code == 0
+        outs.append((dual, residual))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0][0])["self_dual"] is False and "residual: 0" in outs[0][1]
+
+
+def test_dual_of_the_full_relation_space(capsys, tmp_path):
+    """Relations spanning all twelve degree-3 monomials: the dual is the free
+    operad, an empty system, and the pair is Koszul to order 5."""
+    path = tmp_path / "full.ids"
+    path.write_text("((x1 x2) x3) = 0\n(x1 (x2 x3)) = 0\n")
+    code, out, _ = run_cli(capsys, "dual", "--system", str(path))
+    assert code == 0 and out == "dual relation space (dim 0):\nnot self-dual\n"
+    code, out, _ = run_cli(capsys, "koszulity", "--system", str(path), "--order", "5")
+    assert code == 0 and out.splitlines()[0] == "residual: 0"
+
+
+def test_empty_system_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "empty.ids"
+    path.write_text("# no identities\n")
+    for command in ("dims", "dual"):
+        code, out, err = run_cli(capsys, command, "--system", str(path))
+        assert code == 2 and not out
+        assert err == "error: identity system must be nonempty\n"
+
+
 def test_polarize(capsys):
     code, out, _ = run_cli(capsys, "polarize", "--identity", "(x1,x1,x1) = 0")
     assert code == 0

@@ -1,6 +1,7 @@
 """Tests for consequence spaces, dimensions, duals, and membership proofs."""
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -16,7 +17,6 @@ from nassoc.exact.linalg import SparseRREF, rref
 from nassoc.operads import (
     ConsequenceSpace,
     MultilinearSpace,
-    OperadPresentation,
     _perms_lex,
     _step_maps,
     catalan,
@@ -33,7 +33,7 @@ from nassoc.operads import (
     resolve_degree_cap,
 )
 from nassoc.systems import _DEFINITIONS, BUILTIN_SYSTEM_NAMES, anti_system, builtin_system
-from nassoc.terms import Expr, _shape_rank, build_word, parse_expr, parse_system, relabel_word, shape_and_leaves, shapes
+from nassoc.terms import Expr, Identity, IdentitySystem, _shape_rank, build_word, parse_expr, parse_system, relabel_word, shape_and_leaves, shapes
 from oracles import subs_vars
 
 Q = Fraction
@@ -178,6 +178,11 @@ _SEEDED_CAS = parse_system(
 
 # its quotient dimensions are 1 2 3 1 0 0, so degrees 5 and 6 step from d = 1 and d = 0
 _SIGNED = parse_system("signed", "((x1 x2) x3) = (x1 (x2 x3))\n((x1 x2) x3) = -(x3 (x2 x1))")
+
+# degree 3 is one-dimensional, with p = -f on some monomials
+_SIGN_TWISTED = parse_system(
+    "sign-twisted", "((x1 x2) x3) = -((x2 x1) x3)\n((x1 x2) x3) = -((x1 x3) x2)\n((x1 x2) x3) = (x1 (x2 x3))"
+)
 
 # a random degree-3 relation whose degree-4 consequences are not integral
 _FRACTIONAL = parse_system(
@@ -776,8 +781,7 @@ def test_residuals():
     assert koszulity_residual(asys, asys, 5).is_zero()
     for name in ("a23", "a12"):
         sysn = builtin_system(name)
-        dual = koszul_dual(OperadPresentation.of_system(sysn)).to_identity_system()
-        assert koszulity_residual(sysn, dual, 5) == _series(5, [(5, Q(7, 6))])
+        assert koszulity_residual(sysn, koszul_dual(sysn), 5) == _series(5, [(5, Q(7, 6))])
 
 
 def test_residual_rejects_nonquadratic():
@@ -789,45 +793,46 @@ def test_residual_rejects_nonquadratic():
 # Koszul duals
 
 
+def _same(a, b) -> bool:
+    """Whether two quadratic systems present the same operad."""
+    return implies(a, b, 3) and implies(b, a, 3)
+
+
 def test_dual_table():
     for name in ("as", "a123", "a132", "sas"):
-        pres = OperadPresentation.of_system(builtin_system(name))
-        assert koszul_dual(pres).same_space(pres), name
+        sys = builtin_system(name)
+        assert _same(koszul_dual(sys), sys), name
     for name in ("a23", "a12", "a13"):
-        pres = OperadPresentation.of_system(builtin_system(name))
-        dual = koszul_dual(pres)
-        assert dual.same_space(OperadPresentation.of_system(anti_system(name))), name
-        assert not dual.same_space(pres), name
+        sys = builtin_system(name)
+        dual = koszul_dual(sys)
+        assert _same(dual, anti_system(name)), name
+        assert not _same(dual, sys), name
 
 
 def test_dual_involution():
     for name in ("as", "sas", "a132"):
-        pres = OperadPresentation.of_system(builtin_system(name))
-        assert koszul_dual(koszul_dual(pres)).same_space(pres)
+        sys = builtin_system(name)
+        assert _same(koszul_dual(koszul_dual(sys)), sys)
 
 
 @st.composite
-def s3_stable_presentations(draw):
-    """The S3-closure of 1-3 random degree-3 relation vectors."""
+def degree3_systems(draw):
+    """Systems of 0-3 random degree-3 identities."""
     space = MultilinearSpace(3)
-    rref = SparseRREF(space.dim)
     coefficients = st.sampled_from([0, 0, 0, 1, -1, 2, Q(1, 2)])
-    for _ in range(draw(st.integers(1, 3))):
-        vec = {i: Q(c) for i in range(space.dim) if (c := draw(coefficients))}
-        for perm in _perms_lex(3):
-            rref.insert(space.relabel_vec(vec, perm))
-    return OperadPresentation(rref)
+    vecs = [{i: Q(c) for i in range(space.dim) if (c := draw(coefficients))} for _ in range(draw(st.integers(1, 3)))]
+    return IdentitySystem("random", [Identity(space.vec_to_expr(vec)) for vec in vecs if vec])
 
 
 @settings(max_examples=100, deadline=None)
-@given(s3_stable_presentations())
-def test_dual_involution_on_random_presentations(pres):
-    dual = koszul_dual(pres)
-    assert pres.dim + dual.dim == 12
-    assert koszul_dual(dual).same_space(pres)
+@given(degree3_systems())
+def test_dual_involution_on_random_presentations(sys):
+    dual = koszul_dual(sys)
+    assert consequences(sys, 3).dim + len(dual.identities) == 12
+    assert _same(koszul_dual(dual), sys)
 
 
-def _jacobi_dual(pres):
+def _jacobi_dual(sys):
     """The dual's relation space through the Lie-admissibility expansion on
     tensor products, an independent path to `koszul_dual`.
 
@@ -837,7 +842,8 @@ def _jacobi_dual(pres):
     J = sum_beta beta (x) E_beta over a basis beta of the quotient.  The dual's
     relation space is the span of the E_beta, returned as its `SparseRREF`.
     """
-    space = pres.space
+    cons = consequences(sys, 3)
+    space = cons.space
     collected: dict[int, dict] = {}
     for x, y, z in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
         # [[x(x)x, y(x)y], z(x)z] expanded: four signed (S-word, U-word) pairs
@@ -847,7 +853,7 @@ def _jacobi_dual(pres):
             (-1, (z, (x, y)), (z, (x, y))),
             (1, (z, (y, x)), (z, (y, x))),
         ]:
-            residual = pres.rref.reduce({space.index_of_word(sword): sign})
+            residual = cons.reduce_vec({space.index_of_word(sword): sign})
             uidx = space.index_of_word(uword)
             for beta, lam in residual.items():
                 bucket = collected.setdefault(beta, {})
@@ -869,35 +875,58 @@ ASSOCIATIVE_TYPE_BUILTINS = ("sas", "as", "a12", "a13", "a23", "a123", "a132")
     ids=lambda sys: sys.name,
 )
 def test_dual_matches_the_jacobi_expansion(sys):
-    pres = OperadPresentation.of_system(sys)
-    assert koszul_dual(pres).rref.rows == _jacobi_dual(pres).rows
+    assert consequences(koszul_dual(sys), 3).rref.rows == _jacobi_dual(sys).rows
 
 
 @settings(max_examples=100, deadline=None)
-@given(s3_stable_presentations())
-def test_dual_matches_the_jacobi_expansion_on_random_presentations(pres):
-    assert koszul_dual(pres).rref.rows == _jacobi_dual(pres).rows
-
-
-def test_presentation_refuses_a_span_that_is_not_s3_stable():
-    space = MultilinearSpace(3)
-    rref = SparseRREF(space.dim)
-    rref.insert(space.expr_to_vec(parse_expr("((x1 x2) x3) - (x1 (x2 x3))")))
-    with pytest.raises(NotQuadratic, match="not S3-stable"):
-        OperadPresentation(rref, "one associator")
+@given(degree3_systems())
+def test_dual_matches_the_jacobi_expansion_on_random_presentations(sys):
+    assert consequences(koszul_dual(sys), 3).rref.rows == _jacobi_dual(sys).rows
 
 
 def test_dual_sas_explicit_identity():
-    dual = koszul_dual(OperadPresentation.of_system(builtin_system("sas")))
-    rel = parse_expr("((x1 x2) x3) - (x2 (x3 x1))")
-    assert dual.rref.contains(dual.space.expr_to_vec(rel))
-    assert dual.dim == 6
+    dual = koszul_dual(builtin_system("sas"))
+    assert consequences(dual, 3).contains_expr(parse_expr("((x1 x2) x3) - (x2 (x3 x1))"))
+    assert len(dual.identities) == 6
 
 
 def test_cas_dual_is_the_associator_cycle():
-    dual = koszul_dual(OperadPresentation.of_system(builtin_system("cas")))
-    expected = OperadPresentation.of_system(builtin_system("cas-dual"))
-    assert dual.same_space(expected)
+    assert _same(koszul_dual(builtin_system("cas")), builtin_system("cas-dual"))
+
+
+# the cube identity of power associativity, and its linearization
+_CUBE = parse_system("cube", "((x1 x1) x1) = (x1 (x1 x1))")
+_CUBE_LINEAR = parse_system(
+    "cube-linear",
+    "((x1 x2) x3) + ((x1 x3) x2) + ((x2 x1) x3) + ((x2 x3) x1) + ((x3 x1) x2) + ((x3 x2) x1)"
+    " - (x1 (x2 x3)) - (x1 (x3 x2)) - (x2 (x1 x3)) - (x2 (x3 x1)) - (x3 (x1 x2)) - (x3 (x2 x1)) = 0",
+)
+
+
+def test_dual_reads_an_identity_through_its_linearization():
+    dual = koszul_dual(_CUBE)
+    assert dual.identities == koszul_dual(_CUBE_LINEAR).identities
+    assert len(dual.identities) == 11
+    assert koszulity_residual(_CUBE, dual, 5) == koszulity_residual(_CUBE_LINEAR, dual, 5)
+
+
+# relations that span all twelve degree-3 monomials
+_FULL = parse_system("full", "((x1 x2) x3) = 0\n(x1 (x2 x3)) = 0")
+
+
+def test_dual_of_the_full_relation_space_is_the_free_operad():
+    free = koszul_dual(_FULL)
+    assert free.identities == ()
+    assert [multilinear_dim(free, n) for n in range(1, 6)] == [operads.free_magma_dim(n) for n in range(1, 6)]
+    assert [multilinear_dim(_FULL, n) for n in range(1, 6)] == [1, 2, 0, 0, 0]
+    assert not _same(free, _FULL)
+    assert _same(koszul_dual(free), _FULL)
+    assert koszulity_residual(_FULL, free, 5).is_zero()
+
+
+def test_hilbert_of_the_empty_system_is_the_free_magma():
+    series = hilbert(IdentitySystem("free", []), 6)
+    assert series == _series(6, [(n, Q((-1) ** n * operads.free_magma_dim(n), math.factorial(n))) for n in range(1, 7)])
 
 
 # ---------------------------------------------------------------------------
@@ -984,17 +1013,34 @@ def test_nice_index_needs_coefficient_one():
     "sys",
     # cas-dual, not binomial from degree 3 on, has no graph degree to check
     [builtin_system(name) for name in BUILTIN_SYSTEM_NAMES if name != "cas-dual"]
-    + [anti_system(name) for name in ASSOCIATIVE_TYPE_BUILTINS] + [_SIGNED, _SEEDED_CAS],
+    + [anti_system(name) for name in ASSOCIATIVE_TYPE_BUILTINS] + [_SIGNED, _SEEDED_CAS, _SIGN_TWISTED],
     ids=lambda sys: sys.name,
 )
 def test_graph_niceness_matches_the_kernel_rule(sys):
     """`ShapeGraph.is_nice` agrees with the rule on the one functional that
-    vanishes on I(n), wherever degree n is a graph degree."""
+    vanishes on I(n), wherever degree n is a graph degree, and on the shape
+    graph of its own patterns wherever it is a primal degree of dimension 1."""
     for n in range(3, 7):
         cons = consequences(sys, n)
-        if cons.graph is None:
-            continue
-        assert cons.graph.is_nice() == _nice_by_kernel(cons), n
+        graph = cons.graph
+        if graph is None and cons.space.dim - cons.dim == 1:
+            graph = operads._shape_graph(n, operads._patterns(cons))
+        if graph is not None:
+            assert graph.is_nice() == _nice_by_kernel(cons), n
+
+
+@pytest.mark.parametrize("sys, nice", [(builtin_system("com-as"), True), (_SIGN_TWISTED, False)], ids=["com-as", "sign"])
+def test_primal_niceness_reads_the_sign_of_each_row(sys, nice):
+    """A primal degree 3 of dimension 1, its RREF rows e_p - f(p) e_f: every
+    f(p) = 1 for com-as, which is nice, while the sign-twisted system has a
+    row e_p + e_f and is not."""
+    cons = consequences(sys, 3)
+    assert cons.graph is None and cons.space.dim - cons.dim == 1
+    (f,) = cons.free()
+    assert {row[f] for _, row in cons.rows()} == ({-1} if nice else {1, -1})
+    assert _nice_by_kernel(cons) is nice
+    assert operads._shape_graph(3, operads._patterns(cons)).is_nice() is nice
+    assert (nice_index(sys, 3) == 3) is nice
 
 
 def test_graph_niceness_needs_a_trivial_character():

@@ -213,7 +213,7 @@ def test_multilinearize_cube():
     s = Expr({1: Q(1), 2: Q(1), 3: Q(1)})
     expanded = subs_vars(cube, {1: s})
     assert out[0].expr == _extract_multilinear_111(expanded)
-    assert out[0].is_multilinear()
+    assert out[0].expr.is_multilinear()
 
 
 def test_multilinearize_already_multilinear():
