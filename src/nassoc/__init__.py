@@ -33,7 +33,6 @@ from .moduli import (
     closed_set_membership,
     degeneration_check,
     degeneration_necessary,
-    family_degeneration_check,
     monomial_certificate_search,
     orbit_dim,
     pencil_invariant,

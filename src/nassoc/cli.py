@@ -28,6 +28,7 @@ from .errors import NassocError, ParseError
 from .exact.poly import PolyQ
 from .exprparse import rational
 from .freealg import free_basis, label_str, normal_form
+from .moduli import ParamBasis, closed_set_membership, orbit_dim, pencil_invariant, transform
 from .operads import (
     hilbert,
     implies,
@@ -431,8 +432,6 @@ def cmd_fingerprint(args, report, A):
          flag("--basis", help="JSON list of columns of rational-function strings"),
          flag("--subst", help="JSON object of parameter substitutions"), algebra="--algebra")
 def cmd_transform(args, report, A):
-    from .moduli import ParamBasis, transform
-
     if args.cert:
         basis = ParamBasis.from_strings(*corpus.certificate_basis(corpus.load_certificate(args.cert)))
     elif args.basis:
@@ -456,8 +455,7 @@ def cmd_transform(args, report, A):
 def cmd_degenerate(args, report):
     cert = corpus.load_certificate(args.cert)
     sample = None if args.sample is None else rational(args.sample, "--sample")
-    result = corpus.run_certificate(cert, sample=sample)
-    results = result if isinstance(result, list) else [result]
+    results = corpus.run_certificate(cert, sample=sample)
     ok = all(r.verdict for r in results)
     report.verdict = ok
     report.data["checks"] = []
@@ -477,8 +475,6 @@ def cmd_degenerate(args, report):
 
 @command("orbit-dim", "n^2 - dim Der (plus family parameters)", algebra="--algebra")
 def cmd_orbit_dim(args, report, A):
-    from .moduli import orbit_dim
-
     d = orbit_dim(A)
     report.data["orbit_dim"] = d
     report.line(str(d))
@@ -488,8 +484,6 @@ def cmd_orbit_dim(args, report, A):
 @command("closed-set", "membership in a closed-set specification", flag("--spec", required=True),
          algebra="--algebra")
 def cmd_closed_set(args, report, A):
-    from .moduli import closed_set_membership
-
     member = closed_set_membership(corpus.load_closed_set(args.spec), A)
     report.verdict = member
     report.line("member" if member else "not a member")
@@ -498,8 +492,6 @@ def cmd_closed_set(args, report, A):
 
 @command("pencil-invariant", "pencil invariant of a 3-dimensional algebra", algebra="--algebra")
 def cmd_pencil_invariant(args, report, A):
-    from .moduli import pencil_invariant
-
     value = pencil_invariant(A)
     report.data["invariant"] = str(value)
     report.line(str(value))
@@ -562,7 +554,7 @@ def main(argv=None) -> int:
             code = args.fn(args, report, _load_algebra(getattr(args, args.algebra_dest), args.set))
         else:
             code = args.fn(args, report)
-    except (NassocError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (NassocError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     output = report.render(args.json)

@@ -6,7 +6,8 @@ A01..A29 are the commutative associative tables, a1/a2 the 3-dimensional and
 a01..a14 the 4-dimensional noncommutative shift associative tables (families
 carry an "alpha" parameter), dim5_nonassoc the minimal non-associative
 example, and L1/L2 the nilpotent Lie algebras behind the cocycle
-construction.
+construction.  `run_certificate` replays a degeneration certificate as a
+list of checks: one for a plain certificate, one per sample for a family.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from importlib import resources
 
 from .algebras import AlgebraStructure, _json_field, _json_kind
 from .exprparse import rational
-from .moduli import ClosedSetSpec
+from .exact.ratfun import RatFunT
+from .moduli import ClosedSetSpec, DegenerationCertificate, ParamBasis, degeneration_check
 
 COMMUTATIVE_ASSOCIATIVE = tuple(f"A{i:02d}" for i in range(1, 30))
 SHIFT_ASSOCIATIVE_3D = ("a1", "a2")
@@ -82,29 +84,34 @@ def certificate_basis(cert) -> tuple[list, dict]:
     return _json_field(cert, "basis", list, where), _json_field(cert, "subst", dict, where, {})
 
 
-def run_certificate(cert: dict, sample=None):
-    """Execute a certificate dict against the corpus.
+def run_certificate(cert: dict, sample=None) -> list[DegenerationCertificate]:
+    """Check a certificate dict against the corpus, one check per sample.
 
-    Plain certificates: {"from", "subst"?, "basis", "to"}.  Family
-    certificates add "family_parameter" and "samples" (rational strings);
-    `sample` picks one value, defaulting to each listed sample in turn (a
-    list of results is returned in that case).  A sample for a plain
-    certificate is a ValueError.
+    A plain certificate, {"from", "subst"?, "basis", "to"}, is one check;
+    a sample for it is a ValueError.  A family certificate adds
+    "family_parameter" and "samples", a nonempty list of rational strings or
+    integers, and is checked at `sample` if given, else at each listed sample.
     """
-    from .moduli import family_degeneration_check
-
     columns, subst = certificate_basis(cert)
     source = load_algebra(_json_field(cert, "from", str, "the certificate"))
     target = load_algebra(_json_field(cert, "to", str, "the certificate"))
+    envs = [{}]
     if "family_parameter" in cert:
         param = _json_field(cert, "family_parameter", str, "the certificate")
         if sample is not None:
-            return family_degeneration_check(source, columns, subst, target, {param: rational(sample, "sample")})
-        results = []
-        for s in _json_field(cert, "samples", list, "the certificate"):
-            env = {param: rational(s, "certificate samples")}
-            results.append(family_degeneration_check(source, columns, subst, target, env))
-        return results
-    if sample is not None:
+            envs = [{param: rational(sample, "sample")}]
+        else:
+            listed = _json_field(cert, "samples", list, "the certificate")
+            if not listed:
+                raise ValueError("field 'samples' of the certificate must list at least one sample")
+            envs = [{param: rational(s, "certificate samples")} for s in listed]
+    elif sample is not None:
         raise ValueError(f"certificate {cert['from']} -> {cert['to']} has no family_parameter to sample")
-    return family_degeneration_check(source, columns, subst, target, None)
+    return [
+        degeneration_check(
+            source,
+            ParamBasis.from_strings(columns, subst, {name: RatFunT.const(v) for name, v in env.items()}),
+            target.specialize(env) if target.is_parametric() else target,
+        )
+        for env in envs
+    ]

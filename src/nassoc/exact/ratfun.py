@@ -95,14 +95,6 @@ class RatFunT:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return as_fraction(self.num.constant_value())
-
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod

@@ -162,15 +162,19 @@ class _Parser:
 def rational(text, source: str) -> Fraction:
     """Fraction(text) for a value read from source, a flag or a file field.
 
-    A malformed literal or a zero denominator is a ParseError that names
-    source and the text it got.
+    Only a str, an int or a Fraction is read: a float from a JSON file
+    would be its binary fraction (0.1 is not 1/10) and a bool would be 0
+    or 1.  Any other value, a malformed literal or a zero denominator is a
+    ParseError that names source and the value it got.
     """
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"{source}: zero denominator in {text!r}") from None
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{source} expects a rational number, got {text!r}") from None
+    if text.__class__ in (str, int, Fraction):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ParseError(f"{source}: zero denominator in {text!r}") from None
+        except ValueError:
+            pass
+    raise ParseError(f"{source} expects a rational number, got {text!r}")
 
 
 def evaluate(text: str | int, env, const):

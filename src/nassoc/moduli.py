@@ -7,8 +7,9 @@ The rewriting is `structure.constants_in_basis`, the basis change that
 `structure.change_basis` also runs, here over Q(t).
 All limits are taken symbolically; a pole surviving exact cancellation is a
 hard failure.  Families A(alpha) degenerate through an additional parameter
-substitution alpha := f(t) (checked at sampled rational alpha for
-parametrized targets).
+substitution alpha := f(t); `corpus.run_certificate` checks such a family
+certificate once per sampled rational alpha, specializing a parametrized
+target at each.
 
 Orbit dimensions follow the derivation count: a single n-dimensional
 algebra has orbit dimension n^2 - dim Der; a one-parameter family's orbit
@@ -148,21 +149,6 @@ def degeneration_check(A: AlgebraStructure, basis: ParamBasis, B: AlgebraStructu
     return DegenerationCertificate(A.name, B.name, verdict, entries)
 
 
-def family_degeneration_check(
-    A: AlgebraStructure,
-    columns,
-    subst,
-    B: AlgebraStructure,
-    sample_env: dict[str, Fraction] | None = None,
-) -> DegenerationCertificate:
-    """Degeneration of a parametric family: substitute the parametrized index
-    (and any sampled rational values) into the basis strings, then check."""
-    env = {name: RatFunT.const(v) for name, v in (sample_env or {}).items()}
-    basis = ParamBasis.from_strings(columns, subst, env)
-    target = B.specialize(sample_env or {}) if B.is_parametric() else B
-    return degeneration_check(A, basis, target)
-
-
 # ---------------------------------------------------------------------------
 # orbit dimensions and necessary conditions
 
@@ -199,12 +185,7 @@ class NecessaryReport:
 
 def degeneration_necessary(A: AlgebraStructure, B: AlgebraStructure) -> NecessaryReport:
     """Advisory necessary conditions for a proper degeneration A -> B."""
-    same = A.dim == B.dim and all(
-        A.constants[i][j][k] == B.constants[i][j][k]
-        for i in range(A.dim)
-        for j in range(A.dim)
-        for k in range(A.dim)
-    )
+    same = A.dim == B.dim and A.constants == B.constants
     derA = derivation_algebra(A).dim
     derB = derivation_algebra(B).dim
     powA, powB = powers_and_nilpotency(A), powers_and_nilpotency(B)

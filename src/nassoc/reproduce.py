@@ -22,14 +22,23 @@ from .algebras import (
     scalar_mutation,
     unital_hull,
 )
+from .exact.poly import PolyQ
 from .exact.series import SeriesQ
 from .freealg import _quotient, free_basis, sas_normal_form
+from .moduli import (
+    closed_set_membership,
+    degeneration_necessary,
+    orbit_dim,
+    pencil_invariant,
+    random_invertible_matrix,
+)
 from .operads import (
     implies,
     koszul_dual,
     koszulity_residual,
     multilinear_dim,
     nice_index,
+    polarized_identity_dim,
     prove_zero,
 )
 from .structure import change_basis, peirce, wedderburn
@@ -253,8 +262,6 @@ def rows_identities(cap=None):
 
     # the table's open entries have no printed target: report the computed
     # dimensions of the candidate identity spaces without asserting anything
-    from .operads import polarized_identity_dim
-
     for name in ("a12", "a23"):
         dims = {
             op: polarized_identity_dim(builtin_system(name), op, 3, cap) for op in ("circle", "bracket")
@@ -385,8 +392,6 @@ def rows_constructions():
     a132 = builtin_system("a132")
     for name in ("a2", "A17"):
         A = corpus.load_algebra(name)
-        from .exact.poly import PolyQ
-
         mutated = scalar_mutation(A, PolyQ.var("u"), PolyQ.var("v"))
         rows.append(
             Row(
@@ -399,8 +404,6 @@ def rows_constructions():
 
 
 def rows_moduli():
-    from .moduli import closed_set_membership, degeneration_necessary, orbit_dim
-
     rows = []
     A17, a12 = corpus.load_algebra("A17"), corpus.load_algebra("a12")
     rows.append(Row("moduli", "orbit dimension of the split semisimple table is 16", orbit_dim(A17) == 16))
@@ -410,14 +413,10 @@ def rows_moduli():
     rows.append(Row("moduli", "each a12 specialization has orbit dimension 12", per_sample))
 
     for certname in corpus.CERTIFICATES:
-        result = corpus.run_certificate(corpus.load_certificate(certname))
-        if isinstance(result, list):
-            ok = all(r.verdict for r in result)
-            detail = f"{len(result)} samples"
-        else:
-            ok = result.verdict
-            detail = ""
-        rows.append(Row("moduli", f"degeneration certificate {certname}", ok, detail))
+        cert = corpus.load_certificate(certname)
+        results = corpus.run_certificate(cert)
+        detail = f"{len(results)} samples" if "family_parameter" in cert else ""
+        rows.append(Row("moduli", f"degeneration certificate {certname}", all(r.verdict for r in results), detail))
 
     spec = corpus.load_closed_set("a12_not_a10")
     in12 = closed_set_membership(spec, a12.specialize({"alpha": 1}))
@@ -431,8 +430,6 @@ def rows_moduli():
 
 
 def rows_pencil(seed=0):
-    from .moduli import pencil_invariant, random_invertible_matrix
-
     rows = []
     a2 = corpus.load_algebra("a2")
     values_ok = all(

@@ -37,7 +37,7 @@ from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 
 from . import exprparse
-from .algebras import AlgebraStructure, _json_field, _json_kind, _json_strings, check_identity
+from .algebras import AlgebraStructure, _json_field, _json_kind, _json_strings, check_identity, plus_algebra
 from .algebras import _product, _refuse_above, _shape_values, _sparse
 from .errors import (
     NonSplitOperator,
@@ -679,8 +679,6 @@ def annihilator_dim(A: AlgebraStructure) -> int:
 
 
 def fingerprint(A: AlgebraStructure) -> Fingerprint:
-    from .algebras import plus_algebra
-
     if A.is_parametric():
         raise ParametricNotSupported("specialize parameters before fingerprinting")
     powers = powers_and_nilpotency(A)

@@ -234,9 +234,11 @@ def test_bad_rationals_name_their_flag(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and not out, argv
         assert err == f"error: {message}\n", argv
-    code, out, err = _leibniz(capsys, tmp_path, '[["1","0","0"],["0",[1],"0"],["0","0","1"]]', "--order", "2")
-    assert code == 2 and not out
-    assert err == "error: --matrix expects a rational number, got [1]\n"
+    # a float or bool entry used to run on its binary fraction, or on 0/1
+    for entry, shown in (("[1]", "[1]"), ("0.1", "0.1"), ("true", "True")):
+        code, out, err = _leibniz(capsys, tmp_path, f'[["1","0","0"],["0",{entry},"0"],["0","0","1"]]', "--order", "2")
+        assert code == 2 and not out
+        assert err == f"error: --matrix expects a rational number, got {shown}\n"
 
 
 def test_dims_max_degree_zero_is_a_usage_error(capsys):
@@ -573,6 +575,35 @@ def test_sample_of_a_plain_certificate_is_a_usage_error(capsys):
     assert err == "error: certificate a12 -> a11 has no family_parameter to sample\n"
     with pytest.raises(ValueError, match="no family_parameter"):
         corpus.run_certificate(corpus.load_certificate("a13_to_a14"), sample=Fraction(1))
+
+
+def test_family_samples_must_be_listed_rationals(capsys, tmp_path):
+    """An empty samples list used to report "verified" with no checks, and a
+    float or bool sample was checked at its binary fraction or at 0/1."""
+    cert = corpus.load_certificate("a12_family_to_a06")
+    path = tmp_path / "cert.json"
+    for samples, message in (
+        ([], "field 'samples' of the certificate must list at least one sample"),
+        (["1", 0.5], "certificate samples expects a rational number, got 0.5"),
+        ([True], "certificate samples expects a rational number, got True"),
+    ):
+        path.write_text(json.dumps({**cert, "samples": samples}))
+        assert run_cli(capsys, "degenerate", "--cert", str(path), "--json") == (2, "", f"error: {message}\n")
+    path.write_text(json.dumps({**cert, "samples": [-1, "2"]}))
+    code, out, _ = run_cli(capsys, "degenerate", "--cert", str(path), "--json")
+    assert code == 0 and len(json.loads(out)["checks"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--system"],
+    ["check-identity", "--system", "sas", "--algebra"],
+    ["degenerate", "--cert"],
+], ids=["system", "algebra", "cert"])
+def test_directory_path_is_a_usage_error(capsys, tmp_path, argv):
+    # each of these used to exit 1 with an IsADirectoryError traceback
+    code, out, err = run_cli(capsys, *argv, str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_symbolic_check_refuses_a_parameter_named_like_a_coordinate(capsys, tmp_path):
