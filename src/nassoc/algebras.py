@@ -18,10 +18,11 @@ in characteristic zero; "symbolic" substitutes generic elements
 g{v} = sum_i g{v}_i e_i and checks polynomial vanishing, which is valid over
 any infinite field and also covers non-multilinear identities directly.
 
-Every product of the package runs through one routine, `_product`, on one
-sparse table per algebra, built with it: the nonzero (k, c) of each product
-e_i e_j.  `mul`, both identity-check modes, Leibniz checks and the basis
-change `structure.constants_in_basis` use it.
+Every product of the package runs through one routine, `_product`, on a
+sparse table: the nonzero (k, c) of each product e_i e_j.  `mul`, Leibniz
+checks and the basis change `structure.constants_in_basis` use the one the
+algebra builds with it, both identity-check modes an integer twin of it
+(below).
 
 Both modes run one scan, `_scan`, compiled once per call without forming
 an element: each word becomes its tree shape and leaf labels.  The values
@@ -41,6 +42,17 @@ arithmetic, so the order of the variables in a printed value is PolyQ's
 alone.  The mode chooses only the parts scanned and the report.  Both modes
 raise DegreeTooLarge, before any evaluation, for a request past
 MAX_CHECK_EVALUATIONS.
+
+The scan runs in int arithmetic on one integer table per check: the
+constants times D, the lcm of their denominators, and for a family the
+parameters replaced by one integer point, X ** ((B + 1) ** j) for parameter
+j (Kronecker substitution), with X past Cauchy's bound on the roots of every
+coordinate, so a coordinate is zero at X exactly when it is zero as a
+polynomial; `check_identity` gives the proof.  A "holds" stays a proof, and
+a failing part is scanned again in the algebra's own scalars, so its report
+is that of a scan in them.  The integer form of a table is built on its
+first check and kept on the algebra.  A family whose point would pass
+MAX_POINT_EXPONENT, many parameters at a high degree, is scanned in PolyQ.
 """
 
 from __future__ import annotations
@@ -49,16 +61,20 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
 from operator import add
 
 from . import exprparse
 from .errors import DegreeTooLarge, ParameterClash
 from .exact.poly import PolyQ, as_fraction, canonical
-from .terms import Identity, IdentitySystem, multilinearize, shape_and_leaves, shape_of
+from .terms import Identity, IdentitySystem, degree, multilinearize, shape_and_leaves, shape_of
 
 # check_identity refuses a request of more word evaluations than this (words
 # times the basis tuples at their leaves), as dim ** degree grows fast
 MAX_CHECK_EVALUATIONS = 10**6
+# check_identity substitutes X ** ((B + 1) ** j) for parameter j of a family
+# (see its docstring) while (B + 1) ** (parameters used) is at most this
+MAX_POINT_EXPONENT = 4096
 
 
 def _rational(c) -> int | Fraction:
@@ -109,7 +125,7 @@ class AlgebraStructure:
         Scalars are rationals when there are no parameters, an int when
         integral and a Fraction otherwise, and PolyQ when there are; self.lift
         turns a rational or polynomial input into one.  Raises ValueError on
-        a repeated parameter name.
+        a repeated parameter name or basis label.
         """
         if dim < 1:
             raise ValueError("dimension must be at least 1")
@@ -122,6 +138,9 @@ class AlgebraStructure:
         self.basis = tuple(basis) if basis else tuple(f"e{i+1}" for i in range(dim))
         if len(self.basis) != dim:
             raise ValueError("basis label count does not match the dimension")
+        if len(set(self.basis)) != dim:
+            repeated = next(b for b in self.basis if self.basis.count(b) > 1)
+            raise ValueError(f"basis label {repeated!r} is repeated")
         self.lift = PolyQ.lift if self.parameters else _rational
         self.constants = tuple(
             tuple(tuple(self.lift(c) for c in constants[i][j]) for j in range(dim))
@@ -141,6 +160,7 @@ class AlgebraStructure:
         self.table = tuple(
             tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row) for row in self.constants
         )
+        self._integer = None  # the table over one denominator, built by the first identity check
 
     # -- elements ---------------------------------------------------------
 
@@ -271,11 +291,7 @@ class AlgebraStructure:
         if len(basis) != dim:
             raise ValueError("basis label count does not match the dimension")
         params = tuple(_json_strings(data, "parameters", "the algebra"))
-        index = {}
-        for i, label in enumerate(basis):
-            if label in index:
-                raise ValueError(f"basis label {label!r} is repeated")
-            index[label] = i
+        index = {label: i for i, label in enumerate(basis)}
 
         def at(label):
             if label not in index:
@@ -385,23 +401,23 @@ def _shape_values(shape, table, dim: int, values: dict) -> dict:
     return got
 
 
-def _scan(A: AlgebraStructure, ident: Identity, values: dict, tops: dict, first: bool) -> tuple | None:
-    """(monomial, k, sum) of the least nonzero coordinate k of ident, or None when it holds on A.
+def _scan(table, n: int, terms, values: dict, tops: dict, first: bool) -> tuple | None:
+    """(monomial, k, sum) of the least nonzero coordinate k of the identity with the
+    (word, coefficient) terms, or None when it holds on the n-dimensional table.
 
     With first, k is taken at the first failing monomial, else over all.  A
-    monomial is encoded as the sorted tuple of (v - 1) * dim + i over the
+    monomial is encoded as the sorted tuple of (v - 1) * n + i over the
     leaves of a word, variable v at basis index i, which sorts as the
     (v, i) pairs do: for a multilinear identity it lists a basis tuple, in
     itertools.product order.  Each word is keyed by monomial at the leaf
     tuples where both its factors are nonzero, or, for a bare variable or a
     shape whose values are built as a factor, where it is nonzero.  At each
-    monomial, in ascending order, the words add in sorted order, and a top
-    product is formed there, kept in tops for a shape that several words of
-    the call share.
+    monomial, in ascending order, the words add in the order of terms, and a
+    top product is formed there, kept in tops for a shape that several words
+    of the call share.
     """
-    table, n = A.table, A.dim
     by_mono = defaultdict(list)
-    for w, coef in ident.expr.sorted_terms():
+    for w, coef in terms:
         shape, labels = shape_and_leaves(w)
         if shape == 0 or shape in values:  # read the word off its own values
             left, right = _shape_values(shape, table, n, values), {(): None}
@@ -454,6 +470,109 @@ def _generic_value(A: AlgebraStructure, ident: Identity, k: int) -> PolyQ:
     return acc[k]
 
 
+@dataclass
+class _IntegerForm:
+    """An algebra's table over one denominator, its parameters still free.
+
+    scale is D, the lcm of the denominators of the coefficients of every
+    constant; used lists the parameters that occur in the table, in declared
+    order; degree is e, the largest total degree of a constant; entries[i][j]
+    lists the (k, p) of D * e_i e_j, p the (monomial, int) terms of the
+    constant, a monomial the (index into used, exponent) pairs of its
+    variables; norm is C, the largest sum over k of the l1 norms of the p of
+    one e_i e_j.  tables caches the integer tables of `_integer_check`, by
+    (B, X); a table without parameters in it keeps only its one integer
+    table, at (0, 0), and no entries.
+    """
+
+    scale: int
+    used: tuple
+    degree: int
+    norm: int
+    entries: tuple
+    tables: dict
+
+
+def _integer_form(A: AlgebraStructure) -> _IntegerForm:
+    """The _IntegerForm of A, built on its first check and kept on A."""
+    form = A._integer
+    if form is None and not A.parameters and all(c.__class__ is int for row in A.table for t in row for _, c in t):
+        A._integer = form = _IntegerForm(1, (), 0, 0, (), {(0, 0): A.table})  # its own integer table
+    if form is None:
+
+        def monomials(c):
+            if not A.parameters:
+                return [((), c)]
+            return [(tuple((v, e) for v, e in zip(c.vars, exps) if e), coef) for exps, coef in c.terms.items()]
+
+        cells = [[[(k, monomials(c)) for k, c in terms] for terms in row] for row in A.table]
+        flat = [term for row in cells for terms in row for _, p in terms for term in p]
+        occurs = {v for mono, _ in flat for v, _ in mono}
+        used = tuple(v for v in A.parameters if v in occurs)
+        index = {v: j for j, v in enumerate(used)}
+        scale = lcm(*(c.denominator for _, c in flat))
+
+        def integral(p):
+            return tuple(
+                (tuple((index[v], e) for v, e in mono), c.numerator * (scale // c.denominator)) for mono, c in p
+            )
+
+        entries = tuple(tuple(tuple((k, integral(p)) for k, p in terms) for terms in row) for row in cells)
+        top = max((sum(e for _, e in mono) for mono, _ in flat), default=0)
+        norm = max((sum(abs(c) for _, p in terms for _, c in p) for row in entries for terms in row), default=0)
+        tables = {}
+        if not used:  # one integer table serves every check: keep it alone
+            tables[0, 0] = _at_point(entries, 0, 0, 0)
+            entries = ()
+        A._integer = form = _IntegerForm(scale, used, top, norm, entries, tables)
+    return form
+
+
+def _at_point(entries, m: int, bound: int, point: int) -> tuple:
+    """The int table of entries over m parameters, parameter j at point ** ((bound + 1) ** j)."""
+    weights = [(bound + 1) ** j for j in range(m)]
+
+    def value(p):
+        return sum(c * point ** sum(e * weights[j] for j, e in mono) for mono, c in p)
+
+    return tuple(tuple(tuple((k, value(p)) for k, p in terms) for terms in row) for row in entries)
+
+
+def _integer_terms(ident: Identity, scale: int, degrees: dict) -> list:
+    """The (word, int) terms of ident times the lcm of its denominators, each word
+    w also times scale ** (top - degrees[w]), top the largest degree of ident."""
+    terms = ident.expr.sorted_terms()
+    den = lcm(*(c.denominator for _, c in terms))
+    if scale == den == 1:
+        return terms
+    top = max(degrees[w] for w, _ in terms)
+    return [(w, c.numerator * (den // c.denominator) * scale ** (top - degrees[w])) for w, c in terms]
+
+
+def _integer_check(A: AlgebraStructure, parts, degrees: dict) -> tuple:
+    """(table, terms of each part) for `_scan`: A's table over one denominator at one
+    integer point, and each part over one denominator (see `check_identity`);
+    degrees maps each word of the parts to its degree.
+
+    A's own table and terms instead when the point would be too large:
+    (B + 1) ** (parameters used) above MAX_POINT_EXPONENT.
+    """
+    form = _integer_form(A)
+    scaled = [_integer_terms(part, form.scale, degrees) for part in parts]
+    bound = point = 0
+    if form.used:
+        bound = (max(degrees.values()) - 1) * form.degree
+        if (bound + 1) ** len(form.used) > MAX_POINT_EXPONENT:
+            return A.table, [part.expr.sorted_terms() for part in parts]
+        point = 2 + max(
+            sum(abs(c) * factorial(degrees[w]) * form.norm ** (degrees[w] - 1) for w, c in terms) for terms in scaled
+        )
+    table = form.tables.get((bound, point))
+    if table is None:
+        table = form.tables[bound, point] = _at_point(form.entries, len(form.used), bound, point)
+    return table, scaled
+
+
 def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multilinear") -> CheckResult:
     """Check every identity of the system on A; parameters stay symbolic.
 
@@ -461,9 +580,32 @@ def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multil
     reports the first nonzero coordinate at the first failing basis tuple.
     Symbolic mode scans each identity as given, at generic elements g1, g2,
     ..., and reports its least nonzero coordinate, a polynomial evaluated in
-    PolyQ arithmetic.  Both run `_scan` on the algebra's product table, with
-    one set of sparse shape values and top products for the whole call (see
-    the module docstring).
+    PolyQ arithmetic.  Both run `_scan` on one integer table, with one set of
+    sparse shape values and top products for the whole call (see the module
+    docstring), and a failing part is scanned again on A's own table for its
+    report, so the report is that of a scan in A's scalars.
+
+    The integer table is a proof, not a sample.  Let D be the lcm of the
+    denominators of A's constants and every identity part be scaled by the
+    lcm of its coefficients' denominators, each word w also by
+    D ** (d - deg w), d the part's largest degree.  On the table D * c every
+    word comes out as D ** (deg w - 1) times its value, so every scanned
+    coordinate is the same nonzero multiple of the one in A's scalars: a
+    polynomial P with integer coefficients in the m parameters that occur.
+    It has total degree at most B = (d_max - 1) * e, e the largest total
+    degree of a constant, so the Kronecker substitution of X ** ((B + 1) ** j)
+    for parameter j maps its monomials to distinct powers of X: P(X) is a
+    polynomial in X with the coefficients of P.  With C the largest sum over
+    k of the l1 norms of D * c_ijk, a word of degree d at a basis tuple has
+    coordinates of l1 norm at most C ** (d - 1), and at most d! leaf tuples
+    meet in one monomial, so |P|_1 <= H = sum over w of |coefficient| *
+    deg(w)! * C ** (deg w - 1).  By Cauchy's bound a nonzero integer
+    polynomial whose coefficients are at most H in size has no root of
+    modulus H + 1 or more, so at X = H + 2 the integer P(X) is zero exactly
+    when P is, and the scan finds the same (monomial, k) as in A's scalars.
+    A rational table (m = 0) needs no X.  When (B + 1) ** m exceeds
+    MAX_POINT_EXPONENT, the integers would be too long, and the scan runs on
+    A's own table.
 
     Raises DegreeTooLarge, before evaluating anything, when the check could
     make more than MAX_CHECK_EVALUATIONS word evaluations, dim ** degree for
@@ -477,24 +619,29 @@ def check_identity(A: AlgebraStructure, sys: IdentitySystem, mode: str = "multil
         parts = sys.identities
     else:
         raise ValueError("mode must be 'multilinear' or 'symbolic'")
+    degrees = {w: degree(w) for part in parts for w in part.expr.terms}
     _refuse_above(
         f"{mode} check of {sys.name} on {A.name}",
-        sum(A.dim ** max(part.expr.degrees()) * len(part.expr.terms) for part in parts),
+        sum(A.dim ** max(map(degrees.get, part.expr.terms)) * len(part.expr.terms) for part in parts),
     )
+    table, scanned = _integer_check(A, parts, degrees)
     # the factor values of every word come first, so a word whose shape is
     # also a factor reads them instead of forming its top products again
     values, shared = {}, Counter(shape_of(w) for part in parts for w in part.expr.terms)
     for shape in shared:
         for factor in shape or ():  # a bare variable, shape 0, has none
-            _shape_values(factor, A.table, A.dim, values)
+            _shape_values(factor, table, A.dim, values)
     tops = {shape: {} for shape, words in shared.items() if words > 1 and shape not in values}
-    for part in parts:
+    for part, terms in zip(parts, scanned):
         generic = tuple(f"g{v}" for v in range(1, part.nvars + 1))
         if mode == "symbolic":
             for g in generic:
                 A.generic_names(g)  # raises ParameterClash on a parameter named g{v}_i
-        found = _scan(A, part, values, tops, mode == "multilinear")
+        found = _scan(table, A.dim, terms, values, tops, mode == "multilinear")
         if found:
+            own = part.expr.sorted_terms()
+            if mode == "multilinear" and (table is not A.table or terms != own):
+                found = _scan(A.table, A.dim, own, {}, {}, True)
             mono, k, total = found
             if mode == "multilinear":
                 at, value = tuple(A.basis[e % A.dim] for e in mono), A.lift(total)
@@ -567,7 +714,8 @@ def scalar_mutation(A: AlgebraStructure, alpha, beta, name: str | None = None) -
 
 
 def unital_hull(A: AlgebraStructure) -> AlgebraStructure:
-    """Adjoin a unit: dimension n+1 with basis (1, e1, ..., en)."""
+    """Adjoin a unit: dimension n+1 with basis (1, e1, ..., en), the unit
+    labelled 1, or 1_, 1__, ... when A already has that label."""
     n = A.dim
     constants = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
     constants[0][0][0] = 1
@@ -575,7 +723,10 @@ def unital_hull(A: AlgebraStructure) -> AlgebraStructure:
         constants[0][i][i] = constants[i][0][i] = 1
         for j in range(1, n + 1):
             constants[i][j] = [0, *A.constants[i - 1][j - 1]]
-    basis = ("1",) + A.basis
+    one = "1"
+    while one in A.basis:
+        one += "_"
+    basis = (one,) + A.basis
     return AlgebraStructure(f"hull({A.name})", n + 1, constants, A.parameters, basis)
 
 

@@ -573,6 +573,21 @@ def test_hull_is_unital():
         assert hull.mul(b, one) == b
 
 
+def test_hull_unit_label_is_fresh():
+    """A basis that already has the label 1 gets the unit 1_, so the hull
+    prints each product once and reads back from its own JSON."""
+    A = AlgebraStructure("one-x", 2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], basis=["1", "x"])
+    hull = unital_hull(A)
+    assert hull.basis == ("1_", "1", "x")
+    assert hull.products_str()[:2] == ["1_ 1_ = 1_", "1_ 1 = 1"]
+    assert "1 1 = 1" in hull.products_str() and len(set(hull.products_str())) == len(hull.products_str())
+    again = AlgebraStructure.from_json(hull.to_json())
+    assert again.basis == hull.basis and again.constants == hull.constants
+    assert unital_hull(load_algebra("a1")).basis == ("1", "e1", "e2", "e3")
+    with pytest.raises(ValueError, match="^basis label 'x' is repeated$"):
+        AlgebraStructure("twice", 2, A.constants, basis=["x", "x"])
+
+
 def test_hull_of_commutative_stays_shift_associative():
     hull = unital_hull(load_algebra("A04"))
     assert check_identity(hull, builtin_system("sas")).holds
